@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import bijections, dsl, identities
@@ -30,11 +30,14 @@ class RunConfig:
     target: Optional[str] = None
     n: Optional[int] = None
     k: Optional[int] = None
-    i: Optional[int] = None
     trunc: int = 200
     weight_cap: int = 30
     fmt: str = "text"
-    extra: dict = field(default_factory=dict)
+    no_comb: bool = False
+    demo: Optional[str] = None
+    ferrers: bool = False
+    max_nk: Optional[int] = None
+    max_n: int = 0
 
 
 def _usage_error(message: str) -> int:
@@ -114,19 +117,12 @@ def _dump_series(ms, fmt) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    params = {}
-    if cfg.n is not None:
-        params["n"] = cfg.n
-    if cfg.k is not None:
-        params["k"] = cfg.k
-    if cfg.i is not None:
-        params["i"] = cfg.i
     report = identities.verify(
         cfg.target,
-        params,
+        {"n": cfg.n},
         trunc=cfg.trunc,
         comb_cap=cfg.weight_cap,
-        include_comb=not cfg.extra.get("no_comb", False),
+        include_comb=not cfg.no_comb,
     )
     if cfg.fmt == "json":
         print(json.dumps(report.to_json_dict()))
@@ -145,7 +141,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _demo_phi(cfg: RunConfig) -> int:
     n = cfg.n
-    pair = parse_pair(cfg.extra["demo"])
+    pair = parse_pair(cfg.demo)
     pair = PartitionPair(DistinctPartition(pair.first.parts), pair.second)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
           f" (weight {pair.weight})")
@@ -157,7 +153,7 @@ def _demo_phi(cfg: RunConfig) -> int:
     print(f"mu = staircase {part_str(staircase(t))} (t={t})")
     print(f"nu = {part_str(nu)}")
     print(f"output weight: {t * (t + 1) // 2 + nu.weight}")
-    if cfg.extra.get("ferrers"):
+    if cfg.ferrers:
         print("nu as a diagram:")
         print(ferrers(nu))
     back = bijections.phi_inv(n, (t, nu))
@@ -167,7 +163,7 @@ def _demo_phi(cfg: RunConfig) -> int:
 
 def _demo_rho(cfg: RunConfig) -> int:
     n = cfg.n
-    lam = parse_signed_set(cfg.extra["demo"], n)
+    lam = parse_signed_set(cfg.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
     t, nu = bijections.rho(n, lam)
     run = list(range(-n, t + 1))
@@ -181,7 +177,7 @@ def _demo_rho(cfg: RunConfig) -> int:
 
 def _demo_psi(cfg: RunConfig) -> int:
     n = cfg.n
-    mu = parse_signed_set(cfg.extra["demo"], n)
+    mu = parse_signed_set(cfg.demo, n)
     print(f"input: mu={set_str(mu)} (weight {mu.weight})")
     out = bijections.psi(n, mu)
     print(f"psi(mu) = {part_str(out)} (weight {out.weight})")
@@ -193,7 +189,7 @@ def _demo_psi(cfg: RunConfig) -> int:
 
 def _demo_tau(cfg: RunConfig) -> int:
     n = cfg.n
-    lam = parse_signed_set(cfg.extra["demo"], n)
+    lam = parse_signed_set(cfg.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
     out = bijections.tau(n, lam)
     print(f"tau(lambda) = {set_str(out)} (weight {out.weight})")
@@ -203,10 +199,10 @@ def _demo_tau(cfg: RunConfig) -> int:
 
 
 def _demo_durfee(cfg: RunConfig) -> int:
-    lam = parse_partition(cfg.extra["demo"])
+    lam = parse_partition(cfg.demo)
     print(f"input: lambda={part_str(lam)} (weight {lam.weight},"
           f" Durfee side {lam.durfee_size()})")
-    if cfg.extra.get("ferrers"):
+    if cfg.ferrers:
         print(ferrers(lam))
     pair = bijections.durfee_split(lam)
     print(f"mu = {part_str(pair.first)}  nu = {part_str(pair.second)}")
@@ -217,7 +213,7 @@ def _demo_durfee(cfg: RunConfig) -> int:
 
 def _demo_nu3(cfg: RunConfig) -> int:
     n, k = cfg.n, cfg.k
-    pair = parse_pair(cfg.extra["demo"])
+    pair = parse_pair(cfg.demo)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
           f" (weight {pair.weight})")
     rows = [n] * (n + 1)
@@ -232,7 +228,7 @@ def _demo_nu3(cfg: RunConfig) -> int:
               f" row of width {s}")
     nu_star = Partition(tuple(r for r in rows if r) + tuple(below))
     print(f"folded diagram: {part_str(nu_star)}")
-    if cfg.extra.get("ferrers"):
+    if cfg.ferrers:
         print(ferrers(nu_star))
     out = bijections.nu3_forward(n, k, pair)
     from .partitions import distinct_odd_to_selfconj
@@ -262,7 +258,7 @@ def cmd_bijection(cfg: RunConfig) -> int:
         return _usage_error(
             f"unknown bijection {name!r}; choose from {bijections.BIJECTION_NAMES}"
         )
-    if cfg.extra.get("demo"):
+    if cfg.demo:
         demo, needed = _DEMOS[name]
         for param in needed:
             if getattr(cfg, param) is None:
@@ -272,8 +268,8 @@ def cmd_bijection(cfg: RunConfig) -> int:
         except (ValueError, QidentError) as exc:
             return _usage_error(str(exc))
     kwargs = dict(n=cfg.n, k=cfg.k, weight_cap=cfg.weight_cap)
-    if cfg.extra.get("max_nk") is not None:
-        kwargs["max_nk"] = cfg.extra["max_nk"]
+    if cfg.max_nk is not None:
+        kwargs["max_nk"] = cfg.max_nk
     report = bijections.check_bijection(name, **kwargs)
     ok = report.passed()
     if cfg.fmt == "json":
@@ -345,7 +341,7 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
 
 
 def cmd_table(cfg: RunConfig) -> int:
-    max_n = cfg.extra.get("max_n") or 0
+    max_n = cfg.max_n
     if max_n < 1:
         return _usage_error("table requires --max-n >= 1")
     series_omega = identities.p_omega_series(max_n + 1)
@@ -420,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verify a registered identity")
     v.add_argument("id")
     v.add_argument("--n", type=int)
-    v.add_argument("--k", type=int)
-    v.add_argument("--i", type=int)
     v.add_argument("--no-comb", action="store_true",
                    help="skip enumeration-based sides")
     common(v)
@@ -465,28 +459,27 @@ def main(argv: Optional[list] = None) -> int:
         target=getattr(args, "id", None) or getattr(args, "name", None),
         n=getattr(args, "n", None),
         k=getattr(args, "k", None),
-        i=getattr(args, "i", None),
         trunc=getattr(args, "trunc", 200),
         weight_cap=getattr(args, "weight_cap", 30),
         fmt=fmt,
+        no_comb=getattr(args, "no_comb", False),
+        demo=getattr(args, "demo", None),
+        ferrers=getattr(args, "ferrers", False),
+        max_nk=getattr(args, "max_nk", None),
+        max_n=getattr(args, "max_n", 0),
     )
     if cfg.trunc < 1:
         return _usage_error("--trunc must be >= 1")
     try:
         if args.command == "verify":
-            cfg.extra["no_comb"] = args.no_comb
             return cmd_verify(cfg)
         if args.command == "bijection":
-            cfg.extra["demo"] = args.demo
-            cfg.extra["ferrers"] = args.ferrers
-            cfg.extra["max_nk"] = args.max_nk
             return cmd_bijection(cfg)
         if args.command == "eval":
             if len(args.exprs) > 2:
                 return _usage_error("eval takes one or two expressions")
             return cmd_eval(cfg, args.exprs, args.bind)
         if args.command == "table":
-            cfg.extra["max_n"] = args.max_n
             return cmd_table(cfg)
         if args.command == "list":
             return cmd_list(cfg)

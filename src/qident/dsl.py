@@ -15,6 +15,14 @@ calls: ``poch(a, step, count|inf)``, ``qbinom(m, k)``, ``binom(m, k)`` and
 arguments and sum bounds live in integer context; q and the aux variables
 z, x, y are series-valued and may not appear there.  A negative exponent on
 a series denotes the multiplicative inverse.
+
+The texts in the identity registry are the only closed-form definitions of
+the identities' sides, so evaluation passes precision down on demand, as
+lazy power series do.  A product first folds its monomial factors into
+c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
+q-order ``trunc - v``, and not at all once the product's valuation is known
+to reach ``trunc``.  A ``sum`` adds its summands in place.  With no
+truncation order a negative power of a q-polynomial is divided out exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +37,16 @@ from .errors import (
     ParseError,
     UnboundVariable,
 )
-from .series import AUX_VARS, MultiSeries, QSeries, poch_finite, poch_infinite, qbinom
+from .series import (
+    TRIVIAL_MONO,
+    MultiSeries,
+    QSeries,
+    _min_trunc,
+    _mono_mul,
+    poch_finite,
+    poch_infinite,
+    qbinom,
+)
 
 RESERVED = {"q", "z", "x", "y", "inf"}
 
@@ -295,69 +312,187 @@ def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
     return ms.invert_unit(trunc)
 
 
-def eval_series(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
-    """Evaluate an expression in series context."""
+_GENERATORS = {"z": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
+
+
+def _split(e: Expr, bindings: dict, rest: list) -> tuple:
+    """Fold the monomial factors of a product into (c, aux exponents, v).
+
+    The monomial is c * z^a * x^b * y^d * q^v.  Monomial factors are
+    integers, bound names, q, z, x, y, binom calls, and their products,
+    negations and integer powers (negative ones only when c is +-1).  Every
+    other factor is appended to ``rest``.
+    """
+    if isinstance(e, BinOp) and e.op == "*":
+        c1, m1, v1 = _split(e.left, bindings, rest)
+        c2, m2, v2 = _split(e.right, bindings, rest)
+        return c1 * c2, _mono_mul(m1, m2), v1 + v2
+    if isinstance(e, Neg):
+        c, mono, v = _split(e.operand, bindings, rest)
+        return -c, mono, v
     if isinstance(e, Int):
-        return MultiSeries.const(e.value)
+        return e.value, TRIVIAL_MONO, 0
     if isinstance(e, Name):
         if e.ident == "q":
-            return MultiSeries.q(1)
-        if e.ident in AUX_VARS:
-            return MultiSeries.gen(e.ident)
+            return 1, TRIVIAL_MONO, 1
+        if e.ident in _GENERATORS:
+            return 1, _GENERATORS[e.ident], 0
         if e.ident == "inf":
             raise DslError("'inf' is only valid as the count argument of poch")
         if e.ident not in bindings:
             raise UnboundVariable(f"unbound variable {e.ident!r}")
-        return MultiSeries.const(bindings[e.ident])
-    if isinstance(e, Neg):
-        return eval_series(e.operand, bindings, trunc).neg()
-    if isinstance(e, BinOp):
+        return bindings[e.ident], TRIVIAL_MONO, 0
+    if isinstance(e, Pow):
+        inner: list = []
+        c, mono, v = _split(e.base, bindings, inner)
+        if not inner:
+            k = eval_int(e.exponent, bindings)
+            if k >= 0 or c in (1, -1):
+                return c ** abs(k), tuple(k * a for a in mono), k * v
+    elif isinstance(e, Call) and e.func == "binom":
+        return eval_int(e, bindings), TRIVIAL_MONO, 0
+    rest.append(e)
+    return 1, TRIVIAL_MONO, 0
+
+
+def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
+    """A lower bound on the q-valuation of e's value, found without
+    expanding any series; None when no bound is known that way.
+
+    A factor given a bound may be skipped rather than evaluated, so a
+    malformed call, or an inverse that would fail, gets no bound.
+    """
+    rest: list = []
+    _, _, low = _split(e, bindings, rest)
+    for f in rest:
+        b = None
+        if isinstance(f, BinOp):  # "+" or "-"
+            lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
+            if None not in lows:
+                b = min(lows)
+        elif isinstance(f, Call) and f.func == "qbinom":
+            _qbinom_args(f, bindings)
+            b = 0
+        elif _unit_poch(f, bindings, inverted=False):
+            b = 0
+        elif isinstance(f, Pow):
+            k = eval_int(f.exponent, bindings)
+            if k < 0:
+                b = 0 if _unit_poch(f.base, bindings, inverted=True) else None
+            else:
+                base_low = _low_bound(f.base, bindings)
+                b = None if base_low is None else k * base_low
+        if b is None:
+            return None
+        low += b
+    return low
+
+
+def _unit_poch(e: Expr, bindings: dict, inverted: bool) -> bool:
+    """Whether e is poch(a, step, count) with a monomial a of positive
+    q-valuation: a product with constant term 1, so a power series, and
+    invertible as one when a has no negative z, x or y exponent."""
+    if not (isinstance(e, Call) and e.func == "poch"):
+        return False
+    _poch_args(e, bindings)
+    rest: list = []
+    _, mono, v = _split(e.args[0], bindings, rest)
+    return not rest and v >= 1 and not (inverted and min(mono) < 0)
+
+
+def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
+    """A product, valuation first.
+
+    The monomial factors fold into c * m * q^v.  When v plus the known
+    valuations of the other factors reaches ``trunc``, the product is zero
+    below ``trunc`` and the other factors are not evaluated.  Otherwise they
+    are evaluated at ``trunc - v``, but at least 1 so that the constant term
+    an inverse needs is kept, multiplied and shifted by q^v.  In an exact
+    context (``trunc`` None) a factor X^(-k) with X free of z, x and y is
+    divided out exactly; a remainder raises DivisionInexact.
+    """
+    rest: list = []
+    c, mono, v = _split(e, bindings, rest)
+    monomial = MultiSeries({mono: QSeries({v: c})})
+    if not rest:
+        return monomial if trunc is None or v < trunc else MultiSeries.zero(trunc)
+    inner = None
+    if trunc is not None:
+        low = _low_bound(e, bindings)
+        if low is not None and low >= trunc:
+            return MultiSeries.zero(trunc)
+        inner = max(trunc - v, 1)
+    value = MultiSeries.one()
+    divisors = []
+    for f in rest:
+        if isinstance(f, Pow):
+            base, k = eval_series(f.base, bindings, inner), eval_int(f.exponent, bindings)
+        else:
+            base, k = eval_series(f, bindings, inner), 1
+        if k < 0 and trunc is None and set(base.entries) <= {TRIVIAL_MONO}:
+            divisors.append(base.qseries().power(-k))
+            continue
+        if k < 0:
+            base, k = _reciprocal(base, inner), -k
+        x = base if k == 1 else base.power(k)
+        value = value.mul(x if inner is None else x.truncate(inner))
+    for d in divisors:
+        value = MultiSeries(
+            {m: s.exact_div(d) for m, s in value.entries.items()}, value.trunc
+        )
+    return value.mul(monomial)
+
+
+def eval_series(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
+    """Evaluate an expression in series context."""
+    if isinstance(e, BinOp) and e.op in ("+", "-"):
         l = eval_series(e.left, bindings, trunc)
         r = eval_series(e.right, bindings, trunc)
-        if e.op == "+":
-            return l.add(r)
-        if e.op == "-":
-            return l.add(r.neg())
-        return l.mul(r)
-    if isinstance(e, Pow):
-        base = eval_series(e.base, bindings, trunc)
-        exp = eval_int(e.exponent, bindings)
-        if exp >= 0:
-            out = base.power(exp)
-            return out if trunc is None else out.truncate(trunc)
-        inv = _reciprocal(base, trunc)
-        out = inv.power(-exp)
-        return out if trunc is None else out.truncate(trunc)
-    if isinstance(e, Call):
+        return l.add(r) if e.op == "+" else l.add(r.neg())
+    if isinstance(e, Call) and e.func != "binom":
         return _eval_call(e, bindings, trunc)
+    if isinstance(e, (Int, Name, Neg, BinOp, Pow, Call)):
+        return _eval_product(e, bindings, trunc)
     raise DslError(f"cannot evaluate {e!r} as a series")
+
+
+def _poch_args(e: Call, bindings: dict) -> tuple:
+    """Checked (step, count) of a poch call; count is None for inf."""
+    if len(e.args) != 3:
+        raise DslError("poch takes exactly 3 arguments: poch(a, step, count)")
+    step = eval_int(e.args[1], bindings)
+    if step <= 0:
+        raise DslError("poch step must be a positive integer")
+    count_arg = e.args[2]
+    if isinstance(count_arg, Name) and count_arg.ident == "inf":
+        return step, None
+    count = eval_int(count_arg, bindings)
+    if count < 0:
+        raise DslError("poch count must be nonnegative or inf")
+    return step, count
+
+
+def _qbinom_args(e: Call, bindings: dict) -> tuple:
+    """Checked (m, k) of a qbinom call."""
+    if len(e.args) != 2:
+        raise DslError("qbinom takes exactly 2 arguments")
+    m = eval_int(e.args[0], bindings)
+    if m < 0:
+        raise DslError("qbinom needs m >= 0")
+    return m, eval_int(e.args[1], bindings)
 
 
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "poch":
-        if len(e.args) != 3:
-            raise DslError("poch takes exactly 3 arguments: poch(a, step, count)")
+        step, count = _poch_args(e, bindings)
         a = eval_series(e.args[0], bindings, trunc)
-        step = eval_int(e.args[1], bindings)
-        if step <= 0:
-            raise DslError("poch step must be a positive integer")
-        count_arg = e.args[2]
-        if isinstance(count_arg, Name) and count_arg.ident == "inf":
-            if trunc is None:
-                raise DslError("poch(..., inf) needs a finite truncation order")
-            return poch_infinite(a, step, trunc)
-        count = eval_int(count_arg, bindings)
-        if count < 0:
-            raise DslError("poch count must be nonnegative or inf")
-        return poch_finite(a, step, count, trunc=trunc)
+        if count is not None:
+            return poch_finite(a, step, count, trunc=trunc)
+        if trunc is None:
+            raise DslError("poch(..., inf) needs a finite truncation order")
+        return poch_infinite(a, step, trunc)
     if e.func == "qbinom":
-        if len(e.args) != 2:
-            raise DslError("qbinom takes exactly 2 arguments")
-        m = eval_int(e.args[0], bindings)
-        k = eval_int(e.args[1], bindings)
-        return MultiSeries.from_qseries(qbinom(m, k))
-    if e.func == "binom":
-        return MultiSeries.const(eval_int(e, bindings))
+        return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
     if e.func == "sum":
         if len(e.args) != 4:
             raise DslError("sum takes exactly 4 arguments: sum(var, lo, hi, body)")
@@ -368,12 +503,23 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             raise DslError(f"sum index may not shadow reserved name {var.ident!r}")
         lo = eval_int(e.args[1], bindings)
         hi = eval_int(e.args[2], bindings)
-        total = MultiSeries.zero()
+        # summands are added in place; a zero one only lowers the truncation
+        acc: dict = {}
+        t = None
         inner = dict(bindings)
         for v in range(lo, hi + 1):
             inner[var.ident] = v
-            total = total.add(eval_series(e.args[3], inner, trunc))
-        return total
+            summand = eval_series(e.args[3], inner, trunc)
+            t = _min_trunc(t, summand.trunc)
+            for mono, qs in summand.entries.items():
+                d = acc.setdefault(mono, {})
+                for x, c in qs.coeffs.items():
+                    c += d.get(x, 0)
+                    if c:
+                        d[x] = c
+                    else:
+                        del d[x]
+        return MultiSeries({m: QSeries(d, t) for m, d in acc.items()}, t)
     raise DslError(f"unknown function {e.func!r}")
 
 

@@ -1,9 +1,11 @@
 """Registry of q-series identities with exact coefficient verification.
 
-Every identity carries builders for its left and right sides; several also
-carry enumeration-based builders that recount one side by summing
-q^weight * aux^statistic over an exhaustively enumerated family.  ``verify``
-expands every side and reports the first differing coefficient, if any.
+Each identity states its left and right sides once, as expression-language
+text (see ``qident.dsl``); ``build_side`` evaluates that text.  Several
+identities also carry enumeration-based builders that recount one side by
+summing q^weight * aux^statistic over an exhaustively enumerated family.
+``verify`` expands every side and reports the first differing coefficient,
+if any.
 
 Registry ids (stable strings): ay1, ay2, ay3, thm21, lemma22, middle,
 q1limit, omega, omega1, nu1, nu2, nu3, qbinom_thm.
@@ -13,11 +15,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Mapping, Optional
 
 from .bijections import rho
+from .dsl import evaluate
 from .errors import BadParams, TruncationRequired, UnknownIdentity
 from .partitions import (
     b3_weight,
@@ -30,9 +34,6 @@ from .series import (
     MultiSeries,
     QSeries,
     mono_str,
-    poch_finite,
-    poch_infinite,
-    qbinom,
     qq_factorial,
 )
 
@@ -58,17 +59,6 @@ def s_sum(n: int, i: int, trunc: Optional[int] = None) -> QSeries:
             quot = quot.exact_div(QSeries.one() - QSeries.q(2 * j))
         total = total.add(quot.shift(i * s))
     return total if trunc is None else total.truncate(trunc)
-
-
-def neg_q_poch(n: int) -> QSeries:
-    """(1+q)(1+q^2)...(1+q^n) as an exact polynomial."""
-    return poch_finite(QSeries.term(-1, 1), 1, n)
-
-
-def thm21_lhs_term(n: int, s: int) -> QSeries:
-    """Summand q^s * prod_{k=0}^{n-s-1} (1+q^{s+1+k}) * qbinom(n+s, s)."""
-    p = poch_finite(QSeries.term(-1, s + 1), 1, n - s)
-    return p.mul(qbinom(n + s, s)).shift(s)
 
 
 def q1_limit_check(n: int, pivot_limit: int = 7) -> dict:
@@ -137,63 +127,8 @@ def p_nu(N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Side builders (closed forms)
+# Enumeration-based side builders
 # ---------------------------------------------------------------------------
-
-_q = MultiSeries.q
-
-
-def _lift(qs: QSeries) -> MultiSeries:
-    return MultiSeries.from_qseries(qs)
-
-
-def _ay3_lhs(p, trunc):
-    return _lift(s_sum(p["n"], 1))
-
-
-def _ay3_rhs(p, trunc):
-    return _lift(poch_finite(QSeries.q(2), 2, p["n"]))
-
-
-def _thm21_lhs(p, trunc):
-    n = p["n"]
-    total = QSeries.zero()
-    for s in range(n + 1):
-        total = total.add(thm21_lhs_term(n, s))
-    return _lift(total)
-
-
-def _thm21_rhs(p, trunc):
-    return _lift(neg_q_poch(p["n"]).power(2))
-
-
-def _lemma22_rhs(p, trunc):
-    n = p["n"]
-    total = QSeries.zero()
-    for t in range(n + 1):
-        total = total.add(qbinom(2 * n + 1, n + 1 + t).shift(t * (t + 1) // 2))
-    return _lift(total)
-
-
-def _qbinom_thm_lhs(p, trunc):
-    return poch_finite(MultiSeries.gen("z"), 1, p["n"])
-
-
-def _qbinom_thm_rhs(p, trunc):
-    n = p["n"]
-    total = MultiSeries.zero()
-    for t in range(n + 1):
-        coeff = qbinom(n, t).shift(t * (t - 1) // 2).scale((-1) ** t)
-        total = total.add(MultiSeries.from_qseries(coeff, (t, 0, 0)))
-    return total
-
-
-def _q1limit_lhs(p, trunc=None):
-    return q1_limit_check(p["n"])["lhs"]
-
-
-def _q1limit_rhs(p, trunc=None):
-    return q1_limit_check(p["n"])["rhs"]
 
 
 def _require_trunc(trunc, what: str) -> int:
@@ -202,212 +137,9 @@ def _require_trunc(trunc, what: str) -> int:
     return trunc
 
 
-def _ay1_lhs(p, trunc):
-    T = _require_trunc(trunc, "ay1 lhs")
-    total = MultiSeries.zero(T)
-    n = 1
-    while n < T:
-        inner = T - n
-        d1 = poch_finite(MultiSeries.term(1, qexp=n, z=1), 1, n + 1, trunc=inner)
-        d2 = poch_infinite(MultiSeries.term(1, qexp=2 * n + 2, z=1), 2, inner)
-        summand = d1.invert_unit(inner).mul(d2.invert_unit(inner)).shift_q(n)
-        total = total.add(summand)
-        n += 1
-    return total
-
-
-def _ay1_rhs(p, trunc):
-    T = _require_trunc(trunc, "ay1 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while 2 * n * n + 2 * n + 1 < T:
-        shift = 2 * n * n + 2 * n + 1
-        inner = T - shift
-        d1 = poch_finite(_q(1), 2, n + 1, trunc=inner)
-        d2 = poch_finite(MultiSeries.term(1, qexp=1, z=1), 2, n + 1, trunc=inner)
-        summand = d1.invert_unit(inner).mul(d2.invert_unit(inner))
-        summand = summand.mul(MultiSeries.term(1, z=n)).shift_q(shift)
-        total = total.add(summand)
-        n += 1
-    return total
-
-
-def _ay2_lhs(p, trunc):
-    T = _require_trunc(trunc, "ay2 lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n < T:
-        inner = T - n
-        p1 = poch_finite(MultiSeries.term(-1, qexp=n + 1, z=1), 1, n, trunc=inner)
-        p2 = poch_infinite(MultiSeries.term(-1, qexp=2 * n + 2, z=1), 2, inner)
-        total = total.add(p1.mul(p2).truncate(inner).shift_q(n))
-        n += 1
-    return total
-
-
-def _ay2_rhs(p, trunc):
-    T = _require_trunc(trunc, "ay2 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n * n + n < T:
-        shift = n * n + n
-        inner = T - shift
-        inv = poch_finite(_q(1), 2, n + 1, trunc=inner).invert_unit(inner)
-        total = total.add(inv.mul(MultiSeries.term(1, z=n)).shift_q(shift))
-        n += 1
-    return total
-
-
-def _omega_lhs(p, trunc):
-    T = _require_trunc(trunc, "omega lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while 2 * n * n + 2 * n < T:
-        shift = 2 * n * n + 2 * n
-        inner = T - shift
-        d1 = poch_finite(_q(1), 2, n + 1, trunc=inner)
-        d2 = poch_finite(MultiSeries.term(1, qexp=1, z=1), 2, n + 1, trunc=inner)
-        summand = d1.invert_unit(inner).mul(d2.invert_unit(inner))
-        summand = summand.mul(MultiSeries.term(1, z=n)).shift_q(shift)
-        total = total.add(summand)
-        n += 1
-    return total
-
-
-def _omega_rhs(p, trunc):
-    T = _require_trunc(trunc, "omega rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n < T:
-        inner = T - n
-        inv = poch_finite(_q(1), 2, n + 1, trunc=inner).invert_unit(inner)
-        total = total.add(inv.mul(MultiSeries.term(1, z=n)).shift_q(n))
-        n += 1
-    return total
-
-
-def _omega1_lhs(p, trunc):
-    T = _require_trunc(trunc, "omega1 lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while (2 * n + 1) ** 2 < T:
-        shift = (2 * n + 1) ** 2
-        inner = T - shift
-        d1 = poch_finite(_q(2), 4, n + 1, trunc=inner)
-        d2 = poch_finite(MultiSeries.term(1, qexp=2, z=2), 4, n + 1, trunc=inner)
-        summand = d1.invert_unit(inner).mul(d2.invert_unit(inner))
-        summand = summand.mul(MultiSeries.term(1, z=2 * n + 1)).shift_q(shift)
-        total = total.add(summand)
-        n += 1
-    return total
-
-
-def _omega1_rhs(p, trunc):
-    T = _require_trunc(trunc, "omega1 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while 2 * n + 1 < T:
-        inner = T - (2 * n + 1)
-        inv = poch_finite(_q(2), 4, n + 1, trunc=inner).invert_unit(inner)
-        total = total.add(
-            inv.mul(MultiSeries.term(1, z=2 * n + 1)).shift_q(2 * n + 1)
-        )
-        n += 1
-    return total
-
-
-def _nu1_lhs(p, trunc):
-    T = _require_trunc(trunc, "nu1 lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n * n + n < T:
-        shift = n * n + n
-        inner = T - shift
-        inv = poch_finite(
-            MultiSeries.term(-1, qexp=1, z=1), 2, n + 1, trunc=inner
-        ).invert_unit(inner)
-        total = total.add(inv.shift_q(shift))
-        n += 1
-    return total
-
-
-def _nu1_rhs(p, trunc):
-    T = _require_trunc(trunc, "nu1 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n < T:
-        inner = T - n
-        prod = poch_finite(MultiSeries.term(1, qexp=1, z=-1), 2, n, trunc=inner)
-        summand = prod.mul(MultiSeries.term((-1) ** n, z=n)).shift_q(n)
-        total = total.add(summand)
-        n += 1
-    return total
-
-
-def _nu2_lhs(p, trunc):
-    T = _require_trunc(trunc, "nu2 lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n * n + n < T:
-        shift = n * n + n
-        inner = T - shift
-        inv = poch_finite(
-            MultiSeries.term(-1, qexp=1), 2, n + 1, trunc=inner
-        ).invert_unit(inner)
-        total = total.add(inv.mul(MultiSeries.term(1, z=n)).shift_q(shift))
-        n += 1
-    return total
-
-
-def _nu2_rhs(p, trunc):
-    T = _require_trunc(trunc, "nu2 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n < T:
-        inner = T - n
-        prod = poch_finite(MultiSeries.term(1, qexp=1, z=1), 2, n, trunc=inner)
-        total = total.add(prod.mul(MultiSeries.const((-1) ** n)).shift_q(n))
-        n += 1
-    return total
-
-
-def _nu3_lhs(p, trunc):
-    T = _require_trunc(trunc, "nu3 lhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n * n + n < T:
-        shift = n * n + n
-        inner = T - shift
-        inv = poch_finite(
-            MultiSeries.term(1, qexp=1, y=1), 2, n + 1, trunc=inner
-        ).invert_unit(inner)
-        total = total.add(inv.mul(MultiSeries.term(1, x=n)).shift_q(shift))
-        n += 1
-    return total
-
-
-def _nu3_rhs(p, trunc):
-    T = _require_trunc(trunc, "nu3 rhs")
-    total = MultiSeries.zero(T)
-    n = 0
-    while n < T:
-        inner = T - n
-        prod = poch_finite(
-            MultiSeries.term(-1, qexp=1, x=1, y=-1), 2, n, trunc=inner
-        )
-        total = total.add(prod.mul(MultiSeries.term(1, y=n)).shift_q(n))
-        n += 1
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Enumeration-based side builders
-# ---------------------------------------------------------------------------
-
-
 def _comb_b1(p, trunc):
     gf = weight_gf(e.weight for e in enumerate_domain("B1", n=p["n"]))
-    return _lift(gf)
+    return MultiSeries.from_qseries(gf)
 
 
 def _comb_b2(p, trunc):
@@ -415,7 +147,7 @@ def _comb_b2(p, trunc):
     weights = []
     for t, nu in enumerate_domain("B2", n=n):
         weights.append(t * (t + 1) // 2 + nu.weight)
-    return _lift(weight_gf(weights))
+    return MultiSeries.from_qseries(weight_gf(weights))
 
 
 def _comb_p_gt(p, trunc):
@@ -426,78 +158,42 @@ def _comb_p_gt(p, trunc):
     weights = []
     for lam in enumerate_domain("P_gt", n=n):
         weights.append(b3_weight(n, rho(n, lam)) + off)
-    return _lift(weight_gf(weights))
+    return MultiSeries.from_qseries(weight_gf(weights))
 
 
-def _z_stat_gf(elements, trunc) -> MultiSeries:
-    """Sum z^(largest part statistic) q^weight over (stat, weight) pairs."""
+def _mono_gf(entries, trunc) -> MultiSeries:
+    """Sum aux-monomial * q^weight over (monomial, weight) pairs."""
     acc: dict = {}
-    for stat, w in elements:
-        d = acc.setdefault((stat, 0, 0), {})
+    for mono, w in entries:
+        d = acc.setdefault(mono, {})
         d[w] = d.get(w, 0) + 1
     return MultiSeries({m: QSeries(d, trunc) for m, d in acc.items()}, trunc)
 
 
-def _comb_omega1_ds(p, trunc):
-    T = _require_trunc(trunc, "DS enumeration")
+def _comb_omega1(domain, p, trunc):
+    """z^(2k+1) q^weight over the DS or OE elements of every k."""
+    T = _require_trunc(trunc, f"{domain} enumeration")
     cap = T - 1
-    pairs = []
-    k = 0
-    while 2 * k + 1 <= cap:
-        for lam in enumerate_domain("DS", k=k, weight_cap=cap):
-            pairs.append((2 * k + 1, lam.weight))
-        k += 1
-    return _z_stat_gf(pairs, T)
+    return _mono_gf(
+        (((2 * k + 1, 0, 0), elt.weight)
+         for k in range((cap + 1) // 2)
+         for elt in enumerate_domain(domain, k=k, weight_cap=cap)),
+        T,
+    )
 
 
-def _comb_omega1_oe(p, trunc):
-    T = _require_trunc(trunc, "OE enumeration")
-    cap = T - 1
-    pairs = []
-    k = 0
-    while 2 * k + 1 <= cap:
-        for pair in enumerate_domain("OE", k=k, weight_cap=cap):
-            pairs.append((2 * k + 1, pair.weight))
-        k += 1
-    return _z_stat_gf(pairs, T)
-
-
-def _xy_gf(entries, trunc) -> MultiSeries:
-    acc: dict = {}
-    for n, k, w in entries:
-        d = acc.setdefault((0, n, k), {})
-        d[w] = d.get(w, 0) + 1
-    return MultiSeries({m: QSeries(d, trunc) for m, d in acc.items()}, trunc)
-
-
-def _comb_nu3_o(p, trunc):
-    T = _require_trunc(trunc, "O enumeration")
+def _comb_nu3(domain, p, trunc):
+    """x^n y^k q^weight over the O or DO elements of every (n, k)."""
+    T = _require_trunc(trunc, f"{domain} enumeration")
     cap = T - 1
     entries = []
     n = 0
     while n * n + n <= cap:
-        k = 0
-        while n * n + n + k <= cap:
-            for pair in enumerate_domain("O", n=n, k=k, weight_cap=cap):
-                entries.append((n, k, pair.weight))
-            k += 1
+        for k in range(cap - n * n - n + 1):
+            for pair in enumerate_domain(domain, n=n, k=k, weight_cap=cap):
+                entries.append(((0, n, k), pair.weight))
         n += 1
-    return _xy_gf(entries, T)
-
-
-def _comb_nu3_do(p, trunc):
-    T = _require_trunc(trunc, "DO enumeration")
-    cap = T - 1
-    entries = []
-    n = 0
-    while n * n + n <= cap:
-        k = 0
-        while n * n + n + k <= cap:
-            for pair in enumerate_domain("DO", n=n, k=k, weight_cap=cap):
-                entries.append((n, k, pair.weight))
-            k += 1
-        n += 1
-    return _xy_gf(entries, T)
+    return _mono_gf(entries, T)
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +203,19 @@ def _comb_nu3_do(p, trunc):
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """A named identity: parameter schema plus builders for each side."""
+    """A named identity: parameter schema, the text of each closed side, and
+    builders for its enumeration sides.
+
+    Truncated-series texts sum over n up to the bound ``N``, which is bound
+    to the truncation order; every summand past it has q-valuation at least
+    that order.
+    """
 
     id: str
     params: tuple
     kind: str  # "polynomial-exact" | "truncated-series" | "integer"
-    lhs_builder: Callable
-    rhs_builder: Callable
+    texts: Mapping[str, str]
     comb_builders: Mapping[str, Callable] = field(default_factory=dict)
-    texts: Mapping[str, str] = field(default_factory=dict)
 
 
 _THM21_LHS_TEXT = "sum(s, 0, n, q^s * poch(-q^(s+1), 1, n-s) * qbinom(n+s, s))"
@@ -530,7 +230,7 @@ def _register(case: IdentityCase) -> None:
 
 
 _register(IdentityCase(
-    "ay1", (), "truncated-series", _ay1_lhs, _ay1_rhs,
+    "ay1", (), "truncated-series",
     texts={
         "lhs": "sum(n, 1, N, q^n * poch(z*q^n, 1, n+1)^(-1)"
                " * poch(z*q^(2*n+2), 2, inf)^(-1))",
@@ -539,7 +239,7 @@ _register(IdentityCase(
     },
 ))
 _register(IdentityCase(
-    "ay2", (), "truncated-series", _ay2_lhs, _ay2_rhs,
+    "ay2", (), "truncated-series",
     texts={
         "lhs": "sum(n, 0, N, q^n * poch(-z*q^(n+1), 1, n)"
                " * poch(-z*q^(2*n+2), 2, inf))",
@@ -547,36 +247,36 @@ _register(IdentityCase(
     },
 ))
 _register(IdentityCase(
-    "ay3", ("n",), "polynomial-exact", _ay3_lhs, _ay3_rhs,
+    "ay3", ("n",), "polynomial-exact",
     texts={
         "lhs": "sum(s, 0, n, q^s * poch(q, 1, n+s) * poch(q^2, 2, s)^(-1))",
         "rhs": "poch(q^2, 2, n)",
     },
 ))
 _register(IdentityCase(
-    "thm21", ("n",), "polynomial-exact", _thm21_lhs, _thm21_rhs,
+    "thm21", ("n",), "polynomial-exact",
     comb_builders={"b1": _comb_b1},
     texts={"lhs": _THM21_LHS_TEXT, "rhs": _NEGPOCH_SQ_TEXT},
 ))
 _register(IdentityCase(
-    "lemma22", ("n",), "polynomial-exact", _thm21_lhs, _lemma22_rhs,
+    "lemma22", ("n",), "polynomial-exact",
     comb_builders={"b2": _comb_b2},
     texts={"lhs": _THM21_LHS_TEXT, "rhs": _STAIR_TEXT},
 ))
 _register(IdentityCase(
-    "middle", ("n",), "polynomial-exact", _lemma22_rhs, _thm21_rhs,
+    "middle", ("n",), "polynomial-exact",
     comb_builders={"p_gt": _comb_p_gt},
     texts={"lhs": _STAIR_TEXT, "rhs": _NEGPOCH_SQ_TEXT},
 ))
 _register(IdentityCase(
-    "q1limit", ("n",), "integer", _q1limit_lhs, _q1limit_rhs,
+    "q1limit", ("n",), "integer",
     texts={
         "lhs": "sum(s, 0, n, 2^(n-s) * binom(n+s, s))",
         "rhs": "sum(t, 0, n, binom(2*n+1, n+1+t))",
     },
 ))
 _register(IdentityCase(
-    "omega", (), "truncated-series", _omega_lhs, _omega_rhs,
+    "omega", (), "truncated-series",
     texts={
         "lhs": "sum(n, 0, N, z^n * q^(2*n^2+2*n) * poch(q, 2, n+1)^(-1)"
                " * poch(z*q, 2, n+1)^(-1))",
@@ -584,8 +284,9 @@ _register(IdentityCase(
     },
 ))
 _register(IdentityCase(
-    "omega1", (), "truncated-series", _omega1_lhs, _omega1_rhs,
-    comb_builders={"ds": _comb_omega1_ds, "oe": _comb_omega1_oe},
+    "omega1", (), "truncated-series",
+    comb_builders={"ds": partial(_comb_omega1, "DS"),
+                   "oe": partial(_comb_omega1, "OE")},
     texts={
         "lhs": "sum(n, 0, N, z^(2*n+1) * q^((2*n+1)^2) * poch(q^2, 4, n+1)^(-1)"
                " * poch(z^2*q^2, 4, n+1)^(-1))",
@@ -593,29 +294,29 @@ _register(IdentityCase(
     },
 ))
 _register(IdentityCase(
-    "nu1", (), "truncated-series", _nu1_lhs, _nu1_rhs,
+    "nu1", (), "truncated-series",
     texts={
         "lhs": "sum(n, 0, N, q^(n^2+n) * poch(-z*q, 2, n+1)^(-1))",
         "rhs": "sum(n, 0, N, poch(q*z^(-1), 2, n) * (-z*q)^n)",
     },
 ))
 _register(IdentityCase(
-    "nu2", (), "truncated-series", _nu2_lhs, _nu2_rhs,
+    "nu2", (), "truncated-series",
     texts={
         "lhs": "sum(n, 0, N, z^n * q^(n^2+n) * poch(-q, 2, n+1)^(-1))",
         "rhs": "sum(n, 0, N, poch(z*q, 2, n) * (-q)^n)",
     },
 ))
 _register(IdentityCase(
-    "nu3", (), "truncated-series", _nu3_lhs, _nu3_rhs,
-    comb_builders={"o": _comb_nu3_o, "do": _comb_nu3_do},
+    "nu3", (), "truncated-series",
+    comb_builders={"o": partial(_comb_nu3, "O"), "do": partial(_comb_nu3, "DO")},
     texts={
         "lhs": "sum(n, 0, N, q^(n^2+n) * x^n * poch(y*q, 2, n+1)^(-1))",
         "rhs": "sum(n, 0, N, poch(-x*q*y^(-1), 2, n) * (y*q)^n)",
     },
 ))
 _register(IdentityCase(
-    "qbinom_thm", ("n",), "polynomial-exact", _qbinom_thm_lhs, _qbinom_thm_rhs,
+    "qbinom_thm", ("n",), "polynomial-exact",
     texts={
         "lhs": "poch(z, 1, n)",
         "rhs": "sum(t, 0, n, qbinom(n, t) * (-1)^t * z^t * q^(binom(t, 2)))",
@@ -696,16 +397,22 @@ def build_side(identity_id: str, side: str, params: Optional[dict] = None,
     """Expand one side of a registered identity.
 
     ``side`` is "lhs", "rhs", a named enumeration side, or "combinatorial"
-    when the identity has exactly one enumeration side.  Enumeration sides
-    enumerate every element of weight below min(trunc, comb_cap + 1), which
-    becomes the truncation order of the result.
+    when the identity has exactly one enumeration side.  A closed side is
+    its registry text, evaluated below ``trunc`` for a truncated series,
+    exactly for a polynomial and as an int for an integer identity.
+    Enumeration sides enumerate every element of weight below
+    min(trunc, comb_cap + 1), which becomes the truncation order of the
+    result.
     """
     case = get_identity(identity_id)
     p = _check_params(case, params)
-    if side == "lhs":
-        return case.lhs_builder(p, trunc)
-    if side == "rhs":
-        return case.rhs_builder(p, trunc)
+    if side in ("lhs", "rhs"):
+        text = case.texts[side]
+        if case.kind == "truncated-series":
+            _require_trunc(trunc, f"{identity_id} {side}")
+            return evaluate(text, {"N": trunc}, trunc)
+        value = evaluate(text, p, None)
+        return value.qseries().coeff(0) if case.kind == "integer" else value
     names = tuple(case.comb_builders)
     if side == "combinatorial":
         if len(names) != 1:
@@ -736,26 +443,15 @@ def verify(identity_id: str, params: Optional[dict] = None,
     """
     case = get_identity(identity_id)
     p = _check_params(case, params)
+    names = ("lhs", "rhs") + (tuple(case.comb_builders) if include_comb else ())
+    sides = [(name, build_side(identity_id, name, p, trunc, comb_cap))
+             for name in names]
     if case.kind == "integer":
+        (_, lhs), (_, rhs) = sides
         res = q1_limit_check(p["n"])
-        equal = (
-            res["lhs"] == res["rhs"] == res["power"]
-            and res["pivot_ok"] in (None, True)
-        )
-        mm = None
-        if not equal:
-            mm = Mismatch(TRIVIAL_MONO, 0, res["lhs"], res["rhs"])
+        equal = lhs == rhs == res["power"] and res["pivot_ok"] in (None, True)
+        mm = None if equal else Mismatch(TRIVIAL_MONO, 0, lhs, rhs)
         return VerifyReport(identity_id, p, trunc, equal, mm)
-    sides = [
-        ("lhs", case.lhs_builder(p, trunc)),
-        ("rhs", case.rhs_builder(p, trunc)),
-    ]
-    if include_comb:
-        ct = trunc
-        if comb_cap is not None:
-            ct = comb_cap + 1 if ct is None else min(ct, comb_cap + 1)
-        for name, builder in case.comb_builders.items():
-            sides.append((name, builder(p, ct)))
     base_name, base = sides[0]
     for name, other in sides[1:]:
         found = base.first_mismatch(other, trunc)

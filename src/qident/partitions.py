@@ -259,14 +259,27 @@ def _distinct_subsets(n: int) -> Iterator[tuple]:
             yield combo
 
 
-def _odd_exact(k: int, max_part: int) -> Iterator[tuple]:
-    """Odd partitions with exactly k parts, each <= max_part, decreasing."""
+def _odd_exact(k: int, max_part: int, budget: Optional[int] = None,
+               distinct: bool = False) -> Iterator[tuple]:
+    """Odd partitions with exactly k parts, each <= max_part, decreasing.
+
+    With ``budget`` only those of weight <= budget, and no candidate over it
+    is generated; with ``distinct`` only those with distinct parts.  The
+    order is that of the unbounded sequence.
+    """
     if k == 0:
-        yield ()
+        if budget is None or budget >= 0:
+            yield ()
         return
-    top = max_part if max_part % 2 == 1 else max_part - 1
+    top = max_part
+    if budget is not None:
+        # the k-1 smallest admissible parts after the first
+        top = min(top, budget - ((k - 1) ** 2 if distinct else k - 1))
+    top = top if top % 2 == 1 else top - 1
     for first in range(top, 0, -2):
-        for rest in _odd_exact(k - 1, first):
+        rest_budget = None if budget is None else budget - first
+        for rest in _odd_exact(k - 1, first - 2 if distinct else first,
+                               rest_budget, distinct):
             yield (first,) + rest
 
 
@@ -458,10 +471,9 @@ def rectangle(n: int) -> Partition:
 
 def _enum_o(n: int, k: int, cap: Optional[int] = None) -> Iterator[PartitionPair]:
     lam = rectangle(n)
-    for pi in _odd_exact(k, 2 * n + 1):
-        pair = PartitionPair(lam, Partition(pi))
-        if cap is None or pair.weight <= cap:
-            yield pair
+    budget = None if cap is None else cap - lam.weight
+    for pi in _odd_exact(k, 2 * n + 1, budget):
+        yield PartitionPair(lam, Partition(pi))
 
 
 def _val_o(elt, n: int, k: int) -> bool:
@@ -477,11 +489,9 @@ def _val_o(elt, n: int, k: int) -> bool:
 
 def _enum_do(n: int, k: int, cap: Optional[int] = None) -> Iterator[PartitionPair]:
     mu = Partition((n + k,) if n + k else ())
-    odds = range(2 * (n + k) - 1, 0, -2)
-    for combo in combinations(odds, n):
-        pair = PartitionPair(mu, DistinctPartition(combo))
-        if cap is None or pair.weight <= cap:
-            yield pair
+    budget = None if cap is None else cap - mu.weight
+    for combo in _odd_exact(n, 2 * (n + k) - 1, budget, distinct=True):
+        yield PartitionPair(mu, DistinctPartition(combo))
 
 
 def _val_do(elt, n: int, k: int) -> bool:

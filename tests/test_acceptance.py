@@ -207,7 +207,9 @@ def test_criterion_10_counting_functions():
                 " N=1..30", failures)
 
 
-def test_criterion_11_dsl_builder_equivalence():
+def test_criterion_11_dsl_builder_equivalence(golden):
+    # the reference sides were frozen from the closed-form builders that
+    # preceded the text-backed evaluator (tests/golden_sides.json)
     failures = []
     T = 60
     grid = {
@@ -227,29 +229,28 @@ def test_criterion_11_dsl_builder_equivalence():
     }
     for iid, case in REGISTRY.items():
         params, bindings = grid[iid]
+        n = (params or {}).get("n")
+        want = {side: golden[(iid, side, n, T)] for side in ("lhs", "rhs")}
         if case.kind == "integer":
             for side in ("lhs", "rhs"):
                 got = evaluate(case.texts[side], bindings, T).qseries().coeff(0)
-                want = build_side(iid, side, params)
-                if got != want:
+                if got != want[side] or build_side(iid, side, params) != want[side]:
                     failures.append((iid, side))
-            lhs_int = build_side(iid, "lhs", params)
-            if lhs_int == build_side(iid, "rhs", params) + 1:
+            if build_side(iid, "lhs", params) == want["rhs"] + 1:
                 failures.append((iid, "negative control"))
             continue
-        built = {}
         for side in ("lhs", "rhs"):
             got = evaluate(case.texts[side], bindings, T)
-            want = build_side(iid, side, params, T)
-            built[side] = want
-            if got.first_mismatch(want, T) is not None:
-                failures.append((iid, side, got.first_mismatch(want, T)))
+            if got.first_mismatch(want[side], T) is not None:
+                failures.append((iid, side, got.first_mismatch(want[side], T)))
+            if build_side(iid, side, params, T) != want[side]:
+                failures.append((iid, side, "build_side"))
         # negative control: a single-coefficient perturbation must be caught
         # at exactly the perturbed location
-        perturbed = built["rhs"] + MultiSeries.q(5)
+        perturbed = want["rhs"] + MultiSeries.q(5)
         got = evaluate(case.texts["lhs"], bindings, T)
         mm = got.first_mismatch(perturbed, T)
         if mm is None or mm[0] != (0, 0, 0) or mm[1] != 5:
             failures.append((iid, "negative control", mm))
-    _report(11, "textual registry forms match builders (trunc 60);"
-                " perturbations located exactly", failures)
+    _report(11, "textual registry forms match the frozen builder output"
+                " (trunc 60); perturbations located exactly", failures)

@@ -15,6 +15,7 @@ from qident.dsl import (
     unparse,
 )
 from qident.errors import (
+    DivisionInexact,
     DslError,
     NonConvergent,
     NonIntegerExponent,
@@ -22,7 +23,7 @@ from qident.errors import (
     UnboundVariable,
 )
 from qident.identities import REGISTRY, build_side
-from qident.series import MultiSeries, QSeries, poch_finite
+from qident.series import MultiSeries, QSeries, poch_finite, poch_infinite
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,32 @@ def test_eval_negative_exponent_inverts():
     assert out == MultiSeries.q(1)
 
 
+def test_eval_product_valuation():
+    # a product whose valuation reaches the truncation is zero below it
+    out = evaluate("q^5 * poch(q, 1, inf)^(-1)", {}, 5)
+    assert out.is_zero() and out.trunc == 5
+    # a factor of negative valuation is expanded, not skipped
+    out = evaluate("q^10 * (q^(-20) + 1)", {}, 10)
+    assert out.qseries().coeffs == {-10: 1, 10: 1}
+    # a factor evaluated past the truncation keeps the constant term its
+    # inverse needs
+    out = evaluate("q * (1 + q)^(-1)", {}, 1)
+    assert out.qseries().coeffs == {1: 1} and out.trunc == 2
+    # a malformed call is reported even where its product is zero below the
+    # truncation
+    for text in ("q^100 * poch(q, 1, -2)", "q^100 * qbinom(-1, 0)",
+                 "q^100 * qbinom(1)"):
+        with pytest.raises(DslError):
+            evaluate(text, {}, 10)
+
+
+def test_eval_exact_division():
+    out = evaluate("poch(q, 1, 3) * poch(q, 1, 2)^(-1)", {}, None)
+    assert out == MultiSeries.one() - MultiSeries.q(3)
+    with pytest.raises(DivisionInexact):
+        evaluate("1 * poch(q, 1, 2)^(-1)", {}, None)
+
+
 def test_eval_sum_empty_range():
     assert evaluate("sum(j, 1, 0, q^j)", {}, 10).is_zero()
 
@@ -145,35 +172,39 @@ def test_eval_int_context():
 
 
 # ---------------------------------------------------------------------------
-# builder equivalence
+# equivalence with the frozen builder output
 # ---------------------------------------------------------------------------
 
 
-def test_thm21_text_matches_builder():
+def test_thm21_text_matches_builder(golden):
     case = REGISTRY["thm21"]
     for n in (0, 1, 3):
         for side in ("lhs", "rhs"):
+            want = golden[("thm21", side, n, 100)]
             got = evaluate(case.texts[side], {"n": n}, 100)
-            want = build_side("thm21", side, {"n": n}, 100)
             assert got.first_mismatch(want, 100) is None, (n, side)
+            assert build_side("thm21", side, {"n": n}, 100) == want, (n, side)
 
 
-def test_ay1_text_matches_builder_small():
+def test_ay1_text_matches_builder_small(golden):
+    # the reference is frozen at trunc 60; its coefficients below 25 are
+    # the ones a trunc-25 expansion must reproduce
     case = REGISTRY["ay1"]
     T = 25
     for side in ("lhs", "rhs"):
         got = evaluate(case.texts[side], {"N": T}, T)
-        want = build_side("ay1", side, None, T)
-        assert got.first_mismatch(want, T) is None, side
+        assert got.trunc == T, side
+        assert got.first_mismatch(golden[("ay1", side, None, 60)], T) is None, side
 
 
-def test_q1limit_text_matches_integers():
+def test_q1limit_text_matches_integers(golden):
     case = REGISTRY["q1limit"]
     for n in (0, 2, 5):
         for side in ("lhs", "rhs"):
             got = evaluate(case.texts[side], {"n": n}, 10).qseries().coeff(0)
-            want = build_side("q1limit", side, {"n": n})
-            assert got == want
+            want = golden[("q1limit", side, n, 60)]
+            assert got == want == 4**n
+            assert build_side("q1limit", side, {"n": n}) == want
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +264,115 @@ _expr = st.deferred(
 @settings(max_examples=200)
 def test_roundtrip_random_asts(ast):
     assert parse(unparse(ast)) == ast
+
+
+# ---------------------------------------------------------------------------
+# truncation soundness of the valuation-first evaluator
+# ---------------------------------------------------------------------------
+#
+# A random text is a sum over n of a product of factors.  Each factor is
+# drawn as data, rendered as text, and also expanded directly with the
+# series layer (plain products, inverses and powers at a higher truncation,
+# no valuation shortcuts) as the reference.
+
+
+def _aux(z, x):
+    return "".join(f" * {v}^({e})" for v, e in (("z", z), ("x", x)) if e)
+
+
+def _mono_ms(c, z, x, qexp):
+    return MultiSeries.term(c, qexp=qexp, z=z, x=x)
+
+
+@st.composite
+def _monomial(draw):
+    c = draw(st.sampled_from([1, -1, 2, -3, 0]))
+    z, x = draw(st.integers(-1, 2)), draw(st.integers(-1, 1))
+    q0, qn = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    text = f"{c}{_aux(z, x)} * q^({q0}+{qn}*n)"
+    return text, lambda n, T: _mono_ms(c, z, x, q0 + qn * n)
+
+
+@st.composite
+def _signed_power(draw):
+    # (s*z^a*q^j)^n, as in (-z*q)^n
+    s, a, j = draw(st.sampled_from([1, -1])), draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    text = f"({s}{_aux(a, 0)} * q^{j})^n"
+    return text, lambda n, T: _mono_ms(s ** n, a * n, 0, j * n)
+
+
+@st.composite
+def _poch(draw):
+    k = draw(st.sampled_from([1, 2, -1, -2]))
+    j = draw(st.integers(1 if k < 0 else 0, 3))
+    z = draw(st.integers(0 if k < 0 else -1, 2))
+    c = draw(st.sampled_from([1, -1, 2]))
+    step = draw(st.integers(1, 3))
+    count = draw(st.sampled_from(["0", "2", "n", "n+1"] + (["inf"] if j else [])))
+    text = f"poch({c}{_aux(z, 0)} * q^{j}, {step}, {count})^({k})"
+
+    def value(n, T):
+        a = _mono_ms(c, z, 0, j)
+        if count == "inf":
+            p = poch_infinite(a, step, T)
+        else:
+            p = poch_finite(a, step, {"0": 0, "2": 2, "n": n, "n+1": n + 1}[count], trunc=T)
+        if k < 0:
+            p = p.invert_unit(T)
+        return p.power(abs(k)).truncate(T)
+    return text, value
+
+
+@st.composite
+def _binomial(draw):
+    # (1 + c*z^a*q^j)^k; a Laurent q-exponent only under a positive power
+    k = draw(st.sampled_from([1, 2, 3, -1, -2]))
+    j = draw(st.integers(1, 3)) if k < 0 else draw(st.integers(-2, 3))
+    a, c = draw(st.integers(0, 1)), draw(st.sampled_from([1, -1, 3]))
+    text = f"(1 + {c}{_aux(a, 0)} * q^({j}))^({k})"
+
+    def value(n, T):
+        b = MultiSeries.one().add(_mono_ms(c, a, 0, j))
+        if k < 0:
+            b = b.invert_unit(T)
+        return b.power(abs(k)).truncate(T)
+    return text, value
+
+
+@st.composite
+def _sum_text(draw):
+    factors = draw(st.lists(
+        st.one_of(_monomial(), _signed_power(), _poch(), _binomial()),
+        min_size=1, max_size=4,
+    ))
+    lo, hi = draw(st.integers(0, 2)), draw(st.integers(0, 6))
+    text = f"sum(n, {lo}, {hi}, {' * '.join(t for t, _ in factors)})"
+
+    def value(T):
+        total = MultiSeries.zero()
+        for n in range(lo, hi + 1):
+            term = MultiSeries.one()
+            for _, f in factors:
+                term = term.mul(f(n, T))
+            total = total.add(term)
+        return total
+    polynomial = "inf" not in text and "^(-" not in text
+    return text, value, polynomial
+
+
+@given(case=_sum_text(), T=st.integers(1, 25), d=st.integers(1, 10))
+@settings(max_examples=150, deadline=None)
+def test_truncated_evaluation_is_sound(case, T, d):
+    text, reference, polynomial = case
+    got = evaluate(text, {}, T)
+    assert got.first_mismatch(evaluate(text, {}, T + d)) is None, text
+    # the reference is expanded at T + 15: coefficients below its own
+    # truncation are trusted, and they cover every one got trusts
+    want = reference(T + 15)
+    assert got.first_mismatch(want) is None, text
+    assert want.trunc is None or (got.trunc is not None and got.trunc <= want.trunc)
+    if polynomial:
+        exact = reference(None)
+        assert exact.trunc is None
+        assert got.first_mismatch(exact) is None, text
+        assert evaluate(text, {}, None) == exact, text

@@ -1,11 +1,11 @@
 import pytest
 
+from qident.dsl import eval_series, evaluate, parse
 from qident.errors import BadParams, TruncationRequired, UnknownIdentity
 from qident.identities import (
     IDENTITY_IDS,
     REGISTRY,
     build_side,
-    neg_q_poch,
     nu3_specialized,
     p_nu,
     p_nu_series,
@@ -13,7 +13,6 @@ from qident.identities import (
     p_omega_series,
     q1_limit_check,
     s_sum,
-    thm21_lhs_term,
     verify,
 )
 from qident.series import MultiSeries, QSeries, poch_finite, qbinom
@@ -145,9 +144,11 @@ def test_q1_limit_check(n):
 def test_q1_equals_thm21_at_q_one_termwise():
     from math import comb
 
+    summand = parse(REGISTRY["thm21"].texts["lhs"]).args[3]
     for n in range(9):
         for s in range(n + 1):
-            assert thm21_lhs_term(n, s).eval_at_one() == 2 ** (n - s) * comb(n + s, s)
+            term = eval_series(summand, {"n": n, "s": s}, None).qseries()
+            assert term.eval_at_one() == 2 ** (n - s) * comb(n + s, s)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,9 @@ def test_every_identity_has_both_texts():
 
 
 def test_neg_q_poch():
-    assert neg_q_poch(2) == (QSeries.one() + QSeries.q(1)) * (QSeries.one() + QSeries.q(2))
+    # the (-q;q)_n of the thm21 and middle right sides
+    got = evaluate("poch(-q, 1, n)", {"n": 2}, None).qseries()
+    assert got == (QSeries.one() + QSeries.q(1)) * (QSeries.one() + QSeries.q(2))
 
 
 def test_expanded_sides_have_no_negative_aux_exponents():

@@ -1,3 +1,4 @@
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -277,6 +278,27 @@ def test_o_do_counts_match():
             do = list(enumerate_domain("DO", n=n, k=k, weight_cap=60))
             assert len(o) == len(do)
             assert sorted(e.weight for e in o) == sorted(e.weight for e in do)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 12, 23, 40])
+def test_o_do_capped_equals_uncapped_filtered(cap):
+    # the uncapped families, in their enumeration order: k odd parts up to
+    # 2n+1 for O, n distinct odd parts up to 2(n+k)-1 for DO
+    for n in range(5):
+        for k in range(6):
+            rect = Partition((n,) * (n + 1) if n else ())
+            o_all = [
+                PartitionPair(rect, Partition(pi))
+                for pi in combinations_with_replacement(range(2 * n + 1, 0, -2), k)
+            ]
+            mu = Partition((n + k,) if n + k else ())
+            do_all = [
+                PartitionPair(mu, DistinctPartition(nu))
+                for nu in combinations(range(2 * (n + k) - 1, 0, -2), n)
+            ]
+            for name, full in (("O", o_all), ("DO", do_all)):
+                got = list(enumerate_domain(name, n=n, k=k, weight_cap=cap))
+                assert got == [e for e in full if e.weight <= cap], (name, n, k)
 
 
 def test_unknown_domain_and_missing_param():
