@@ -30,7 +30,7 @@ class RunConfig:
     target: Optional[str] = None
     n: Optional[int] = None
     k: Optional[int] = None
-    trunc: int = 200
+    trunc: Optional[int] = None  # None: not given
     weight_cap: int = 30
     fmt: str = "text"
     no_comb: bool = False
@@ -38,6 +38,9 @@ class RunConfig:
     ferrers: bool = False
     max_nk: Optional[int] = None
     max_n: int = 0
+
+
+DEFAULT_TRUNC = 200
 
 
 def _usage_error(message: str) -> int:
@@ -117,10 +120,14 @@ def _dump_series(ms, fmt) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # a polynomial identity is compared in full unless --trunc is given
+    trunc = cfg.trunc
+    if trunc is None and identities.get_identity(cfg.target).kind == "truncated-series":
+        trunc = DEFAULT_TRUNC
     report = identities.verify(
         cfg.target,
         {"n": cfg.n},
-        trunc=cfg.trunc,
+        trunc=trunc,
         comb_cap=cfg.weight_cap,
         include_comb=not cfg.no_comb,
     )
@@ -128,7 +135,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(json.dumps(report.to_json_dict()))
     else:
         status = "equal" if report.equal else "MISMATCH"
-        print(f"{report.id} {report.params or ''} trunc={report.trunc}: {status}")
+        scope = ("every coefficient compared" if report.complete
+                 else f"coefficients below q^{report.trunc} compared")
+        print(f"{report.id} {report.params or ''} trunc={report.trunc}:"
+              f" {status} ({scope})")
         if report.first_mismatch:
             mm = report.first_mismatch
             print(
@@ -307,8 +317,9 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
             bindings[name.strip()] = int(value)
         except ValueError:
             return _usage_error(f"binding value must be an integer: {b!r}")
+    trunc = DEFAULT_TRUNC if cfg.trunc is None else cfg.trunc
     try:
-        values = [dsl.evaluate(t, bindings, cfg.trunc) for t in exprs]
+        values = [dsl.evaluate(t, bindings, trunc) for t in exprs]
     except ParseError as exc:
         print(f"parse error at {exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 2
@@ -319,9 +330,9 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
         _dump_series(values[0], cfg.fmt)
         return 0
     lhs, rhs = values
-    mm = lhs.first_mismatch(rhs, cfg.trunc)
+    mm = lhs.first_mismatch(rhs, trunc)
     if mm is None:
-        bound = min(t for t in (lhs.trunc, rhs.trunc, cfg.trunc) if t is not None)
+        bound = min(t for t in (lhs.trunc, rhs.trunc, trunc) if t is not None)
         if cfg.fmt == "json":
             print(json.dumps({"equal": True, "trunc": bound}))
         else:
@@ -407,8 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--trunc", type=int, default=200,
-                        help="q-truncation order (default 200)")
+        sp.add_argument("--trunc", type=int,
+                        help=f"q-truncation order (default {DEFAULT_TRUNC};"
+                             " verify compares a polynomial identity in full"
+                             " unless it is given)")
         sp.add_argument("--cap", type=int, default=30, dest="weight_cap",
                         help="weight cap for enumerations (default 30)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -459,7 +472,7 @@ def main(argv: Optional[list] = None) -> int:
         target=getattr(args, "id", None) or getattr(args, "name", None),
         n=getattr(args, "n", None),
         k=getattr(args, "k", None),
-        trunc=getattr(args, "trunc", 200),
+        trunc=getattr(args, "trunc", None),
         weight_cap=getattr(args, "weight_cap", 30),
         fmt=fmt,
         no_comb=getattr(args, "no_comb", False),
@@ -468,7 +481,7 @@ def main(argv: Optional[list] = None) -> int:
         max_nk=getattr(args, "max_nk", None),
         max_n=getattr(args, "max_n", 0),
     )
-    if cfg.trunc < 1:
+    if cfg.trunc is not None and cfg.trunc < 1:
         return _usage_error("--trunc must be >= 1")
     try:
         if args.command == "verify":

@@ -21,14 +21,18 @@ the identities' sides, so evaluation passes precision down on demand, as
 lazy power series do.  A product first folds its monomial factors into
 c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
-to reach ``trunc``.  A ``sum`` adds its summands in place.  With no
-truncation order a negative power of a q-polynomial is divided out exactly.
+to reach ``trunc``.  Powers of Pochhammer products of a monomial are not
+expanded on their own: the series kernel multiplies or divides one dense
+accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` adds its
+summands in place.  With no truncation order a negative power of a
+q-polynomial is divided out exactly.  An integer power whose result would
+pass MAX_POWER_BITS bits is refused with DslError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, log2
 from typing import Optional, Union
 
 from .errors import (
@@ -42,6 +46,7 @@ from .series import (
     MultiSeries,
     QSeries,
     _min_trunc,
+    _Rows,
     _mono_mul,
     poch_finite,
     poch_infinite,
@@ -49,6 +54,10 @@ from .series import (
 )
 
 RESERVED = {"q", "z", "x", "y", "inf"}
+
+# the largest integer power the language computes, in bits: far above any
+# coefficient the identities need, far below what exhausts memory
+MAX_POWER_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +267,16 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def _int_power(base: int, exp: int) -> int:
+    """base ** exp for exp >= 0, refused when the result would pass
+    MAX_POWER_BITS bits."""
+    if abs(base) > 1 and exp * log2(abs(base)) > MAX_POWER_BITS:
+        raise DslError(
+            f"integer power {base}^{exp} exceeds the {MAX_POWER_BITS}-bit limit"
+        )
+    return base**exp
+
+
 def eval_int(e: Expr, bindings: dict) -> int:
     """Evaluate an expression in integer context."""
     if isinstance(e, Int):
@@ -281,7 +300,7 @@ def eval_int(e: Expr, bindings: dict) -> int:
         exp = eval_int(e.exponent, bindings)
         if exp < 0:
             raise NonIntegerExponent("negative exponent in integer context")
-        return base**exp
+        return _int_power(base, exp)
     if isinstance(e, Call):
         if e.func == "binom":
             if len(e.args) != 2:
@@ -348,7 +367,7 @@ def _split(e: Expr, bindings: dict, rest: list) -> tuple:
         if not inner:
             k = eval_int(e.exponent, bindings)
             if k >= 0 or c in (1, -1):
-                return c ** abs(k), tuple(k * a for a in mono), k * v
+                return _int_power(c, abs(k)), tuple(k * a for a in mono), k * v
     elif isinstance(e, Call) and e.func == "binom":
         return eval_int(e, bindings), TRIVIAL_MONO, 0
     rest.append(e)
@@ -373,13 +392,11 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
         elif isinstance(f, Call) and f.func == "qbinom":
             _qbinom_args(f, bindings)
             b = 0
-        elif _unit_poch(f, bindings, inverted=False):
+        elif _poch_chain(f, bindings) is not None:
             b = 0
         elif isinstance(f, Pow):
             k = eval_int(f.exponent, bindings)
-            if k < 0:
-                b = 0 if _unit_poch(f.base, bindings, inverted=True) else None
-            else:
+            if k >= 0:
                 base_low = _low_bound(f.base, bindings)
                 b = None if base_low is None else k * base_low
         if b is None:
@@ -388,16 +405,52 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
     return low
 
 
-def _unit_poch(e: Expr, bindings: dict, inverted: bool) -> bool:
-    """Whether e is poch(a, step, count) with a monomial a of positive
-    q-valuation: a product with constant term 1, so a power series, and
-    invertible as one when a has no negative z, x or y exponent."""
+def _monomial_poch(e: Expr, bindings: dict) -> Optional[tuple]:
+    """(c, mono, v, step, count) when e is poch(a, step, count) with a the
+    monomial c * mono * q^v of positive q-valuation, else None.  Such a
+    product has constant term 1, so it is a power series.  A malformed
+    poch call raises."""
     if not (isinstance(e, Call) and e.func == "poch"):
-        return False
-    _poch_args(e, bindings)
+        return None
+    step, count = _poch_args(e, bindings)
     rest: list = []
-    _, mono, v = _split(e.args[0], bindings, rest)
-    return not rest and v >= 1 and not (inverted and min(mono) < 0)
+    c, mono, v = _split(e.args[0], bindings, rest)
+    return None if rest or v < 1 else (c, mono, v, step, count)
+
+
+def _poch_chain(f: Expr, bindings: dict) -> Optional[tuple]:
+    """(poch, k) when the factor f is P or P^k with P = poch(a, ...) as in
+    _monomial_poch and P^k a power series: k >= 0, or a has no negative z,
+    x or y exponent.  Otherwise None."""
+    base, k = (f.base, None) if isinstance(f, Pow) else (f, 1)
+    p = _monomial_poch(base, bindings)
+    if p is None:
+        return None
+    if k is None:
+        k = eval_int(f.exponent, bindings)
+    return None if k < 0 and min(p[1]) < 0 else (p, k)
+
+
+def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
+    """value times the Pochhammer powers in chains, as a dense accumulator.
+
+    Each poch(c*m*q^v, step, count)^k is applied as |k| chains of the
+    factors 1 - c*m*q^(v + step*i), multiplied or divided.  These powers
+    have constant term 1 and are trusted below ``inner``, so the product is
+    trusted below min(value.trunc, inner + value's valuation), the window
+    the accumulator keeps.
+    """
+    lo = value.min_qexp()
+    size = inner if value.trunc is None else min(value.trunc - lo, inner)
+    acc = _Rows.load(value, lo, size)
+    for (c, mono, v, step, count), k in chains:
+        stop = acc.size if count is None else min(acc.size, v + step * count)
+        factors = [[(mono, j, c)] for j in range(v, stop, step)]
+        apply = acc.mul if k > 0 else acc.div
+        for _ in range(abs(k)):
+            for a in factors:
+                apply(a)
+    return acc
 
 
 def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
@@ -407,9 +460,11 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     valuations of the other factors reaches ``trunc``, the product is zero
     below ``trunc`` and the other factors are not evaluated.  Otherwise they
     are evaluated at ``trunc - v``, but at least 1 so that the constant term
-    an inverse needs is kept, multiplied and shifted by q^v.  In an exact
-    context (``trunc`` None) a factor X^(-k) with X free of z, x and y is
-    divided out exactly; a remainder raises DivisionInexact.
+    an inverse needs is kept, multiplied and shifted by q^v.  Powers of
+    Pochhammer products of a monomial are applied factor by factor to one
+    dense accumulator (see ``_apply_chains``).  In an exact context
+    (``trunc`` None) a factor X^(-k) with X free of z, x and y is divided
+    out exactly; a remainder raises DivisionInexact.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -424,7 +479,12 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         inner = max(trunc - v, 1)
     value = MultiSeries.one()
     divisors = []
+    chains = []
     for f in rest:
+        chain = None if inner is None else _poch_chain(f, bindings)
+        if chain is not None:
+            chains.append(chain)
+            continue
         if isinstance(f, Pow):
             base, k = eval_series(f.base, bindings, inner), eval_int(f.exponent, bindings)
         else:
@@ -440,7 +500,10 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         value = MultiSeries(
             {m: s.exact_div(d) for m, s in value.entries.items()}, value.trunc
         )
-    return value.mul(monomial)
+    if not chains or not c or (not value.entries and value.trunc is None):
+        return value.mul(monomial)
+    acc = _apply_chains(value, chains, inner)
+    return acc.series(acc.lo + acc.size + v, c, mono, v)
 
 
 def eval_series(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:

@@ -368,10 +368,15 @@ class Mismatch:
 
 @dataclass
 class VerifyReport:
+    """The verdict of ``verify``.  ``complete`` is true when the comparison
+    covered every coefficient of every side: exact sides compared in full,
+    or below a ``trunc`` above their degrees."""
+
     id: str
     params: dict
     trunc: Optional[int]
     equal: bool
+    complete: bool
     first_mismatch: Optional[Mismatch] = None
 
     def to_json_dict(self) -> dict:
@@ -388,6 +393,7 @@ class VerifyReport:
             "params": self.params,
             "trunc": self.trunc,
             "equal": self.equal,
+            "complete": self.complete,
             "first_mismatch": mm,
         }
 
@@ -437,9 +443,10 @@ def verify(identity_id: str, params: Optional[dict] = None,
            include_comb: bool = True) -> VerifyReport:
     """Expand every side of the identity and compare coefficient-exactly.
 
-    Closed-form sides are compared below ``trunc``; enumeration sides are
-    compared below min(trunc, comb_cap + 1).  The report carries the first
-    mismatching coefficient, ordered by q-exponent then monomial.
+    Closed-form sides are compared below ``trunc`` (in full when it is
+    None); enumeration sides are compared below min(trunc, comb_cap + 1).
+    The report carries the first mismatching coefficient, ordered by
+    q-exponent then monomial, and whether every coefficient was compared.
     """
     case = get_identity(identity_id)
     p = _check_params(case, params)
@@ -451,15 +458,20 @@ def verify(identity_id: str, params: Optional[dict] = None,
         res = q1_limit_check(p["n"])
         equal = lhs == rhs == res["power"] and res["pivot_ok"] in (None, True)
         mm = None if equal else Mismatch(TRIVIAL_MONO, 0, lhs, rhs)
-        return VerifyReport(identity_id, p, trunc, equal, mm)
+        return VerifyReport(identity_id, p, trunc, equal, True, mm)
+    complete = all(
+        side.trunc is None
+        and (trunc is None or all(s.degree() < trunc for s in side.entries.values()))
+        for _, side in sides
+    )
     base_name, base = sides[0]
     for name, other in sides[1:]:
         found = base.first_mismatch(other, trunc)
         if found is not None:
             mono, e, lc, rc = found
             mm = Mismatch(mono, e, lc, rc, (base_name, name))
-            return VerifyReport(identity_id, p, trunc, False, mm)
-    return VerifyReport(identity_id, p, trunc, True, None)
+            return VerifyReport(identity_id, p, trunc, False, complete, mm)
+    return VerifyReport(identity_id, p, trunc, True, complete, None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,33 @@ Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
 whose coefficients the value guarantees exact.  ``trunc is None`` means every
 coefficient is exact (the value is a genuine Laurent polynomial).  Every
 operation computes the tightest valid truncation of its result, so garbage
-high-order coefficients are never silently trusted.
+high-order coefficients are never silently trusted.  An int stands for an
+exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
+and equal values hash alike across QSeries, MultiSeries and int.
 
-All values are immutable after construction and all operations are pure.
+Pochhammer products, their inverses and series inversion run on one factor
+kernel (the product-form approach of F. Garvan's q-series package).  A
+private dense accumulator, ``_Rows``, holds one list of coefficients per
+aux monomial over a fixed window of q-exponents, and multiplies or divides
+it in place by a single factor 1 - a: multiplying subtracts a shifted,
+scaled copy of each row, dividing runs the recurrence y = x + a*y in
+increasing q-order, which for a of q-valuation >= 1 reads only finished
+coefficients.  Each factor costs O(rows * T) for T exponents, where a
+generic product or inverse costs O(T^2) per pair of rows.
+``poch_finite``, ``poch_infinite`` and ``invert_unit`` are chains of such
+factors, and the expression language applies powers of Pochhammer products
+to one accumulator the same way.
+
+All values are immutable after construction and all operations are pure;
+only the kernel's accumulator, which never leaves this module and the
+evaluator, is mutated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from typing import Iterator, Optional
 
 from .errors import (
@@ -205,26 +224,7 @@ class QSeries:
         Requires a unit constant term: no nonzero coefficient below q^0 and
         the coefficient at q^0 equal to 1.
         """
-        t = _min_trunc(self.trunc, trunc)
-        if self.coeffs and self.min_exp < 0:
-            raise NonUnitConstantTerm("series has terms below q^0")
-        if self.coeffs.get(0) != 1:
-            raise NonUnitConstantTerm("constant term is not 1")
-        if t is None:
-            if self.coeffs == {0: 1}:
-                return QSeries({0: 1})
-            raise TruncationRequired("inverse of a non-trivial polynomial is infinite")
-        tail = sorted((e, c) for e, c in self.coeffs.items() if e >= 1)
-        b = [0] * max(t, 1)
-        b[0] = 1
-        for e in range(1, t):
-            s = 0
-            for ea, ca in tail:
-                if ea > e:
-                    break
-                s += ca * b[e - ea]
-            b[e] = -s
-        return QSeries({e: c for e, c in enumerate(b) if c}, t)
+        return MultiSeries.from_qseries(self).invert_unit(trunc).qseries()
 
     def exact_div(self, divisor) -> "QSeries":
         """Exact polynomial division; raises DivisionInexact on any remainder."""
@@ -279,14 +279,19 @@ class QSeries:
     def agrees_below(self, other, bound: Optional[int] = None) -> bool:
         return self.first_mismatch(other, bound) is None
 
+    # An int is an exact constant: it equals an exact series with that
+    # constant term and no other, and hashes alike.
+
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coeffs == ({0: other} if other else {})
+            other = QSeries._lift(other)
         if isinstance(other, QSeries):
             return self.coeffs == other.coeffs and self.trunc == other.trunc
         return NotImplemented
 
     def __hash__(self):
+        if self.trunc is None and set(self.coeffs) <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash((tuple(sorted(self.coeffs.items())), self.trunc))
 
     # -- operators ---------------------------------------------------------
@@ -509,33 +514,10 @@ class MultiSeries:
             if all(s.coeffs == {0: 1} for s in self.entries.values()):
                 return MultiSeries.one()
             raise TruncationRequired("inverse of a non-trivial series is infinite")
-        # layered recurrence: b_e = -sum_{j=1..e} a_j * b_{e-j}
-        a_layers: dict = {}
-        for m, s in self.entries.items():
-            for e, c in s.coeffs.items():
-                if 1 <= e < t:
-                    a_layers.setdefault(e, []).append((m, c))
-        b_layers = {0: {TRIVIAL_MONO: 1}}
-        for e in range(1, t):
-            acc: dict = {}
-            for ea, terms in a_layers.items():
-                if ea > e:
-                    continue
-                bb = b_layers.get(e - ea)
-                if not bb:
-                    continue
-                for ma, ca in terms:
-                    for mb, cb in bb.items():
-                        key = _mono_mul(ma, mb)
-                        acc[key] = acc.get(key, 0) - ca * cb
-            acc = {m: c for m, c in acc.items() if c}
-            if acc:
-                b_layers[e] = acc
-        out: dict = {}
-        for e, layer in b_layers.items():
-            for m, c in layer.items():
-                out.setdefault(m, {})[e] = c
-        return MultiSeries({m: QSeries(d, t) for m, d in out.items()}, t)
+        # self = 1 - a, where a holds every term of self above q^0, negated
+        acc = _Rows.one(0, t)
+        acc.div([(m, e, -c) for m, e, c in _terms(self) if e])
+        return acc.series(t)
 
     def subst_aux(self, **subs) -> "MultiSeries":
         """Substitute aux variables by +-1 or +-(another variable).
@@ -611,17 +593,18 @@ class MultiSeries:
     def agrees_below(self, other, bound: Optional[int] = None) -> bool:
         return self.first_mismatch(other, bound) is None
 
+    # A series free of z, x and y equals, and hashes as, its QSeries.
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            want = {TRIVIAL_MONO: {0: other}} if other else {}
-            return {m: s.coeffs for m, s in self.entries.items()} == want
-        if isinstance(other, QSeries):
-            other = MultiSeries.from_qseries(other)
+        if isinstance(other, (int, QSeries)):
+            other = MultiSeries._lift(other)
         if isinstance(other, MultiSeries):
             return self.entries == other.entries and self.trunc == other.trunc
         return NotImplemented
 
     def __hash__(self):
+        if set(self.entries) <= {TRIVIAL_MONO}:
+            return hash(self.series(TRIVIAL_MONO))
         return hash(
             (frozenset((m, hash(s)) for m, s in self.entries.items()), self.trunc)
         )
@@ -655,6 +638,144 @@ class MultiSeries:
 
 
 # ---------------------------------------------------------------------------
+# Dense factor kernel
+# ---------------------------------------------------------------------------
+
+
+def _terms(ms: MultiSeries) -> list:
+    """The nonzero terms of ms as (monomial, q-exponent, coefficient)."""
+    return [(m, e, c) for m, s in ms.entries.items() for e, c in s.coeffs.items()]
+
+
+def _solve_row(row: list, low: int, own: list) -> None:
+    """Divide one dense row, zero below index ``low``, in place by
+    1 - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
+    q-order."""
+    if len(own) == 1:
+        ((e, c),) = own
+        step = add if c == 1 else (lambda acc, x: x + c * acc)
+        # the recurrence row[i] += c * row[i - e] runs apart on each residue
+        # class mod e
+        for r in range(low, low + e):
+            row[r::e] = accumulate(row[r::e], step)
+    elif own:
+        for i in range(low + 1, len(row)):
+            row[i] += sum(c * row[i - e] for e, c in own if e <= i)
+
+
+class _Rows:
+    """The dense accumulator of the factor kernel.
+
+    ``rows`` maps an aux monomial to a list of ``size`` integers, the
+    coefficients of q^lo .. q^(lo + size - 1); ``low`` maps it to an index
+    below which that list is zero, so the work on a row starts there.
+    ``mul`` and ``div`` multiply and divide in place by one factor 1 - a,
+    given as the terms of a; whatever falls outside the window is dropped,
+    so every coefficient in it is exact.  The accumulator is private and
+    mutable; ``series`` hands out an immutable MultiSeries.
+    """
+
+    __slots__ = ("rows", "low", "lo", "size")
+
+    def __init__(self, lo: int, size: int):
+        self.rows: dict = {}
+        self.low: dict = {}
+        self.lo = lo
+        self.size = max(size, 0)
+
+    @staticmethod
+    def one(lo: int, size: int) -> "_Rows":
+        return _Rows.load(MultiSeries.one(), lo, size)
+
+    @staticmethod
+    def load(ms: MultiSeries, lo: int, size: int) -> "_Rows":
+        acc = _Rows(lo, size)
+        for m, s in ms.entries.items():
+            inside = {e - lo: c for e, c in s.coeffs.items() if 0 <= e - lo < acc.size}
+            if inside:
+                row = acc.rows[m] = [0] * acc.size
+                for i, c in inside.items():
+                    row[i] = c
+                acc.low[m] = min(inside)
+        return acc
+
+    def _target(self, m: Mono) -> list:
+        """The row of m, made (zero) if it is absent."""
+        if m not in self.rows:
+            self.rows[m] = [0] * self.size
+            self.low[m] = self.size
+        return self.rows[m]
+
+    def mul(self, a: list) -> None:
+        """Multiply by 1 - a: subtract a shifted, scaled copy of each row
+        for each term of a."""
+        size, rows, low = self.size, self.rows, self.low
+        old, old_low = dict(rows), dict(low)
+        for ma, e, c in a:
+            if not c:
+                continue
+            end = size + min(e, 0)
+            for m, src in old.items():
+                s = max(old_low[m] + e, 0)
+                if s >= end:
+                    continue
+                t = _mono_mul(m, ma)
+                dst = self._target(t)
+                if dst is old.get(t):
+                    dst = rows[t] = dst.copy()
+                dst[s:end] = [d - c * x for d, x in zip(dst[s:end], src[s - e:])]
+                low[t] = min(low[t], s)
+
+    def div(self, a: list) -> None:
+        """Divide by 1 - a, where every term of a has q-exponent >= 1 and
+        no negative aux exponent.
+
+        The quotient y solves y = x + a*y.  Rows are finished in increasing
+        total aux degree: a row takes the terms of a with the trivial
+        monomial by the recurrence in increasing q-order, which reads only
+        coefficients already final, and then adds its share to the rows of
+        higher degree.
+        """
+        size, rows, low = self.size, self.rows, self.low
+        own = [(e, c) for m, e, c in a if m == TRIVIAL_MONO and c]
+        cross = [(m, e, c) for m, e, c in a if m != TRIVIAL_MONO and c]
+        # a row zero below size - e_min is left as it is
+        last = size - min((e for _, e, c in a if c), default=size)
+        pending: dict = {}  # total aux degree -> rows to finish
+        for m in rows:
+            if low[m] < last:
+                pending.setdefault(sum(m), []).append(m)
+        while pending:
+            for m in pending.pop(min(pending)):
+                row = rows[m]
+                _solve_row(row, low[m], own)
+                for ma, e, c in cross:
+                    s = low[m] + e
+                    if s >= size:
+                        continue
+                    t = _mono_mul(m, ma)
+                    fresh = low.get(t, size) >= last
+                    dst = self._target(t)
+                    dst[s:] = [d + c * x for d, x in zip(dst[s:], row[low[m]:])]
+                    low[t] = min(low[t], s)
+                    if fresh and s < last:
+                        pending.setdefault(sum(t), []).append(t)
+
+    def series(self, trunc: Optional[int], scale: int = 1,
+               mono: Mono = TRIVIAL_MONO, shift: int = 0) -> MultiSeries:
+        """The accumulator times scale * mono * q^shift, with the given
+        truncation order."""
+        off = self.lo + shift
+        entries = {}
+        for m, row in self.rows.items():
+            d = {i + off: scale * c
+                 for i, c in enumerate(row[self.low[m]:], self.low[m]) if c}
+            if d:
+                entries[_mono_mul(m, mono)] = QSeries(d, trunc)
+        return MultiSeries(entries, trunc)
+
+
+# ---------------------------------------------------------------------------
 # Pochhammer products and the Gaussian binomial
 # ---------------------------------------------------------------------------
 
@@ -663,50 +784,85 @@ def _one_like(a):
     return QSeries.one() if isinstance(a, QSeries) else MultiSeries.one()
 
 
+def _like(a, ms: MultiSeries):
+    """ms as the type of the argument a: a QSeries for a QSeries."""
+    return ms.qseries() if isinstance(a, QSeries) else ms
+
+
+def _factor_valuation(a: list, j: int) -> Optional[int]:
+    """Lowest q-exponent with a nonzero coefficient in 1 - a*q^j, or None
+    when it is zero.  Only the 1 can cancel, against a term 1*q^(-j)."""
+    one = (TRIVIAL_MONO, -j, 1)
+    exps = [e + j for m, e, c in a if (m, e, c) != one]
+    if one not in a:
+        exps.append(0)
+    return min(exps, default=None)
+
+
 def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
     """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
 
     Exact (a polynomial) when ``a`` is exact and ``trunc`` is None; passing a
-    truncation order merely prunes high-order terms early.
+    truncation order merely prunes high-order terms early.  The factors are
+    applied one by one to a dense accumulator.
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if not isinstance(a, (QSeries, MultiSeries)):
-        a = MultiSeries._lift(a)
-    result = _one_like(a)
-    one = _one_like(a)
-    for k in range(count):
-        factor = one - (a.shift(step * k) if isinstance(a, QSeries) else a.shift_q(step * k))
-        result = result.mul(factor)
+    if count == 0:
+        return _one_like(a)
+    ms = MultiSeries._lift(a)
+    terms = _terms(ms)
+    shifts = [step * k for k in range(count)]
+    # the truncation order a factor-by-factor product would derive: the
+    # product of factors trusted below t1 and t2, with valuations v1 and
+    # v2, is trusted below min(t1 + v2, t2 + v1)
+    t, low, lo, hi = None, 0, 0, 1
+    for j in shifts:
+        v = _factor_valuation(terms, j)
+        if ms.trunc is None:
+            if v is None:  # an exact zero factor
+                t = None
+            elif t is not None:
+                t += v
+        else:
+            f_t = ms.trunc + j
+            v = f_t if v is None else v
+            t = f_t + low if t is None else min(t + v, f_t + low)
         if trunc is not None:
-            result = result.truncate(trunc)
-    return result
+            t = trunc if t is None else min(t, trunc)
+        low += v or 0
+        lo += min(v or 0, 0)
+        hi += max([0] + [e + j for _, e, _ in terms])
+    # a coefficient below t is a sum of products whose partial products lie
+    # below t - lo, so the window [lo, t - lo) keeps them all
+    acc = _Rows.one(lo, (hi if t is None else t - lo) - lo)
+    for j in shifts:
+        acc.mul([(m, e + j, c) for m, e, c in terms])
+    return _like(a, acc.series(t))
 
 
 def poch_infinite(a, step: int, trunc: int):
     """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
 
     Requires ``a`` to carry strictly positive q-degree so that all but
-    finitely many factors are 1 modulo q^trunc.
+    finitely many factors are 1 modulo q^trunc; the others are applied one
+    by one to a dense accumulator.
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
-    if not isinstance(a, (QSeries, MultiSeries)):
-        a = MultiSeries._lift(a)
-    is_q = isinstance(a, QSeries)
-    d = a.min_exp if is_q else a.min_qexp()
-    empty = a.is_zero()
-    if not empty and d <= 0:
+    ms = MultiSeries._lift(a)
+    d = ms.min_qexp()
+    if not ms.is_zero() and d <= 0:
         raise NonConvergent(f"factor base has q-degree {d} <= 0")
-    result = (QSeries.one(trunc) if is_q else MultiSeries.one(trunc))
-    k = 0
-    while not empty and d + step * k < trunc:
-        shifted = a.shift(step * k) if is_q else a.shift_q(step * k)
-        result = result.mul(_one_like(a) - shifted).truncate(trunc)
-        k += 1
-    return result
+    # 1 - a is trusted below a's own order even where a has no terms
+    t = _min_trunc(trunc, ms.trunc)
+    acc = _Rows.one(0, t)
+    terms = _terms(ms)
+    for j in range(0, trunc - d, step):
+        acc.mul([(m, e + j, c) for m, e, c in terms])
+    return _like(a, acc.series(t))
 
 
 @lru_cache(maxsize=None)

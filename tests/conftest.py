@@ -29,3 +29,23 @@ def golden():
             _golden_value(r["value"])
         for r in doc["sides"]
     }
+
+
+def _factor_product(c, aux, v, step, count, T):
+    """prod (1 - c*aux*q^(v + step*i)) over i < count (all i with
+    v + step*i < T when count is None), one MultiSeries.mul per factor,
+    truncated at T after each."""
+    out = MultiSeries.one()
+    i = 0
+    while (i < count) if count is not None else (v + step * i < T):
+        factor = MultiSeries.one() - MultiSeries.term(c, v + step * i, *aux)
+        out = out.mul(factor).truncate(T)
+        i += 1
+    return out
+
+
+@pytest.fixture(scope="session")
+def factor_product():
+    """The generic reference for Pochhammer products: explicit factors
+    multiplied one at a time by MultiSeries.mul."""
+    return _factor_product

@@ -35,8 +35,29 @@ def test_verify_json_schema(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert set(doc) == {"id", "params", "trunc", "equal", "first_mismatch"}
+    assert set(doc) == {"id", "params", "trunc", "equal", "complete",
+                        "first_mismatch"}
     assert doc["equal"] is True
+    # with no --trunc a polynomial identity is compared in full
+    assert doc["trunc"] is None and doc["complete"] is True
+
+
+def test_verify_polynomial_in_full_unless_trunc_given(capsys):
+    # (-q;q)_15^2 has degree 240: by default every coefficient is compared
+    code, out, _ = run(capsys, "verify", "thm21", "--n", "15", "--no-comb",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["trunc"] is None and doc["complete"] is True
+    # an explicit --trunc is echoed, and the verdict says it was partial
+    code, out, _ = run(capsys, "verify", "thm21", "--n", "15", "--no-comb",
+                       "--trunc", "200", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["trunc"] == 200 and doc["complete"] is False
+    code, out, _ = run(capsys, "verify", "thm21", "--n", "15", "--no-comb",
+                       "--trunc", "200")
+    assert "equal (coefficients below q^200 compared)" in out
+    code, out, _ = run(capsys, "verify", "ay3", "--n", "3")
+    assert "equal (every coefficient compared)" in out
 
 
 def test_verify_unknown_identity(capsys):
@@ -157,6 +178,13 @@ def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "qbinom(2,1")
     assert code == 2
     assert "1:11" in err
+
+
+def test_eval_refusals_exit_2(capsys):
+    code, _, err = run(capsys, "eval", "poch(q*z^(-1), 2, 3)^(-1)", "--trunc", "20")
+    assert code == 2 and "negative aux exponent" in err
+    code, _, err = run(capsys, "eval", "q^(2^(2^40))")
+    assert code == 2 and "bit limit" in err
 
 
 def test_eval_bad_binding(capsys):

@@ -19,6 +19,7 @@ from qident.errors import (
     DslError,
     NonConvergent,
     NonIntegerExponent,
+    NonUnitConstantTerm,
     ParseError,
     UnboundVariable,
 )
@@ -376,3 +377,77 @@ def test_truncated_evaluation_is_sound(case, T, d):
         assert exact.trunc is None
         assert got.first_mismatch(exact) is None, text
         assert evaluate(text, {}, None) == exact, text
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer powers applied as factor chains
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _poch_power(draw):
+    k = draw(st.sampled_from([1, 2, -1, -2]))
+    lowest = 0 if k < 0 else -1
+    aux = tuple(draw(st.integers(lowest, 2)) for _ in range(3))
+    c = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    v, step = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    count = draw(st.sampled_from([None, 0, 1, 2, 5]))
+    # a monomial prefix and an optional generic factor (1 + 2q^w) move the
+    # accumulator's window
+    u, w = draw(st.integers(0, 3)), draw(st.sampled_from([None, -1, 0, 1, 3]))
+    base = f"{c} * z^({aux[0]}) * x^({aux[1]}) * y^({aux[2]}) * q^{v}"
+    generic = "" if w is None else f"(1 + 2*q^({w})) * "
+    text = (f"q^{u} * {generic}poch({base}, {step},"
+            f" {'inf' if count is None else 'n'})^({k})")
+    return text, (c, aux, v, step, count, k, u, w)
+
+
+@given(case=_poch_power(), T=st.integers(1, 30), d=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_poch_power_chains_match_generic_products(factor_product, case, T,
+                                                  d):
+    text, (c, aux, v, step, count, k, u, w) = case
+    bindings = {"n": count}
+    got = evaluate(text, bindings, T)
+    assert got.first_mismatch(evaluate(text, bindings, T + d)) is None
+    g = MultiSeries.one()
+    if w is not None:
+        g = g + MultiSeries.term(2, w)
+    if u + min(w or 0, 0) >= T:  # the product's valuation reaches T
+        assert got == MultiSeries.zero(T)
+        return
+    # the generic evaluation: each factor truncated at the inner order,
+    # P^|k| built factor by factor (at a higher order), then multiplied
+    inner = max(T - u, 1)
+    p = factor_product(c, aux, v, step, count, T + 10).power(abs(k))
+    want = MultiSeries.q(u) * (g.truncate(inner) * p.truncate(inner))
+    assert got.trunc == want.trunc
+    if k > 0:
+        assert got == want
+    else:
+        # got * P^|k| = q^u * g below the truncation
+        assert (got * p).first_mismatch(MultiSeries.q(u) * g, got.trunc) is None
+
+
+def test_poch_power_error_paths():
+    # an inverse of a base with a negative aux exponent is still refused
+    with pytest.raises(NonUnitConstantTerm):
+        evaluate("poch(q*z^(-1), 2, 3)^(-1)", {}, 20)
+    # a malformed call is reported even where every factor would be skipped
+    for text in ("poch(q^20, 1, -1)^(-1)", "poch(q^20, 0, 3)^(-1)",
+                 "q^100 * poch(q, 1, 3)^(-1) * poch(q, 1, -2)",
+                 "poch(q^20, 1)^(-1)"):
+        with pytest.raises(DslError):
+            evaluate(text, {}, 10)
+
+
+def test_integer_power_guard():
+    # the guard refuses before computing; the huge powers are never built
+    with pytest.raises(DslError, match="bit limit"):
+        eval_int(parse("2^(2^40)"), {})
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("q^(3^(2^40))", {}, 10)
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("(2*q)^(2^20) * poch(q, 1, inf)", {}, 10)
+    assert eval_int(parse("2^1000"), {}) == 2**1000
+    assert evaluate("(-1)^(2^70) * q", {}, 5) == MultiSeries.q(1)

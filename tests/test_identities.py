@@ -108,6 +108,15 @@ def test_verify_reports_requested_trunc():
     assert rep.trunc == 123 and rep.equal
 
 
+def test_verify_reports_completeness():
+    assert verify("thm21", {"n": 15}, trunc=None, include_comb=False).complete
+    assert not verify("thm21", {"n": 15}, trunc=200, include_comb=False).complete
+    assert verify("thm21", {"n": 3}, trunc=13).complete  # degree 12, and b1
+    assert not verify("thm21", {"n": 3}, trunc=12).complete
+    assert not verify("omega", None, trunc=20).complete
+    assert verify("q1limit", {"n": 3}).complete
+
+
 def test_negative_control_perturbation():
     lhs = build_side("thm21", "lhs", {"n": 3}, 100)
     rhs = build_side("thm21", "rhs", {"n": 3}, 100)
@@ -122,8 +131,10 @@ def test_negative_control_perturbation():
 def test_verify_json_shape():
     rep = verify("thm21", {"n": 2}, trunc=60)
     d = rep.to_json_dict()
-    assert set(d) == {"id", "params", "trunc", "equal", "first_mismatch"}
+    assert set(d) == {"id", "params", "trunc", "equal", "complete",
+                      "first_mismatch"}
     assert d["equal"] is True and d["first_mismatch"] is None
+    assert d["complete"] is True  # degree 6 < 60
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,13 @@ def test_poch_infinite_self_inverse():
     assert (p * p.invert_unit(35)).first_mismatch(MultiSeries.one()) is None
 
 
+def test_poch_infinite_of_truncated_zero():
+    # a = 0 + O(q^5): every factor 1 - a*q^j is known only below q^5
+    out = poch_infinite(MultiSeries.zero(5), 1, 10)
+    assert out == MultiSeries.one(5)
+    assert poch_infinite(QSeries.zero(5), 2, 3) == QSeries.one(3)
+
+
 def test_poch_infinite_nonconvergent():
     with pytest.raises(NonConvergent):
         poch_infinite(ONE, 1, 10)
@@ -306,3 +313,91 @@ def test_mul_against_dense_convolution(c1, c2):
         lo1 + lo2 + i: v for i, v in enumerate(dense) if v
     }
     assert (a * b).coeffs == expected
+
+
+# ---------------------------------------------------------------------------
+# factor kernel: Pochhammer products as chains of single factors
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def poch_bases(draw, inverted):
+    """(c, aux exponents, v) of a base c*z^a*x^b*y^d*q^v; negative aux
+    exponents only where the product is not inverted."""
+    lowest = 0 if inverted else -1
+    aux = tuple(draw(st.integers(lowest, 2)) for _ in range(3))
+    return draw(st.sampled_from([1, -1, 2, -2, 3])), aux, draw(st.integers(1, 4))
+
+
+@given(base=poch_bases(inverted=False), step=st.integers(1, 4),
+       count=st.one_of(st.none(), st.integers(0, 6)), T=st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_poch_is_the_product_of_its_factors(factor_product, base, step, count,
+                                          T):
+    c, aux, v = base
+    a = MultiSeries.term(c, v, *aux)
+    want = factor_product(c, aux, v, step, count, T)
+    if count is None:
+        # poch_infinite keeps the order T even when no factor is below it
+        got, want = poch_infinite(a, step, T), want.truncate(T)
+    else:
+        got = poch_finite(a, step, count, trunc=T)
+    assert got == want
+
+
+@given(base=poch_bases(inverted=True), step=st.integers(1, 4),
+       count=st.one_of(st.none(), st.integers(0, 6)), T=st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_invert_unit_of_poch(factor_product, base, step, count, T):
+    c, aux, v = base
+    p = factor_product(c, aux, v, step, count, T)
+    inv = p.invert_unit(T)
+    assert inv.trunc == T
+    assert (p * inv).first_mismatch(MultiSeries.one()) is None
+
+
+def test_poch_of_laurent_polynomial_is_exact():
+    # Laurent bases against explicit factor-by-factor products; a factor
+    # of negative valuation lowers the trusted order of a truncated product
+    a = MultiSeries.term(1, -2) + MultiSeries.term(3, 1, z=1)
+    want = MultiSeries.one()
+    for j in (0, 1, 2):
+        want = want * (MultiSeries.one() - a.shift_q(j))
+    assert poch_finite(a, 1, 3) == want
+    b = MultiSeries.term(2, -3) + MultiSeries.term(1, 2, y=1)
+    want = (MultiSeries.one() - b) * (MultiSeries.one() - b.shift_q(2))
+    assert poch_finite(b, 2, 2) == want
+    assert poch_finite(b, 2, 2, trunc=3) == MultiSeries(want.entries, 2)
+    # the factor 1 - q^(-2)*q^2 is an exact zero
+    assert poch_finite(MultiSeries.term(1, -2), 1, 3) == MultiSeries.zero()
+
+
+# ---------------------------------------------------------------------------
+# equality and hashing
+# ---------------------------------------------------------------------------
+
+_coeff_maps = st.dictionaries(st.integers(0, 2), st.integers(-1, 1), max_size=2)
+_series_values = st.one_of(
+    st.integers(-2, 2),
+    st.builds(QSeries, _coeff_maps, st.sampled_from([None, 1, 3])),
+    st.builds(lambda m, c, t: MultiSeries({m: QSeries(c)}, t),
+              st.sampled_from([(0, 0, 0), (1, 0, 0)]), _coeff_maps,
+              st.sampled_from([None, 1, 3])),
+)
+
+
+@given(a=_series_values, b=_series_values)
+@settings(max_examples=300)
+def test_equal_values_hash_alike(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_int_equality_respects_truncation():
+    assert QSeries({0: 1}) == 1 and hash(QSeries({0: 1})) == hash(1)
+    assert QSeries({0: 1}, 5) != 1
+    assert MultiSeries.one() == 1 and hash(MultiSeries.one()) == hash(1)
+    assert MultiSeries.one(5) != 1
+    assert MultiSeries.zero() == 0 and MultiSeries.zero(4) != 0
+    assert MultiSeries.one() == QSeries.one() == MultiSeries.one()
