@@ -4,13 +4,21 @@ Each map validates its input eagerly, carries an explicit inverse, and is
 covered by ``check_bijection``, which exhaustively enumerates the (possibly
 weight-capped) domain and codomain, applies the map both ways, and verifies
 membership, the weight law, and the round trip element by element.
+
+The six bijections are the rows of one table, ``_BIJECTIONS``: the
+parameters a sweep needs, the domain and codomain families, the forward and
+inverse maps, the two weight functions and the shift of the weight law.
+The rows look the maps, ``enumerate_domain`` and ``domain_validator`` up as
+module globals when a sweep runs, so a wrapped map is the one swept.  A
+map's checks format their ``DomainViolation`` message only when they fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from operator import add, neg, sub
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainViolation, MissingParam, UnknownBijection
 from .partitions import (
@@ -20,6 +28,7 @@ from .partitions import (
     SignedDistinctSet,
     b2_weight,
     b3_weight,
+    conjugate_parts,
     distinct_odd_to_selfconj,
     domain_validator,
     enumerate_domain,
@@ -28,9 +37,11 @@ from .partitions import (
 )
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond, message: str, *args) -> None:
+    """Raise DomainViolation(message.format(*args)) unless ``cond`` holds;
+    the message is formatted only then."""
     if not cond:
-        raise DomainViolation(message)
+        raise DomainViolation(message.format(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -45,27 +56,31 @@ def phi(n: int, pair: PartitionPair) -> tuple:
     partition that sits on top of the second one; the staircase is returned
     by its size t = l.
     """
-    _require(domain_validator("B1")(pair, n), f"not a B1({n}) element: {pair!r}")
-    lam, pi = pair.first, pair.second
+    _require(domain_validator("B1")(pair, n), "not a B1({}) element: {!r}", n, pair)
+    lam = pair.first.parts
     ell = len(lam)
-    lam_star = [lam.parts[i] - (ell - i) for i in range(ell)]
-    nu = Partition(tuple(p for p in lam_star if p > 0) + pi.parts)
+    lam_star = map(sub, lam, range(ell, 0, -1))
+    nu = Partition(tuple(p for p in lam_star if p > 0) + pair.second.parts)
     return (ell, nu)
 
 
 def phi_inv(n: int, elt: tuple) -> PartitionPair:
     """Split off the first t parts, restore the staircase, return the pair."""
-    _require(domain_validator("B2")(elt, n), f"not a B2({n}) element: {elt!r}")
+    _require(domain_validator("B2")(elt, n), "not a B2({}) element: {!r}", n, elt)
     t, nu = elt
-    padded = nu.parts + (0,) * (t - len(nu))
-    lam = tuple(padded[i] + (t - i) for i in range(t))
-    pi = nu.parts[t:] if len(nu) > t else ()
-    return PartitionPair(DistinctPartition(lam), Partition(pi))
+    padded = nu.parts + (0,) * (t - len(nu.parts))
+    lam = tuple(map(add, padded, range(t, 0, -1)))
+    return PartitionPair(DistinctPartition(lam), Partition(nu.parts[t:]))
 
 
 # ---------------------------------------------------------------------------
 # psi : negative-only sets -> distinct partitions bounded by n
 # ---------------------------------------------------------------------------
+
+
+def _within(values, lo: int, hi: int) -> bool:
+    """Every value in [lo, hi], by one min and one max pass."""
+    return not values or (lo <= min(values) and max(values) <= hi)
 
 
 def psi(n: int, mu: SignedDistinctSet) -> DistinctPartition:
@@ -74,10 +89,8 @@ def psi(n: int, mu: SignedDistinctSet) -> DistinctPartition:
     The weight law is |mu| = -n(n+1)/2 + |psi(mu)|.
     """
     _require(
-        isinstance(mu, SignedDistinctSet)
-        and mu.n == n
-        and all(-n <= e <= -1 for e in mu.elements),
-        f"psi input must use only negative elements of [-{n},-1]: {mu!r}",
+        isinstance(mu, SignedDistinctSet) and mu.n == n and _within(mu.elements, -n, -1),
+        "psi input must use only negative elements of [-{},-1]: {!r}", n, mu,
     )
     missing = sorted(set(range(-n, 0)) - set(mu.elements))
     return DistinctPartition(tuple(sorted((-e for e in missing), reverse=True)))
@@ -87,8 +100,8 @@ def psi_inv(n: int, dp: DistinctPartition) -> SignedDistinctSet:
     _require(
         isinstance(dp, Partition)
         and len(set(dp.parts)) == len(dp.parts)
-        and all(1 <= p <= n for p in dp.parts),
-        f"psi inverse needs a distinct partition with parts in [1,{n}]: {dp!r}",
+        and _within(dp.parts, 1, n),
+        "psi inverse needs a distinct partition with parts in [1,{}]: {!r}", n, dp,
     )
     keep = set(range(-n, 0)) - {-p for p in dp.parts}
     return SignedDistinctSet(tuple(sorted(keep)), n)
@@ -101,16 +114,14 @@ def psi_inv(n: int, dp: DistinctPartition) -> SignedDistinctSet:
 
 def tau(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
     """Negate the complement within the full range; weight is preserved."""
-    _require(
-        domain_validator("P_gt")(lam, n), f"not a P_gt({n}) element: {lam!r}"
-    )
+    _require(domain_validator("P_gt")(lam, n), "not a P_gt({}) element: {!r}", n, lam)
     return tau_complement(n, lam)
 
 
 def tau_complement(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
     """The underlying involution, with no side constraint on the part count."""
-    missing = set(range(-n, n + 1)) - set(lam.elements)
-    return SignedDistinctSet(tuple(sorted(-e for e in missing)), n)
+    missing = set(range(-n, n + 1)).difference(lam.elements)
+    return SignedDistinctSet(tuple(sorted(map(neg, missing))), n)
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +135,20 @@ def rho(n: int, lam: SignedDistinctSet) -> tuple:
     A set with n+1+t elements maps to (t, nu) where nu collects the excesses
     as an ordinary partition with at most n+1+t parts bounded by n-t.
     """
-    _require(
-        domain_validator("P_gt")(lam, n), f"not a P_gt({n}) element: {lam!r}"
-    )
-    t = len(lam) - (n + 1)
-    excess = [
-        lam.elements[i] - (-n + i) for i in range(len(lam))
-    ]
+    _require(domain_validator("P_gt")(lam, n), "not a P_gt({}) element: {!r}", n, lam)
+    els = lam.elements
+    t = len(els) - (n + 1)
+    excess = map(sub, els, range(-n, len(els) - n))
     nu = Partition(tuple(sorted((e for e in excess if e > 0), reverse=True)))
     return (t, nu)
 
 
 def rho_inv(n: int, elt: tuple) -> SignedDistinctSet:
-    _require(domain_validator("B3")(elt, n), f"not a B3({n}) element: {elt!r}")
+    _require(domain_validator("B3")(elt, n), "not a B3({}) element: {!r}", n, elt)
     t, nu = elt
     size = n + 1 + t
-    increasing = (0,) * (size - len(nu)) + tuple(sorted(nu.parts))
-    elements = tuple(increasing[i] + (-n + i) for i in range(size))
+    increasing = (0,) * (size - len(nu.parts)) + tuple(sorted(nu.parts))
+    elements = tuple(map(add, increasing, range(-n, size - n)))
     return SignedDistinctSet(elements, n)
 
 
@@ -156,36 +164,28 @@ def durfee_split(lam: Partition) -> PartitionPair:
     mu = Partition((lam.parts[0],))
     nu = Partition(lam.parts[1:])
     out = PartitionPair(mu, nu)
-    _require(
-        domain_validator("OE")(out, k),
-        f"split of {lam!r} left the OE({k}) family: {out!r}",
-    )
+    _require(domain_validator("OE")(out, k),
+             "split of {!r} left the OE({}) family: {!r}", lam, k, out)
     return out
 
 
 def durfee_join(pair: PartitionPair) -> Partition:
     """Attach the single odd part on top; the Durfee side comes out odd."""
     mu, nu = pair.first, pair.second
-    _require(
-        len(mu) == 1 and mu.parts[0] % 2 == 1,
-        f"first component must be a single odd part: {mu!r}",
-    )
+    _require(len(mu) == 1 and mu.parts[0] % 2 == 1,
+             "first component must be a single odd part: {!r}", mu)
     k = (mu.parts[0] - 1) // 2
-    _require(
-        domain_validator("OE")(pair, k), f"not an OE({k}) element: {pair!r}"
-    )
+    _require(domain_validator("OE")(pair, k), "not an OE({}) element: {!r}", k, pair)
     lam = Partition(mu.parts + nu.parts)
-    _require(
-        domain_validator("DS")(lam, k),
-        f"joined partition left the DS({k}) family: {lam!r}",
-    )
+    _require(domain_validator("DS")(lam, k),
+             "joined partition left the DS({}) family: {!r}", k, lam)
     return lam
 
 
 def _ds_k(lam: Partition) -> int:
-    _require(bool(lam) and lam.parts[0] % 2 == 1, f"largest part must be odd: {lam!r}")
+    _require(bool(lam) and lam.parts[0] % 2 == 1, "largest part must be odd: {!r}", lam)
     k = (lam.parts[0] - 1) // 2
-    _require(domain_validator("DS")(lam, k), f"not a DS({k}) element: {lam!r}")
+    _require(domain_validator("DS")(lam, k), "not a DS({}) element: {!r}", k, lam)
     return k
 
 
@@ -203,9 +203,8 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     part n+k leaves a self-conjugate partition with Durfee side n, which the
     hook map turns into a distinct odd partition with exactly n parts.
     """
-    _require(
-        domain_validator("O")(pair, n, k), f"not an O({n},{k}) element: {pair!r}"
-    )
+    _require(domain_validator("O")(pair, n, k),
+             "not an O({},{}) element: {!r}", n, k, pair)
     rows = [n] * (n + 1)
     below = []
     for part in pair.second.parts:  # stored decreasing
@@ -217,68 +216,48 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     nu_star = tuple(r for r in rows if r > 0) + tuple(below)
     _require(
         (not nu_star and n + k == 0) or (nu_star and nu_star[0] == n + k),
-        f"largest folded part is not n+k: {nu_star}",
+        "largest folded part is not n+k: {}", nu_star,
     )
     mu = Partition((n + k,) if n + k else ())
     nu_prime = Partition(nu_star[1:])
-    _require(nu_prime.is_self_conjugate(), f"residue not self-conjugate: {nu_prime!r}")
-    _require(
-        nu_prime.durfee_size() == n,
-        f"residue Durfee side {nu_prime.durfee_size()} != {n}",
-    )
-    _require(
-        not nu_prime or nu_prime.parts[0] <= n + k,
-        f"residue largest part exceeds n+k: {nu_prime!r}",
-    )
+    _require(nu_prime.is_self_conjugate(), "residue not self-conjugate: {!r}", nu_prime)
+    d = nu_prime.durfee_size()
+    _require(d == n, "residue Durfee side {} != {}", d, n)
+    _require(not nu_prime or nu_prime.parts[0] <= n + k,
+             "residue largest part exceeds n+k: {!r}", nu_prime)
     nu = selfconj_to_distinct_odd(nu_prime)
     out = PartitionPair(mu, nu)
-    _require(
-        domain_validator("DO")(out, n, k),
-        f"image left the DO({n},{k}) family: {out!r}",
-    )
+    _require(domain_validator("DO")(out, n, k),
+             "image left the DO({},{}) family: {!r}", n, k, out)
     return out
 
 
 def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     """Close the hooks, put the single part back on top, unfold the columns
     and rows into odd parts."""
-    _require(
-        domain_validator("DO")(pair, n, k), f"not a DO({n},{k}) element: {pair!r}"
-    )
+    _require(domain_validator("DO")(pair, n, k),
+             "not a DO({},{}) element: {!r}", n, k, pair)
     nu_prime = distinct_odd_to_selfconj(pair.second)
-    _require(
-        nu_prime.durfee_size() == n,
-        f"hook closure has Durfee side {nu_prime.durfee_size()} != {n}",
-    )
-    _require(
-        not nu_prime or nu_prime.parts[0] <= n + k,
-        f"hook closure largest part exceeds n+k: {nu_prime!r}",
-    )
+    d = nu_prime.durfee_size()
+    _require(d == n, "hook closure has Durfee side {} != {}", d, n)
+    _require(not nu_prime or nu_prime.parts[0] <= n + k,
+             "hook closure largest part exceeds n+k: {!r}", nu_prime)
     nu_star = ((n + k,) if n + k else ()) + nu_prime.parts
     head = nu_star[: n + 1]
     below = nu_star[n + 1 :]
     excess = tuple(h - n for h in head)
-    _require(all(e >= 0 for e in excess), f"row short of the rectangle: {nu_star}")
-    splits = _conj_of(excess)  # multiset of s+1 values, decreasing
+    _require(min(excess, default=0) >= 0, "row short of the rectangle: {}", nu_star)
+    splits = conjugate_parts(excess)  # multiset of s+1 values, decreasing
     svals = tuple(v - 1 for v in splits)
     _require(
         tuple(s for s in svals if s >= 1) == below,
-        f"appended rows {below} disagree with column excesses {svals}",
+        "appended rows {} disagree with column excesses {}", below, svals,
     )
     pi = Partition(tuple(2 * s + 1 for s in svals))
     out = PartitionPair(rectangle(n), pi)
-    _require(
-        domain_validator("O")(out, n, k),
-        f"preimage left the O({n},{k}) family: {out!r}",
-    )
+    _require(domain_validator("O")(out, n, k),
+             "preimage left the O({},{}) family: {!r}", n, k, out)
     return out
-
-
-def _conj_of(parts: tuple) -> tuple:
-    nz = tuple(p for p in parts if p > 0)
-    if not nz:
-        return ()
-    return tuple(sum(1 for p in nz if p >= j) for j in range(1, nz[0] + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +297,29 @@ class BijectionReport:
         )
 
 
-BIJECTION_NAMES = ("phi", "psi", "tau", "rho", "durfee_split", "nu3")
-
-
-def _sweep(name, domain, codomain, forward, inverse, cod_valid, dom_valid,
-           w_in, w_out, delta) -> BijectionReport:
+def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
+           weight_cap: Optional[int]) -> BijectionReport:
     rep = BijectionReport(name=name)
+    domain, in_domain = spec.domain(n, k, weight_cap)
+    codomain, in_codomain = spec.codomain(n, k, weight_cap)
+    forward, inverse = spec.forward, spec.inverse
+    w_domain, w_codomain = spec.w_domain, spec.w_codomain
+    delta = spec.shift(n)
     dom_weights = []
     for x in domain:
         rep.domain_size += 1
-        dom_weights.append(w_in(x) + delta)
+        wx = w_domain(n, x) + delta
+        dom_weights.append(wx)
         try:
-            y = forward(x)
-            if not cod_valid(y):
+            y = forward(n, k, x)
+            if not in_codomain(y):
                 rep.membership_failures += 1
                 rep.witness = rep.witness or repr(x)
                 continue
-            if w_out(y) != w_in(x) + delta:
+            if w_codomain(n, y) != wx:
                 rep.weight_violations += 1
                 rep.witness = rep.witness or repr(x)
-            if inverse(y) != x:
+            if inverse(n, k, y) != x:
                 rep.roundtrip_failures += 1
                 rep.witness = rep.witness or repr(x)
         except DomainViolation:
@@ -346,14 +328,14 @@ def _sweep(name, domain, codomain, forward, inverse, cod_valid, dom_valid,
     cod_weights = []
     for y in codomain:
         rep.codomain_size += 1
-        cod_weights.append(w_out(y))
+        cod_weights.append(w_codomain(n, y))
         try:
-            x = inverse(y)
-            if not dom_valid(x):
+            x = inverse(n, k, y)
+            if not in_domain(x):
                 rep.membership_failures += 1
                 rep.witness = rep.witness or repr(y)
                 continue
-            if forward(x) != y:
+            if forward(n, k, x) != y:
                 rep.roundtrip_failures += 1
                 rep.witness = rep.witness or repr(y)
         except DomainViolation:
@@ -367,115 +349,109 @@ def _sweep(name, domain, codomain, forward, inverse, cod_valid, dom_valid,
     return rep
 
 
-def _check_single(name: str, n: Optional[int], k: Optional[int],
-                  weight_cap: Optional[int]) -> BijectionReport:
-    if name == "phi":
-        if n is None:
-            raise MissingParam("phi requires n")
-        return _sweep(
-            name,
-            enumerate_domain("B1", n=n),
-            enumerate_domain("B2", n=n),
-            lambda x: phi(n, x),
-            lambda y: phi_inv(n, y),
-            lambda y: domain_validator("B2")(y, n),
-            lambda x: domain_validator("B1")(x, n),
-            lambda x: x.weight,
-            b2_weight,
-            0,
-        )
-    if name == "psi":
-        if n is None:
-            raise MissingParam("psi requires n")
-        negatives = [
-            SignedDistinctSet(tuple(sorted(-v for v in combo)), n)
-            for combo in _subsets(range(1, n + 1))
-        ]
-        codomain = [
-            DistinctPartition(tuple(sorted(combo, reverse=True)))
-            for combo in _subsets(range(1, n + 1))
-        ]
-        return _sweep(
-            name,
-            negatives,
-            codomain,
-            lambda x: psi(n, x),
-            lambda y: psi_inv(n, y),
-            lambda y: all(1 <= p <= n for p in y.parts),
-            lambda x: all(-n <= e <= -1 for e in x.elements),
-            lambda x: x.weight,
-            lambda y: y.weight,
-            n * (n + 1) // 2,
-        )
-    if name == "tau":
-        if n is None:
-            raise MissingParam("tau requires n")
-        return _sweep(
-            name,
-            enumerate_domain("P_gt", n=n),
-            (s for s in enumerate_domain("P", n=n) if len(s) <= n),
-            lambda x: tau(n, x),
-            lambda y: tau_complement(n, y),
-            lambda y: len(y) <= n,
-            lambda x: domain_validator("P_gt")(x, n),
-            lambda x: x.weight,
-            lambda y: y.weight,
-            0,
-        )
-    if name == "rho":
-        if n is None:
-            raise MissingParam("rho requires n")
-        return _sweep(
-            name,
-            enumerate_domain("P_gt", n=n),
-            enumerate_domain("B3", n=n),
-            lambda x: rho(n, x),
-            lambda y: rho_inv(n, y),
-            lambda y: domain_validator("B3")(y, n),
-            lambda x: domain_validator("P_gt")(x, n),
-            lambda x: x.weight,
-            lambda y: b3_weight(n, y),
-            0,
-        )
-    if name == "durfee_split":
-        if k is None or weight_cap is None:
-            raise MissingParam("durfee_split requires k and weight_cap")
-        return _sweep(
-            name,
-            enumerate_domain("DS", k=k, weight_cap=weight_cap),
-            enumerate_domain("OE", k=k, weight_cap=weight_cap),
-            durfee_split,
-            durfee_join,
-            lambda y: domain_validator("OE")(y, k),
-            lambda x: domain_validator("DS")(x, k),
-            lambda x: x.weight,
-            lambda y: y.weight,
-            0,
-        )
-    if name == "nu3":
-        if n is None or k is None or weight_cap is None:
-            raise MissingParam("nu3 requires n, k and weight_cap")
-        return _sweep(
-            name,
-            enumerate_domain("O", n=n, k=k, weight_cap=weight_cap),
-            enumerate_domain("DO", n=n, k=k, weight_cap=weight_cap),
-            lambda x: nu3_forward(n, k, x),
-            lambda y: nu3_inverse(n, k, y),
-            lambda y: domain_validator("DO")(y, n, k),
-            lambda x: domain_validator("O")(x, n, k),
-            lambda x: x.weight,
-            lambda y: y.weight,
-            0,
-        )
-    raise UnknownBijection(
-        f"unknown bijection {name!r}; choose from {BIJECTION_NAMES}"
-    )
+class _Bijection(NamedTuple):
+    """One row of the bijection table.
+
+    ``domain`` and ``codomain`` are families: functions of (n, k, weight_cap)
+    returning the elements and a membership test.  ``forward`` and
+    ``inverse`` take (n, k, element); the weights take (n, element) and the
+    shift, added to every domain weight, takes n.  Every entry reaches the
+    maps, enumerators and validators through this module's globals when it
+    runs, so a wrapped map is the one the sweep calls.
+    """
+
+    params: tuple
+    domain: Callable
+    codomain: Callable
+    forward: Callable
+    inverse: Callable
+    w_domain: Callable = lambda n, x: x.weight
+    w_codomain: Callable = lambda n, y: y.weight
+    shift: Callable = lambda n: 0
+
+
+def _domain(name: str, *takes: str) -> Callable:
+    """The partitions domain ``name`` as a family; its validator takes the
+    parameters ``takes`` (of "n", "k") after the element."""
+    def family(n, k, cap):
+        args = tuple(n if p == "n" else k for p in takes)
+        return (enumerate_domain(name, n=n, k=k, weight_cap=cap),
+                lambda x: domain_validator(name)(x, *args))
+    return family
 
 
 def _subsets(iterable):
     items = tuple(iterable)
     for r in range(len(items) + 1):
         yield from combinations(items, r)
+
+
+def _negative_sets(n, k, cap):
+    """Subsets of {-n, ..., -1}, the domain of psi."""
+    sets = [
+        SignedDistinctSet(tuple(sorted(-v for v in combo)), n)
+        for combo in _subsets(range(1, n + 1))
+    ]
+    return sets, lambda x: _within(x.elements, -n, -1)
+
+
+def _bounded_distinct(n, k, cap):
+    """Distinct partitions with parts at most n, the codomain of psi."""
+    parts = [
+        DistinctPartition(tuple(sorted(combo, reverse=True)))
+        for combo in _subsets(range(1, n + 1))
+    ]
+    return parts, lambda y: _within(y.parts, 1, n)
+
+
+def _short_sets(n, k, cap):
+    """Elements of P(n) with at most n elements, the codomain of tau."""
+    return ((s for s in enumerate_domain("P", n=n) if len(s) <= n),
+            lambda y: len(y) <= n)
+
+
+_BIJECTIONS = {
+    "phi": _Bijection(
+        ("n",), _domain("B1", "n"), _domain("B2", "n"),
+        lambda n, k, x: phi(n, x), lambda n, k, y: phi_inv(n, y),
+        w_codomain=lambda n, y: b2_weight(y),
+    ),
+    "psi": _Bijection(
+        ("n",), _negative_sets, _bounded_distinct,
+        lambda n, k, x: psi(n, x), lambda n, k, y: psi_inv(n, y),
+        shift=lambda n: n * (n + 1) // 2,
+    ),
+    "tau": _Bijection(
+        ("n",), _domain("P_gt", "n"), _short_sets,
+        lambda n, k, x: tau(n, x), lambda n, k, y: tau_complement(n, y),
+    ),
+    "rho": _Bijection(
+        ("n",), _domain("P_gt", "n"), _domain("B3", "n"),
+        lambda n, k, x: rho(n, x), lambda n, k, y: rho_inv(n, y),
+        w_codomain=lambda n, y: b3_weight(n, y),
+    ),
+    "durfee_split": _Bijection(
+        ("k", "weight_cap"), _domain("DS", "k"), _domain("OE", "k"),
+        lambda n, k, x: durfee_split(x), lambda n, k, y: durfee_join(y),
+    ),
+    "nu3": _Bijection(
+        ("n", "k", "weight_cap"), _domain("O", "n", "k"), _domain("DO", "n", "k"),
+        lambda n, k, x: nu3_forward(n, k, x), lambda n, k, y: nu3_inverse(n, k, y),
+    ),
+}
+
+BIJECTION_NAMES = tuple(_BIJECTIONS)
+
+
+def _check_single(name: str, n: Optional[int], k: Optional[int],
+                  weight_cap: Optional[int]) -> BijectionReport:
+    spec = _BIJECTIONS[name]
+    given = {"n": n, "k": k, "weight_cap": weight_cap}
+    if any(given[p] is None for p in spec.params):
+        *rest, last = spec.params
+        needs = f"{', '.join(rest)} and {last}" if rest else last
+        raise MissingParam(f"{name} requires {needs}")
+    return _sweep(name, spec, n, k, weight_cap)
 
 
 def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,

@@ -26,7 +26,8 @@ expanded on their own: the series kernel multiplies or divides one dense
 accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` adds its
 summands in place.  With no truncation order a negative power of a
 q-polynomial is divided out exactly.  An integer power whose result would
-pass MAX_POWER_BITS bits is refused with DslError.
+pass MAX_POWER_BITS bits, and a sum over more than MAX_SUM_TERMS indices,
+are refused with DslError.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ RESERVED = {"q", "z", "x", "y", "inf"}
 # the largest integer power the language computes, in bits: far above any
 # coefficient the identities need, far below what exhausts memory
 MAX_POWER_BITS = 1 << 16
+
+# the most indices one sum may run over: far above any registry sum, whose
+# range is its truncation order, and refused before the first summand, so a
+# huge range fails at once instead of walking summands one by one
+MAX_SUM_TERMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +572,11 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             raise DslError(f"sum index may not shadow reserved name {var.ident!r}")
         lo = eval_int(e.args[1], bindings)
         hi = eval_int(e.args[2], bindings)
+        if hi - lo + 1 > MAX_SUM_TERMS:
+            raise DslError(
+                f"sum over {hi - lo + 1} indices exceeds the"
+                f" {MAX_SUM_TERMS}-term limit"
+            )
         # summands are added in place; a zero one only lowers the truncation
         acc: dict = {}
         t = None

@@ -4,12 +4,18 @@ Covers ordinary/distinct partitions, sets of distinct integers in a symmetric
 range (whose weight may be negative), partitions-in-a-box enumeration, and the
 bounded families the constructive maps act on, each paired with a validator
 predicate.  Enumerators yield each element exactly once and are restartable.
+
+Constructors and validators check each invariant once, as one pass over
+neighbouring entries (``all(map(ge, parts, parts[1:]))`` for weakly
+decreasing parts, the two ends for a range); the element-wise checks run
+only on a refused value, to pick its message.  ``conjugate_parts`` is the
+one conjugate, O(len + largest part).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import ge, gt, lt, mod
 from typing import Iterator, Optional
 
 from .errors import MissingParam, NotSelfConjugate, UnknownDomain
@@ -23,10 +29,8 @@ class Partition:
 
     def __init__(self, parts=()):
         parts = tuple(parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must be weakly decreasing: {parts}")
+        if parts and not (parts[-1] > 0 and all(map(ge, parts, parts[1:]))):
+            _partition_error(parts)
         self.parts = parts
 
     @property
@@ -56,14 +60,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram."""
-        if not self.parts:
-            return Partition(())
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p >= j)
-                for j in range(1, self.parts[0] + 1)
-            )
-        )
+        return Partition(conjugate_parts(self.parts))
 
     def durfee_size(self) -> int:
         """Side of the largest square inside the Ferrers diagram."""
@@ -76,7 +73,7 @@ class Partition:
         return d
 
     def is_self_conjugate(self) -> bool:
-        return self.conjugate().parts == self.parts
+        return conjugate_parts(self.parts) == self.parts
 
 
 class DistinctPartition(Partition):
@@ -85,9 +82,23 @@ class DistinctPartition(Partition):
     __slots__ = ()
 
     def __init__(self, parts=()):
-        super().__init__(parts)
-        if any(self.parts[i] == self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be strictly decreasing: {self.parts}")
+        parts = tuple(parts)
+        if parts and not (parts[-1] > 0 and all(map(gt, parts, parts[1:]))):
+            _partition_error(parts)
+            if any(parts[i] == parts[i + 1] for i in range(len(parts) - 1)):
+                raise ValueError(f"parts must be strictly decreasing: {parts}")
+        self.parts = parts
+
+
+def _partition_error(parts: tuple) -> None:
+    """Raise the ValueError of the first element-wise check ``parts``
+    fails: positive parts, then weakly decreasing.  Constructors call it
+    only when their one-pass test fails; values that pass both checks
+    (possible only with incomparable ones such as NaN) raise nothing."""
+    if any(p <= 0 for p in parts):
+        raise ValueError(f"parts must be positive: {parts}")
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
 
 
 class SignedDistinctSet:
@@ -100,10 +111,14 @@ class SignedDistinctSet:
 
     def __init__(self, elements=(), n: int = 0):
         elements = tuple(elements)
-        if any(abs(e) > n for e in elements):
-            raise ValueError(f"element out of range [-{n}, {n}]: {elements}")
-        if any(elements[i] >= elements[i + 1] for i in range(len(elements) - 1)):
-            raise ValueError(f"elements must be strictly increasing: {elements}")
+        # strictly increasing with both ends in range puts every element in
+        # range; the element-wise checks only pick the message
+        if elements and not (-n <= elements[0] and elements[-1] <= n
+                             and all(map(lt, elements, elements[1:]))):
+            if any(abs(e) > n for e in elements):
+                raise ValueError(f"element out of range [-{n}, {n}]: {elements}")
+            if any(elements[i] >= elements[i + 1] for i in range(len(elements) - 1)):
+                raise ValueError(f"elements must be strictly increasing: {elements}")
         self.elements = elements
         self.n = n
 
@@ -170,6 +185,22 @@ def conjugate(p: Partition) -> Partition:
     return p.conjugate()
 
 
+def conjugate_parts(parts) -> tuple:
+    """Conjugate of a weakly decreasing tuple of parts: for j from 1 to the
+    first part, entry j - 1 counts the parts >= j.  One tally of the parts
+    and one running sum over it, so O(len + largest part); parts <= 0 add
+    nothing."""
+    if not parts or parts[0] <= 0:
+        return ()
+    width = parts[0]
+    tally = [0] * (width + 1)
+    for p in parts:
+        if p > 0:
+            tally[p if p < width else width] += 1
+    # summed from the widest column down, entry j counts the parts >= j
+    return tuple(accumulate(reversed(tally[1:])))[::-1]
+
+
 def durfee_size(p: Partition) -> int:
     return p.durfee_size()
 
@@ -192,30 +223,18 @@ def selfconj_to_distinct_odd(p: Partition) -> DistinctPartition:
 def distinct_odd_to_selfconj(dp: Partition) -> Partition:
     """Fold distinct odd parts back into nested principal hooks."""
     parts = dp.parts
-    if any(a % 2 == 0 for a in parts):
+    if not all(map(mod, parts, repeat(2))):
         raise ValueError(f"parts must be odd: {parts}")
-    if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
+    if not all(map(gt, parts, parts[1:])):
         raise ValueError(f"parts must be strictly decreasing: {parts}")
-    arms = [(a - 1) // 2 for a in parts]
-    d = len(arms)
-    rows = [i + 1 + arms[i] for i in range(d)]
-    r = d
-    while True:
-        extra = sum(1 for i in range(d) if i + arms[i] >= r)
-        if extra == 0:
-            break
-        rows.append(extra)
-        r += 1
-    return Partition(tuple(rows))
-
-
-def _conj_tuple(parts) -> tuple:
-    """Conjugate of a raw decreasing tuple (zeros not allowed)."""
-    if not parts:
-        return ()
-    return tuple(
-        sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)
-    )
+    # hook i has its corner at (i, i) and arm and leg (part - 1) / 2 long; its
+    # leg ends in row reach[i], and reach is weakly decreasing
+    reach = [i + (a - 1) // 2 for i, a in enumerate(parts)]
+    d = len(reach)
+    # row i < d ends with hook i's arm; row r >= d holds one cell of every
+    # leg that reaches it, which is entry r - 1 of the conjugate of reach
+    below = conjugate_parts(reach)[d - 1:] if d else ()
+    return Partition(tuple(r + 1 for r in reach) + below)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +367,10 @@ def _val_b2(elt, n: int) -> bool:
     t, nu = elt
     if not (isinstance(t, int) and 0 <= t <= n and isinstance(nu, Partition)):
         return False
-    if len(nu) > n + 1 + t:
+    parts = nu.parts
+    if len(parts) > n + 1 + t:
         return False
-    return not nu or nu.parts[0] <= n - t
+    return not parts or parts[0] <= n - t
 
 
 # B3 elements have the same (t, nu) shape and bounds as B2; only the
@@ -391,9 +411,8 @@ def _val_p(elt, n: int) -> bool:
     if not isinstance(elt, SignedDistinctSet) or elt.n != n:
         return False
     els = elt.elements
-    if any(abs(e) > n for e in els):
-        return False
-    return all(els[i] < els[i + 1] for i in range(len(els) - 1))
+    return not els or (-n <= els[0] and els[-1] <= n
+                       and all(map(lt, els, els[1:])))
 
 
 def _enum_p_gt(n: int) -> Iterator[SignedDistinctSet]:
@@ -403,14 +422,15 @@ def _enum_p_gt(n: int) -> Iterator[SignedDistinctSet]:
 
 
 def _val_p_gt(elt, n: int) -> bool:
-    return _val_p(elt, n) and len(elt) >= n + 1
+    return _val_p(elt, n) and len(elt.elements) >= n + 1
 
 
 def _is_odd_even_mult(parts) -> bool:
-    counts = Counter(parts)
-    return all(p % 2 == 1 for p in counts) and all(
-        c % 2 == 0 for c in counts.values()
-    )
+    """Every part odd, every multiplicity even: sorted, the parts pair off
+    into equal neighbours, and one of each pair is odd."""
+    ordered = sorted(parts)
+    half = ordered[::2]
+    return half == ordered[1::2] and all(p % 2 == 1 for p in half)
 
 
 def _val_ds(elt, k: int) -> bool:
@@ -424,7 +444,7 @@ def _val_ds(elt, k: int) -> bool:
     below = elt.parts[d:]
     if not _is_odd_even_mult(below):
         return False
-    right = _conj_tuple(tuple(p - d for p in elt.parts[:d] if p > d))
+    right = conjugate_parts(tuple(p - d for p in elt.parts[:d] if p > d))
     return _is_odd_even_mult(right)
 
 
@@ -437,7 +457,7 @@ def _enum_ds(k: int, cap: int) -> Iterator[Partition]:
             continue
         for c in _odd_even_mult(d, cap - d * d, length=cols):
             room = cap - d * d - sum(c)
-            r = _conj_tuple(c)
+            r = conjugate_parts(c)
             top = tuple(
                 d + (r[i] if i < len(r) else 0) for i in range(d)
             )
@@ -482,7 +502,7 @@ def _val_o(elt, n: int, k: int) -> bool:
     lam, pi = elt.first, elt.second
     if lam != rectangle(n):
         return False
-    if len(pi) != k or any(p % 2 == 0 for p in pi.parts):
+    if len(pi) != k or not all(map(mod, pi.parts, repeat(2))):
         return False
     return not pi or pi.parts[0] <= 2 * n + 1
 
@@ -502,7 +522,7 @@ def _val_do(elt, n: int, k: int) -> bool:
         return False
     if len(nu) != n:
         return False
-    if any(p % 2 == 0 for p in nu.parts):
+    if not all(map(mod, nu.parts, repeat(2))):
         return False
     if len(set(nu.parts)) != len(nu.parts):
         return False

@@ -1,9 +1,19 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from qident.series import MultiSeries, QSeries
+
+# CI keeps no example database, so a falsifying example found there is
+# reported with the blob that replays it (@reproduce_failure).  The profile
+# extends whatever profile is active (recent hypothesis versions load their
+# own "ci" profile, which already prints blobs) and changes nothing else.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 _GOLDEN = Path(__file__).with_name("golden_sides.json")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from qident import bijections
 from qident.bijections import (
     check_bijection,
     durfee_join,
@@ -254,3 +255,213 @@ def test_report_merge():
     merged = a.merge(b)
     assert merged.domain_size == a.domain_size + b.domain_size
     assert merged.passed()
+
+
+# ---------------------------------------------------------------------------
+# fault injection: a broken map is counted, and the first witness kept
+# ---------------------------------------------------------------------------
+
+# bijection -> (check_bijection arguments, forward name, inverse name,
+#               weight at which the raising forward map fails)
+_FAULT_CASES = {
+    "phi": (dict(n=2), "phi", "phi_inv", 3),
+    "psi": (dict(n=3), "psi", "psi_inv", -3),
+    "tau": (dict(n=2), "tau", "tau_complement", 1),
+    "rho": (dict(n=2), "rho", "rho_inv", 1),
+    "durfee_split": (dict(k=1, weight_cap=15), "durfee_split", "durfee_join", 9),
+    "nu3": (dict(n=2, k=1, weight_cap=20), "nu3_forward", "nu3_inverse", 9),
+}
+
+# (bijection, fault) -> (roundtrip_failures, weight_violations,
+#                        membership_failures, witness).  An inverse sending
+# everything to the first domain element breaks the round trip of every
+# other element once from each side: 2 * (16 - 1) = 30 for phi at n = 2,
+# with the second domain element as the witness.
+_FAULT_REPORTS = {
+    ("phi", "drop_last"):
+        (26, 13, 0, "PartitionPair(DistinctPartition(), Partition(2,))"),
+    ("phi", "other_preimage"):
+        (30, 0, 0, "PartitionPair(DistinctPartition(), Partition(2,))"),
+    ("phi", "raise"):
+        (0, 0, 8, "PartitionPair(DistinctPartition(), Partition(2, 1))"),
+    ("psi", "drop_last"): (14, 7, 0, "SignedDistinctSet((), n=3)"),
+    ("psi", "other_preimage"): (14, 0, 0, "SignedDistinctSet((-1,), n=3)"),
+    ("psi", "raise"): (0, 0, 4, "SignedDistinctSet((-3,), n=3)"),
+    ("tau", "drop_last"): (30, 12, 0, "SignedDistinctSet((-2, -1, 0), n=2)"),
+    # tau returns tau_complement's value, so the patched inverse is also the
+    # forward image, a set with too many elements for the codomain
+    ("tau", "other_preimage"): (16, 0, 16, "SignedDistinctSet((-2, -1, 0), n=2)"),
+    ("tau", "raise"): (0, 0, 6, "SignedDistinctSet((-2, 1, 2), n=2)"),
+    ("rho", "drop_last"): (26, 13, 0, "SignedDistinctSet((-2, -1, 1), n=2)"),
+    ("rho", "other_preimage"): (30, 0, 0, "SignedDistinctSet((-2, -1, 1), n=2)"),
+    ("rho", "raise"): (0, 0, 6, "SignedDistinctSet((-2, 1, 2), n=2)"),
+    ("durfee_split", "drop_last"): (11, 0, 11, "Partition(3, 1, 1)"),
+    ("durfee_split", "other_preimage"): (22, 0, 0, "Partition(3, 1, 1)"),
+    ("durfee_split", "raise"): (0, 0, 4, "Partition(3, 1, 1, 1, 1, 1, 1)"),
+    ("nu3", "drop_last"):
+        (3, 0, 3, "PartitionPair(Partition(2, 2, 2), Partition(5,))"),
+    ("nu3", "other_preimage"):
+        (4, 0, 0, "PartitionPair(Partition(2, 2, 2), Partition(3,))"),
+    ("nu3", "raise"): (0, 0, 2, "PartitionPair(Partition(2, 2, 2), Partition(3,))"),
+}
+
+
+def _drop_last(y):
+    """The same element with its last part (or set element) removed."""
+    if isinstance(y, PartitionPair):
+        return PartitionPair(y.first, _drop_last(y.second))
+    if isinstance(y, SignedDistinctSet):
+        return SignedDistinctSet(y.elements[:-1], y.n)
+    if isinstance(y, Partition):
+        return type(y)(y.parts[:-1])
+    t, nu = y
+    return (t, _drop_last(nu))
+
+
+def _first_domain_element(name, kwargs):
+    """The first element of the bijection's domain in sweep order."""
+    if name == "psi":
+        return SignedDistinctSet((), kwargs["n"])
+    family = {"phi": "B1", "tau": "P_gt", "rho": "P_gt",
+              "durfee_split": "DS", "nu3": "O"}[name]
+    return next(iter(enumerate_domain(family, **kwargs)))
+
+
+@pytest.mark.parametrize("name,fault", sorted(_FAULT_REPORTS))
+def test_sweep_counts_injected_faults(monkeypatch, name, fault):
+    kwargs, fwd_name, inv_name, bad_weight = _FAULT_CASES[name]
+    forward = getattr(bijections, fwd_name)
+    if fault == "drop_last":
+        # a forward map off by one part
+        monkeypatch.setattr(bijections, fwd_name,
+                            lambda *args: _drop_last(forward(*args)))
+    elif fault == "other_preimage":
+        # an inverse that returns one fixed valid domain element
+        first = _first_domain_element(name, kwargs)
+        monkeypatch.setattr(bijections, inv_name, lambda *args: first)
+    else:
+        def raising(*args):
+            if args[-1].weight == bad_weight:
+                raise DomainViolation("injected")
+            return forward(*args)
+        monkeypatch.setattr(bijections, fwd_name, raising)
+    rep = check_bijection(name, **kwargs)
+    size = rep.domain_size
+    assert size == rep.codomain_size and size > 2
+    got = (rep.roundtrip_failures, rep.weight_violations,
+           rep.membership_failures, rep.witness)
+    assert got == _FAULT_REPORTS[name, fault]
+    assert not rep.passed()
+
+
+def test_sweep_counts_weight_only_faults(monkeypatch):
+    # a codomain weight off by one on some elements: the maps still round
+    # trip, so only the weight law fails, element by element and once more
+    # for the weight multisets
+    b2, b3 = bijections.b2_weight, bijections.b3_weight
+    monkeypatch.setattr(bijections, "b2_weight",
+                        lambda elt: b2(elt) + (2 in elt[1].parts))
+    rep = check_bijection("phi", n=2)
+    assert (rep.roundtrip_failures, rep.weight_violations,
+            rep.membership_failures) == (0, 7, 0)
+    assert rep.witness == "PartitionPair(DistinctPartition(), Partition(2,))"
+    monkeypatch.setattr(bijections, "b3_weight",
+                        lambda n, elt: b3(n, elt) + (elt[0] == 1))
+    rep = check_bijection("rho", n=2)
+    assert (rep.roundtrip_failures, rep.weight_violations,
+            rep.membership_failures) == (0, 6, 0)
+    assert rep.witness == "SignedDistinctSet((-2, -1, 0, 1), n=2)"
+
+
+# ---------------------------------------------------------------------------
+# the DomainViolation text of every map
+# ---------------------------------------------------------------------------
+
+_VIOLATIONS = [
+    (lambda: phi(2, PartitionPair(DistinctPartition((3,)), Partition(()))),
+     "not a B1(2) element: PartitionPair(DistinctPartition(3,), Partition())"),
+    (lambda: phi_inv(2, (3, Partition((1,)))),
+     "not a B2(2) element: (3, Partition(1,))"),
+    (lambda: psi(3, SignedDistinctSet((-2, 1), 3)),
+     "psi input must use only negative elements of [-3,-1]:"
+     " SignedDistinctSet((-2, 1), n=3)"),
+    (lambda: psi_inv(2, DistinctPartition((3, 1))),
+     "psi inverse needs a distinct partition with parts in [1,2]:"
+     " DistinctPartition(3, 1)"),
+    (lambda: tau(2, SignedDistinctSet((0,), 2)),
+     "not a P_gt(2) element: SignedDistinctSet((0,), n=2)"),
+    (lambda: rho(1, SignedDistinctSet((1,), 1)),
+     "not a P_gt(1) element: SignedDistinctSet((1,), n=1)"),
+    (lambda: rho_inv(2, (1, Partition((2,)))),
+     "not a B3(2) element: (1, Partition(2,))"),
+    (lambda: durfee_split(Partition((4, 1, 1))),
+     "largest part must be odd: Partition(4, 1, 1)"),
+    (lambda: durfee_split(Partition((3, 1))),
+     "not a DS(1) element: Partition(3, 1)"),
+    (lambda: durfee_join(PartitionPair(Partition((2,)), Partition(()))),
+     "first component must be a single odd part: Partition(2,)"),
+    (lambda: durfee_join(PartitionPair(Partition((3,)), Partition((1,)))),
+     "not an OE(1) element: PartitionPair(Partition(3,), Partition(1,))"),
+    (lambda: nu3_forward(1, 1, PartitionPair(Partition((1, 1)), Partition((2,)))),
+     "not an O(1,1) element: PartitionPair(Partition(1, 1), Partition(2,))"),
+    (lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((4,)))),
+     "not a DO(1,1) element: PartitionPair(Partition(2,), DistinctPartition(4,))"),
+]
+
+
+@pytest.mark.parametrize("call,message", _VIOLATIONS)
+def test_domain_violation_text(call, message):
+    with pytest.raises(DomainViolation) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_tau_complement_takes_any_p_element():
+    # the involution has no side constraint, so it has no violation to
+    # report: a set with more than n elements is complemented as well
+    s = SignedDistinctSet((-1, 0, 1), 1)
+    assert tau_complement(1, s) == SignedDistinctSet((), 1)
+    assert tau_complement(1, SignedDistinctSet((), 1)) == s
+
+
+def _validators(verdicts):
+    """A domain_validator whose families in ``verdicts`` answer that verdict
+    for every element; the others are the real validators."""
+    real = bijections.domain_validator
+    return lambda name: (
+        (lambda *args: verdicts[name]) if name in verdicts else real(name))
+
+
+_EVERY = dict.fromkeys(("B1", "B2", "B3", "P", "P_gt", "DS", "OE", "O", "DO"), True)
+
+# checks after the input check, reached through validators that accept or
+# refuse everything; each text names the offending values in order
+_INNER_VIOLATIONS = [
+    (dict(OE=False), lambda: durfee_split(Partition((3,))),
+     "split of Partition(3,) left the OE(1) family:"
+     " PartitionPair(Partition(3,), Partition())"),
+    (dict(OE=False), lambda: durfee_join(PartitionPair(Partition((3,)), Partition(()))),
+     "not an OE(1) element: PartitionPair(Partition(3,), Partition())"),
+    (dict(DS=False), lambda: durfee_join(PartitionPair(Partition((3,)), Partition(()))),
+     "joined partition left the DS(1) family: Partition(3,)"),
+    (dict(DO=False), lambda: nu3_forward(1, 1, PartitionPair(Partition((1, 1)), Partition((3,)))),
+     "image left the DO(1,1) family:"
+     " PartitionPair(Partition(2,), DistinctPartition(3,))"),
+    (dict(O=False), lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((3,)))),
+     "preimage left the O(1,1) family:"
+     " PartitionPair(Partition(1, 1), Partition(3,))"),
+    (_EVERY, lambda: nu3_forward(1, 1, PartitionPair(Partition((1, 1)), Partition(()))),
+     "largest folded part is not n+k: (1, 1)"),
+    (_EVERY, lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((5,)))),
+     "hook closure largest part exceeds n+k: Partition(3, 1, 1)"),
+    (_EVERY, lambda: nu3_inverse(2, 1, PartitionPair(Partition((3,)), DistinctPartition((1,)))),
+     "hook closure has Durfee side 1 != 2"),
+]
+
+
+@pytest.mark.parametrize("verdicts,call,message", _INNER_VIOLATIONS)
+def test_inner_violation_text(monkeypatch, verdicts, call, message):
+    monkeypatch.setattr(bijections, "domain_validator", _validators(verdicts))
+    with pytest.raises(DomainViolation) as info:
+        call()
+    assert str(info.value) == message

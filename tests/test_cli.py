@@ -4,6 +4,7 @@ import pytest
 
 from qident.bijections import BIJECTION_NAMES
 from qident.cli import main, parse_partition, parse_pair, parse_signed_set
+from qident.dsl import MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
 
 
@@ -185,6 +186,13 @@ def test_eval_refusals_exit_2(capsys):
     assert code == 2 and "negative aux exponent" in err
     code, _, err = run(capsys, "eval", "q^(2^(2^40))")
     assert code == 2 and "bit limit" in err
+
+
+def test_eval_huge_sum_exit_2(capsys):
+    # one index over the limit; the summands would all be skipped, one by one
+    code, _, err = run(capsys, "eval", f"sum(n, 0, {MAX_SUM_TERMS}, q^(n+20))",
+                       "--trunc", "5")
+    assert code == 2 and "term limit" in err
 
 
 def test_eval_bad_binding(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident.dsl import (
+    MAX_SUM_TERMS,
     BinOp,
     Call,
     Int,
@@ -439,6 +440,19 @@ def test_poch_power_error_paths():
                  "poch(q^20, 1)^(-1)"):
         with pytest.raises(DslError):
             evaluate(text, {}, 10)
+
+
+def test_sum_range_guard():
+    # refused before the first summand: the body is a malformed call that
+    # would raise its own error if it were evaluated
+    bad_body = "poch(q, 0, 1)"
+    with pytest.raises(DslError, match="term limit"):
+        evaluate(f"sum(n, 1, {MAX_SUM_TERMS + 1}, {bad_body})", {}, 5)
+    with pytest.raises(DslError, match="term limit"):
+        evaluate(f"sum(n, -{MAX_SUM_TERMS}, 0, {bad_body})", {}, None)
+    with pytest.raises(DslError, match="poch step"):
+        evaluate(f"sum(n, 1, {MAX_SUM_TERMS}, {bad_body})", {}, 5)
+    assert evaluate("sum(n, 3, 2, q)", {}, 5) == MultiSeries.zero()
 
 
 def test_integer_power_guard():

@@ -11,6 +11,7 @@ from qident.partitions import (
     PartitionPair,
     SignedDistinctSet,
     conjugate,
+    conjugate_parts,
     distinct_odd_to_selfconj,
     domain_validator,
     durfee_size,
@@ -333,3 +334,204 @@ def test_conjugate_preserves_weight_and_durfee(p):
     assert c.weight == p.weight
     assert c.durfee_size() == p.durfee_size()
     assert len(c) == (p.parts[0] if p else 0)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass checks against their definitions
+# ---------------------------------------------------------------------------
+
+# int tuples near the boundary of every invariant: zeros, negatives, ties,
+# unsorted runs, and many sorted ones
+raw_tuple_st = st.one_of(
+    st.lists(st.integers(-3, 8), max_size=7).map(tuple),
+    st.lists(st.integers(0, 8), max_size=7).map(
+        lambda v: tuple(sorted(v, reverse=True))),
+    st.lists(st.integers(-6, 6), max_size=7).map(lambda v: tuple(sorted(v))),
+)
+
+
+def _partition_message(parts):
+    """ValueError text for a Partition of ``parts``, None for a partition."""
+    if not all(p > 0 for p in parts):
+        return f"parts must be positive: {parts}"
+    if not all(a >= b for a, b in zip(parts, parts[1:])):
+        return f"parts must be weakly decreasing: {parts}"
+    return None
+
+
+def _distinct_message(parts):
+    message = _partition_message(parts)
+    if message is None and len(set(parts)) < len(parts):
+        return f"parts must be strictly decreasing: {parts}"
+    return message
+
+
+def _signed_message(elements, n):
+    if not all(-n <= e <= n for e in elements):
+        return f"element out of range [-{n}, {n}]: {elements}"
+    if list(elements) != sorted(set(elements)):
+        return f"elements must be strictly increasing: {elements}"
+    return None
+
+
+def _constructed(make, message):
+    if message is None:
+        return make()
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+    return None
+
+
+@given(parts=raw_tuple_st)
+@settings(max_examples=300)
+def test_partition_checks_match_definition(parts):
+    p = _constructed(lambda: Partition(list(parts)), _partition_message(parts))
+    assert p is None or p.parts == parts
+    d = _constructed(lambda: DistinctPartition(iter(parts)), _distinct_message(parts))
+    assert d is None or d.parts == parts
+
+
+@given(elements=raw_tuple_st, n=st.integers(-1, 5))
+@settings(max_examples=300)
+def test_signed_set_checks_match_definition(elements, n):
+    s = _constructed(lambda: SignedDistinctSet(elements, n),
+                     _signed_message(elements, n))
+    assert s is None or (s.elements, s.n) == (elements, n)
+
+
+def _count_conjugate(parts):
+    """Entry j - 1 is the number of parts >= j."""
+    return tuple(sum(1 for p in parts if p >= j)
+                 for j in range(1, max(parts, default=0) + 1))
+
+
+@given(p=partition_st)
+@settings(max_examples=150)
+def test_conjugate_is_the_count_formula(p):
+    counts = _count_conjugate(p.parts)
+    assert conjugate(p).parts == counts
+    assert conjugate(conjugate(p)) == p
+    assert p.is_self_conjugate() == (counts == p.parts)
+    # trailing zero parts add nothing
+    assert conjugate_parts(p.parts + (0, 0)) == counts
+
+
+def _odd_even(parts):
+    return all(p % 2 == 1 and parts.count(p) % 2 == 0 for p in parts)
+
+
+def _def_b1(elt, n):
+    if not isinstance(elt, PartitionPair):
+        return False
+    lam, pi = elt.first.parts, elt.second.parts
+    bound = min(lam) - 1 if lam else n
+    return (len(set(lam)) == len(lam) and all(p <= n for p in lam)
+            and len(pi) <= n + 1 and all(p <= bound for p in pi))
+
+
+def _def_b2(elt, n):
+    if not (isinstance(elt, tuple) and len(elt) == 2):
+        return False
+    t, nu = elt
+    return (isinstance(t, int) and isinstance(nu, Partition) and 0 <= t <= n
+            and len(nu.parts) <= n + 1 + t and all(p <= n - t for p in nu.parts))
+
+
+def _def_p(elt, n):
+    return (isinstance(elt, SignedDistinctSet) and elt.n == n
+            and list(elt.elements) == sorted(set(elt.elements))
+            and all(-n <= e <= n for e in elt.elements))
+
+
+def _def_p_gt(elt, n):
+    return _def_p(elt, n) and len(elt.elements) >= n + 1
+
+
+def _def_ds(elt, k):
+    if not isinstance(elt, Partition) or not elt.parts:
+        return False
+    parts = elt.parts
+    d = sum(1 for i, p in enumerate(parts) if p > i)
+    right = [p - d for p in parts[:d] if p > d]
+    return (parts[0] == 2 * k + 1 and d % 2 == 1 and _odd_even(parts[d:])
+            and _odd_even(_count_conjugate(right)))
+
+
+def _def_oe(elt, k):
+    if not isinstance(elt, PartitionPair):
+        return False
+    nu = elt.second.parts
+    return (elt.first.parts == (2 * k + 1,)
+            and all(p <= 2 * k + 1 for p in nu) and _odd_even(nu))
+
+
+def _def_o(elt, n, k):
+    if not isinstance(elt, PartitionPair):
+        return False
+    pi = elt.second.parts
+    return (elt.first.parts == ((n,) * (n + 1) if n else ())
+            and len(pi) == k and all(p % 2 == 1 and p <= 2 * n + 1 for p in pi))
+
+
+def _def_do(elt, n, k):
+    if not isinstance(elt, PartitionPair):
+        return False
+    nu = elt.second.parts
+    return (elt.first.parts == ((n + k,) if n + k else ())
+            and len(nu) == n and len(set(nu)) == n
+            and all(p % 2 == 1 and p <= 2 * (n + k) - 1 for p in nu))
+
+
+# family -> (definition, parameters, weight cap)
+_DEFINITIONS = {
+    "B1": (_def_b1, dict(n=2), None),
+    "B2": (_def_b2, dict(n=2), None),
+    "B3": (_def_b2, dict(n=2), None),
+    "P": (_def_p, dict(n=2), None),
+    "P_gt": (_def_p_gt, dict(n=2), None),
+    "DS": (_def_ds, dict(k=2), 21),
+    "OE": (_def_oe, dict(k=1), 15),
+    "O": (_def_o, dict(n=2, k=2), 24),
+    "DO": (_def_do, dict(n=2, k=2), 24),
+}
+
+partition_tuple_st = st.one_of(
+    st.lists(st.integers(1, 9), max_size=7),
+    # every multiplicity even, as the DS and OE families need
+    st.lists(st.integers(1, 6), max_size=3).map(lambda v: v * 2),
+).map(lambda v: tuple(sorted(v, reverse=True)))
+
+
+def _mutant(draw, elt):
+    """A fresh copy of ``elt`` with each slot kept or, at random,
+    overwritten: a partition's parts by any partition (ties included, also
+    in a DistinctPartition), a signed set's elements and n by anything."""
+    if isinstance(elt, PartitionPair):
+        return PartitionPair(_mutant(draw, elt.first), _mutant(draw, elt.second))
+    if isinstance(elt, tuple):
+        t, nu = elt
+        return (draw(st.sampled_from([t, t, -1, t + 1, 3])), _mutant(draw, nu))
+    if isinstance(elt, SignedDistinctSet):
+        out = SignedDistinctSet(elt.elements, elt.n)
+        if draw(st.booleans()):
+            out.elements = draw(raw_tuple_st)
+        if draw(st.booleans()):
+            out.n = draw(st.integers(-1, 4))
+        return out
+    out = type(elt)(elt.parts)
+    if draw(st.booleans()):
+        out.parts = draw(partition_tuple_st)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_validators_match_definitions_on_mutated_elements(data):
+    name = data.draw(st.sampled_from(sorted(_DEFINITIONS)))
+    definition, params, cap = _DEFINITIONS[name]
+    elements = list(enumerate_domain(name, weight_cap=cap, **params))
+    elt = _mutant(data.draw, data.draw(st.sampled_from(elements)))
+    # the validator is also asked about neighbouring parameters
+    asked = {p: max(0, v + data.draw(st.integers(-1, 1))) for p, v in params.items()}
+    assert domain_validator(name)(elt, **asked) == definition(elt, **asked)
