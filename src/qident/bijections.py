@@ -15,7 +15,6 @@ map's checks format their ``DomainViolation`` message only when they fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Optional
@@ -120,6 +119,7 @@ def tau(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
 
 def tau_complement(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
     """The underlying involution, with no side constraint on the part count."""
+    _require(lam.n == n, "not a P({}) element: {!r}", n, lam)
     missing = set(range(-n, n + 1)).difference(lam.elements)
     return SignedDistinctSet(tuple(sorted(map(neg, missing))), n)
 
@@ -265,8 +265,7 @@ def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Aggregated result of an exhaustive forward/backward sweep."""
 
     name: str
@@ -299,54 +298,54 @@ class BijectionReport:
 
 def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
            weight_cap: Optional[int]) -> BijectionReport:
-    rep = BijectionReport(name=name)
     domain, in_domain = spec.domain(n, k, weight_cap)
     codomain, in_codomain = spec.codomain(n, k, weight_cap)
     forward, inverse = spec.forward, spec.inverse
     w_domain, w_codomain = spec.w_domain, spec.w_codomain
     delta = spec.shift(n)
+    roundtrip = weight = membership = 0
+    witness = None
     dom_weights = []
     for x in domain:
-        rep.domain_size += 1
         wx = w_domain(n, x) + delta
         dom_weights.append(wx)
         try:
             y = forward(n, k, x)
             if not in_codomain(y):
-                rep.membership_failures += 1
-                rep.witness = rep.witness or repr(x)
+                membership += 1
+                witness = witness or repr(x)
                 continue
             if w_codomain(n, y) != wx:
-                rep.weight_violations += 1
-                rep.witness = rep.witness or repr(x)
+                weight += 1
+                witness = witness or repr(x)
             if inverse(n, k, y) != x:
-                rep.roundtrip_failures += 1
-                rep.witness = rep.witness or repr(x)
+                roundtrip += 1
+                witness = witness or repr(x)
         except DomainViolation:
-            rep.membership_failures += 1
-            rep.witness = rep.witness or repr(x)
+            membership += 1
+            witness = witness or repr(x)
     cod_weights = []
     for y in codomain:
-        rep.codomain_size += 1
         cod_weights.append(w_codomain(n, y))
         try:
             x = inverse(n, k, y)
             if not in_domain(x):
-                rep.membership_failures += 1
-                rep.witness = rep.witness or repr(y)
+                membership += 1
+                witness = witness or repr(y)
                 continue
             if forward(n, k, x) != y:
-                rep.roundtrip_failures += 1
-                rep.witness = rep.witness or repr(y)
+                roundtrip += 1
+                witness = witness or repr(y)
         except DomainViolation:
-            rep.membership_failures += 1
-            rep.witness = rep.witness or repr(y)
+            membership += 1
+            witness = witness or repr(y)
     # independent of the element-wise law: the shifted weight multisets of
     # the two enumerations must coincide
     if sorted(dom_weights) != sorted(cod_weights):
-        rep.weight_violations += 1
-        rep.witness = rep.witness or "domain/codomain weight multisets differ"
-    return rep
+        weight += 1
+        witness = witness or "domain/codomain weight multisets differ"
+    return BijectionReport(name, len(dom_weights), len(cod_weights),
+                           roundtrip, weight, membership, witness)
 
 
 class _Bijection(NamedTuple):

@@ -4,6 +4,17 @@ Subcommands: ``verify`` (identity verification), ``bijection`` (exhaustive
 map checking and worked-example demos), ``eval`` (expression evaluation and
 diffing), ``table`` (counting-function cross-checks) and ``list``.
 
+Each command imports the modules it runs inside its own function, so a
+launch compiles and executes only those (besides this module and
+``errors``):
+
+- ``eval``: ``dsl`` and ``series``;
+- ``bijection``: ``bijections`` and ``partitions``;
+- ``verify`` and ``table``: ``identities``, ``dsl`` and ``series``, then
+  ``partitions`` when an enumeration side or a brute-force count runs, and
+  ``bijections`` for the ``p_gt`` recount of ``middle``;
+- ``list``: ``identities``, ``bijections`` and ``partitions``.
+
 Exit codes: 0 = success/equal, 1 = verified false, 2 = usage or parse error.
 JSON goes to stdout with ``--format json``; diagnostics go to stderr.
 """
@@ -13,17 +24,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from . import bijections, dsl, identities
 from .errors import ParseError, QidentError
-from .partitions import DistinctPartition, Partition, PartitionPair, SignedDistinctSet
-from .series import mono_str
+
+if TYPE_CHECKING:
+    from .partitions import Partition, PartitionPair, SignedDistinctSet
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Normalized invocation: command, target, parameters and output knobs."""
 
     command: str
@@ -66,6 +75,8 @@ def ferrers(p: Partition, indent: str = "  ") -> str:
 
 
 def parse_partition(text: str) -> Partition:
+    from .partitions import Partition
+
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"partition must look like (5,3): {text!r}")
@@ -75,6 +86,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_signed_set(text: str, n: int) -> SignedDistinctSet:
+    from .partitions import SignedDistinctSet
+
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"signed set must look like {{-2,0,1}}: {text!r}")
@@ -84,6 +97,8 @@ def parse_signed_set(text: str, n: int) -> SignedDistinctSet:
 
 
 def parse_pair(text: str) -> PartitionPair:
+    from .partitions import PartitionPair
+
     if "|" not in text:
         raise ValueError(f"pair must look like (5,3)|(2,2,1): {text!r}")
     a, b = text.split("|", 1)
@@ -91,6 +106,8 @@ def parse_pair(text: str) -> PartitionPair:
 
 
 def _dump_series(ms, fmt) -> None:
+    from .series import mono_str
+
     rows = []
     for mono in ms.monomials():
         qs = ms.entries[mono]
@@ -120,6 +137,8 @@ def _dump_series(ms, fmt) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import identities
+
     # a polynomial identity is compared in full unless --trunc is given
     trunc = cfg.trunc
     if trunc is None and identities.get_identity(cfg.target).kind == "truncated-series":
@@ -150,6 +169,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _demo_phi(cfg: RunConfig) -> int:
+    from . import bijections
+    from .partitions import DistinctPartition, PartitionPair, staircase
+
     n = cfg.n
     pair = parse_pair(cfg.demo)
     pair = PartitionPair(DistinctPartition(pair.first.parts), pair.second)
@@ -158,8 +180,6 @@ def _demo_phi(cfg: RunConfig) -> int:
     ell = len(pair.first)
     print(f"number of parts of lambda: {ell}")
     t, nu = bijections.phi(n, pair)
-    from .partitions import staircase
-
     print(f"mu = staircase {part_str(staircase(t))} (t={t})")
     print(f"nu = {part_str(nu)}")
     print(f"output weight: {t * (t + 1) // 2 + nu.weight}")
@@ -172,6 +192,8 @@ def _demo_phi(cfg: RunConfig) -> int:
 
 
 def _demo_rho(cfg: RunConfig) -> int:
+    from . import bijections
+
     n = cfg.n
     lam = parse_signed_set(cfg.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
@@ -186,6 +208,8 @@ def _demo_rho(cfg: RunConfig) -> int:
 
 
 def _demo_psi(cfg: RunConfig) -> int:
+    from . import bijections
+
     n = cfg.n
     mu = parse_signed_set(cfg.demo, n)
     print(f"input: mu={set_str(mu)} (weight {mu.weight})")
@@ -198,6 +222,8 @@ def _demo_psi(cfg: RunConfig) -> int:
 
 
 def _demo_tau(cfg: RunConfig) -> int:
+    from . import bijections
+
     n = cfg.n
     lam = parse_signed_set(cfg.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
@@ -209,6 +235,8 @@ def _demo_tau(cfg: RunConfig) -> int:
 
 
 def _demo_durfee(cfg: RunConfig) -> int:
+    from . import bijections
+
     lam = parse_partition(cfg.demo)
     print(f"input: lambda={part_str(lam)} (weight {lam.weight},"
           f" Durfee side {lam.durfee_size()})")
@@ -222,6 +250,9 @@ def _demo_durfee(cfg: RunConfig) -> int:
 
 
 def _demo_nu3(cfg: RunConfig) -> int:
+    from . import bijections
+    from .partitions import Partition, distinct_odd_to_selfconj
+
     n, k = cfg.n, cfg.k
     pair = parse_pair(cfg.demo)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
@@ -241,8 +272,6 @@ def _demo_nu3(cfg: RunConfig) -> int:
     if cfg.ferrers:
         print(ferrers(nu_star))
     out = bijections.nu3_forward(n, k, pair)
-    from .partitions import distinct_odd_to_selfconj
-
     nu_prime = distinct_odd_to_selfconj(out.second)
     print(f"mu = {part_str(out.first)}; self-conjugate residue ="
           f" {part_str(nu_prime)} (Durfee side {nu_prime.durfee_size()})")
@@ -263,6 +292,8 @@ _DEMOS = {
 
 
 def cmd_bijection(cfg: RunConfig) -> int:
+    from . import bijections
+
     name = cfg.target
     if name not in bijections.BIJECTION_NAMES:
         return _usage_error(
@@ -308,6 +339,9 @@ def cmd_bijection(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
+    from . import dsl
+    from .series import mono_str
+
     bindings = {}
     for b in binds:
         if "=" not in b:
@@ -352,6 +386,8 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
 
 
 def cmd_table(cfg: RunConfig) -> int:
+    from . import identities
+
     max_n = cfg.max_n
     if max_n < 1:
         return _usage_error("table requires --max-n >= 1")
@@ -384,6 +420,8 @@ def cmd_table(cfg: RunConfig) -> int:
 
 
 def cmd_list(cfg: RunConfig) -> int:
+    from . import bijections, identities
+
     if cfg.fmt == "json":
         print(json.dumps({
             "identities": list(identities.IDENTITY_IDS),

@@ -26,13 +26,13 @@ expanded on their own: the series kernel multiplies or divides one dense
 accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` adds its
 summands in place.  With no truncation order a negative power of a
 q-polynomial is divided out exactly.  An integer power whose result would
-pass MAX_POWER_BITS bits, and a sum over more than MAX_SUM_TERMS indices,
-are refused with DslError.
+pass MAX_POWER_BITS bits, a sum over more than MAX_SUM_TERMS indices, and
+an exact power whose degree would pass MAX_EXACT_DEGREE are refused with
+DslError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, log2
 from typing import Optional, Union
 
@@ -65,44 +65,96 @@ MAX_POWER_BITS = 1 << 16
 # huge range fails at once instead of walking summands one by one
 MAX_SUM_TERMS = 1 << 16
 
+# the largest degree, in q or in any of z, x, y, that the power of an exact
+# polynomial may expand to: 16 times the largest registry power at n = 500
+# ((-q;q)_500^2, degree 250 500); refused before the power is expanded
+MAX_EXACT_DEGREE = 1 << 22
+
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Int:
-    value: int
+class _Node:
+    """An immutable record whose fields are its ``__slots__``: equal to a
+    record of the same class with equal fields, hashed by its fields, and
+    shown as ``Class(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+_init = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Int(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _init(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-" or "*"
-    left: "Expr"
-    right: "Expr"
+class Name(_Node):
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str):
+        _init(self, "ident", ident)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: "Expr"
+class Neg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        _init(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        _init(self, "op", op)  # "+", "-" or "*"
+        _init(self, "left", left)
+        _init(self, "right", right)
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: "Expr"):
+        _init(self, "base", base)
+        _init(self, "exponent", exponent)
+
+
+class Call(_Node):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        _init(self, "func", func)
+        _init(self, "args", args)
 
 
 Expr = Union[Int, Name, Neg, BinOp, Pow, Call]
@@ -115,12 +167,14 @@ Expr = Union[Int, Name, Neg, BinOp, Pow, Call]
 _SYMBOLS = "+-*^(),"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # INT, NAME, one of _SYMBOLS, or EOF
-    text: str
-    line: int
-    col: int
+class Token(_Node):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _init(self, "kind", kind)  # INT, NAME, one of _SYMBOLS, or EOF
+        _init(self, "text", text)
+        _init(self, "line", line)
+        _init(self, "col", col)
 
 
 def _tokenize(text: str) -> list:
@@ -337,6 +391,25 @@ def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
     return ms.invert_unit(trunc)
 
 
+def _exact_power_check(base: MultiSeries, k: int, with_q: bool) -> None:
+    """Refuse the power base^k of an exact polynomial when its exponent
+    range in z, x or y, or in q when ``with_q``, |k| times that of base,
+    would pass MAX_EXACT_DEGREE."""
+    monos = [m for m, qs in base.entries.items() if qs.coeffs]
+    if not monos:
+        return
+    ranges = [max(col) - min(col) for col in zip(*monos)]
+    if with_q:
+        exps = [e for m in monos for e in base.entries[m].coeffs]
+        ranges.append(max(exps) - min(exps))
+    degree = max(ranges)
+    if degree * abs(k) > MAX_EXACT_DEGREE:
+        raise DslError(
+            f"power {k} of a polynomial of degree {degree} exceeds the"
+            f" {MAX_EXACT_DEGREE}-degree limit of exact powers"
+        )
+
+
 _GENERATORS = {"z": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
 
 
@@ -495,6 +568,13 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             base, k = eval_series(f.base, bindings, inner), eval_int(f.exponent, bindings)
         else:
             base, k = eval_series(f, bindings, inner), 1
+        if abs(k) > 1 and base.trunc is None and (inner is None or k > 0):
+            # a power series' power below inner needs only its terms below
+            # inner; otherwise the power is expanded exactly
+            series = inner is not None and base.min_qexp() >= 0
+            _exact_power_check(base, k, with_q=not series)
+            if series:
+                base = base.truncate(inner)
         if k < 0 and trunc is None and set(base.entries) <= {TRIVIAL_MONO}:
             divisors.append(base.qseries().power(-k))
             continue

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, repeat
 from operator import ge, gt, lt, mod
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import MissingParam, NotSelfConjugate, UnknownDomain
-from .series import QSeries
+
+if TYPE_CHECKING:
+    from .series import QSeries
 
 
 class Partition:
@@ -577,6 +579,8 @@ def domain_validator(name: str):
 
 def weight_gf(weights) -> QSeries:
     """Exact generating function sum q^w over an iterable of weights."""
+    from .series import QSeries
+
     acc: dict = {}
     for w in weights:
         acc[w] = acc.get(w, 0) + 1

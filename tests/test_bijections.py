@@ -2,6 +2,7 @@ import pytest
 
 from qident import bijections
 from qident.bijections import (
+    BijectionReport,
     check_bijection,
     durfee_join,
     durfee_split,
@@ -257,6 +258,27 @@ def test_report_merge():
     assert merged.passed()
 
 
+def test_report_fields_and_merge():
+    assert BijectionReport._fields == (
+        "name", "domain_size", "codomain_size", "roundtrip_failures",
+        "weight_violations", "membership_failures", "witness")
+    empty = BijectionReport("phi")
+    assert empty == BijectionReport("phi", 0, 0, 0, 0, 0, None)
+    assert empty.passed()
+    assert repr(empty) == (
+        "BijectionReport(name='phi', domain_size=0, codomain_size=0,"
+        " roundtrip_failures=0, weight_violations=0, membership_failures=0,"
+        " witness=None)")
+    a = BijectionReport("nu3", 4, 3, 1, 0, 2, None)
+    b = BijectionReport("other", 1, 2, 0, 5, 0, "w")
+    merged = a.merge(b)
+    assert merged == BijectionReport("nu3", 5, 5, 1, 5, 2, "w")
+    assert not merged.passed()
+    assert BijectionReport("x", 1, 1, witness="first").merge(b).witness == "first"
+    assert BijectionReport("x", 2, 2).passed()
+    assert not BijectionReport("x", 2, 1).passed()
+
+
 # ---------------------------------------------------------------------------
 # fault injection: a broken map is counted, and the first witness kept
 # ---------------------------------------------------------------------------
@@ -390,6 +412,10 @@ _VIOLATIONS = [
      " DistinctPartition(3, 1)"),
     (lambda: tau(2, SignedDistinctSet((0,), 2)),
      "not a P_gt(2) element: SignedDistinctSet((0,), n=2)"),
+    (lambda: tau_complement(1, SignedDistinctSet((-3, 3), 3)),
+     "not a P(1) element: SignedDistinctSet((-3, 3), n=3)"),
+    (lambda: tau_complement(2, SignedDistinctSet((-1,), 1)),
+     "not a P(2) element: SignedDistinctSet((-1,), n=1)"),
     (lambda: rho(1, SignedDistinctSet((1,), 1)),
      "not a P_gt(1) element: SignedDistinctSet((1,), n=1)"),
     (lambda: rho_inv(2, (1, Partition((2,)))),

@@ -1,7 +1,12 @@
+import copy
+import inspect
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident.dsl import (
+    MAX_EXACT_DEGREE,
     MAX_SUM_TERMS,
     BinOp,
     Call,
@@ -9,6 +14,7 @@ from qident.dsl import (
     Name,
     Neg,
     Pow,
+    Token,
     eval_int,
     eval_series,
     evaluate,
@@ -455,6 +461,45 @@ def test_sum_range_guard():
     assert evaluate("sum(n, 3, 2, q)", {}, 5) == MultiSeries.zero()
 
 
+def test_exact_power_guard():
+    # error paths only: every refused power is over the limit by one step
+    # and is refused before it is expanded
+    over = MAX_EXACT_DEGREE + 1
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(1+q)^{over}", {}, None)
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(1-q^2)^{over // 2 + 1}", {}, None)
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(1-q)^(-{over})", {}, None)
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(q^(-1) + 1)^{over}", {}, None)
+    # the aux degree counts too, with or without a truncation order
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(1+z)^{over}", {}, None)
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(1+z)^{over}", {}, 5)
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"(z^(-1) + x*z)^{over // 2 + 1}", {}, 5)
+    # monomials and integers are folded, not expanded
+    assert evaluate(f"q^{over} * (1+q)", {}, None) == (
+        MultiSeries.q(over) + MultiSeries.q(over + 1))
+    assert evaluate(f"(-q)^{over}", {}, None) == -MultiSeries.q(over)
+
+
+def test_truncated_power_of_polynomial_is_truncated_first():
+    # a power series raised to a huge power below a truncation order needs
+    # only its terms below that order; its trusted coefficients are exact
+    value = evaluate("(1+q)^(10^9)", {}, 4)
+    n = 10**9
+    assert value.trunc == 4
+    assert value == MultiSeries({(0, 0, 0): QSeries(
+        {0: 1, 1: n, 2: n * (n - 1) // 2, 3: n * (n - 1) * (n - 2) // 6}, 4)}, 4)
+    assert evaluate("(1 - q^2 + 3*q)^5", {}, 7) == evaluate(
+        "(1 - q^2 + 3*q)^5", {}, None).truncate(7)
+    assert evaluate("(q^(-1) + 2)^3", {}, 2) == evaluate(
+        "(q^(-1) + 2)^3", {}, None).truncate(2)
+
+
 def test_integer_power_guard():
     # the guard refuses before computing; the huge powers are never built
     with pytest.raises(DslError, match="bit limit"):
@@ -465,3 +510,62 @@ def test_integer_power_guard():
         evaluate("(2*q)^(2^20) * poch(q, 1, inf)", {}, 10)
     assert eval_int(parse("2^1000"), {}) == 2**1000
     assert evaluate("(-1)^(2^70) * q", {}, 5) == MultiSeries.q(1)
+
+
+# ---------------------------------------------------------------------------
+# AST and token records
+# ---------------------------------------------------------------------------
+
+_NODES = [Int(3), Name("q"), Neg(Int(1)), BinOp("+", Int(1), Name("z")),
+          Pow(Name("q"), Int(2)), Call("poch", (Name("q"), Int(1), Name("inf"))),
+          Token("NAME", "q", 1, 4)]
+
+
+def _fields(node) -> dict:
+    """The record's fields by constructor parameter name."""
+    names = inspect.signature(type(node)).parameters
+    return {f: getattr(node, f) for f in names}
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_node_equality_and_hash(node):
+    twin = type(node)(**_fields(node))
+    assert twin is not node and twin == node and not twin != node
+    assert hash(twin) == hash(node)
+    assert len({node, twin}) == 1
+    first, *rest = _fields(node).values()
+    assert type(node)("other", *rest) != node
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_node_is_immutable(node):
+    field = next(iter(_fields(node)))
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(node, field, None)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert copy.copy(node) == node
+    assert copy.deepcopy(node) == node
+    assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_nodes_of_different_classes_differ():
+    # equal fields, different classes: never equal
+    assert Int("q") != Name("q")
+    assert Name(Int(1)) != Neg(Int(1))
+    assert Pow("f", ()) != Call("f", ())
+    assert Int(1) != 1 and Name("q") != "q"
+    assert Call("f", ()) != ("f", ())
+    assert BinOp("+", Int(1), Int(2)) != ("+", Int(1), Int(2))
+
+
+def test_node_repr():
+    assert repr(parse("poch(-q, 1, n)^2")) == (
+        "Pow(base=Call(func='poch', args=(Neg(operand=Name(ident='q')),"
+        " Int(value=1), Name(ident='n'))), exponent=Int(value=2))")
+    assert repr(parse("a - 2*b")) == (
+        "BinOp(op='-', left=Name(ident='a'), right=BinOp(op='*',"
+        " left=Int(value=2), right=Name(ident='b')))")
+    assert repr(Token("EOF", "", 2, 7)) == "Token(kind='EOF', text='', line=2, col=7)"

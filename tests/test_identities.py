@@ -5,6 +5,9 @@ from qident.errors import BadParams, TruncationRequired, UnknownIdentity
 from qident.identities import (
     IDENTITY_IDS,
     REGISTRY,
+    IdentityCase,
+    Mismatch,
+    VerifyReport,
     build_side,
     nu3_specialized,
     p_nu,
@@ -135,6 +138,45 @@ def test_verify_json_shape():
                       "first_mismatch"}
     assert d["equal"] is True and d["first_mismatch"] is None
     assert d["complete"] is True  # degree 6 < 60
+
+
+def test_report_records():
+    mm = Mismatch((1, 0, -2), 7, 3, -4, ("lhs", "b1"))
+    assert mm.monomial_str() == "z*y^-2"
+    assert Mismatch((0, 0, 0), 0, 1, 2).sides == ("lhs", "rhs")
+    rep = VerifyReport("thm21", {"n": 2}, None, False, True, mm)
+    assert rep.to_json_dict() == {
+        "id": "thm21", "params": {"n": 2}, "trunc": None, "equal": False,
+        "complete": True,
+        "first_mismatch": {"monomial": "z*y^-2", "exponent": 7, "lhs": 3,
+                           "rhs": -4},
+    }
+    ok = VerifyReport("ay1", {}, 40, True, False)
+    assert ok.first_mismatch is None
+    assert ok.to_json_dict()["first_mismatch"] is None
+    assert repr(ok) == ("VerifyReport(id='ay1', params={}, trunc=40, equal=True,"
+                        " complete=False, first_mismatch=None)")
+    assert verify("thm21", {"n": 2}, trunc=None) == VerifyReport(
+        "thm21", {"n": 2}, None, True, True, None)
+
+
+def test_identity_case_fields():
+    case = REGISTRY["omega1"]
+    assert (case.id, case.params, case.kind) == ("omega1", (), "truncated-series")
+    assert set(case.comb_builders) == {"ds", "oe"}
+    assert dict(REGISTRY["ay1"].comb_builders) == {}
+    with pytest.raises(AttributeError):
+        case.kind = "integer"
+    # dataclasses.replace and dataclasses.fields see the same fields
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(case)] == [
+        "id", "params", "kind", "texts", "comb_builders"]
+    swapped = dataclasses.replace(case, comb_builders={})
+    assert type(swapped) is IdentityCase
+    assert (swapped.id, swapped.texts, dict(swapped.comb_builders)) == (
+        "omega1", case.texts, {})
+    assert dataclasses.replace(case) == case
 
 
 # ---------------------------------------------------------------------------

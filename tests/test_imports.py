@@ -1,0 +1,121 @@
+"""The import contract: a command loads only the modules it runs, nothing
+loads ``dataclasses``, and the package's public names resolve on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import qident
+
+# every name the package exported when its __init__ imported each submodule
+_PUBLIC = {
+    "errors": (
+        "BadParams", "DivisionInexact", "DomainViolation", "DslError",
+        "MissingParam", "NonConvergent", "NonIntegerExponent",
+        "NonUnitConstantTerm", "NotSelfConjugate", "ParseError", "QidentError",
+        "TruncationRequired", "UnboundVariable", "UnknownBijection",
+        "UnknownDomain", "UnknownIdentity",
+    ),
+    "series": ("MultiSeries", "QSeries", "poch_finite", "poch_infinite",
+               "qbinom", "qq_factorial"),
+    "partitions": (
+        "DistinctPartition", "Partition", "PartitionPair", "SignedDistinctSet",
+        "conjugate", "distinct_odd_to_selfconj", "domain_validator",
+        "durfee_size", "enumerate_domain", "enumerate_partitions",
+        "selfconj_to_distinct_odd",
+    ),
+    "bijections": (
+        "BijectionReport", "check_bijection", "durfee_join", "durfee_split",
+        "nu3_forward", "nu3_inverse", "phi", "phi_inv", "psi", "psi_inv",
+        "rho", "rho_inv", "tau",
+    ),
+    "identities": (
+        "IDENTITY_IDS", "IdentityCase", "VerifyReport", "build_side", "p_nu",
+        "p_omega", "q1_limit_check", "s_sum", "verify",
+    ),
+    "dsl": ("evaluate", "parse", "unparse"),
+}
+
+_SRC = str(Path(qident.__file__).resolve().parents[1])
+
+
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter holds after running ``code`` (which
+    may print nothing to stdout)."""
+    probe = (code + "\nimport json, sys\n"
+             "sys.__stdout__.write(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out))
+
+
+def _after_main(*argv) -> set:
+    return _modules_after(
+        "import contextlib, io\n"
+        "from qident.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n")
+
+
+def test_import_loads_no_submodule():
+    loaded = _modules_after("import qident")
+    assert {m for m in loaded if m.startswith("qident")} == {"qident"}
+    assert "dataclasses" not in loaded
+
+
+def test_eval_loads_only_dsl_and_series():
+    loaded = _after_main("eval", "q", "--trunc", "3")
+    assert {m for m in loaded if m.startswith("qident")} == {
+        "qident", "qident.cli", "qident.errors", "qident.dsl", "qident.series"}
+    assert not loaded & {"qident.partitions", "qident.bijections",
+                         "qident.identities", "dataclasses"}
+
+
+def test_bijection_loads_no_dsl_or_identities():
+    loaded = _after_main("bijection", "phi", "--n", "1")
+    assert not loaded & {"qident.dsl", "qident.identities", "qident.series",
+                         "dataclasses"}
+    assert "qident.bijections" in loaded
+
+
+def test_list_loads_no_dsl_or_series():
+    loaded = _after_main("list")
+    assert not loaded & {"qident.dsl", "qident.series", "dataclasses"}
+    assert "qident.identities" in loaded
+
+
+def test_public_names_resolve():
+    for module, names in _PUBLIC.items():
+        home = import_module(f"qident.{module}")
+        for name in names:
+            assert getattr(qident, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from qident import *", star)
+    expected = {name for names in _PUBLIC.values() for name in names}
+    assert set(qident.__all__) == expected
+    assert expected <= set(star)
+    assert all(star[name] is getattr(qident, name) for name in expected)
+    assert qident.__version__ == "0.1.0"
+    assert expected <= set(dir(qident))
+
+
+def test_submodules_resolve():
+    from qident import bijections
+
+    assert bijections is sys.modules["qident.bijections"]
+    for module in _PUBLIC:
+        assert getattr(qident, module) is import_module(f"qident.{module}")
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        qident.nope
+    with pytest.raises(ImportError):
+        exec("from qident import nope", {})

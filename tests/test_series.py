@@ -401,3 +401,56 @@ def test_int_equality_respects_truncation():
     assert MultiSeries.one(5) != 1
     assert MultiSeries.zero() == 0 and MultiSeries.zero(4) != 0
     assert MultiSeries.one() == QSeries.one() == MultiSeries.one()
+
+
+# ---------------------------------------------------------------------------
+# truncation soundness: a truncated computation trusts only exact
+# coefficients
+# ---------------------------------------------------------------------------
+
+_aux_mono = st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.integers(-1, 2))
+exact_multiseries_st = st.dictionaries(
+    _aux_mono,
+    st.dictionaries(st.integers(-3, 10), st.integers(-5, 5), min_size=1,
+                    max_size=4),
+    max_size=3,
+).map(lambda d: MultiSeries({m: QSeries(c) for m, c in d.items()}))
+truncs_st = st.one_of(st.none(), st.integers(-2, 14))
+
+
+def assert_trusted_exact(truncated, exact):
+    """Every coefficient of ``truncated`` below its truncation order, zeros
+    included, equals the same coefficient of the exact ``exact``."""
+    assert exact.trunc is None
+    t = truncated.trunc
+    for mono in set(truncated.entries) | set(exact.entries):
+        got = truncated.entries.get(mono, QSeries.zero()).coeffs
+        want = exact.entries.get(mono, QSeries.zero()).coeffs
+        for e in set(got) | set(want):
+            if t is None or e < t:
+                assert got.get(e, 0) == want.get(e, 0), (mono, e)
+
+
+@given(a=exact_multiseries_st, b=exact_multiseries_st, ta=truncs_st, tb=truncs_st)
+@settings(max_examples=200)
+def test_mul_truncation_is_sound(a, b, ta, tb):
+    product = a.truncate(ta).mul(b.truncate(tb))
+    assert_trusted_exact(product, a.mul(b))
+    if ta is None and tb is None:
+        assert product.trunc is None
+
+
+@given(a=exact_multiseries_st, t=truncs_st, k=st.integers(0, 4))
+@settings(max_examples=150)
+def test_power_truncation_is_sound(a, t, k):
+    assert_trusted_exact(a.truncate(t).power(k), a.power(k))
+
+
+_subst_value = st.sampled_from([1, -1, "z", "x", "y", (-1, "z"), (-1, "x"), (-1, "y")])
+
+
+@given(a=exact_multiseries_st, t=truncs_st,
+       subs=st.dictionaries(st.sampled_from(["z", "x", "y"]), _subst_value))
+@settings(max_examples=150)
+def test_subst_aux_truncation_is_sound(a, t, subs):
+    assert_trusted_exact(a.truncate(t).subst_aux(**subs), a.subst_aux(**subs))
