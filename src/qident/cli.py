@@ -108,12 +108,7 @@ def parse_pair(text: str) -> PartitionPair:
 def _dump_series(ms, fmt) -> None:
     from .series import mono_str
 
-    rows = []
-    for mono in ms.monomials():
-        qs = ms.entries[mono]
-        for e, c in sorted(qs.coeffs.items()):
-            rows.append((e, mono_str(mono), c))
-    rows.sort()
+    rows = sorted((e, mono_str(m), c) for m, e, c in ms.terms())
     if fmt == "json":
         print(json.dumps({
             "trunc": ms.trunc,

@@ -23,16 +23,18 @@ c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
 to reach ``trunc``.  Powers of Pochhammer products of a monomial are not
 expanded on their own: the series kernel multiplies or divides one dense
-accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` adds its
-summands in place.  With no truncation order a negative power of a
-q-polynomial is divided out exactly.  An integer power whose result would
-pass MAX_POWER_BITS bits, a sum over more than MAX_SUM_TERMS indices, and
-an exact power whose degree would pass MAX_EXACT_DEGREE are refused with
-DslError.
+accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` sums the terms
+of its summands once, at the end.  With no truncation order a negative
+power of a q-polynomial is divided out exactly.  An integer power whose
+result would pass MAX_POWER_BITS bits, a sum over more than MAX_SUM_TERMS
+indices, and a power whose degree would pass MAX_EXACT_DEGREE (in q, z, x
+or y for an exact polynomial, in z, x or y for a truncated series) are
+refused with DslError.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, log2
 from typing import Optional, Union
 
@@ -45,7 +47,6 @@ from .errors import (
 from .series import (
     TRIVIAL_MONO,
     MultiSeries,
-    QSeries,
     _min_trunc,
     _Rows,
     _mono_mul,
@@ -379,34 +380,33 @@ def eval_int(e: Expr, bindings: dict) -> int:
 def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
     # a single monomial with coefficient +-1 has an exact Laurent reciprocal;
     # anything else needs a unit constant term
-    if len(ms.entries) == 1:
-        (mono, qs), = ms.entries.items()
-        if len(qs.coeffs) == 1:
-            (e, c), = qs.coeffs.items()
-            if c in (1, -1):
-                inv_mono = tuple(-v for v in mono)
-                return MultiSeries(
-                    {inv_mono: QSeries({-e: c})}, None
-                ).truncate(ms.trunc)
+    terms = ms.terms()
+    if len(terms) == 1:
+        (mono, e, c), = terms
+        if c in (1, -1):
+            return MultiSeries.from_terms([(tuple(-v for v in mono), -e, c)],
+                                          ms.trunc)
     return ms.invert_unit(trunc)
 
 
-def _exact_power_check(base: MultiSeries, k: int, with_q: bool) -> None:
-    """Refuse the power base^k of an exact polynomial when its exponent
-    range in z, x or y, or in q when ``with_q``, |k| times that of base,
-    would pass MAX_EXACT_DEGREE."""
-    monos = [m for m, qs in base.entries.items() if qs.coeffs]
-    if not monos:
+def _power_check(base: MultiSeries, k: int, with_q: bool) -> None:
+    """Refuse the power base^k when its exponent range in z, x or y, or in
+    q when ``with_q``, |k| times that of base, would pass
+    MAX_EXACT_DEGREE."""
+    terms = base.terms()
+    if not terms:
         return
-    ranges = [max(col) - min(col) for col in zip(*monos)]
+    ranges = [max(col) - min(col) for col in zip(*(m for m, _, _ in terms))]
     if with_q:
-        exps = [e for m in monos for e in base.entries[m].coeffs]
+        exps = [e for _, e, _ in terms]
         ranges.append(max(exps) - min(exps))
     degree = max(ranges)
     if degree * abs(k) > MAX_EXACT_DEGREE:
+        what, of = (("polynomial", " of exact powers") if base.trunc is None
+                    else ("truncated series", ""))
         raise DslError(
-            f"power {k} of a polynomial of degree {degree} exceeds the"
-            f" {MAX_EXACT_DEGREE}-degree limit of exact powers"
+            f"power {k} of a {what} of degree {degree} exceeds the"
+            f" {MAX_EXACT_DEGREE}-degree limit{of}"
         )
 
 
@@ -547,7 +547,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
-    monomial = MultiSeries({mono: QSeries({v: c})})
+    monomial = MultiSeries.term(c, v, *mono)
     if not rest:
         return monomial if trunc is None or v < trunc else MultiSeries.zero(trunc)
     inner = None
@@ -568,14 +568,15 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             base, k = eval_series(f.base, bindings, inner), eval_int(f.exponent, bindings)
         else:
             base, k = eval_series(f, bindings, inner), 1
-        if abs(k) > 1 and base.trunc is None and (inner is None or k > 0):
+        if abs(k) > 1 and (inner is None or k > 0):
             # a power series' power below inner needs only its terms below
-            # inner; otherwise the power is expanded exactly
+            # inner; otherwise the power is expanded exactly.  Either way
+            # the q-truncation does not bound the degree in z, x and y.
             series = inner is not None and base.min_qexp() >= 0
-            _exact_power_check(base, k, with_q=not series)
+            _power_check(base, k, with_q=base.trunc is None and not series)
             if series:
                 base = base.truncate(inner)
-        if k < 0 and trunc is None and set(base.entries) <= {TRIVIAL_MONO}:
+        if k < 0 and trunc is None and set(base.monomials()) <= {TRIVIAL_MONO}:
             divisors.append(base.qseries().power(-k))
             continue
         if k < 0:
@@ -583,10 +584,8 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         x = base if k == 1 else base.power(k)
         value = value.mul(x if inner is None else x.truncate(inner))
     for d in divisors:
-        value = MultiSeries(
-            {m: s.exact_div(d) for m, s in value.entries.items()}, value.trunc
-        )
-    if not chains or not c or (not value.entries and value.trunc is None):
+        value = value.exact_div(d)
+    if not chains or not c or (value.is_zero() and value.trunc is None):
         return value.mul(monomial)
     acc = _apply_chains(value, chains, inner)
     return acc.series(acc.lo + acc.size + v, c, mono, v)
@@ -657,23 +656,16 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
                 f"sum over {hi - lo + 1} indices exceeds the"
                 f" {MAX_SUM_TERMS}-term limit"
             )
-        # summands are added in place; a zero one only lowers the truncation
-        acc: dict = {}
-        t = None
+        # the summands' terms are summed once, after the last summand; a
+        # zero summand only lowers the truncation
         inner = dict(bindings)
+        summands = []
         for v in range(lo, hi + 1):
             inner[var.ident] = v
-            summand = eval_series(e.args[3], inner, trunc)
-            t = _min_trunc(t, summand.trunc)
-            for mono, qs in summand.entries.items():
-                d = acc.setdefault(mono, {})
-                for x, c in qs.coeffs.items():
-                    c += d.get(x, 0)
-                    if c:
-                        d[x] = c
-                    else:
-                        del d[x]
-        return MultiSeries({m: QSeries(d, t) for m, d in acc.items()}, t)
+            summands.append(eval_series(e.args[3], inner, trunc))
+        return MultiSeries.from_terms(
+            chain.from_iterable(s.terms() for s in summands),
+            _min_trunc(*(s.trunc for s in summands)))
     raise DslError(f"unknown function {e.func!r}")
 
 

@@ -34,20 +34,18 @@ if TYPE_CHECKING:
 def s_sum(n: int, i: int, trunc: Optional[int] = None) -> QSeries:
     """The polynomial sum over s of q^(i*s) * (q;q)_{n+s} / (q^2;q^2)_s.
 
-    Each summand is computed by exact division (factor by factor through
-    (1-q^2)(1-q^4)...(1-q^{2s})); a nonzero remainder raises DivisionInexact,
-    which would signal an implementation bug rather than a user error.
+    This is the ay3 left side with q^s generalised to q^(i*s), evaluated
+    exactly as expression-language text.  Each summand is divided out
+    exactly; a nonzero remainder raises DivisionInexact, which would signal
+    an implementation bug rather than a user error.
     """
-    from .series import QSeries, qq_factorial
+    from .dsl import evaluate
 
     if n < 0 or i < 0:
         raise ValueError("n and i must be nonnegative")
-    total = QSeries.zero()
-    for s in range(n + 1):
-        quot = qq_factorial(n + s)
-        for j in range(1, s + 1):
-            quot = quot.exact_div(QSeries.one() - QSeries.q(2 * j))
-        total = total.add(quot.shift(i * s))
+    total = evaluate(
+        "sum(s, 0, n, q^(i*s) * poch(q, 1, n+s) * poch(q^2, 2, s)^(-1))",
+        {"n": n, "i": i}).qseries()
     return total if trunc is None else total.truncate(trunc)
 
 
@@ -164,25 +162,15 @@ def _comb_p_gt(p, trunc):
                        for lam in enumerate_domain("P_gt", n=n))
 
 
-def _mono_gf(entries, trunc) -> MultiSeries:
-    """Sum aux-monomial * q^weight over (monomial, weight) pairs."""
-    from .series import MultiSeries, QSeries
-
-    acc: dict = {}
-    for mono, w in entries:
-        d = acc.setdefault(mono, {})
-        d[w] = d.get(w, 0) + 1
-    return MultiSeries({m: QSeries(d, trunc) for m, d in acc.items()}, trunc)
-
-
 def _comb_omega1(domain, p, trunc):
     """z^(2k+1) q^weight over the DS or OE elements of every k."""
     from .partitions import enumerate_domain
+    from .series import MultiSeries
 
     T = _require_trunc(trunc, f"{domain} enumeration")
     cap = T - 1
-    return _mono_gf(
-        (((2 * k + 1, 0, 0), elt.weight)
+    return MultiSeries.from_terms(
+        (((2 * k + 1, 0, 0), elt.weight, 1)
          for k in range((cap + 1) // 2)
          for elt in enumerate_domain(domain, k=k, weight_cap=cap)),
         T,
@@ -192,17 +180,18 @@ def _comb_omega1(domain, p, trunc):
 def _comb_nu3(domain, p, trunc):
     """x^n y^k q^weight over the O or DO elements of every (n, k)."""
     from .partitions import enumerate_domain
+    from .series import MultiSeries
 
     T = _require_trunc(trunc, f"{domain} enumeration")
     cap = T - 1
-    entries = []
+    terms = []
     n = 0
     while n * n + n <= cap:
         for k in range(cap - n * n - n + 1):
             for pair in enumerate_domain(domain, n=n, k=k, weight_cap=cap):
-                entries.append(((0, n, k), pair.weight))
+                terms.append(((0, n, k), pair.weight, 1))
         n += 1
-    return _mono_gf(entries, T)
+    return MultiSeries.from_terms(terms, T)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +482,7 @@ def verify(identity_id: str, params: Optional[dict] = None,
         return VerifyReport(identity_id, p, trunc, equal, True, mm)
     complete = all(
         side.trunc is None
-        and (trunc is None or all(s.degree() < trunc for s in side.entries.values()))
+        and (trunc is None or all(e < trunc for _, e, _ in side.terms()))
         for _, side in sides
     )
     base_name, base = sides[0]

@@ -579,9 +579,9 @@ def domain_validator(name: str):
 
 def weight_gf(weights) -> QSeries:
     """Exact generating function sum q^w over an iterable of weights."""
-    from .series import QSeries
+    from collections import Counter
 
-    acc: dict = {}
-    for w in weights:
-        acc[w] = acc.get(w, 0) + 1
-    return QSeries(acc)
+    from .series import TRIVIAL_MONO, MultiSeries
+
+    return MultiSeries.from_terms(
+        (TRIVIAL_MONO, w, c) for w, c in Counter(weights).items()).qseries()

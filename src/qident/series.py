@@ -1,11 +1,16 @@
 """Exact truncated Laurent-series arithmetic in q over arbitrary-precision integers.
 
-Two value types:
-
-* ``QSeries`` -- a sparse Laurent series in the single variable q, stored as a
-  map from integer exponent to integer coefficient.
-* ``MultiSeries`` -- finitely many auxiliary-variable monomials (z, x, y, with
-  possibly negative exponents), each carrying a QSeries.
+A series maps aux-variable monomials z^a * x^b * y^d (exponents may be
+negative) to rows, each a sparse Laurent series in q stored as a map from
+exponent to nonzero integer coefficient.  ``MultiSeries`` holds any number
+of rows; ``QSeries``, the univariate case, holds one row and is also the
+view ``MultiSeries.qseries`` gives of a series free of z, x and y.  There
+is one arithmetic: each operation (add, mul, power, comparison, ==, hash,
+the operators) is one function shared by both classes, working per
+monomial or pair of monomials.  A QSeries and a MultiSeries combine, in
+either order, to a MultiSeries.  Other modules read a value only as its
+(monomial, q-exponent, coefficient) ``terms()`` and build one only by
+``MultiSeries.from_terms``, which sums duplicate terms.
 
 Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
 whose coefficients the value guarantees exact.  ``trunc is None`` means every
@@ -36,8 +41,8 @@ evaluator, is mutated.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, groupby
+from operator import add, itemgetter
 from typing import Iterator, Optional
 
 from .errors import (
@@ -76,6 +81,156 @@ def mono_str(m: Mono) -> str:
         elif e != 0:
             pieces.append(f"{var}^{e}")
     return "*".join(pieces) if pieces else "1"
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic of both classes.  Each class gives its (monomial, row)
+# pairs by ``_rows`` and builds a value from {monomial: row} by ``_from_rows``.
+# ---------------------------------------------------------------------------
+
+
+def _gather(terms, rows: Optional[dict] = None) -> dict:
+    """The merge-add: rows {monomial: row}, new or changed in place, with
+    the terms (monomial, q-exponent, coefficient) added in; a row is looked
+    up once per run of terms of one monomial, as ``terms()`` lists them."""
+    rows = {} if rows is None else rows
+    for m, run in groupby(terms, itemgetter(0)):
+        row = rows.setdefault(m, {})
+        for _, e, c in run:
+            row[e] = row.get(e, 0) + c
+    return rows
+
+
+def _product_trunc(t1: Optional[int], v1: int, t2: Optional[int],
+                   v2: int) -> Optional[int]:
+    """The truncation order of a product of two factors trusted below t1
+    and t2 whose q-valuations are at least v1 and v2."""
+    return _min_trunc(_shift_trunc(t1, v2), _shift_trunc(t2, v1))
+
+
+def _lift(v):
+    """A series as it is; an int as the exact constant QSeries."""
+    if isinstance(v, (QSeries, MultiSeries)):
+        return v
+    if isinstance(v, int):
+        return QSeries({0: v})
+    raise TypeError(f"cannot treat {type(v).__name__} as a series")
+
+
+def _multi(v) -> "MultiSeries":
+    v = _lift(v)
+    return v if isinstance(v, MultiSeries) else MultiSeries.from_qseries(v)
+
+
+def _operands(a, b) -> tuple:
+    """The series a and b lifted to one type: MultiSeries when either one
+    is."""
+    b = _lift(b)
+    if type(a) is type(b):
+        return a, b
+    return _multi(a), _multi(b)
+
+
+def _terms(self) -> list:
+    """The nonzero terms as (monomial, q-exponent, coefficient)."""
+    return [(m, e, c) for m, row in self._rows() for e, c in row.items()]
+
+
+def _truncate(self, trunc: Optional[int]):
+    t = _min_trunc(self.trunc, trunc)
+    return self if t == self.trunc else self._from_rows(dict(self._rows()), t)
+
+
+def _add(self, other):
+    a, b = _operands(self, other)
+    rows = {m: dict(row) for m, row in a._rows()}
+    return a._from_rows(_gather(b.terms(), rows), _min_trunc(a.trunc, b.trunc))
+
+
+def _mul(self, other):
+    a, b = _operands(self, other)
+    a_rows, b_rows = a._rows(), b._rows()
+    # an exact zero annihilates regardless of the other operand's trunc
+    if (not a_rows and a.trunc is None) or (not b_rows and b.trunc is None):
+        return a._from_rows({}, None)
+    t = _product_trunc(a.trunc, a.min_exp, b.trunc, b.min_exp)
+    rows: dict = {}
+    b_rows = [(m, sorted(r.items())) for m, r in b_rows]
+    for m1, r1 in a_rows:
+        for m2, items2 in b_rows:
+            acc = rows.setdefault(_mono_mul(m1, m2), {})
+            for e1, c1 in r1.items():
+                for e2, c2 in items2:
+                    e = e1 + e2
+                    if t is not None and e >= t:
+                        break
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    return a._from_rows(rows, t)
+
+
+def _power(self, n: int):
+    if n < 0:
+        raise ValueError("negative power; use invert or invert_unit")
+    result = type(self).one()
+    base = self
+    while n:
+        if n & 1:
+            result = result.mul(base)
+        n >>= 1
+        if n:
+            base = base.mul(base)
+    return result
+
+
+def _first_mismatch(self, other, bound: Optional[int] = None):
+    """First differing coefficient below the common truncation.
+
+    Returns (exponent, self-coeff, other-coeff) between two QSeries and
+    (monomial, exponent, self-coeff, other-coeff) otherwise, the lowest by
+    exponent then monomial, or None when the sides agree.
+    """
+    a, b = _operands(self, other)
+    t = _min_trunc(a.trunc, b.trunc, bound)
+    ra, rb = dict(a._rows()), dict(b._rows())
+    bad = []
+    for m in ra.keys() | rb.keys():
+        r1, r2 = ra.get(m, {}), rb.get(m, {})
+        if r1 != r2:
+            bad += [(e, m, r1.get(e, 0), r2.get(e, 0)) for e in r1.keys() | r2.keys()
+                    if (t is None or e < t) and r1.get(e, 0) != r2.get(e, 0)]
+    if not bad:
+        return None
+    e, m, lc, rc = min(bad)
+    return (e, lc, rc) if isinstance(a, QSeries) else (m, e, lc, rc)
+
+
+def _agrees_below(self, other, bound: Optional[int] = None) -> bool:
+    return self.first_mismatch(other, bound) is None
+
+
+def _eq(self, other):
+    """An int is an exact constant: it equals an exact series with that
+    constant term and no other, and hashes alike.  A series free of z, x
+    and y equals, and hashes as, its QSeries."""
+    if not isinstance(other, (int, QSeries, MultiSeries)):
+        return NotImplemented
+    other = _lift(other)
+    return self.trunc == other.trunc and dict(self._rows()) == dict(other._rows())
+
+
+def _hash(self):
+    terms = self.terms()
+    if self.trunc is None and all(m == TRIVIAL_MONO and e == 0 for m, e, _ in terms):
+        return hash(sum(c for _, _, c in terms))
+    return hash((frozenset(terms), self.trunc))
+
+
+def _sub(self, other):
+    return self.add(_lift(other).neg())
+
+
+def _rsub(self, other):
+    return _lift(other).add(self.neg())
 
 
 class QSeries:
@@ -118,13 +273,12 @@ class QSeries:
     def q(exp: int = 1) -> "QSeries":
         return QSeries({exp: 1})
 
+    def _rows(self) -> tuple:
+        return ((TRIVIAL_MONO, self.coeffs),) if self.coeffs else ()
+
     @staticmethod
-    def _lift(x) -> "QSeries":
-        if isinstance(x, QSeries):
-            return x
-        if isinstance(x, int):
-            return QSeries({0: x})
-        raise TypeError(f"cannot treat {type(x).__name__} as a QSeries")
+    def _from_rows(rows: dict, trunc: Optional[int]) -> "QSeries":
+        return QSeries(rows.get(TRIVIAL_MONO), trunc)
 
     # -- queries -----------------------------------------------------------
 
@@ -152,43 +306,10 @@ class QSeries:
             raise TruncationRequired("q=1 evaluation needs an exact polynomial")
         return sum(self.coeffs.values())
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, other) -> "QSeries":
-        other = QSeries._lift(other)
-        t = _min_trunc(self.trunc, other.trunc)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = acc.get(e, 0) + c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return QSeries(acc, t)
+    # -- row primitives ----------------------------------------------------
 
     def neg(self) -> "QSeries":
         return QSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
-
-    def mul(self, other) -> "QSeries":
-        other = QSeries._lift(other)
-        # an exact zero annihilates regardless of the other operand's trunc
-        if not self.coeffs and self.trunc is None:
-            return QSeries({}, None)
-        if not other.coeffs and other.trunc is None:
-            return QSeries({}, None)
-        t = _min_trunc(
-            _shift_trunc(self.trunc, other.min_exp),
-            _shift_trunc(other.trunc, self.min_exp),
-        )
-        acc: dict = {}
-        items2 = sorted(other.coeffs.items())
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in items2:
-                e = e1 + e2
-                if t is not None and e >= t:
-                    break
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return QSeries(acc, t)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (Laurent shift)."""
@@ -199,24 +320,7 @@ class QSeries:
     def scale(self, c: int) -> "QSeries":
         return QSeries({e: c * v for e, v in self.coeffs.items()}, self.trunc)
 
-    def truncate(self, trunc: Optional[int]) -> "QSeries":
-        t = _min_trunc(self.trunc, trunc)
-        if t == self.trunc:
-            return self
-        return QSeries(self.coeffs, t)
-
-    def power(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("negative power; use invert")
-        result = QSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+    # -- division ----------------------------------------------------------
 
     def invert(self, trunc: Optional[int] = None) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
@@ -228,7 +332,9 @@ class QSeries:
 
     def exact_div(self, divisor) -> "QSeries":
         """Exact polynomial division; raises DivisionInexact on any remainder."""
-        divisor = QSeries._lift(divisor)
+        divisor = _lift(divisor)
+        if isinstance(divisor, MultiSeries):
+            divisor = divisor.qseries()
         if self.trunc is not None or divisor.trunc is not None:
             raise TruncationRequired("exact division needs exact polynomials")
         if divisor.is_zero():
@@ -260,56 +366,14 @@ class QSeries:
             raise DivisionInexact("nonzero remainder")
         return QSeries({i + lo - dlo: c for i, c in enumerate(out) if c})
 
-    # -- comparison --------------------------------------------------------
+    # -- the shared arithmetic ---------------------------------------------
 
-    def first_mismatch(self, other, bound: Optional[int] = None):
-        """Lowest exponent below the common truncation where coefficients differ."""
-        other = QSeries._lift(other)
-        b = _min_trunc(self.trunc, other.trunc, bound)
-        exps = set(self.coeffs) | set(other.coeffs)
-        bad = []
-        for e in exps:
-            if b is not None and e >= b:
-                continue
-            lc, rc = self.coeffs.get(e, 0), other.coeffs.get(e, 0)
-            if lc != rc:
-                bad.append((e, lc, rc))
-        return min(bad) if bad else None
-
-    def agrees_below(self, other, bound: Optional[int] = None) -> bool:
-        return self.first_mismatch(other, bound) is None
-
-    # An int is an exact constant: it equals an exact series with that
-    # constant term and no other, and hashes alike.
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = QSeries._lift(other)
-        if isinstance(other, QSeries):
-            return self.coeffs == other.coeffs and self.trunc == other.trunc
-        return NotImplemented
-
-    def __hash__(self):
-        if self.trunc is None and set(self.coeffs) <= {0}:
-            return hash(self.coeffs.get(0, 0))
-        return hash((tuple(sorted(self.coeffs.items())), self.trunc))
-
-    # -- operators ---------------------------------------------------------
-
-    __add__ = add
-    __radd__ = add
-    __mul__ = mul
-    __rmul__ = mul
-    __pow__ = power
-
-    def __sub__(self, other):
-        return self.add(QSeries._lift(other).neg())
-
-    def __rsub__(self, other):
-        return QSeries._lift(other).add(self.neg())
-
-    def __neg__(self):
-        return self.neg()
+    terms, truncate = _terms, _truncate
+    first_mismatch, agrees_below = _first_mismatch, _agrees_below
+    add = __add__ = __radd__ = _add
+    mul = __mul__ = __rmul__ = _mul
+    power = __pow__ = _power
+    __sub__, __rsub__, __neg__, __eq__, __hash__ = _sub, _rsub, neg, _eq, _hash
 
     def __repr__(self):
         if not self.coeffs:
@@ -364,6 +428,12 @@ class MultiSeries:
         return MultiSeries({tuple(mono): qs}, qs.trunc)
 
     @staticmethod
+    def from_terms(terms, trunc: Optional[int] = None) -> "MultiSeries":
+        """The sum of the terms (monomial, q-exponent, coefficient), with
+        the truncation order trunc; terms at or beyond it are dropped."""
+        return MultiSeries._from_rows(_gather(terms), trunc)
+
+    @staticmethod
     def q(exp: int = 1) -> "MultiSeries":
         return MultiSeries({TRIVIAL_MONO: QSeries.q(exp)})
 
@@ -379,15 +449,12 @@ class MultiSeries:
              trunc: Optional[int] = None) -> "MultiSeries":
         return MultiSeries({(z, x, y): QSeries.term(coeff, qexp)}, trunc)
 
+    def _rows(self) -> list:
+        return [(m, s.coeffs) for m, s in self.entries.items()]
+
     @staticmethod
-    def _lift(v) -> "MultiSeries":
-        if isinstance(v, MultiSeries):
-            return v
-        if isinstance(v, QSeries):
-            return MultiSeries.from_qseries(v)
-        if isinstance(v, int):
-            return MultiSeries.const(v)
-        raise TypeError(f"cannot treat {type(v).__name__} as a MultiSeries")
+    def _from_rows(rows: dict, trunc: Optional[int]) -> "MultiSeries":
+        return MultiSeries({m: QSeries(r, trunc) for m, r in rows.items()}, trunc)
 
     # -- queries -----------------------------------------------------------
 
@@ -399,6 +466,8 @@ class MultiSeries:
         if not self.entries:
             return self.trunc if self.trunc is not None else 0
         return min(s.min_exp for s in self.entries.values())
+
+    min_exp = property(min_qexp)
 
     def series(self, mono: Mono) -> QSeries:
         return self.entries.get(tuple(mono), QSeries.zero(self.trunc))
@@ -416,49 +485,12 @@ class MultiSeries:
     def monomials(self):
         return sorted(self.entries)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, other) -> "MultiSeries":
-        other = MultiSeries._lift(other)
-        t = _min_trunc(self.trunc, other.trunc)
-        acc = {m: dict(s.coeffs) for m, s in self.entries.items()}
-        for m, s in other.entries.items():
-            d = acc.setdefault(m, {})
-            for e, c in s.coeffs.items():
-                v = d.get(e, 0) + c
-                if v:
-                    d[e] = v
-                else:
-                    d.pop(e, None)
-        return MultiSeries({m: QSeries(d, t) for m, d in acc.items()}, t)
+    # -- row primitives, applied to each monomial's row --------------------
 
     def neg(self) -> "MultiSeries":
         return MultiSeries(
             {m: s.neg() for m, s in self.entries.items()}, self.trunc
         )
-
-    def mul(self, other) -> "MultiSeries":
-        other = MultiSeries._lift(other)
-        if (not self.entries and self.trunc is None) or (
-            not other.entries and other.trunc is None
-        ):
-            return MultiSeries.zero()
-        t = _min_trunc(
-            _shift_trunc(self.trunc, other.min_qexp()),
-            _shift_trunc(other.trunc, self.min_qexp()),
-        )
-        acc: dict = {}
-        for m1, s1 in self.entries.items():
-            for m2, s2 in other.entries.items():
-                d = acc.setdefault(_mono_mul(m1, m2), {})
-                items2 = sorted(s2.coeffs.items())
-                for e1, c1 in s1.coeffs.items():
-                    for e2, c2 in items2:
-                        e = e1 + e2
-                        if t is not None and e >= t:
-                            break
-                        d[e] = d.get(e, 0) + c1 * c2
-        return MultiSeries({m: QSeries(d, t) for m, d in acc.items()}, t)
 
     def shift_q(self, k: int) -> "MultiSeries":
         return MultiSeries(
@@ -471,24 +503,12 @@ class MultiSeries:
             {m: s.scale(c) for m, s in self.entries.items()}, self.trunc
         )
 
-    def truncate(self, trunc: Optional[int]) -> "MultiSeries":
-        t = _min_trunc(self.trunc, trunc)
-        if t == self.trunc:
-            return self
-        return MultiSeries(self.entries, t)
-
-    def power(self, n: int) -> "MultiSeries":
-        if n < 0:
-            raise ValueError("negative power; use invert_unit")
-        result = MultiSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+    def exact_div(self, divisor) -> "MultiSeries":
+        """Each monomial's row divided exactly by a divisor free of z, x
+        and y; raises DivisionInexact on any remainder."""
+        return MultiSeries(
+            {m: s.exact_div(divisor) for m, s in self.entries.items()}, self.trunc
+        )
 
     def invert_unit(self, trunc: Optional[int] = None) -> "MultiSeries":
         """Inverse of a series whose q^0 layer is exactly the constant 1.
@@ -498,25 +518,23 @@ class MultiSeries:
         coefficient 1 (so the inverse is again a power series in q).
         """
         t = _min_trunc(self.trunc, trunc)
-        if self.entries and self.min_qexp() < 0:
+        terms = self.terms()
+        if terms and self.min_exp < 0:
             raise NonUnitConstantTerm("series has terms below q^0")
         for m in self.entries:
             if any(e < 0 for e in m):
                 raise NonUnitConstantTerm(
                     f"negative aux exponent in {mono_str(m)} is not invertible"
                 )
-        layer0 = {
-            m: s.coeffs[0] for m, s in self.entries.items() if 0 in s.coeffs
-        }
-        if layer0 != {TRIVIAL_MONO: 1}:
+        if {m: c for m, e, c in terms if e == 0} != {TRIVIAL_MONO: 1}:
             raise NonUnitConstantTerm("q^0 layer is not the constant 1")
         if t is None:
-            if all(s.coeffs == {0: 1} for s in self.entries.values()):
+            if len(terms) == 1:
                 return MultiSeries.one()
             raise TruncationRequired("inverse of a non-trivial series is infinite")
         # self = 1 - a, where a holds every term of self above q^0, negated
-        acc = _Rows.one(0, t)
-        acc.div([(m, e, -c) for m, e, c in _terms(self) if e])
+        acc = _Rows.load(MultiSeries.one(), 0, t)
+        acc.div([(m, e, -c) for m, e, c in terms if e])
         return acc.series(t)
 
     def subst_aux(self, **subs) -> "MultiSeries":
@@ -538,8 +556,8 @@ class MultiSeries:
                     sign, target = val
                 j = AUX_VARS.index(target)
                 norm[idx] = (sign, tuple(1 if i == j else 0 for i in range(3)))
-        acc: dict = {}
-        for mono, qs in self.entries.items():
+        image = {}  # monomial -> (its image, sign)
+        for mono in self.entries:
             sign_total = 1
             new = [0, 0, 0]
             for i in range(3):
@@ -552,79 +570,20 @@ class MultiSeries:
                         new[j] += e * vec[j]
                 else:
                     new[i] += e
-            d = acc.setdefault(tuple(new), {})
-            for e, c in qs.coeffs.items():
-                v = d.get(e, 0) + sign_total * c
-                if v:
-                    d[e] = v
-                else:
-                    d.pop(e, None)
-        return MultiSeries(
-            {m: QSeries(d, self.trunc) for m, d in acc.items()}, self.trunc
+            image[mono] = tuple(new), sign_total
+        return MultiSeries.from_terms(
+            [(image[m][0], e, image[m][1] * c) for m, e, c in self.terms()],
+            self.trunc,
         )
 
-    # -- comparison --------------------------------------------------------
+    # -- the shared arithmetic ---------------------------------------------
 
-    def first_mismatch(self, other, bound: Optional[int] = None):
-        """First differing coefficient below the common truncation.
-
-        Returns (monomial, exponent, self-coeff, other-coeff) ordered by
-        exponent then monomial, or None when the sides agree.
-        """
-        other = MultiSeries._lift(other)
-        b = _min_trunc(self.trunc, other.trunc, bound)
-        bad = []
-        for m in set(self.entries) | set(other.entries):
-            s1 = self.entries.get(m)
-            s2 = other.entries.get(m)
-            exps = set(s1.coeffs if s1 else ()) | set(s2.coeffs if s2 else ())
-            for e in exps:
-                if b is not None and e >= b:
-                    continue
-                lc = s1.coeffs.get(e, 0) if s1 else 0
-                rc = s2.coeffs.get(e, 0) if s2 else 0
-                if lc != rc:
-                    bad.append((e, m, lc, rc))
-        if not bad:
-            return None
-        e, m, lc, rc = min(bad)
-        return (m, e, lc, rc)
-
-    def agrees_below(self, other, bound: Optional[int] = None) -> bool:
-        return self.first_mismatch(other, bound) is None
-
-    # A series free of z, x and y equals, and hashes as, its QSeries.
-
-    def __eq__(self, other):
-        if isinstance(other, (int, QSeries)):
-            other = MultiSeries._lift(other)
-        if isinstance(other, MultiSeries):
-            return self.entries == other.entries and self.trunc == other.trunc
-        return NotImplemented
-
-    def __hash__(self):
-        if set(self.entries) <= {TRIVIAL_MONO}:
-            return hash(self.series(TRIVIAL_MONO))
-        return hash(
-            (frozenset((m, hash(s)) for m, s in self.entries.items()), self.trunc)
-        )
-
-    # -- operators ---------------------------------------------------------
-
-    __add__ = add
-    __radd__ = add
-    __mul__ = mul
-    __rmul__ = mul
-    __pow__ = power
-
-    def __sub__(self, other):
-        return self.add(MultiSeries._lift(other).neg())
-
-    def __rsub__(self, other):
-        return MultiSeries._lift(other).add(self.neg())
-
-    def __neg__(self):
-        return self.neg()
+    terms, truncate = _terms, _truncate
+    first_mismatch, agrees_below = _first_mismatch, _agrees_below
+    add = __add__ = __radd__ = _add
+    mul = __mul__ = __rmul__ = _mul
+    power = __pow__ = _power
+    __sub__, __rsub__, __neg__, __eq__, __hash__ = _sub, _rsub, neg, _eq, _hash
 
     def __repr__(self):
         if not self.entries:
@@ -640,11 +599,6 @@ class MultiSeries:
 # ---------------------------------------------------------------------------
 # Dense factor kernel
 # ---------------------------------------------------------------------------
-
-
-def _terms(ms: MultiSeries) -> list:
-    """The nonzero terms of ms as (monomial, q-exponent, coefficient)."""
-    return [(m, e, c) for m, s in ms.entries.items() for e, c in s.coeffs.items()]
 
 
 def _solve_row(row: list, low: int, own: list) -> None:
@@ -684,14 +638,10 @@ class _Rows:
         self.size = max(size, 0)
 
     @staticmethod
-    def one(lo: int, size: int) -> "_Rows":
-        return _Rows.load(MultiSeries.one(), lo, size)
-
-    @staticmethod
     def load(ms: MultiSeries, lo: int, size: int) -> "_Rows":
         acc = _Rows(lo, size)
-        for m, s in ms.entries.items():
-            inside = {e - lo: c for e, c in s.coeffs.items() if 0 <= e - lo < acc.size}
+        for m, coeffs in ms._rows():
+            inside = {e - lo: c for e, c in coeffs.items() if 0 <= e - lo < acc.size}
             if inside:
                 row = acc.rows[m] = [0] * acc.size
                 for i, c in inside.items():
@@ -766,27 +716,17 @@ class _Rows:
         """The accumulator times scale * mono * q^shift, with the given
         truncation order."""
         off = self.lo + shift
-        entries = {}
+        rows = {}
         for m, row in self.rows.items():
-            d = {i + off: scale * c
-                 for i, c in enumerate(row[self.low[m]:], self.low[m]) if c}
-            if d:
-                entries[_mono_mul(m, mono)] = QSeries(d, trunc)
-        return MultiSeries(entries, trunc)
+            rows[_mono_mul(m, mono)] = {
+                i + off: scale * c
+                for i, c in enumerate(row[self.low[m]:], self.low[m]) if c}
+        return MultiSeries._from_rows(rows, trunc)
 
 
 # ---------------------------------------------------------------------------
 # Pochhammer products and the Gaussian binomial
 # ---------------------------------------------------------------------------
-
-
-def _one_like(a):
-    return QSeries.one() if isinstance(a, QSeries) else MultiSeries.one()
-
-
-def _like(a, ms: MultiSeries):
-    """ms as the type of the argument a: a QSeries for a QSeries."""
-    return ms.qseries() if isinstance(a, QSeries) else ms
 
 
 def _factor_valuation(a: list, j: int) -> Optional[int]:
@@ -797,6 +737,18 @@ def _factor_valuation(a: list, j: int) -> Optional[int]:
     if one not in a:
         exps.append(0)
     return min(exps, default=None)
+
+
+def _factor_chain(a, terms: list, shifts, lo: int, size: int,
+                  t: Optional[int]):
+    """The product of the factors 1 - a*q^j over j in shifts, a given also
+    by its terms, on a dense window of ``size`` q-exponents from q^lo, with
+    the truncation order t; a QSeries when a is one."""
+    acc = _Rows.load(MultiSeries.one(), lo, size)
+    for j in shifts:
+        acc.mul([(m, e + j, c) for m, e, c in terms])
+    out = acc.series(t)
+    return out.qseries() if isinstance(a, QSeries) else out
 
 
 def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
@@ -810,26 +762,19 @@ def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
         raise ValueError("step must be a positive integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return _one_like(a)
-    ms = MultiSeries._lift(a)
-    terms = _terms(ms)
+    ms = _multi(a)
+    terms = ms.terms()
     shifts = [step * k for k in range(count)]
-    # the truncation order a factor-by-factor product would derive: the
-    # product of factors trusted below t1 and t2, with valuations v1 and
-    # v2, is trusted below min(t1 + v2, t2 + v1)
+    # the truncation order a factor-by-factor product would derive
     t, low, lo, hi = None, 0, 0, 1
     for j in shifts:
         v = _factor_valuation(terms, j)
-        if ms.trunc is None:
-            if v is None:  # an exact zero factor
-                t = None
-            elif t is not None:
-                t += v
+        f_t = _shift_trunc(ms.trunc, j)
+        if v is None and f_t is None:  # an exact zero factor
+            t = None
         else:
-            f_t = ms.trunc + j
             v = f_t if v is None else v
-            t = f_t + low if t is None else min(t + v, f_t + low)
+            t = _product_trunc(t, low, f_t, v)
         if trunc is not None:
             t = trunc if t is None else min(t, trunc)
         low += v or 0
@@ -837,10 +782,7 @@ def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
         hi += max([0] + [e + j for _, e, _ in terms])
     # a coefficient below t is a sum of products whose partial products lie
     # below t - lo, so the window [lo, t - lo) keeps them all
-    acc = _Rows.one(lo, (hi if t is None else t - lo) - lo)
-    for j in shifts:
-        acc.mul([(m, e + j, c) for m, e, c in terms])
-    return _like(a, acc.series(t))
+    return _factor_chain(a, terms, shifts, lo, (hi if t is None else t - lo) - lo, t)
 
 
 def poch_infinite(a, step: int, trunc: int):
@@ -852,17 +794,13 @@ def poch_infinite(a, step: int, trunc: int):
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
-    ms = MultiSeries._lift(a)
-    d = ms.min_qexp()
+    ms = _multi(a)
+    d = ms.min_exp
     if not ms.is_zero() and d <= 0:
         raise NonConvergent(f"factor base has q-degree {d} <= 0")
     # 1 - a is trusted below a's own order even where a has no terms
     t = _min_trunc(trunc, ms.trunc)
-    acc = _Rows.one(0, t)
-    terms = _terms(ms)
-    for j in range(0, trunc - d, step):
-        acc.mul([(m, e + j, c) for m, e, c in terms])
-    return _like(a, acc.series(t))
+    return _factor_chain(a, ms.terms(), range(0, trunc - d, step), 0, t, t)
 
 
 @lru_cache(maxsize=None)
@@ -889,6 +827,4 @@ def qq_factorial(m: int) -> QSeries:
     """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return QSeries.one()
-    return qq_factorial(m - 1).mul(QSeries.one() - QSeries.q(m))
+    return poch_finite(QSeries.q(), 1, m)

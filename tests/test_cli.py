@@ -4,7 +4,7 @@ import pytest
 
 from qident.bijections import BIJECTION_NAMES
 from qident.cli import main, parse_partition, parse_pair, parse_signed_set
-from qident.dsl import MAX_SUM_TERMS
+from qident.dsl import MAX_EXACT_DEGREE, MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
 
 
@@ -186,6 +186,11 @@ def test_eval_refusals_exit_2(capsys):
     assert code == 2 and "negative aux exponent" in err
     code, _, err = run(capsys, "eval", "q^(2^(2^40))")
     assert code == 2 and "bit limit" in err
+    # one step past the limit; truncation in q does not bound the z-degree
+    code, _, err = run(capsys, "eval",
+                       f"(1 + z + poch(q,1,inf))^{MAX_EXACT_DEGREE + 1}",
+                       "--trunc", "5")
+    assert code == 2 and "degree limit" in err and "exact" not in err
 
 
 def test_eval_huge_sum_exit_2(capsys):

@@ -480,6 +480,16 @@ def test_exact_power_guard():
         evaluate(f"(1+z)^{over}", {}, 5)
     with pytest.raises(DslError, match="degree limit"):
         evaluate(f"(z^(-1) + x*z)^{over // 2 + 1}", {}, 5)
+    # a base that is already truncated is refused on its z, x, y degree
+    # alone, and below the limit its power is what it always was
+    with pytest.raises(DslError, match="degree limit") as refused:
+        evaluate(f"(1 + z + poch(q,1,inf))^{over}", {}, 5)
+    assert "exact" not in str(refused.value)
+    assert evaluate("(1 + z + poch(q,1,inf))^3", {}, 3) == MultiSeries.from_terms(
+        [((0, 0, 0), 0, 8), ((1, 0, 0), 0, 12), ((2, 0, 0), 0, 6),
+         ((3, 0, 0), 0, 1), ((0, 0, 0), 1, -12), ((1, 0, 0), 1, -12),
+         ((2, 0, 0), 1, -3), ((0, 0, 0), 2, -6), ((1, 0, 0), 2, -9),
+         ((2, 0, 0), 2, -3)], 3)
     # monomials and integers are folded, not expanded
     assert evaluate(f"q^{over} * (1+q)", {}, None) == (
         MultiSeries.q(over) + MultiSeries.q(over + 1))

@@ -276,19 +276,30 @@ qseries_st = st.builds(
 )
 
 
-@given(a=qseries_st, b=qseries_st, c=qseries_st)
+# one-row and multi-row MultiSeries, mixed freely with QSeries operands
+series_st = st.one_of(qseries_st, st.builds(
+    MultiSeries,
+    st.dictionaries(st.sampled_from([(0, 0, 0), (1, 0, 0), (-1, 2, 0)]),
+                    qseries_st, min_size=1, max_size=3),
+    st.one_of(st.none(), st.integers(min_value=3, max_value=25)),
+))
+
+
+@given(a=series_st, b=series_st, c=series_st)
 @settings(max_examples=120)
 def test_ring_laws(a, b, c):
     assert a * b == b * a
+    assert a + b == b + a
     assert same_below_common_trunc((a * b) * c, a * (b * c))
     assert same_below_common_trunc((a + b) + c, a + (b + c))
     assert same_below_common_trunc(a * (b + c), a * b + a * c)
 
 
-@given(a=qseries_st)
+@given(a=series_st)
 @settings(max_examples=60)
 def test_additive_inverse(a):
     assert (a - a).first_mismatch(QSeries.zero()) is None
+    assert QSeries.zero().agrees_below(a - a)
 
 
 @given(
