@@ -33,6 +33,7 @@ from .partitions import (
     enumerate_domain,
     rectangle,
     selfconj_to_distinct_odd,
+    signed_sets,
 )
 
 
@@ -387,26 +388,25 @@ def _subsets(iterable):
 
 def _negative_sets(n, k, cap):
     """Subsets of {-n, ..., -1}, the domain of psi."""
-    sets = [
+    sets = (
         SignedDistinctSet(tuple(sorted(-v for v in combo)), n)
         for combo in _subsets(range(1, n + 1))
-    ]
+    )
     return sets, lambda x: _within(x.elements, -n, -1)
 
 
 def _bounded_distinct(n, k, cap):
     """Distinct partitions with parts at most n, the codomain of psi."""
-    parts = [
+    parts = (
         DistinctPartition(tuple(sorted(combo, reverse=True)))
         for combo in _subsets(range(1, n + 1))
-    ]
+    )
     return parts, lambda y: _within(y.parts, 1, n)
 
 
 def _short_sets(n, k, cap):
     """Elements of P(n) with at most n elements, the codomain of tau."""
-    return ((s for s in enumerate_domain("P", n=n) if len(s) <= n),
-            lambda y: len(y) <= n)
+    return signed_sets(n, range(n + 1)), lambda y: len(y) <= n
 
 
 _BIJECTIONS = {

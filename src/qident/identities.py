@@ -18,7 +18,7 @@ from functools import partial
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import BadParams, TruncationRequired, UnknownIdentity
 
@@ -79,43 +79,58 @@ def q1_limit_check(n: int, pivot_limit: int = 7) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _parts_between(weight: int, lo: int, top: int, odd_bound: int,
+                   distinct: bool) -> Iterator[tuple]:
+    """Partitions of ``weight`` as decreasing tuples of parts in [lo, top]
+    whose odd parts are all < odd_bound; strictly decreasing if distinct.
+
+    A first part that leaves a positive remainder below ``lo`` is never
+    tried, so every branch below a non-final part is entered with a
+    remainder of 0 or at least ``lo``.
+    """
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(top, weight), lo - 1, -1):
+        rest = weight - first
+        if (first % 2 and first >= odd_bound) or 0 < rest < lo:
+            continue
+        below = first - 1 if distinct else first
+        for tail in _parts_between(rest, lo, below, odd_bound, distinct):
+            yield (first,) + tail
+
+
 def p_omega(N: int) -> int:
     """Partitions of N in which every odd part is less than twice the
-    smallest part, counted by brute force."""
-    from .partitions import partitions_of
+    smallest part.
 
+    Counted by enumeration, one smallest part s = 1..N at a time: the other
+    parts fill N - s, each at least s, and the odd ones less than 2s.  No
+    other partition is built.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    count = 0
-    for parts in partitions_of(N):
-        smallest = parts[-1]
-        if all(p < 2 * smallest for p in parts if p % 2 == 1):
-            count += 1
-    return count
+    return sum(1 for s in range(1, N + 1)
+               for _ in _parts_between(N - s, s, N - s, 2 * s, False))
 
 
 def p_nu(N: int) -> int:
     """Partitions of N with distinct nonnegative parts in which every odd
-    part is less than twice the smallest part, counted by brute force.
+    part is less than twice the smallest part.
 
     A single part 0 is admissible; a partition carrying it has smallest part
     0, so it may not contain any odd part.  Dropping the zero-part convention
     would undercount by exactly the partitions into distinct even parts.
-    """
-    from .partitions import partitions_of
 
+    Counted by enumeration, one smallest part s = 0..N at a time: the other
+    parts are distinct, fill N - s, each exceeds s, and the odd ones are
+    less than 2s.  At s = 0 that is the partitions of N into distinct even
+    parts, each counted once more with its zero part.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    count = 0
-    for parts in partitions_of(N):
-        if len(set(parts)) != len(parts):
-            continue
-        smallest = parts[-1]
-        if all(p < 2 * smallest for p in parts if p % 2 == 1):
-            count += 1
-        if all(p % 2 == 0 for p in parts):
-            count += 1
-    return count
+    return sum(1 for s in range(N + 1)
+               for _ in _parts_between(N - s, s + 1, N - s, 2 * s, True))
 
 
 # ---------------------------------------------------------------------------

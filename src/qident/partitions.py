@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, repeat
 from operator import ge, gt, lt, mod
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import MissingParam, NotSelfConjugate, UnknownDomain
 
@@ -402,11 +402,18 @@ def b3_weight(n: int, elt) -> int:
     return run_weight(n, t) + nu.weight
 
 
-def _enum_p(n: int) -> Iterator[SignedDistinctSet]:
+def signed_sets(n: int, sizes: Iterable[int]) -> Iterator[SignedDistinctSet]:
+    """The subsets of [-n, n] of each size in ``sizes``, in that order of
+    sizes and, within a size, in lexicographic order; no other set is
+    built."""
     universe = range(-n, n + 1)
-    for r in range(2 * n + 2):
+    for r in sizes:
         for combo in combinations(universe, r):
             yield SignedDistinctSet(combo, n)
+
+
+def _enum_p(n: int) -> Iterator[SignedDistinctSet]:
+    return signed_sets(n, range(2 * n + 2))
 
 
 def _val_p(elt, n: int) -> bool:
@@ -418,9 +425,7 @@ def _val_p(elt, n: int) -> bool:
 
 
 def _enum_p_gt(n: int) -> Iterator[SignedDistinctSet]:
-    for s in _enum_p(n):
-        if len(s) >= n + 1:
-            yield s
+    return signed_sets(n, range(n + 1, 2 * n + 2))
 
 
 def _val_p_gt(elt, n: int) -> bool:

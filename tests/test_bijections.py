@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from qident import bijections
@@ -88,6 +90,19 @@ def test_psi_rejects_positive_elements():
         psi(3, SignedDistinctSet((1,), 3))
 
 
+def test_psi_families_stream_subsets_of_one_to_n_by_size():
+    for n in range(7):
+        subsets = [c for r in range(n + 1)
+                   for c in combinations(range(1, n + 1), r)]
+        sets, _ = bijections._negative_sets(n, None, None)
+        parts, _ = bijections._bounded_distinct(n, None, None)
+        assert not isinstance(sets, list) and not isinstance(parts, list)
+        assert list(sets) == [
+            SignedDistinctSet(tuple(sorted(-v for v in c)), n) for c in subsets]
+        assert list(parts) == [
+            DistinctPartition(tuple(sorted(c, reverse=True))) for c in subsets]
+
+
 # ---------------------------------------------------------------------------
 # tau
 # ---------------------------------------------------------------------------
@@ -96,6 +111,14 @@ def test_psi_rejects_positive_elements():
 def test_tau_frozen_n1():
     assert tau(1, SignedDistinctSet((-1, 0, 1), 1)) == SignedDistinctSet((), 1)
     assert tau(1, SignedDistinctSet((0, 1), 1)) == SignedDistinctSet((1,), 1)
+
+
+def test_tau_codomain_is_the_ordered_filter_of_p():
+    for n in range(6):
+        short, in_codomain = bijections._short_sets(n, None, None)
+        want = [s for s in enumerate_domain("P", n=n) if len(s) <= n]
+        assert list(short) == want
+        assert all(map(in_codomain, want))
 
 
 def test_tau_weight_multiset_preserved():

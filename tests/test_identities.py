@@ -8,6 +8,7 @@ from qident.identities import (
     IdentityCase,
     Mismatch,
     VerifyReport,
+    _parts_between,
     build_side,
     nu3_specialized,
     p_nu,
@@ -18,6 +19,7 @@ from qident.identities import (
     s_sum,
     verify,
 )
+from qident.partitions import partitions_of
 from qident.series import MultiSeries, QSeries, poch_finite, qbinom
 
 
@@ -232,6 +234,39 @@ def test_counting_requires_positive_n():
         p_omega(0)
     with pytest.raises(ValueError):
         p_nu(0)
+
+
+def _omega_admissible(parts, smallest):
+    return all(p < 2 * smallest for p in parts if p % 2 == 1)
+
+
+def test_counting_oracles_match_a_filter_of_all_partitions():
+    # the definitions, read off every partition of N
+    for N in range(1, 31):
+        every = list(partitions_of(N))
+        omega = sum(_omega_admissible(t, t[-1]) for t in every)
+        distinct = [t for t in every if len(set(t)) == len(t)]
+        nu = (sum(_omega_admissible(t, t[-1]) for t in distinct)
+              + sum(all(p % 2 == 0 for p in t) for t in distinct))
+        assert (p_omega(N), p_nu(N)) == (omega, nu), N
+
+
+def test_parts_between_yields_the_filtered_partitions_once():
+    for weight in range(13):
+        every = [()] if weight == 0 else list(partitions_of(weight))
+        for lo in range(1, 5):
+            for top in range(lo, weight + 2):
+                for odd_bound in range(0, 8):
+                    for distinct in (False, True):
+                        got = list(_parts_between(weight, lo, top, odd_bound,
+                                                  distinct))
+                        want = [
+                            t for t in every
+                            if all(lo <= p <= top for p in t)
+                            and all(p < odd_bound for p in t if p % 2 == 1)
+                            and (not distinct or len(set(t)) == len(t))
+                        ]
+                        assert got == want, (weight, lo, top, odd_bound, distinct)
 
 
 def test_counting_series_match_oracles():

@@ -161,6 +161,12 @@ def test_p_gt_counts_are_powers_of_four():
         assert len(list(enumerate_domain("P_gt", n=n))) == 4**n
 
 
+def test_p_gt_is_the_ordered_filter_of_p():
+    for n in range(6):
+        assert list(enumerate_domain("P_gt", n=n)) == [
+            s for s in enumerate_domain("P", n=n) if len(s) >= n + 1]
+
+
 def test_b1_frozen_n1():
     elems = list(enumerate_domain("B1", n=1))
     assert len(elems) == 4
