@@ -195,6 +195,21 @@ def _ds_k(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fold(n: int, odd_parts: tuple) -> tuple:
+    """nu3's folded diagram: n+1 rows of width n, each odd part 2s+1 (in
+    the order given) adding a box to each of the top s+1 rows and a row of
+    width s below them."""
+    rows = [n] * (n + 1)
+    below = []
+    for part in odd_parts:
+        s = (part - 1) // 2
+        for i in range(s + 1):
+            rows[i] += 1
+        if s:
+            below.append(s)
+    return tuple(r for r in rows if r > 0) + tuple(below)
+
+
 def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     """Fold the odd parts around the rectangle, then open the principal hooks.
 
@@ -206,15 +221,7 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     """
     _require(domain_validator("O")(pair, n, k),
              "not an O({},{}) element: {!r}", n, k, pair)
-    rows = [n] * (n + 1)
-    below = []
-    for part in pair.second.parts:  # stored decreasing
-        s = (part - 1) // 2
-        for i in range(s + 1):
-            rows[i] += 1
-        if s:
-            below.append(s)
-    nu_star = tuple(r for r in rows if r > 0) + tuple(below)
+    nu_star = _fold(n, pair.second.parts)  # parts are stored decreasing
     _require(
         (not nu_star and n + k == 0) or (nu_star and nu_star[0] == n + k),
         "largest folded part is not n+k: {}", nu_star,

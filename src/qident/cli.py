@@ -15,6 +15,12 @@ launch compiles and executes only those (besides this module and
   ``bijections`` for the ``p_gt`` recount of ``middle``;
 - ``list``: ``identities``, ``bijections`` and ``partitions``.
 
+The argparse namespace is the only configuration: each subcommand accepts
+only the flags its command reads, and ``main`` calls the command the
+subparser names as ``run`` with the namespace.  ``main`` also reports every
+``QidentError`` a command raises, once.  The demos render what the maps
+compute; the nu3 demo prints the fold of ``bijections._fold``.
+
 Exit codes: 0 = success/equal, 1 = verified false, 2 = usage or parse error.
 JSON goes to stdout with ``--format json``; diagnostics go to stderr.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError, QidentError
 
@@ -32,24 +38,10 @@ if TYPE_CHECKING:
     from .partitions import Partition, PartitionPair, SignedDistinctSet
 
 
-class RunConfig(NamedTuple):
-    """Normalized invocation: command, target, parameters and output knobs."""
-
-    command: str
-    target: Optional[str] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    trunc: Optional[int] = None  # None: not given
-    weight_cap: int = 30
-    fmt: str = "text"
-    no_comb: bool = False
-    demo: Optional[str] = None
-    ferrers: bool = False
-    max_nk: Optional[int] = None
-    max_n: int = 0
-
-
 DEFAULT_TRUNC = 200
+# the p_omega and p_nu oracles build 367 236 partitions over N <= 60 (about
+# 4 s) and 3.8e10 over N <= 200; the count grows like p(N)
+MAX_TABLE_N = 60
 
 
 def _usage_error(message: str) -> int:
@@ -131,21 +123,21 @@ def _dump_series(ms, fmt) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import identities
 
     # a polynomial identity is compared in full unless --trunc is given
-    trunc = cfg.trunc
-    if trunc is None and identities.get_identity(cfg.target).kind == "truncated-series":
+    trunc = args.trunc
+    if trunc is None and identities.get_identity(args.id).kind == "truncated-series":
         trunc = DEFAULT_TRUNC
     report = identities.verify(
-        cfg.target,
-        {"n": cfg.n},
+        args.id,
+        {"n": args.n},
         trunc=trunc,
-        comb_cap=cfg.weight_cap,
-        include_comb=not cfg.no_comb,
+        comb_cap=args.weight_cap,
+        include_comb=not args.no_comb,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         status = "equal" if report.equal else "MISMATCH"
@@ -163,12 +155,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.equal else 1
 
 
-def _demo_phi(cfg: RunConfig) -> int:
+def _demo_phi(args: argparse.Namespace) -> int:
     from . import bijections
-    from .partitions import DistinctPartition, PartitionPair, staircase
+    from .partitions import DistinctPartition, PartitionPair, b2_weight, staircase
 
-    n = cfg.n
-    pair = parse_pair(cfg.demo)
+    n = args.n
+    pair = parse_pair(args.demo)
     pair = PartitionPair(DistinctPartition(pair.first.parts), pair.second)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
           f" (weight {pair.weight})")
@@ -177,8 +169,8 @@ def _demo_phi(cfg: RunConfig) -> int:
     t, nu = bijections.phi(n, pair)
     print(f"mu = staircase {part_str(staircase(t))} (t={t})")
     print(f"nu = {part_str(nu)}")
-    print(f"output weight: {t * (t + 1) // 2 + nu.weight}")
-    if cfg.ferrers:
+    print(f"output weight: {b2_weight((t, nu))}")
+    if args.ferrers:
         print("nu as a diagram:")
         print(ferrers(nu))
     back = bijections.phi_inv(n, (t, nu))
@@ -186,27 +178,27 @@ def _demo_phi(cfg: RunConfig) -> int:
     return 0
 
 
-def _demo_rho(cfg: RunConfig) -> int:
+def _demo_rho(args: argparse.Namespace) -> int:
     from . import bijections
+    from .partitions import run_weight
 
-    n = cfg.n
-    lam = parse_signed_set(cfg.demo, n)
+    n = args.n
+    lam = parse_signed_set(args.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
     t, nu = bijections.rho(n, lam)
-    run = list(range(-n, t + 1))
-    print(f"t = {t}; mu = run {{{','.join(str(v) for v in run)}}}"
-          f" (weight {sum(run)})")
+    print(f"t = {t}; mu = run {{{','.join(str(v) for v in range(-n, t + 1))}}}"
+          f" (weight {run_weight(n, t)})")
     print(f"nu = {part_str(nu)} (weight {nu.weight})")
     back = bijections.rho_inv(n, (t, nu))
     print(f"inverse check: {set_str(back)}")
     return 0
 
 
-def _demo_psi(cfg: RunConfig) -> int:
+def _demo_psi(args: argparse.Namespace) -> int:
     from . import bijections
 
-    n = cfg.n
-    mu = parse_signed_set(cfg.demo, n)
+    n = args.n
+    mu = parse_signed_set(args.demo, n)
     print(f"input: mu={set_str(mu)} (weight {mu.weight})")
     out = bijections.psi(n, mu)
     print(f"psi(mu) = {part_str(out)} (weight {out.weight})")
@@ -216,11 +208,11 @@ def _demo_psi(cfg: RunConfig) -> int:
     return 0
 
 
-def _demo_tau(cfg: RunConfig) -> int:
+def _demo_tau(args: argparse.Namespace) -> int:
     from . import bijections
 
-    n = cfg.n
-    lam = parse_signed_set(cfg.demo, n)
+    n = args.n
+    lam = parse_signed_set(args.demo, n)
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
     out = bijections.tau(n, lam)
     print(f"tau(lambda) = {set_str(out)} (weight {out.weight})")
@@ -229,13 +221,13 @@ def _demo_tau(cfg: RunConfig) -> int:
     return 0
 
 
-def _demo_durfee(cfg: RunConfig) -> int:
+def _demo_durfee(args: argparse.Namespace) -> int:
     from . import bijections
 
-    lam = parse_partition(cfg.demo)
+    lam = parse_partition(args.demo)
     print(f"input: lambda={part_str(lam)} (weight {lam.weight},"
           f" Durfee side {lam.durfee_size()})")
-    if cfg.ferrers:
+    if args.ferrers:
         print(ferrers(lam))
     pair = bijections.durfee_split(lam)
     print(f"mu = {part_str(pair.first)}  nu = {part_str(pair.second)}")
@@ -244,27 +236,21 @@ def _demo_durfee(cfg: RunConfig) -> int:
     return 0
 
 
-def _demo_nu3(cfg: RunConfig) -> int:
+def _demo_nu3(args: argparse.Namespace) -> int:
     from . import bijections
     from .partitions import Partition, distinct_odd_to_selfconj
 
-    n, k = cfg.n, cfg.k
-    pair = parse_pair(cfg.demo)
+    n, k = args.n, args.k
+    pair = parse_pair(args.demo)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
           f" (weight {pair.weight})")
-    rows = [n] * (n + 1)
-    below = []
     for part in pair.second.parts:
         s = (part - 1) // 2
-        for i in range(s + 1):
-            rows[i] += 1
-        if s:
-            below.append(s)
         print(f"  split {part} = {s + 1} + {s}: column of height {s + 1},"
               f" row of width {s}")
-    nu_star = Partition(tuple(r for r in rows if r) + tuple(below))
+    nu_star = Partition(bijections._fold(n, pair.second.parts))
     print(f"folded diagram: {part_str(nu_star)}")
-    if cfg.ferrers:
+    if args.ferrers:
         print(ferrers(nu_star))
     out = bijections.nu3_forward(n, k, pair)
     nu_prime = distinct_odd_to_selfconj(out.second)
@@ -286,39 +272,25 @@ _DEMOS = {
 }
 
 
-def cmd_bijection(cfg: RunConfig) -> int:
+def cmd_bijection(args: argparse.Namespace) -> int:
     from . import bijections
 
-    name = cfg.target
-    if name not in bijections.BIJECTION_NAMES:
-        return _usage_error(
-            f"unknown bijection {name!r}; choose from {bijections.BIJECTION_NAMES}"
-        )
-    if cfg.demo:
+    name = args.name
+    if args.demo and name in _DEMOS:  # check_bijection refuses an unknown name
         demo, needed = _DEMOS[name]
         for param in needed:
-            if getattr(cfg, param) is None:
+            if getattr(args, param) is None:
                 return _usage_error(f"demo of {name} requires --{param}")
         try:
-            return demo(cfg)
+            return demo(args)
         except (ValueError, QidentError) as exc:
             return _usage_error(str(exc))
-    kwargs = dict(n=cfg.n, k=cfg.k, weight_cap=cfg.weight_cap)
-    if cfg.max_nk is not None:
-        kwargs["max_nk"] = cfg.max_nk
-    report = bijections.check_bijection(name, **kwargs)
+    report = bijections.check_bijection(name, n=args.n, k=args.k,
+                                        weight_cap=args.weight_cap,
+                                        max_nk=args.max_nk)
     ok = report.passed()
-    if cfg.fmt == "json":
-        print(json.dumps({
-            "name": report.name,
-            "domain_size": report.domain_size,
-            "codomain_size": report.codomain_size,
-            "roundtrip_failures": report.roundtrip_failures,
-            "weight_violations": report.weight_violations,
-            "membership_failures": report.membership_failures,
-            "witness": report.witness,
-            "pass": ok,
-        }))
+    if args.format == "json":
+        print(json.dumps({**report._asdict(), "pass": ok}))
     else:
         print(
             f"{report.name}: domain {report.domain_size},"
@@ -333,12 +305,14 @@ def cmd_bijection(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     from . import dsl
     from .series import mono_str
 
+    if len(args.exprs) > 2:
+        return _usage_error("eval takes one or two expressions")
     bindings = {}
-    for b in binds:
+    for b in args.bind:
         if "=" not in b:
             return _usage_error(f"--bind needs name=value: {b!r}")
         name, _, value = b.partition("=")
@@ -346,29 +320,22 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
             bindings[name.strip()] = int(value)
         except ValueError:
             return _usage_error(f"binding value must be an integer: {b!r}")
-    trunc = DEFAULT_TRUNC if cfg.trunc is None else cfg.trunc
-    try:
-        values = [dsl.evaluate(t, bindings, trunc) for t in exprs]
-    except ParseError as exc:
-        print(f"parse error at {exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
-        return 2
-    except QidentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trunc = DEFAULT_TRUNC if args.trunc is None else args.trunc
+    values = [dsl.evaluate(t, bindings, trunc) for t in args.exprs]
     if len(values) == 1:
-        _dump_series(values[0], cfg.fmt)
+        _dump_series(values[0], args.format)
         return 0
     lhs, rhs = values
     mm = lhs.first_mismatch(rhs, trunc)
     if mm is None:
         bound = min(t for t in (lhs.trunc, rhs.trunc, trunc) if t is not None)
-        if cfg.fmt == "json":
+        if args.format == "json":
             print(json.dumps({"equal": True, "trunc": bound}))
         else:
             print(f"equal below q^{bound}")
         return 0
     mono, e, lc, rc = mm
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({
             "equal": False,
             "first_mismatch": {
@@ -380,12 +347,14 @@ def cmd_eval(cfg: RunConfig, exprs: list, binds: list) -> int:
     return 1
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     from . import identities
 
-    max_n = cfg.max_n
+    max_n = args.max_n
     if max_n < 1:
         return _usage_error("table requires --max-n >= 1")
+    if max_n > MAX_TABLE_N:
+        return _usage_error(f"table --max-n may not exceed {MAX_TABLE_N}")
     series_omega = identities.p_omega_series(max_n + 1)
     series_nu = identities.p_nu_series(max_n + 1)
     rows = []
@@ -396,7 +365,7 @@ def cmd_table(cfg: RunConfig) -> int:
         agree = po == co and pn == cn
         ok = ok and agree
         rows.append((N, po, co, pn, cn, agree))
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({
             "rows": [
                 {"n": N, "p_omega": po, "series_omega": co,
@@ -414,10 +383,10 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_list(cfg: RunConfig) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     from . import bijections, identities
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({
             "identities": list(identities.IDENTITY_IDS),
             "bijections": list(bijections.BIJECTION_NAMES),
@@ -443,30 +412,38 @@ def cmd_list(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each takes only the flags its command
+    reads and names that command as ``run``."""
     p = argparse.ArgumentParser(
         prog="qident",
         description="Verify q-series identities and partition bijections"
                     " with exact integer arithmetic.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--trunc", type=int,
+    shared = {
+        "--trunc": dict(type=int,
                         help=f"q-truncation order (default {DEFAULT_TRUNC};"
                              " verify compares a polynomial identity in full"
-                             " unless it is given)")
-        sp.add_argument("--cap", type=int, default=30, dest="weight_cap",
-                        help="weight cap for enumerations (default 30)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+                             " unless it is given)"),
+        "--cap": dict(type=int, default=30, dest="weight_cap",
+                      help="weight cap for enumerations (default 30)"),
+        "--format": dict(choices=("text", "json"), default="text"),
+    }
+
+    def add_shared(sp, *flags):
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     v = sub.add_parser("verify", help="verify a registered identity")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("id")
     v.add_argument("--n", type=int)
     v.add_argument("--no-comb", action="store_true",
                    help="skip enumeration-based sides")
-    common(v)
+    add_shared(v, "--trunc", "--cap", "--format")
 
     b = sub.add_parser("bijection", help="check or demo a bijection")
+    b.set_defaults(run=cmd_bijection)
     b.add_argument("name")
     b.add_argument("--n", type=int)
     b.add_argument("--k", type=int)
@@ -475,20 +452,23 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--demo", help="worked example, e.g. \"(5,3)|(2,2,2,1,1)\"")
     b.add_argument("--ferrers", action="store_true",
                    help="draw diagrams in demo mode")
-    common(b)
+    add_shared(b, "--cap", "--format")
 
     e = sub.add_parser("eval", help="evaluate one expression or diff two")
+    e.set_defaults(run=cmd_eval)
     e.add_argument("exprs", nargs="+", metavar="EXPR")
     e.add_argument("--bind", action="append", default=[],
                    metavar="NAME=VALUE")
-    common(e)
+    add_shared(e, "--trunc", "--format")
 
     t = sub.add_parser("table", help="counting-function cross-check table")
+    t.set_defaults(run=cmd_table)
     t.add_argument("--max-n", type=int, dest="max_n", default=10)
-    common(t)
+    add_shared(t, "--format")
 
     l = sub.add_parser("list", help="list identity ids and bijection names")
-    l.add_argument("--format", choices=("text", "json"), default="text")
+    l.set_defaults(run=cmd_list)
+    add_shared(l, "--format")
 
     return p
 
@@ -499,39 +479,15 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    fmt = getattr(args, "format", "text")
-    cfg = RunConfig(
-        command=args.command,
-        target=getattr(args, "id", None) or getattr(args, "name", None),
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        trunc=getattr(args, "trunc", None),
-        weight_cap=getattr(args, "weight_cap", 30),
-        fmt=fmt,
-        no_comb=getattr(args, "no_comb", False),
-        demo=getattr(args, "demo", None),
-        ferrers=getattr(args, "ferrers", False),
-        max_nk=getattr(args, "max_nk", None),
-        max_n=getattr(args, "max_n", 0),
-    )
-    if cfg.trunc is not None and cfg.trunc < 1:
+    if getattr(args, "trunc", None) is not None and args.trunc < 1:
         return _usage_error("--trunc must be >= 1")
     try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "bijection":
-            return cmd_bijection(cfg)
-        if args.command == "eval":
-            if len(args.exprs) > 2:
-                return _usage_error("eval takes one or two expressions")
-            return cmd_eval(cfg, args.exprs, args.bind)
-        if args.command == "table":
-            return cmd_table(cfg)
-        if args.command == "list":
-            return cmd_list(cfg)
+        return args.run(args)
+    except ParseError as exc:
+        print(f"parse error at {exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
+        return 2
     except QidentError as exc:
         return _usage_error(str(exc))
-    return _usage_error(f"unknown command {args.command!r}")
 
 
 def entry() -> None:

@@ -671,8 +671,13 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
 
 def evaluate(text: str, bindings: Optional[dict] = None,
              trunc: Optional[int] = None) -> MultiSeries:
-    """Parse and evaluate source text in one step."""
-    return eval_series(parse(text), dict(bindings or {}), trunc)
+    """Parse and evaluate source text in one step.  A binding may not name
+    q, z, x, y or inf, which the text would read as the series value."""
+    bindings = dict(bindings or {})
+    for name in bindings:
+        if name in RESERVED:
+            raise DslError(f"binding may not shadow reserved name {name!r}")
+    return eval_series(parse(text), bindings, trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -287,3 +287,94 @@ def test_parse_pair_and_set():
 def test_usage_without_subcommand(capsys):
     code = main([])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# front end: demo transcripts, report shapes, help and accepted flags
+# ---------------------------------------------------------------------------
+
+
+DEMO_TRANSCRIPTS = [
+    (("psi", "--n", "4", "--demo", "{-4,-2}"),
+     "input: mu={-4,-2} (weight -6)\n"
+     "psi(mu) = (3,1) (weight 4)\n"
+     "weight law: -6 = -10 + 4\n"
+     "inverse check: {-4,-2}\n"),
+    (("tau", "--n", "2", "--demo", "{-1,0,1,2}"),
+     "input: lambda={-1,0,1,2} (weight 2)\n"
+     "tau(lambda) = {2} (weight 2)\n"
+     "inverse check: {-1,0,1,2}\n"),
+    (("nu3", "--n", "1", "--k", "1", "--demo", "(1,1)|(3)", "--ferrers"),
+     "input: lambda=(1,1) pi=(3) (weight 5)\n"
+     "  split 3 = 2 + 1: column of height 2, row of width 1\n"
+     "folded diagram: (2,2,1)\n"
+     "  * * \n"
+     "  * * \n"
+     "  * \n"
+     "mu = (2); self-conjugate residue = (2,1) (Durfee side 1)\n"
+     "nu = hooks of residue = (3)\n"
+     "inverse check: (1,1)|(3)\n"),
+    (("nu3", "--n", "2", "--k", "3", "--demo", "(2,2,2)|(5,3,1)", "--ferrers"),
+     "input: lambda=(2,2,2) pi=(5,3,1) (weight 15)\n"
+     "  split 5 = 3 + 2: column of height 3, row of width 2\n"
+     "  split 3 = 2 + 1: column of height 2, row of width 1\n"
+     "  split 1 = 1 + 0: column of height 1, row of width 0\n"
+     "folded diagram: (5,4,3,2,1)\n"
+     "  * * * * * \n"
+     "  * * * * \n"
+     "  * * * \n"
+     "  * * \n"
+     "  * \n"
+     "mu = (5); self-conjugate residue = (4,3,2,1) (Durfee side 2)\n"
+     "nu = hooks of residue = (7,3)\n"
+     "inverse check: (2,2,2)|(5,3,1)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", DEMO_TRANSCRIPTS,
+                         ids=[a[0] + "-" + a[-1] for a, _ in DEMO_TRANSCRIPTS])
+def test_demo_transcript(capsys, argv, expected):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_bijection_json_key_order(capsys):
+    code, out, _ = run(capsys, "bijection", "nu3", "--max-nk", "2", "--cap", "12",
+                       "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "name", "domain_size", "codomain_size", "roundtrip_failures",
+        "weight_violations", "membership_failures", "witness", "pass",
+    ]
+
+
+@pytest.mark.parametrize("command", ["verify", "bijection", "eval", "table", "list"])
+def test_subcommand_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: qident {command}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-n", "3", "--trunc", "5"),
+    ("table", "--max-n", "3", "--cap", "2"),
+    ("eval", "q", "--cap", "3"),
+    ("bijection", "phi", "--n", "1", "--trunc", "5"),
+], ids=["table-trunc", "table-cap", "eval-cap", "bijection-trunc"])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_table_max_n_cap_exit_2(capsys):
+    from qident.cli import MAX_TABLE_N
+
+    # one step past the cap; refused before either series is built
+    code, out, err = run(capsys, "table", "--max-n", str(MAX_TABLE_N + 1))
+    assert code == 2 and out == "" and f"{MAX_TABLE_N}" in err
+
+
+def test_eval_reserved_binding_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "q+z", "--bind", "q=3", "--bind", "z=5",
+                         "--trunc", "4")
+    assert code == 2 and out == ""
+    assert err == "error: binding may not shadow reserved name 'q'\n"

@@ -172,6 +172,13 @@ def test_eval_errors():
         evaluate("poch(q, 1, -2)", {}, 10)
 
 
+def test_eval_refuses_reserved_bindings():
+    # a binding of q, z, x, y or inf would be ignored, so it is refused
+    for name in ("q", "z", "x", "y", "inf"):
+        with pytest.raises(DslError, match=f"reserved name '{name}'"):
+            evaluate("1 + n", {"n": 1, name: 3}, 10)
+
+
 def test_eval_int_context():
     assert eval_int(parse("binom(n+s, s)"), {"n": 3, "s": 2}) == 10
     assert eval_int(parse("-(2+3)*4"), {}) == -20
