@@ -5,6 +5,14 @@ covered by ``check_bijection``, which exhaustively enumerates the (possibly
 weight-capped) domain and codomain, applies the map both ways, and verifies
 membership, the weight law, and the round trip element by element.
 
+Every map and validator is a function of the value of its element alone:
+equal elements get equal results.  The sweep relies on it.  It walks the
+domain and the codomain in lockstep, and a domain element whose image maps
+back to it, and which lies in the domain, proves the codomain checks of
+that image; only the codomain elements that no such image matched are
+mapped back and forth.  Its memory is what is pending at once, not the
+families.
+
 The six bijections are the rows of one table, ``_BIJECTIONS``: the
 parameters a sweep needs, the domain and codomain families, the forward and
 inverse maps, the two weight functions and the shift of the weight law.
@@ -15,11 +23,11 @@ map's checks format their ``DomainViolation`` message only when they fail.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainViolation, MissingParam, UnknownBijection
+from .errors import BadParams, DomainViolation, MissingParam, UnknownBijection
 from .partitions import (
     DistinctPartition,
     Partition,
@@ -304,55 +312,93 @@ class BijectionReport(NamedTuple):
         )
 
 
+_END = object()  # zip_longest's filler once one family has run out
+
+
 def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
            weight_cap: Optional[int]) -> BijectionReport:
+    """Walk the domain and the codomain in lockstep and count the failures.
+
+    A domain element x gets forward, membership of its image y in the
+    codomain, the weight law and the round trip ``inverse(y) == x``.  A
+    codomain element gets inverse, membership of its preimage in the domain
+    and forward back to itself.  Every map and validator depends only on
+    the value of the element, so an x that passed forward, membership and
+    the round trip and lies in the domain has already proved the codomain
+    checks of every element equal to y.  Such an image waits in ``proved``
+    until its twin turns up in the codomain, and an unmatched codomain
+    element waits in ``pending`` until a proved image arrives; a match
+    drops both.  Only the codomain elements still pending at the end take
+    the full path, in codomain order; an element met more than once is
+    checked once and counted as often as it was met.  The weight multisets
+    are compared through one tally of counts per weight.  Memory is what
+    is pending, not the families.  The report is that of a domain pass
+    followed by a codomain pass: counts, and the first domain witness
+    before the first codomain witness.
+    """
     domain, in_domain = spec.domain(n, k, weight_cap)
     codomain, in_codomain = spec.codomain(n, k, weight_cap)
     forward, inverse = spec.forward, spec.inverse
     w_domain, w_codomain = spec.w_domain, spec.w_codomain
     delta = spec.shift(n)
     roundtrip = weight = membership = 0
-    witness = None
-    dom_weights = []
-    for x in domain:
-        wx = w_domain(n, x) + delta
-        dom_weights.append(wx)
-        try:
-            y = forward(n, k, x)
-            if not in_codomain(y):
+    dom_witness = cod_witness = None
+    dom_size = cod_size = 0
+    balance = {}  # weight -> its count in the domain minus in the codomain
+    proved = set()  # images of proved domain elements, twin not met yet
+    pending = {}  # unmatched codomain element -> times met
+    for x, y in zip_longest(domain, codomain, fillvalue=_END):
+        if x is not _END:
+            wx = w_domain(n, x) + delta
+            dom_size += 1
+            balance[wx] = balance.get(wx, 0) + 1
+            back = False
+            try:
+                fx = forward(n, k, x)
+                if in_codomain(fx):
+                    if w_codomain(n, fx) != wx:
+                        weight += 1
+                        dom_witness = dom_witness or repr(x)
+                    if inverse(n, k, fx) != x:
+                        roundtrip += 1
+                        dom_witness = dom_witness or repr(x)
+                    else:
+                        back = True
+                else:
+                    membership += 1
+                    dom_witness = dom_witness or repr(x)
+            except DomainViolation:
                 membership += 1
-                witness = witness or repr(x)
-                continue
-            if w_codomain(n, y) != wx:
-                weight += 1
-                witness = witness or repr(x)
-            if inverse(n, k, y) != x:
-                roundtrip += 1
-                witness = witness or repr(x)
-        except DomainViolation:
-            membership += 1
-            witness = witness or repr(x)
-    cod_weights = []
-    for y in codomain:
-        cod_weights.append(w_codomain(n, y))
+                dom_witness = dom_witness or repr(x)
+            if back and in_domain(x) and not pending.pop(fx, 0):
+                proved.add(fx)
+        if y is not _END:
+            wy = w_codomain(n, y)
+            cod_size += 1
+            balance[wy] = balance.get(wy, 0) - 1
+            if y in proved:
+                proved.remove(y)
+            else:
+                pending[y] = pending.get(y, 0) + 1
+    for y, times in pending.items():
         try:
             x = inverse(n, k, y)
             if not in_domain(x):
-                membership += 1
-                witness = witness or repr(y)
-                continue
-            if forward(n, k, x) != y:
-                roundtrip += 1
-                witness = witness or repr(y)
+                membership += times
+                cod_witness = cod_witness or repr(y)
+            elif forward(n, k, x) != y:
+                roundtrip += times
+                cod_witness = cod_witness or repr(y)
         except DomainViolation:
-            membership += 1
-            witness = witness or repr(y)
+            membership += times
+            cod_witness = cod_witness or repr(y)
+    witness = dom_witness or cod_witness
     # independent of the element-wise law: the shifted weight multisets of
     # the two enumerations must coincide
-    if sorted(dom_weights) != sorted(cod_weights):
+    if any(balance.values()):
         weight += 1
         witness = witness or "domain/codomain weight multisets differ"
-    return BijectionReport(name, len(dom_weights), len(cod_weights),
+    return BijectionReport(name, dom_size, cod_size,
                            roundtrip, weight, membership, witness)
 
 
@@ -413,7 +459,7 @@ def _bounded_distinct(n, k, cap):
 
 def _short_sets(n, k, cap):
     """Elements of P(n) with at most n elements, the codomain of tau."""
-    return signed_sets(n, range(n + 1)), lambda y: len(y) <= n
+    return signed_sets(n, range(n, -1, -1)), lambda y: len(y) <= n
 
 
 _BIJECTIONS = {
@@ -466,13 +512,21 @@ def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
     """Exhaustively verify one of the six maps.
 
     For ``durfee_split`` omitting k sweeps every k reachable under the weight
-    cap; for ``nu3`` passing ``max_nk`` sweeps all pairs with n + k bounded by
-    it.  Merged reports add sizes and failure counts.
+    cap; for ``nu3`` passing ``max_nk`` (in place of n and k) sweeps all
+    pairs with n + k bounded by it.  Merged reports add sizes and failure
+    counts.  A parameter the map does not take is refused with ``BadParams``.
     """
     if name not in BIJECTION_NAMES:
         raise UnknownBijection(
             f"unknown bijection {name!r}; choose from {BIJECTION_NAMES}"
         )
+    given = {"n": n, "k": k, "weight_cap": weight_cap, "max_nk": max_nk}
+    takes = _BIJECTIONS[name].params
+    if name == "nu3" and max_nk is not None:
+        takes = ("max_nk", "weight_cap")
+    extra = [p for p, v in given.items() if v is not None and p not in takes]
+    if extra:
+        raise BadParams(f"bijection {name} does not take parameter(s) {extra}")
     if name == "durfee_split" and k is None:
         if weight_cap is None:
             raise MissingParam("durfee_split requires weight_cap")
@@ -480,7 +534,7 @@ def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
         for kk in range((weight_cap - 1) // 2 + 1):
             rep = rep.merge(_check_single(name, None, kk, weight_cap))
         return rep
-    if name == "nu3" and max_nk is not None:
+    if max_nk is not None:
         if weight_cap is None:
             raise MissingParam("nu3 requires weight_cap")
         rep = BijectionReport(name=name)

@@ -39,6 +39,7 @@ if TYPE_CHECKING:
 
 
 DEFAULT_TRUNC = 200
+DEFAULT_CAP = 30
 # the p_omega and p_nu oracles build 367 236 partitions over N <= 60 (about
 # 4 s) and 3.8e10 over N <= 200; the count grows like p(N)
 MAX_TABLE_N = 60
@@ -244,6 +245,8 @@ def _demo_nu3(args: argparse.Namespace) -> int:
     pair = parse_pair(args.demo)
     print(f"input: lambda={part_str(pair.first)} pi={part_str(pair.second)}"
           f" (weight {pair.weight})")
+    # the map validates the input, which the fold below assumes
+    out = bijections.nu3_forward(n, k, pair)
     for part in pair.second.parts:
         s = (part - 1) // 2
         print(f"  split {part} = {s + 1} + {s}: column of height {s + 1},"
@@ -252,7 +255,6 @@ def _demo_nu3(args: argparse.Namespace) -> int:
     print(f"folded diagram: {part_str(nu_star)}")
     if args.ferrers:
         print(ferrers(nu_star))
-    out = bijections.nu3_forward(n, k, pair)
     nu_prime = distinct_odd_to_selfconj(out.second)
     print(f"mu = {part_str(out.first)}; self-conjugate residue ="
           f" {part_str(nu_prime)} (Durfee side {nu_prime.durfee_size()})")
@@ -285,9 +287,14 @@ def cmd_bijection(args: argparse.Namespace) -> int:
             return demo(args)
         except (ValueError, QidentError) as exc:
             return _usage_error(str(exc))
+    # --cap defaults to DEFAULT_CAP only for the maps that take a cap, so
+    # check_bijection refuses a cap only when one was given
+    cap = args.weight_cap
+    spec = bijections._BIJECTIONS.get(name)
+    if cap is None and spec and "weight_cap" in spec.params:
+        cap = DEFAULT_CAP
     report = bijections.check_bijection(name, n=args.n, k=args.k,
-                                        weight_cap=args.weight_cap,
-                                        max_nk=args.max_nk)
+                                        weight_cap=cap, max_nk=args.max_nk)
     ok = report.passed()
     if args.format == "json":
         print(json.dumps({**report._asdict(), "pass": ok}))
@@ -425,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"q-truncation order (default {DEFAULT_TRUNC};"
                              " verify compares a polynomial identity in full"
                              " unless it is given)"),
-        "--cap": dict(type=int, default=30, dest="weight_cap",
-                      help="weight cap for enumerations (default 30)"),
+        "--cap": dict(type=int, default=DEFAULT_CAP, dest="weight_cap",
+                      help=f"weight cap for enumerations (default {DEFAULT_CAP})"),
         "--format": dict(choices=("text", "json"), default="text"),
     }
 
@@ -453,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--ferrers", action="store_true",
                    help="draw diagrams in demo mode")
     add_shared(b, "--cap", "--format")
+    # no default cap here: cmd_bijection supplies it to the maps that take one
+    b.set_defaults(weight_cap=None)
 
     e = sub.add_parser("eval", help="evaluate one expression or diff two")
     e.set_defaults(run=cmd_eval)

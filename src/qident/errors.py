@@ -46,7 +46,7 @@ class UnknownIdentity(QidentError):
 
 
 class BadParams(QidentError):
-    """Parameters do not match the identity's schema."""
+    """Parameters do not match the identity's or the bijection's schema."""
 
 
 class DslError(QidentError):

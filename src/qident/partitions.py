@@ -256,13 +256,26 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[tuple]:
 
 
 def _box_tuples(max_parts: int, max_part: int) -> Iterator[tuple]:
-    """Partitions with at most max_parts parts, each at most max_part."""
+    """Partitions with at most max_parts parts, each at most max_part.
+
+    Each tuple comes before its extensions, and the first parts decrease
+    from max_part: (), (m,), (m, m), ..., (1, ..., 1).  The next tuple
+    repeats the last part while there is room; otherwise it drops the
+    trailing 1s and lowers the part before them.
+    """
     yield ()
-    if max_parts == 0 or max_part == 0:
+    if max_parts <= 0 or max_part <= 0:
         return
-    for first in range(max_part, 0, -1):
-        for rest in _box_tuples(max_parts - 1, first):
-            yield (first,) + rest
+    parts = [max_part]
+    while parts:
+        yield tuple(parts)
+        if len(parts) < max_parts:
+            parts.append(parts[-1])
+            continue
+        while parts and parts[-1] == 1:
+            parts.pop()
+        if parts:
+            parts[-1] -= 1
 
 
 def enumerate_partitions(max_parts: int, max_part: int) -> Iterator[Partition]:

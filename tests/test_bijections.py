@@ -19,7 +19,7 @@ from qident.bijections import (
     tau,
     tau_complement,
 )
-from qident.errors import DomainViolation, MissingParam, UnknownBijection
+from qident.errors import BadParams, DomainViolation, MissingParam, UnknownBijection
 from qident.partitions import (
     DistinctPartition,
     Partition,
@@ -116,7 +116,10 @@ def test_tau_frozen_n1():
 def test_tau_codomain_is_the_ordered_filter_of_p():
     for n in range(6):
         short, in_codomain = bijections._short_sets(n, None, None)
-        want = [s for s in enumerate_domain("P", n=n) if len(s) <= n]
+        # sizes n down to 0, the order of the sizes of P_gt's images;
+        # lexicographic within a size
+        want = [s for r in range(n, -1, -1)
+                for s in enumerate_domain("P", n=n) if len(s) == r]
         assert list(short) == want
         assert all(map(in_codomain, want))
 
@@ -273,6 +276,15 @@ def test_check_bijection_errors():
         check_bijection("nu3", n=1, k=1)  # cap required
 
 
+def test_check_bijection_refuses_parameters_the_map_does_not_take():
+    with pytest.raises(BadParams, match=r"phi does not take parameter\(s\) \['k'\]"):
+        check_bijection("phi", n=2, k=1)
+    with pytest.raises(BadParams, match=r"\['n', 'k'\]"):
+        check_bijection("nu3", n=2, k=1, weight_cap=12, max_nk=1)
+    with pytest.raises(BadParams, match=r"\['max_nk'\]"):
+        check_bijection("durfee_split", weight_cap=12, max_nk=1)
+
+
 def test_report_merge():
     a = check_bijection("tau", n=1)
     b = check_bijection("tau", n=2)
@@ -416,6 +428,175 @@ def test_sweep_counts_weight_only_faults(monkeypatch):
     assert (rep.roundtrip_failures, rep.weight_violations,
             rep.membership_failures) == (0, 6, 0)
     assert rep.witness == "SignedDistinctSet((-2, -1, 0, 1), n=2)"
+
+
+# ---------------------------------------------------------------------------
+# the lockstep walk against the two-pass sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_sweep(name, spec, n, k, weight_cap):
+    """The two-pass sweep: every domain element forward and back, then every
+    codomain element back and forward, then the weight multisets."""
+    domain, in_domain = spec.domain(n, k, weight_cap)
+    codomain, in_codomain = spec.codomain(n, k, weight_cap)
+    forward, inverse = spec.forward, spec.inverse
+    w_domain, w_codomain = spec.w_domain, spec.w_codomain
+    delta = spec.shift(n)
+    roundtrip = weight = membership = 0
+    witness = None
+    dom_weights = []
+    for x in domain:
+        wx = w_domain(n, x) + delta
+        dom_weights.append(wx)
+        try:
+            y = forward(n, k, x)
+            if not in_codomain(y):
+                membership += 1
+                witness = witness or repr(x)
+                continue
+            if w_codomain(n, y) != wx:
+                weight += 1
+                witness = witness or repr(x)
+            if inverse(n, k, y) != x:
+                roundtrip += 1
+                witness = witness or repr(x)
+        except DomainViolation:
+            membership += 1
+            witness = witness or repr(x)
+    cod_weights = []
+    for y in codomain:
+        cod_weights.append(w_codomain(n, y))
+        try:
+            x = inverse(n, k, y)
+            if not in_domain(x):
+                membership += 1
+                witness = witness or repr(y)
+                continue
+            if forward(n, k, x) != y:
+                roundtrip += 1
+                witness = witness or repr(y)
+        except DomainViolation:
+            membership += 1
+            witness = witness or repr(y)
+    if sorted(dom_weights) != sorted(cod_weights):
+        weight += 1
+        witness = witness or "domain/codomain weight multisets differ"
+    return BijectionReport(name, len(dom_weights), len(cod_weights),
+                           roundtrip, weight, membership, witness)
+
+
+def _both_sweeps(monkeypatch, name, kwargs):
+    """The reports of the lockstep walk and of the reference, in that order."""
+    walk = bijections._sweep
+    new = check_bijection(name, **kwargs)
+    monkeypatch.setattr(bijections, "_sweep", _reference_sweep)
+    old = check_bijection(name, **kwargs)
+    monkeypatch.setattr(bijections, "_sweep", walk)
+    return new, old
+
+
+_SMALL_SWEEPS = (
+    [("phi", dict(n=n)) for n in range(4)]
+    + [("psi", dict(n=n)) for n in range(5)]
+    + [("tau", dict(n=n)) for n in range(4)]
+    + [("rho", dict(n=n)) for n in range(4)]
+    + [("durfee_split", dict(weight_cap=15)), ("durfee_split", dict(k=1, weight_cap=15)),
+       ("nu3", dict(max_nk=3, weight_cap=20)), ("nu3", dict(n=2, k=1, weight_cap=20))]
+)
+
+
+@pytest.mark.parametrize("name,kwargs", _SMALL_SWEEPS)
+def test_walk_report_equals_two_pass_sweep(monkeypatch, name, kwargs):
+    new, old = _both_sweeps(monkeypatch, name, kwargs)
+    assert new == old and new.passed()
+
+
+def _inject(monkeypatch, name, fault):
+    """Break one map of ``name`` the way test_sweep_counts_injected_faults
+    does; return the check_bijection arguments."""
+    kwargs, fwd_name, inv_name, bad_weight = _FAULT_CASES[name]
+    forward = getattr(bijections, fwd_name)
+    if fault == "drop_last":
+        monkeypatch.setattr(bijections, fwd_name,
+                            lambda *args: _drop_last(forward(*args)))
+    elif fault == "other_preimage":
+        first = _first_domain_element(name, kwargs)
+        monkeypatch.setattr(bijections, inv_name, lambda *args: first)
+    else:
+        def raising(*args):
+            if args[-1].weight == bad_weight:
+                raise DomainViolation("injected")
+            return forward(*args)
+        monkeypatch.setattr(bijections, fwd_name, raising)
+    return kwargs
+
+
+@pytest.mark.parametrize("name,fault", sorted(_FAULT_REPORTS))
+def test_walk_report_equals_two_pass_sweep_under_faults(monkeypatch, name, fault):
+    kwargs = _inject(monkeypatch, name, fault)
+    new, old = _both_sweeps(monkeypatch, name, kwargs)
+    assert new == old and new.witness is not None
+
+
+# a codomain element outside the family at the _FAULT_CASES sizes; each
+# fails the inverse's input check or lands outside the domain
+_OUTSIDE = {
+    "phi": (3, Partition(())),
+    "psi": DistinctPartition((4,)),
+    "tau": SignedDistinctSet((-2, -1, 0), 2),
+    "rho": (3, Partition(())),
+    "durfee_split": PartitionPair(Partition((3,)), Partition((1,))),
+    "nu3": PartitionPair(Partition((3,)), DistinctPartition((1,))),
+}
+
+
+def _twice_and_outside(name, items):
+    """The second element twice, and an outside element after the third
+    and again at the end."""
+    outside = _OUTSIDE[name]
+    return items[:2] + [items[1]] + items[2:3] + [outside] + items[3:] + [outside]
+
+
+def _short_codomain(name, items):
+    """The codomain without its last third: the domain is longer."""
+    return items[: 2 * len(items) // 3]
+
+
+@pytest.mark.parametrize("edit", [_twice_and_outside, _short_codomain])
+@pytest.mark.parametrize("name", sorted(_FAULT_CASES))
+def test_walk_report_equals_two_pass_sweep_on_edited_codomain(monkeypatch, name, edit):
+    row = bijections._BIJECTIONS[name]
+
+    def codomain(n, k, cap):
+        items, member = row.codomain(n, k, cap)
+        return iter(edit(name, list(items))), member
+
+    monkeypatch.setitem(bijections._BIJECTIONS, name, row._replace(codomain=codomain))
+    kwargs = _FAULT_CASES[name][0]
+    new, old = _both_sweeps(monkeypatch, name, kwargs)
+    assert new == old and not new.passed()
+    if edit is _twice_and_outside:
+        assert new.membership_failures == 2
+        assert new.witness == repr(_OUTSIDE[name])
+
+
+@pytest.mark.parametrize("name", sorted(_FAULT_CASES))
+def test_walk_report_equals_two_pass_sweep_when_domain_refuses_one(monkeypatch, name):
+    # a domain membership test that refuses its third element, which both
+    # maps still accept: only the codomain check of its image sees it
+    row = bijections._BIJECTIONS[name]
+    kwargs = _FAULT_CASES[name][0]
+
+    def domain(n, k, cap):
+        items, member = row.domain(n, k, cap)
+        items = list(items)
+        return iter(items), lambda x: x != items[2] and member(x)
+
+    monkeypatch.setitem(bijections._BIJECTIONS, name, row._replace(domain=domain))
+    new, old = _both_sweeps(monkeypatch, name, kwargs)
+    assert new == old
+    assert (new.roundtrip_failures, new.membership_failures) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

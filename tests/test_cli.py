@@ -338,6 +338,41 @@ def test_demo_transcript(capsys, argv, expected):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_nu3_demo_refuses_input_outside_o_before_folding(capsys):
+    # the part 7 would reach row 3 of the 2-row rectangle of n = 1
+    code, out, err = run(capsys, "bijection", "nu3", "--n", "1", "--k", "1",
+                         "--demo", "(1,1)|(7)")
+    assert code == 2
+    assert out == "input: lambda=(1,1) pi=(7) (weight 9)\n"
+    assert err == ("error: not an O(1,1) element:"
+                   " PartitionPair(Partition(1, 1), Partition(7,))\n")
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("phi", "--n", "2", "--k", "7", "--max-nk", "3", "--cap", "1"),
+     "phi does not take parameter(s) ['k', 'weight_cap', 'max_nk']"),
+    (("nu3", "--n", "2", "--k", "1", "--max-nk", "1", "--cap", "12"),
+     "nu3 does not take parameter(s) ['n', 'k']"),
+    (("psi", "--n", "2", "--cap", "30"),
+     "psi does not take parameter(s) ['weight_cap']"),
+    (("durfee_split", "--max-nk", "2"),
+     "durfee_split does not take parameter(s) ['max_nk']"),
+], ids=["phi", "nu3-max-nk", "psi-default-cap-given", "durfee-max-nk"])
+def test_bijection_refuses_parameters_the_map_does_not_take(capsys, argv, extra):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (2, "", f"error: bijection {extra}\n")
+
+
+def test_bijection_default_cap_only_for_maps_that_take_one(capsys):
+    # --cap was not given: phi takes none, durfee_split sweeps at 30
+    code, out, _ = run(capsys, "bijection", "phi", "--n", "2")
+    assert code == 0 and "-> PASS" in out
+    default = run(capsys, "bijection", "durfee_split", "--format", "json")
+    assert default == run(capsys, "bijection", "durfee_split", "--cap", "30",
+                          "--format", "json")
+    assert default[0] == 0
+
+
 def test_bijection_json_key_order(capsys):
     code, out, _ = run(capsys, "bijection", "nu3", "--max-nk", "2", "--cap", "12",
                        "--format", "json")

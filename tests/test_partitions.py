@@ -10,6 +10,7 @@ from qident.partitions import (
     Partition,
     PartitionPair,
     SignedDistinctSet,
+    _box_tuples,
     conjugate,
     conjugate_parts,
     distinct_odd_to_selfconj,
@@ -142,6 +143,24 @@ def test_box_count_and_gf(a, b):
     assert weight_gf(e.weight for e in elems) == qbinom(a + b, b)
     for e in elems:
         assert len(e) <= a and (not e or e.parts[0] <= b)
+
+
+def _box_reference(max_parts, max_part):
+    """The recursive definition of the box order: the empty tuple, then for
+    each first part from max_part down, that part before every tuple of the
+    smaller box under it."""
+    yield ()
+    if max_parts == 0 or max_part == 0:
+        return
+    for first in range(max_part, 0, -1):
+        for rest in _box_reference(max_parts - 1, first):
+            yield (first,) + rest
+
+
+def test_box_tuples_follow_the_recursive_order():
+    for a in range(8):
+        for b in range(8):
+            assert list(_box_tuples(a, b)) == list(_box_reference(a, b)), (a, b)
 
 
 # ---------------------------------------------------------------------------
