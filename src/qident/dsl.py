@@ -23,8 +23,12 @@ c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
 to reach ``trunc``.  Powers of Pochhammer products of a monomial are not
 expanded on their own: the series kernel multiplies or divides one dense
-accumulator by their factors 1 - c*m*q^j in turn.  A ``sum`` sums the terms
-of its summands once, at the end.  With no truncation order a negative
+accumulator by their factors 1 - c*m*q^j in turn.  At a truncation order,
+summands of a ``sum`` that are a monomial times such powers share one
+accumulator: consecutive summands differ in a few factors, so each applies
+only the change from the one before, and a sum of N summands costs O(N)
+kernel steps rather than O(N^2).  A ``sum`` sums the terms of its summands
+once, at the end.  With no truncation order a negative
 power of a q-polynomial is divided out exactly.  An integer power whose
 result would pass MAX_POWER_BITS bits, a sum over more than MAX_SUM_TERMS
 indices, and a power whose degree would pass MAX_EXACT_DEGREE (in q, z, x
@@ -378,14 +382,17 @@ def eval_int(e: Expr, bindings: dict) -> int:
 
 
 def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
-    # a single monomial with coefficient +-1 has an exact Laurent reciprocal;
-    # anything else needs a unit constant term
+    # a single monomial c*m*q^e with c = +-1 has a Laurent reciprocal; when
+    # ms is trusted only below t, ms = c*m*q^e * (1 + O(q^(t - e))), so the
+    # reciprocal is trusted only below t - 2e.  Anything else needs a unit
+    # constant term.
     terms = ms.terms()
     if len(terms) == 1:
         (mono, e, c), = terms
         if c in (1, -1):
-            return MultiSeries.from_terms([(tuple(-v for v in mono), -e, c)],
-                                          ms.trunc)
+            return MultiSeries.from_terms(
+                [(tuple(-v for v in mono), -e, c)],
+                None if ms.trunc is None else ms.trunc - 2 * e)
     return ms.invert_unit(trunc)
 
 
@@ -510,29 +517,81 @@ def _poch_chain(f: Expr, bindings: dict) -> Optional[tuple]:
     return None if k < 0 and min(p[1]) < 0 else (p, k)
 
 
+def _chain_factors(chains: list, size: int) -> dict:
+    """The factors 1 - c*m*q^j with j < size of the Pochhammer powers in
+    chains, as {(m, j, c): net power}.
+
+    Each poch(c*m*q^v, step, count)^k has the factors 1 - c*m*q^(v + step*i)
+    to the power k; a factor with j >= size is 1 below q^size.
+    """
+    powers: dict = {}
+    for (c, mono, v, step, count), k in chains:
+        stop = size if count is None else min(size, v + step * count)
+        for j in range(v, stop, step):
+            powers[mono, j, c] = powers.get((mono, j, c), 0) + k
+    return powers
+
+
+def _apply_powers(acc: _Rows, powers: dict) -> None:
+    """Multiply acc by each factor to its power in powers, in place."""
+    for a, k in powers.items():
+        apply = acc.mul if k > 0 else acc.div
+        for _ in range(abs(k)):
+            apply([a])
+
+
 def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
     """value times the Pochhammer powers in chains, as a dense accumulator.
 
-    Each poch(c*m*q^v, step, count)^k is applied as |k| chains of the
-    factors 1 - c*m*q^(v + step*i), multiplied or divided.  These powers
-    have constant term 1 and are trusted below ``inner``, so the product is
-    trusted below min(value.trunc, inner + value's valuation), the window
-    the accumulator keeps.
+    These powers have constant term 1 and are trusted below ``inner``, so
+    the product is trusted below min(value.trunc, inner + value's
+    valuation), the window the accumulator keeps.
     """
     lo = value.min_qexp()
     size = inner if value.trunc is None else min(value.trunc - lo, inner)
     acc = _Rows.load(value, lo, size)
-    for (c, mono, v, step, count), k in chains:
-        stop = acc.size if count is None else min(acc.size, v + step * count)
-        factors = [[(mono, j, c)] for j in range(v, stop, step)]
-        apply = acc.mul if k > 0 else acc.div
-        for _ in range(abs(k)):
-            for a in factors:
-                apply(a)
+    _apply_powers(acc, _chain_factors(chains, acc.size))
     return acc
 
 
-def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
+class _Carry:
+    """The Pochhammer powers of one sum's summands on one accumulator,
+    carried from summand to summand.
+
+    ``rows`` gives the product of a summand's chains below q^size, the
+    summand's window.  Consecutive summands share most of their factors,
+    so only the change in each factor's net power is applied: ``mul`` for
+    a power that rises, ``div`` for one that falls.  Every factor has
+    j >= 1, so each step is exact inside the window.  A smaller window cuts
+    the rows and forgets the factors with j >= size, which are 1 below
+    q^size.  A larger window, or a division by a factor with a negative
+    aux exponent (which ``div`` does not take), starts afresh.
+    """
+
+    __slots__ = ("acc", "powers")
+
+    def __init__(self):
+        self.acc: Optional[_Rows] = None
+        self.powers: dict = {}
+
+    def rows(self, chains: list, size: int) -> _Rows:
+        acc, old = self.acc, self.powers
+        powers = _chain_factors(chains, size)
+        if acc is not None and size < acc.size:
+            acc.shrink(size)
+            old = {a: k for a, k in old.items() if a[1] < size}
+        change = {a: powers.get(a, 0) - old.get(a, 0)
+                  for a in {**old, **powers}}
+        if acc is None or size > acc.size or any(
+                k < 0 and min(a[0]) < 0 for a, k in change.items()):
+            acc, change = _Rows.load(MultiSeries.one(), 0, size), powers
+        _apply_powers(acc, change)
+        self.acc, self.powers = acc, powers
+        return acc
+
+
+def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
+                  carry: Optional[_Carry] = None) -> MultiSeries:
     """A product, valuation first.
 
     The monomial factors fold into c * m * q^v.  When v plus the known
@@ -541,9 +600,11 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     are evaluated at ``trunc - v``, but at least 1 so that the constant term
     an inverse needs is kept, multiplied and shifted by q^v.  Powers of
     Pochhammer products of a monomial are applied factor by factor to one
-    dense accumulator (see ``_apply_chains``).  In an exact context
-    (``trunc`` None) a factor X^(-k) with X free of z, x and y is divided
-    out exactly; a remainder raises DivisionInexact.
+    dense accumulator (see ``_apply_chains``), or, when they are the only
+    factors besides the monomial, to the accumulator ``carry`` keeps for a
+    sum.  In an exact context (``trunc`` None) a factor X^(-k) with X free
+    of z, x and y is divided out exactly; a remainder raises
+    DivisionInexact.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -587,12 +648,17 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         value = value.exact_div(d)
     if not chains or not c or (value.is_zero() and value.trunc is None):
         return value.mul(monomial)
-    acc = _apply_chains(value, chains, inner)
+    if carry is not None and len(chains) == len(rest):
+        acc = carry.rows(chains, inner)
+    else:
+        acc = _apply_chains(value, chains, inner)
     return acc.series(acc.lo + acc.size + v, c, mono, v)
 
 
-def eval_series(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
-    """Evaluate an expression in series context."""
+def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
+                carry: Optional[_Carry] = None) -> MultiSeries:
+    """Evaluate an expression in series context; ``carry``, used only when
+    e is a product, is the accumulator a sum keeps for its summands."""
     if isinstance(e, BinOp) and e.op in ("+", "-"):
         l = eval_series(e.left, bindings, trunc)
         r = eval_series(e.right, bindings, trunc)
@@ -600,7 +666,7 @@ def eval_series(e: Expr, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if isinstance(e, Call) and e.func != "binom":
         return _eval_call(e, bindings, trunc)
     if isinstance(e, (Int, Name, Neg, BinOp, Pow, Call)):
-        return _eval_product(e, bindings, trunc)
+        return _eval_product(e, bindings, trunc, carry)
     raise DslError(f"cannot evaluate {e!r} as a series")
 
 
@@ -656,13 +722,16 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
                 f"sum over {hi - lo + 1} indices exceeds the"
                 f" {MAX_SUM_TERMS}-term limit"
             )
-        # the summands' terms are summed once, after the last summand; a
-        # zero summand only lowers the truncation
+        # summands whose only factors besides a monomial are Pochhammer
+        # powers share one accumulator (see _Carry); the summands' terms
+        # are summed once, after the last summand, and a zero summand only
+        # lowers the truncation
         inner = dict(bindings)
+        carry = _Carry()
         summands = []
         for v in range(lo, hi + 1):
             inner[var.ident] = v
-            summands.append(eval_series(e.args[3], inner, trunc))
+            summands.append(eval_series(e.args[3], inner, trunc, carry))
         return MultiSeries.from_terms(
             chain.from_iterable(s.terms() for s in summands),
             _min_trunc(*(s.trunc for s in summands)))

@@ -649,6 +649,15 @@ class _Rows:
                 acc.low[m] = min(inside)
         return acc
 
+    def shrink(self, size: int) -> None:
+        """Cut the window to its first ``size`` q-exponents, size >= 1, and
+        drop the rows that are zero in it."""
+        self.size = size
+        for m, row in list(self.rows.items()):
+            del row[size:]
+            if not any(row):
+                del self.rows[m], self.low[m]
+
     def _target(self, m: Mono) -> list:
         """The row of m, made (zero) if it is absent."""
         if m not in self.rows:

@@ -413,3 +413,11 @@ def test_eval_reserved_binding_exit_2(capsys):
                          "--trunc", "4")
     assert code == 2 and out == ""
     assert err == "error: binding may not shadow reserved name 'q'\n"
+
+
+def test_eval_reciprocal_of_truncated_term(capsys):
+    code, out, _ = run(capsys, "eval", "(z*q + z*q^4)^(-1)", "z^(-1)*q^(-1)",
+                       "--trunc", "3")
+    assert code == 0 and out == "equal below q^1\n"
+    code, out, _ = run(capsys, "eval", "(q^2 - q^3)^(-1)", "--trunc", "3")
+    assert code == 0 and out == "q^-2: 1\n(exact below q^-1)\n"

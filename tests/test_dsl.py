@@ -586,3 +586,18 @@ def test_node_repr():
         "BinOp(op='-', left=Name(ident='a'), right=BinOp(op='*',"
         " left=Int(value=2), right=Name(ident='b')))")
     assert repr(Token("EOF", "", 2, 7)) == "Token(kind='EOF', text='', line=2, col=7)"
+
+
+def test_reciprocal_of_truncated_term_is_trusted_below_t_minus_2e():
+    # at trunc 3 the base is known only as z*q + O(q^3); its reciprocal
+    # z^-1*q^-1 * (1 + O(q^2)) is known below q^1, and the true value has
+    # -z^-1*q^2 above that
+    got = evaluate("(z*q + z*q^4)^(-1)", {}, 3)
+    assert got == MultiSeries.term(1, -1, z=-1, trunc=1)
+    assert got.first_mismatch(evaluate("z^(-1)*q^(-1)*(1 + q^3)^(-1)", {}, 12)) is None
+    # q^-2 * (1 + q + q^2 + ...): the q^-1 term is not yet known at trunc 3
+    got = evaluate("(q^2 - q^3)^(-1)", {}, 3)
+    assert got.trunc == -1 and got.terms() == [((0, 0, 0), -2, 1)]
+    assert got.first_mismatch(evaluate("q^(-2)*(1 - q)^(-1)", {}, 12)) is None
+    # the reciprocal of an exact term stays exact
+    assert evaluate("(z*q^2 + q - q)^(-1)", {}, None) == MultiSeries.term(1, -2, z=-1)

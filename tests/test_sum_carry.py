@@ -1,0 +1,138 @@
+"""A sum's Pochhammer powers carried on one accumulator from summand to
+summand, checked against a reference that evaluates every summand on its
+own and adds them up."""
+
+import pytest
+
+from qident.dsl import Call, eval_int, evaluate, parse, unparse
+from qident.errors import DslError
+from qident.identities import REGISTRY
+from qident.series import MultiSeries, _Rows
+
+
+def per_summand(text, bindings, T):
+    """The sum in text, each summand evaluated apart by ``evaluate``."""
+    tree = parse(text)
+    assert isinstance(tree, Call) and tree.func == "sum"
+    var, lo, hi, body = tree.args
+    total = MultiSeries.zero()
+    for n in range(eval_int(lo, bindings), eval_int(hi, bindings) + 1):
+        total = total.add(evaluate(unparse(body), {**bindings, var.ident: n}, T))
+    return total
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the accumulator's loads, shrinks, and multiplications and
+    divisions by a factor."""
+    counts = {"load": 0, "shrink": 0, "mul": 0, "div": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Rows, "load", staticmethod(counted("load", _Rows.load)))
+    for name in ("shrink", "mul", "div"):
+        monkeypatch.setattr(_Rows, name, counted(name, getattr(_Rows, name)))
+    return counts
+
+
+_SERIES_TEXTS = [(iid, side, text)
+                 for iid, case in REGISTRY.items()
+                 if case.kind == "truncated-series"
+                 for side, text in case.texts.items()]
+
+
+@pytest.mark.parametrize("T", [1, 2, 45, 101])
+@pytest.mark.parametrize("iid,side,text", _SERIES_TEXTS,
+                         ids=[f"{i}-{s}" for i, s, _ in _SERIES_TEXTS])
+def test_registry_sums_match_per_summand_reference(iid, side, text, T):
+    got = evaluate(text, {"N": T}, T)
+    assert got == per_summand(text, {"N": T}, T)
+    assert got.trunc == T
+
+
+# each window rule, hit on purpose: (text, the kernel call it must make)
+_WINDOW_CASES = [
+    # the valuation q^n rises, so the window shrinks at every index, and
+    # factors with j past the new window are forgotten
+    ("sum(n, 1, 12, q^n * poch(z*q^n, 1, n+1)^(-1)"
+     " * poch(z*q^(2*n+2), 2, inf)^(-1))", "shrink"),
+    ("sum(n, 0, 9, z^n * q^(n^2) * poch(q, 2, n+1)^(-1) * poch(z*q, 1, n))",
+     "shrink"),
+    # the valuation falls, so the window grows and the rows are reloaded
+    ("sum(n, 0, 9, q^(9-n) * poch(z*q, 1, n)^(-1) * poch(-q, 2, inf))",
+     "load"),
+    # a factor with a negative aux exponent loses power: reloaded, since
+    # div does not take it
+    ("sum(n, 0, 7, q * poch(q*z^(-1), 1, 7-n) * poch(x*q, 2, n)^(-1))",
+     "load"),
+    ("sum(n, 0, 6, q * poch(-q^2*y^(-1), 1, 3)^(1 + (-1)^n))", "load"),
+]
+
+
+@pytest.mark.parametrize("T", [1, 3, 17])
+@pytest.mark.parametrize("text,call", _WINDOW_CASES)
+def test_window_rules_match_per_summand_reference(kernel_calls, text, call, T):
+    got = evaluate(text, {}, T)
+    calls = dict(kernel_calls)
+    assert got == per_summand(text, {}, T)
+    if T == 17:
+        # more than the first summand's load, or at least one cut
+        assert calls[call] > (1 if call == "load" else 0), calls
+
+
+def test_power_that_falls_and_rises_again():
+    # the net power of each factor goes up and down with the index
+    text = "sum(n, 0, 8, q^2 * poch(z*q, 1, 4)^((-1)^n) * poch(q, 1, 8-n)^(-1))"
+    for T in (1, 4, 23):
+        assert evaluate(text, {}, T) == per_summand(text, {}, T)
+
+
+def test_other_summand_shapes_take_the_general_path():
+    texts = [
+        # c = 0 at n = 3
+        "sum(n, 0, 6, (n-3) * q * poch(z*q, 1, n)^(-1))",
+        # a base of q-valuation < 1 from n = 3 on: not a factor chain
+        "sum(n, 0, 5, q^n * poch(z*q^(3-n), 1, 2) * poch(q, 1, n)^(-1))",
+        # a factor that is not a Pochhammer power
+        "sum(n, 0, 6, q^n * (1 + z*q^2)^n * poch(z*q, 2, n)^(-1))",
+        # summands whose valuation passes the truncation order
+        "sum(n, 0, 9, q^(2*n) * poch(z*q, 1, n+1)^(-1))",
+        # a body that is not a product, and a sum inside a sum
+        "sum(n, 0, 5, q^n * poch(q, 1, n)^(-1) + z^n * poch(z*q, 2, n))",
+        "sum(m, 0, 4, z^m * sum(n, 0, 5, q^(n+m) * poch(z*q, 1, n)^(-1)))",
+        "sum(n, 0, 5, poch(z*q^n, 1, n)^(-2) * poch(q, 1, n))",
+    ]
+    for text in texts:
+        for T in (1, 2, 9, 20):
+            assert evaluate(text, {}, T) == per_summand(text, {}, T), (text, T)
+
+
+def test_exact_sum_is_unchanged():
+    text = "sum(s, 0, 4, q^s * poch(q, 1, 4+s) * poch(q^2, 2, s)^(-1))"
+    got = evaluate(text, {}, None)
+    assert got.trunc is None
+    assert got == per_summand(text, {}, None)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("q^n * poch(z*q, 1, 3-n)^(-1)", "poch count must be nonnegative or inf"),
+    ("q^n * poch(z*q, 3-n, 2)^(-1)", "poch step must be a positive integer"),
+    ("q * poch(z*q, 1, n)^(-1) * poch(q, 1, 2-n)", "poch count must be"),
+])
+def test_malformed_poch_at_one_index_raises_as_before(body, message):
+    text = f"sum(n, 0, 5, {body})"
+    with pytest.raises(DslError, match=message) as got:
+        evaluate(text, {}, 12)
+    with pytest.raises(DslError) as want:
+        per_summand(text, {}, 12)
+    assert str(got.value) == str(want.value)
+
+
+def test_ay1_lhs_is_linear_in_the_truncation_order(kernel_calls):
+    T = 60
+    evaluate(REGISTRY["ay1"].texts["lhs"], {"N": T}, T)
+    assert kernel_calls["mul"] + kernel_calls["div"] < 4 * T, kernel_calls
