@@ -519,7 +519,7 @@ def _poch_chain(f: Expr, bindings: dict) -> Optional[tuple]:
 
 def _chain_factors(chains: list, size: int) -> dict:
     """The factors 1 - c*m*q^j with j < size of the Pochhammer powers in
-    chains, as {(m, j, c): net power}.
+    chains, as {((m, j, c),): net power}, each keyed by its one term.
 
     Each poch(c*m*q^v, step, count)^k has the factors 1 - c*m*q^(v + step*i)
     to the power k; a factor with j >= size is 1 below q^size.
@@ -528,16 +528,9 @@ def _chain_factors(chains: list, size: int) -> dict:
     for (c, mono, v, step, count), k in chains:
         stop = size if count is None else min(size, v + step * count)
         for j in range(v, stop, step):
-            powers[mono, j, c] = powers.get((mono, j, c), 0) + k
+            a = ((mono, j, c),)
+            powers[a] = powers.get(a, 0) + k
     return powers
-
-
-def _apply_powers(acc: _Rows, powers: dict) -> None:
-    """Multiply acc by each factor to its power in powers, in place."""
-    for a, k in powers.items():
-        apply = acc.mul if k > 0 else acc.div
-        for _ in range(abs(k)):
-            apply([a])
 
 
 def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
@@ -550,7 +543,7 @@ def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
     lo = value.min_qexp()
     size = inner if value.trunc is None else min(value.trunc - lo, inner)
     acc = _Rows.load(value, lo, size)
-    _apply_powers(acc, _chain_factors(chains, acc.size))
+    acc.apply(_chain_factors(chains, acc.size))
     return acc
 
 
@@ -579,13 +572,13 @@ class _Carry:
         powers = _chain_factors(chains, size)
         if acc is not None and size < acc.size:
             acc.shrink(size)
-            old = {a: k for a, k in old.items() if a[1] < size}
+            old = {a: k for a, k in old.items() if a[0][1] < size}
         change = {a: powers.get(a, 0) - old.get(a, 0)
                   for a in {**old, **powers}}
         if acc is None or size > acc.size or any(
-                k < 0 and min(a[0]) < 0 for a, k in change.items()):
+                k < 0 and min(a[0][0]) < 0 for a, k in change.items()):
             acc, change = _Rows.load(MultiSeries.one(), 0, size), powers
-        _apply_powers(acc, change)
+        acc.apply(change)
         self.acc, self.powers = acc, powers
         return acc
 

@@ -1,15 +1,17 @@
 """Exact truncated Laurent-series arithmetic in q over arbitrary-precision integers.
 
 A series maps aux-variable monomials z^a * x^b * y^d (exponents may be
-negative) to rows, each a sparse Laurent series in q stored as a map from
-exponent to nonzero integer coefficient.  ``MultiSeries`` holds any number
-of rows; ``QSeries``, the univariate case, holds one row and is also the
-view ``MultiSeries.qseries`` gives of a series free of z, x and y.  There
-is one arithmetic: each operation (add, mul, power, comparison, ==, hash,
-the operators) is one function shared by both classes, working per
-monomial or pair of monomials.  A QSeries and a MultiSeries combine, in
-either order, to a MultiSeries.  Other modules read a value only as its
-(monomial, q-exponent, coefficient) ``terms()`` and build one only by
+negative) to rows, each a sparse Laurent series in q stored as a plain map
+from exponent to nonzero integer coefficient, and has one truncation order
+for all its rows.  This is the only storage.  ``MultiSeries`` holds any
+number of rows; ``QSeries`` is its subclass for the case whose only
+monomial is the trivial one, and is also the view ``qseries()`` gives of a
+series free of z, x and y.  Every operation and row primitive is written
+once, on ``MultiSeries``; the classes differ only in the class of a result
+(a QSeries when every operand is one, a MultiSeries otherwise) and in
+their accessors (``QSeries.coeffs``; ``MultiSeries.entries``, a read-only
+{monomial: QSeries} view) and reprs.  Other modules read a value only as
+its (monomial, q-exponent, coefficient) ``terms()`` and build one only by
 ``MultiSeries.from_terms``, which sums duplicate terms.
 
 Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
@@ -20,18 +22,19 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products, their inverses and series inversion run on one factor
-kernel (the product-form approach of F. Garvan's q-series package).  A
-private dense accumulator, ``_Rows``, holds one list of coefficients per
-aux monomial over a fixed window of q-exponents, and multiplies or divides
-it in place by a single factor 1 - a: multiplying subtracts a shifted,
-scaled copy of each row, dividing runs the recurrence y = x + a*y in
-increasing q-order, which for a of q-valuation >= 1 reads only finished
-coefficients.  Each factor costs O(rows * T) for T exponents, where a
-generic product or inverse costs O(T^2) per pair of rows.
-``poch_finite``, ``poch_infinite`` and ``invert_unit`` are chains of such
-factors, and the expression language applies powers of Pochhammer products
-to one accumulator the same way.
+Pochhammer products, their inverses, series inversion and the Gaussian
+binomial run on one factor kernel (the product-form approach of F.
+Garvan's q-series package).  A private dense accumulator, ``_Rows``, holds
+one list of coefficients per aux monomial over a fixed window of
+q-exponents, and multiplies or divides it in place by a single factor
+1 - a: multiplying subtracts a shifted, scaled copy of each row, dividing
+runs the recurrence y = x + a*y in increasing q-order, which for a of
+q-valuation >= 1 reads only finished coefficients.  Each factor costs
+O(rows * T) for T exponents, where a generic product or inverse costs
+O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map {factor:
+net power}; ``poch_finite``, ``poch_infinite``, ``invert_unit``, ``qbinom``
+(k(m-k)+1 exponents, k numerator and k denominator factors) and the
+expression language's Pochhammer powers are each one such chain.
 
 All values are immutable after construction and all operations are pure;
 only the kernel's accumulator, which never leaves this module and the
@@ -84,9 +87,20 @@ def mono_str(m: Mono) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The arithmetic of both classes.  Each class gives its (monomial, row)
-# pairs by ``_rows`` and builds a value from {monomial: row} by ``_from_rows``.
+# The arithmetic.  A value stores {monomial: row} in ``_rows``; the classes
+# differ only in the result class an operation picks and in what they show.
 # ---------------------------------------------------------------------------
+
+
+def _clean(rows: dict, trunc: Optional[int]) -> dict:
+    """The rows without zero coefficients, coefficients at or beyond
+    trunc, and rows left empty."""
+    out = {}
+    for m, row in rows.items():
+        row = {e: c for e, c in row.items() if c and (trunc is None or e < trunc)}
+        if row:
+            out[m] = row
+    return out
 
 
 def _gather(terms, rows: Optional[dict] = None) -> dict:
@@ -108,324 +122,79 @@ def _product_trunc(t1: Optional[int], v1: int, t2: Optional[int],
     return _min_trunc(_shift_trunc(t1, v2), _shift_trunc(t2, v1))
 
 
-def _lift(v):
+def _lift(v) -> "MultiSeries":
     """A series as it is; an int as the exact constant QSeries."""
-    if isinstance(v, (QSeries, MultiSeries)):
+    if isinstance(v, MultiSeries):
         return v
     if isinstance(v, int):
         return QSeries({0: v})
     raise TypeError(f"cannot treat {type(v).__name__} as a series")
 
 
-def _multi(v) -> "MultiSeries":
-    v = _lift(v)
-    return v if isinstance(v, MultiSeries) else MultiSeries.from_qseries(v)
+def _cls(*values) -> type:
+    """The class of a result computed from values: QSeries when every one
+    is a QSeries, else MultiSeries."""
+    return QSeries if all(isinstance(v, QSeries) for v in values) else MultiSeries
 
 
-def _operands(a, b) -> tuple:
-    """The series a and b lifted to one type: MultiSeries when either one
-    is."""
-    b = _lift(b)
-    if type(a) is type(b):
-        return a, b
-    return _multi(a), _multi(b)
-
-
-def _terms(self) -> list:
-    """The nonzero terms as (monomial, q-exponent, coefficient)."""
-    return [(m, e, c) for m, row in self._rows() for e, c in row.items()]
-
-
-def _truncate(self, trunc: Optional[int]):
-    t = _min_trunc(self.trunc, trunc)
-    return self if t == self.trunc else self._from_rows(dict(self._rows()), t)
-
-
-def _add(self, other):
-    a, b = _operands(self, other)
-    rows = {m: dict(row) for m, row in a._rows()}
-    return a._from_rows(_gather(b.terms(), rows), _min_trunc(a.trunc, b.trunc))
-
-
-def _mul(self, other):
-    a, b = _operands(self, other)
-    a_rows, b_rows = a._rows(), b._rows()
-    # an exact zero annihilates regardless of the other operand's trunc
-    if (not a_rows and a.trunc is None) or (not b_rows and b.trunc is None):
-        return a._from_rows({}, None)
-    t = _product_trunc(a.trunc, a.min_exp, b.trunc, b.min_exp)
-    rows: dict = {}
-    b_rows = [(m, sorted(r.items())) for m, r in b_rows]
-    for m1, r1 in a_rows:
-        for m2, items2 in b_rows:
-            acc = rows.setdefault(_mono_mul(m1, m2), {})
-            for e1, c1 in r1.items():
-                for e2, c2 in items2:
-                    e = e1 + e2
-                    if t is not None and e >= t:
-                        break
-                    acc[e] = acc.get(e, 0) + c1 * c2
-    return a._from_rows(rows, t)
-
-
-def _power(self, n: int):
-    if n < 0:
-        raise ValueError("negative power; use invert or invert_unit")
-    result = type(self).one()
-    base = self
-    while n:
-        if n & 1:
-            result = result.mul(base)
-        n >>= 1
-        if n:
-            base = base.mul(base)
-    return result
-
-
-def _first_mismatch(self, other, bound: Optional[int] = None):
-    """First differing coefficient below the common truncation.
-
-    Returns (exponent, self-coeff, other-coeff) between two QSeries and
-    (monomial, exponent, self-coeff, other-coeff) otherwise, the lowest by
-    exponent then monomial, or None when the sides agree.
-    """
-    a, b = _operands(self, other)
-    t = _min_trunc(a.trunc, b.trunc, bound)
-    ra, rb = dict(a._rows()), dict(b._rows())
-    bad = []
-    for m in ra.keys() | rb.keys():
-        r1, r2 = ra.get(m, {}), rb.get(m, {})
-        if r1 != r2:
-            bad += [(e, m, r1.get(e, 0), r2.get(e, 0)) for e in r1.keys() | r2.keys()
-                    if (t is None or e < t) and r1.get(e, 0) != r2.get(e, 0)]
-    if not bad:
-        return None
-    e, m, lc, rc = min(bad)
-    return (e, lc, rc) if isinstance(a, QSeries) else (m, e, lc, rc)
-
-
-def _agrees_below(self, other, bound: Optional[int] = None) -> bool:
-    return self.first_mismatch(other, bound) is None
-
-
-def _eq(self, other):
-    """An int is an exact constant: it equals an exact series with that
-    constant term and no other, and hashes alike.  A series free of z, x
-    and y equals, and hashes as, its QSeries."""
-    if not isinstance(other, (int, QSeries, MultiSeries)):
-        return NotImplemented
-    other = _lift(other)
-    return self.trunc == other.trunc and dict(self._rows()) == dict(other._rows())
-
-
-def _hash(self):
-    terms = self.terms()
-    if self.trunc is None and all(m == TRIVIAL_MONO and e == 0 for m, e, _ in terms):
-        return hash(sum(c for _, _, c in terms))
-    return hash((frozenset(terms), self.trunc))
-
-
-def _sub(self, other):
-    return self.add(_lift(other).neg())
-
-
-def _rsub(self, other):
-    return _lift(other).add(self.neg())
-
-
-class QSeries:
-    """A Laurent series in q with exact integer coefficients.
-
-    ``coeffs`` maps exponent -> nonzero coefficient, ``min_exp`` is a lower
-    bound on exponents where the represented series can be nonzero, and
-    ``trunc`` is the exclusive bound on trusted exponents (None = exact).
-    """
-
-    __slots__ = ("coeffs", "trunc", "min_exp")
-
-    def __init__(self, coeffs=None, trunc: Optional[int] = None):
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            if c != 0 and (trunc is None or e < trunc):
-                clean[e] = c
-        self.coeffs = clean
-        self.trunc = trunc
-        if clean:
-            self.min_exp = min(clean)
-        else:
-            self.min_exp = trunc if trunc is not None else 0
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(trunc: Optional[int] = None) -> "QSeries":
-        return QSeries({}, trunc)
-
-    @staticmethod
-    def one(trunc: Optional[int] = None) -> "QSeries":
-        return QSeries({0: 1}, trunc)
-
-    @staticmethod
-    def term(coeff: int, exp: int = 0, trunc: Optional[int] = None) -> "QSeries":
-        return QSeries({exp: coeff}, trunc)
-
-    @staticmethod
-    def q(exp: int = 1) -> "QSeries":
-        return QSeries({exp: 1})
-
-    def _rows(self) -> tuple:
-        return ((TRIVIAL_MONO, self.coeffs),) if self.coeffs else ()
-
-    @staticmethod
-    def _from_rows(rows: dict, trunc: Optional[int]) -> "QSeries":
-        return QSeries(rows.get(TRIVIAL_MONO), trunc)
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> Optional[int]:
-        """Largest stored exponent, or None for the zero series."""
-        return max(self.coeffs) if self.coeffs else None
-
-    def coeff(self, e: int) -> int:
-        """Coefficient at exponent e; refuses exponents beyond the truncation."""
-        if self.trunc is not None and e >= self.trunc:
-            raise TruncationRequired(
-                f"coefficient at q^{e} is not trusted (trunc={self.trunc})"
-            )
-        return self.coeffs.get(e, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.coeffs.items()))
-
-    def eval_at_one(self) -> int:
-        """Sum of coefficients (the q -> 1 value); exact polynomials only."""
-        if self.trunc is not None:
-            raise TruncationRequired("q=1 evaluation needs an exact polynomial")
-        return sum(self.coeffs.values())
-
-    # -- row primitives ----------------------------------------------------
-
-    def neg(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q^k (Laurent shift)."""
-        return QSeries(
-            {e + k: c for e, c in self.coeffs.items()}, _shift_trunc(self.trunc, k)
-        )
-
-    def scale(self, c: int) -> "QSeries":
-        return QSeries({e: c * v for e, v in self.coeffs.items()}, self.trunc)
-
-    # -- division ----------------------------------------------------------
-
-    def invert(self, trunc: Optional[int] = None) -> "QSeries":
-        """Multiplicative inverse up to the truncation order.
-
-        Requires a unit constant term: no nonzero coefficient below q^0 and
-        the coefficient at q^0 equal to 1.
-        """
-        return MultiSeries.from_qseries(self).invert_unit(trunc).qseries()
-
-    def exact_div(self, divisor) -> "QSeries":
-        """Exact polynomial division; raises DivisionInexact on any remainder."""
-        divisor = _lift(divisor)
-        if isinstance(divisor, MultiSeries):
-            divisor = divisor.qseries()
-        if self.trunc is not None or divisor.trunc is not None:
-            raise TruncationRequired("exact division needs exact polynomials")
-        if divisor.is_zero():
-            raise DivisionInexact("division by zero")
-        if self.is_zero():
-            return QSeries({})
-        lo, hi = self.min_exp, self.degree()
-        dlo, dhi = divisor.min_exp, divisor.degree()
-        if hi - lo < dhi - dlo:
-            raise DivisionInexact("dividend degree span below divisor's")
-        arr = [0] * (hi - lo + 1)
-        for e, c in self.coeffs.items():
-            arr[e - lo] = c
-        dlead = divisor.coeffs[dlo]
-        dtail = sorted((e - dlo, c) for e, c in divisor.coeffs.items())
-        out_len = (hi - lo) - (dhi - dlo) + 1
-        out = [0] * out_len
-        for i in range(out_len):
-            c = arr[i]
-            if c == 0:
-                continue
-            qc, r = divmod(c, dlead)
-            if r:
-                raise DivisionInexact(f"coefficient {c} not divisible by {dlead}")
-            out[i] = qc
-            for ed, cd in dtail:
-                arr[i + ed] -= qc * cd
-        if any(arr[out_len:]):
-            raise DivisionInexact("nonzero remainder")
-        return QSeries({i + lo - dlo: c for i, c in enumerate(out) if c})
-
-    # -- the shared arithmetic ---------------------------------------------
-
-    terms, truncate = _terms, _truncate
-    first_mismatch, agrees_below = _first_mismatch, _agrees_below
-    add = __add__ = __radd__ = _add
-    mul = __mul__ = __rmul__ = _mul
-    power = __pow__ = _power
-    __sub__, __rsub__, __neg__, __eq__, __hash__ = _sub, _rsub, neg, _eq, _hash
-
-    def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for e, c in sorted(self.coeffs.items()):
-                mag = "" if abs(c) == 1 and e != 0 else str(abs(c))
-                pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-                star = "*" if mag and pow_ else ""
-                parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)
-            body = " ".join(parts).lstrip("+ ")
-        tail = "" if self.trunc is None else f" + O(q^{self.trunc})"
-        return f"<{body}{tail}>"
+def _row_repr(row: dict, trunc: Optional[int]) -> str:
+    parts = []
+    for e, c in sorted(row.items()):
+        mag = "" if abs(c) == 1 and e != 0 else str(abs(c))
+        pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
+        star = "*" if mag and pow_ else ""
+        parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)
+    body = " ".join(parts).lstrip("+ ") or "0"
+    tail = "" if trunc is None else f" + O(q^{trunc})"
+    return f"<{body}{tail}>"
 
 
 class MultiSeries:
-    """A finite sum of aux-variable monomials, each weighted by a QSeries.
+    """A finite sum of aux-variable monomials, each weighted by a Laurent
+    series in q.
 
-    ``entries`` maps an exponent vector over (z, x, y) to a QSeries; all
-    entries share the global q-truncation ``trunc``.
+    A value stores {monomial: {q-exponent: nonzero coefficient}} and the
+    global q-truncation ``trunc``.  ``entries`` gives the rows as
+    {monomial: QSeries}, a read-only view.
     """
 
-    __slots__ = ("entries", "trunc")
+    __slots__ = ("_rows", "trunc")
 
     def __init__(self, entries=None, trunc: Optional[int] = None):
-        t = _min_trunc(trunc, *[s.trunc for s in (entries or {}).values()])
-        clean = {}
-        for mono, qs in (entries or {}).items():
-            qs = qs.truncate(t)
-            if not qs.is_zero():
-                clean[tuple(mono)] = qs
-        self.entries = clean
+        entries = entries or {}
+        t = _min_trunc(trunc, *[s.trunc for s in entries.values()])
+        self._rows = _clean({tuple(m): s.coeffs for m, s in entries.items()}, t)
         self.trunc = t
+
+    @classmethod
+    def _new(cls, rows: dict, trunc: Optional[int]) -> "MultiSeries":
+        """A value of cls holding rows, which must already be clean."""
+        s = object.__new__(cls)
+        s._rows, s.trunc = rows, trunc
+        return s
+
+    @classmethod
+    def _from_rows(cls, rows: dict, trunc: Optional[int]) -> "MultiSeries":
+        return cls._new(_clean(rows, trunc), trunc)
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def zero(trunc: Optional[int] = None) -> "MultiSeries":
-        return MultiSeries({}, trunc)
+    @classmethod
+    def zero(cls, trunc: Optional[int] = None) -> "MultiSeries":
+        return cls._new({}, trunc)
+
+    @classmethod
+    def one(cls, trunc: Optional[int] = None) -> "MultiSeries":
+        return cls._from_rows({TRIVIAL_MONO: {0: 1}}, trunc)
+
+    @classmethod
+    def q(cls, exp: int = 1) -> "MultiSeries":
+        return cls._new({TRIVIAL_MONO: {exp: 1}}, None)
 
     @staticmethod
-    def one(trunc: Optional[int] = None) -> "MultiSeries":
-        return MultiSeries({TRIVIAL_MONO: QSeries.one()}, trunc)
-
-    @staticmethod
-    def const(c: int) -> "MultiSeries":
-        return MultiSeries({TRIVIAL_MONO: QSeries.term(c)})
-
-    @staticmethod
-    def from_qseries(qs: QSeries, mono: Mono = TRIVIAL_MONO) -> "MultiSeries":
-        return MultiSeries({tuple(mono): qs}, qs.trunc)
+    def from_qseries(qs: "QSeries", mono: Mono = TRIVIAL_MONO) -> "MultiSeries":
+        return MultiSeries._new({tuple(mono): qs.coeffs} if qs._rows else {},
+                                qs.trunc)
 
     @staticmethod
     def from_terms(terms, trunc: Optional[int] = None) -> "MultiSeries":
@@ -434,81 +203,113 @@ class MultiSeries:
         return MultiSeries._from_rows(_gather(terms), trunc)
 
     @staticmethod
-    def q(exp: int = 1) -> "MultiSeries":
-        return MultiSeries({TRIVIAL_MONO: QSeries.q(exp)})
-
-    @staticmethod
     def gen(var: str) -> "MultiSeries":
         """The generator z, x or y as an exact series."""
         i = AUX_VARS.index(var)
         mono = tuple(1 if j == i else 0 for j in range(3))
-        return MultiSeries({mono: QSeries.one()})
+        return MultiSeries._new({mono: {0: 1}}, None)
 
     @staticmethod
     def term(coeff: int = 1, qexp: int = 0, z: int = 0, x: int = 0, y: int = 0,
              trunc: Optional[int] = None) -> "MultiSeries":
-        return MultiSeries({(z, x, y): QSeries.term(coeff, qexp)}, trunc)
-
-    def _rows(self) -> list:
-        return [(m, s.coeffs) for m, s in self.entries.items()]
-
-    @staticmethod
-    def _from_rows(rows: dict, trunc: Optional[int]) -> "MultiSeries":
-        return MultiSeries({m: QSeries(r, trunc) for m, r in rows.items()}, trunc)
+        return MultiSeries._from_rows({(z, x, y): {qexp: coeff}}, trunc)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._rows
 
     def min_qexp(self) -> int:
-        """Lower bound on q-exponents where any entry can be nonzero."""
-        if not self.entries:
+        """Lower bound on q-exponents where any row can be nonzero."""
+        if not self._rows:
             return self.trunc if self.trunc is not None else 0
-        return min(s.min_exp for s in self.entries.values())
+        return min(min(row) for row in self._rows.values())
 
     min_exp = property(min_qexp)
 
-    def series(self, mono: Mono) -> QSeries:
-        return self.entries.get(tuple(mono), QSeries.zero(self.trunc))
+    def series(self, mono: Mono) -> "QSeries":
+        row = self._rows.get(tuple(mono))
+        return QSeries._new({TRIVIAL_MONO: row} if row else {}, self.trunc)
 
-    def qseries(self) -> QSeries:
+    @property
+    def entries(self) -> dict:
+        """The rows as {monomial: QSeries}, a read-only view."""
+        return {m: self.series(m) for m in self._rows}
+
+    def qseries(self) -> "QSeries":
         """View as a plain QSeries; requires no non-trivial aux monomials."""
-        extra = [m for m in self.entries if m != TRIVIAL_MONO]
+        extra = [m for m in self._rows if m != TRIVIAL_MONO]
         if extra:
             raise ValueError(f"series involves aux monomial {mono_str(extra[0])}")
-        return self.entries.get(TRIVIAL_MONO, QSeries.zero(self.trunc))
+        return QSeries._new(self._rows, self.trunc)
 
     def coefficient(self, mono: Mono, e: int) -> int:
         return self.series(mono).coeff(e)
 
     def monomials(self):
-        return sorted(self.entries)
+        return sorted(self._rows)
+
+    def terms(self) -> list:
+        """The nonzero terms as (monomial, q-exponent, coefficient)."""
+        return [(m, e, c) for m, row in self._rows.items() for e, c in row.items()]
 
     # -- row primitives, applied to each monomial's row --------------------
 
     def neg(self) -> "MultiSeries":
-        return MultiSeries(
-            {m: s.neg() for m, s in self.entries.items()}, self.trunc
-        )
+        return self._new({m: {e: -c for e, c in row.items()}
+                          for m, row in self._rows.items()}, self.trunc)
 
     def shift_q(self, k: int) -> "MultiSeries":
-        return MultiSeries(
-            {m: s.shift(k) for m, s in self.entries.items()},
-            _shift_trunc(self.trunc, k),
-        )
+        """Multiply by q^k (Laurent shift)."""
+        return self._new({m: {e + k: c for e, c in row.items()}
+                          for m, row in self._rows.items()},
+                         _shift_trunc(self.trunc, k))
+
+    shift = shift_q
 
     def scale(self, c: int) -> "MultiSeries":
-        return MultiSeries(
-            {m: s.scale(c) for m, s in self.entries.items()}, self.trunc
-        )
+        return self._from_rows({m: {e: c * v for e, v in row.items()}
+                                for m, row in self._rows.items()}, self.trunc)
+
+    def truncate(self, trunc: Optional[int]) -> "MultiSeries":
+        t = _min_trunc(self.trunc, trunc)
+        return self if t == self.trunc else self._from_rows(self._rows, t)
 
     def exact_div(self, divisor) -> "MultiSeries":
         """Each monomial's row divided exactly by a divisor free of z, x
         and y; raises DivisionInexact on any remainder."""
-        return MultiSeries(
-            {m: s.exact_div(divisor) for m, s in self.entries.items()}, self.trunc
-        )
+        divisor = _lift(divisor).qseries()
+        if self.trunc is not None or divisor.trunc is not None:
+            raise TruncationRequired("exact division needs exact polynomials")
+        if divisor.is_zero():
+            raise DivisionInexact("division by zero")
+        dlo, dhi = divisor.min_exp, divisor.degree()
+        dlead = divisor.coeffs[dlo]
+        dtail = sorted((e - dlo, c) for e, c in divisor.coeffs.items())
+        rows = {}
+        for m, row in self._rows.items():
+            lo, hi = min(row), max(row)
+            if hi - lo < dhi - dlo:
+                raise DivisionInexact("dividend degree span below divisor's")
+            arr = [0] * (hi - lo + 1)
+            for e, c in row.items():
+                arr[e - lo] = c
+            out_len = (hi - lo) - (dhi - dlo) + 1
+            out = [0] * out_len
+            for i in range(out_len):
+                c = arr[i]
+                if c == 0:
+                    continue
+                qc, r = divmod(c, dlead)
+                if r:
+                    raise DivisionInexact(f"coefficient {c} not divisible by {dlead}")
+                out[i] = qc
+                for ed, cd in dtail:
+                    arr[i + ed] -= qc * cd
+            if any(arr[out_len:]):
+                raise DivisionInexact("nonzero remainder")
+            rows[m] = {i + lo - dlo: c for i, c in enumerate(out) if c}
+        return self._new(rows, None)
 
     def invert_unit(self, trunc: Optional[int] = None) -> "MultiSeries":
         """Inverse of a series whose q^0 layer is exactly the constant 1.
@@ -521,7 +322,7 @@ class MultiSeries:
         terms = self.terms()
         if terms and self.min_exp < 0:
             raise NonUnitConstantTerm("series has terms below q^0")
-        for m in self.entries:
+        for m in self._rows:
             if any(e < 0 for e in m):
                 raise NonUnitConstantTerm(
                     f"negative aux exponent in {mono_str(m)} is not invertible"
@@ -530,12 +331,14 @@ class MultiSeries:
             raise NonUnitConstantTerm("q^0 layer is not the constant 1")
         if t is None:
             if len(terms) == 1:
-                return MultiSeries.one()
+                return self.one()
             raise TruncationRequired("inverse of a non-trivial series is infinite")
         # self = 1 - a, where a holds every term of self above q^0, negated
         acc = _Rows.load(MultiSeries.one(), 0, t)
-        acc.div([(m, e, -c) for m, e, c in terms if e])
-        return acc.series(t)
+        acc.apply({tuple((m, e, -c) for m, e, c in terms if e): -1})
+        return acc.series(t, cls=type(self))
+
+    invert = invert_unit
 
     def subst_aux(self, **subs) -> "MultiSeries":
         """Substitute aux variables by +-1 or +-(another variable).
@@ -557,7 +360,7 @@ class MultiSeries:
                 j = AUX_VARS.index(target)
                 norm[idx] = (sign, tuple(1 if i == j else 0 for i in range(3)))
         image = {}  # monomial -> (its image, sign)
-        for mono in self.entries:
+        for mono in self._rows:
             sign_total = 1
             new = [0, 0, 0]
             for i in range(3):
@@ -576,24 +379,149 @@ class MultiSeries:
             self.trunc,
         )
 
-    # -- the shared arithmetic ---------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
-    terms, truncate = _terms, _truncate
-    first_mismatch, agrees_below = _first_mismatch, _agrees_below
-    add = __add__ = __radd__ = _add
-    mul = __mul__ = __rmul__ = _mul
-    power = __pow__ = _power
-    __sub__, __rsub__, __neg__, __eq__, __hash__ = _sub, _rsub, neg, _eq, _hash
+    def add(self, other) -> "MultiSeries":
+        b = _lift(other)
+        rows = {m: dict(row) for m, row in self._rows.items()}
+        return _cls(self, b)._from_rows(_gather(b.terms(), rows),
+                                        _min_trunc(self.trunc, b.trunc))
+
+    def mul(self, other) -> "MultiSeries":
+        b = _lift(other)
+        cls = _cls(self, b)
+        # an exact zero annihilates regardless of the other operand's trunc
+        if (not self._rows and self.trunc is None) or (not b._rows and b.trunc is None):
+            return cls.zero()
+        t = _product_trunc(self.trunc, self.min_exp, b.trunc, b.min_exp)
+        rows: dict = {}
+        b_rows = [(m, sorted(r.items())) for m, r in b._rows.items()]
+        for m1, r1 in self._rows.items():
+            for m2, items2 in b_rows:
+                acc = rows.setdefault(_mono_mul(m1, m2), {})
+                for e1, c1 in r1.items():
+                    for e2, c2 in items2:
+                        e = e1 + e2
+                        if t is not None and e >= t:
+                            break
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        return cls._from_rows(rows, t)
+
+    def power(self, n: int) -> "MultiSeries":
+        if n < 0:
+            raise ValueError("negative power; use invert or invert_unit")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result.mul(base)
+            n >>= 1
+            if n:
+                base = base.mul(base)
+        return result
+
+    def first_mismatch(self, other, bound: Optional[int] = None):
+        """First differing coefficient below the common truncation.
+
+        Returns (exponent, self-coeff, other-coeff) between two QSeries and
+        (monomial, exponent, self-coeff, other-coeff) otherwise, the lowest by
+        exponent then monomial, or None when the sides agree.
+        """
+        b = _lift(other)
+        t = _min_trunc(self.trunc, b.trunc, bound)
+        ra, rb = self._rows, b._rows
+        bad = []
+        for m in ra.keys() | rb.keys():
+            r1, r2 = ra.get(m, {}), rb.get(m, {})
+            if r1 != r2:
+                bad += [(e, m, r1.get(e, 0), r2.get(e, 0)) for e in r1.keys() | r2.keys()
+                        if (t is None or e < t) and r1.get(e, 0) != r2.get(e, 0)]
+        if not bad:
+            return None
+        e, m, lc, rc = min(bad)
+        return (e, lc, rc) if _cls(self, b) is QSeries else (m, e, lc, rc)
+
+    def agrees_below(self, other, bound: Optional[int] = None) -> bool:
+        return self.first_mismatch(other, bound) is None
+
+    def __eq__(self, other):
+        """An int is an exact constant: it equals an exact series with that
+        constant term and no other, and hashes alike.  A series free of z,
+        x and y equals, and hashes as, its QSeries."""
+        if not isinstance(other, (int, MultiSeries)):
+            return NotImplemented
+        other = _lift(other)
+        return self.trunc == other.trunc and self._rows == other._rows
+
+    def __hash__(self):
+        terms = self.terms()
+        if self.trunc is None and all(m == TRIVIAL_MONO and e == 0 for m, e, _ in terms):
+            return hash(sum(c for _, _, c in terms))
+        return hash((frozenset(terms), self.trunc))
+
+    def __sub__(self, other):
+        return self.add(_lift(other).neg())
+
+    def __rsub__(self, other):
+        return _lift(other).add(self.neg())
+
+    __add__ = __radd__ = add
+    __mul__ = __rmul__ = mul
+    __pow__, __neg__ = power, neg
 
     def __repr__(self):
-        if not self.entries:
-            body = "0"
-        else:
-            body = " + ".join(
-                f"{mono_str(m)}*{self.entries[m]!r}" for m in sorted(self.entries)
-            )
+        body = " + ".join(f"{mono_str(m)}*{_row_repr(self._rows[m], self.trunc)}"
+                          for m in sorted(self._rows)) or "0"
         tail = "" if self.trunc is None else f" [trunc {self.trunc}]"
         return f"MultiSeries({body}{tail})"
+
+
+class QSeries(MultiSeries):
+    """A Laurent series in q with exact integer coefficients: a MultiSeries
+    whose only monomial is the trivial one.
+
+    ``coeffs`` maps exponent -> nonzero coefficient, ``min_exp`` is a lower
+    bound on exponents where the represented series can be nonzero, and
+    ``trunc`` is the exclusive bound on trusted exponents (None = exact).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None, trunc: Optional[int] = None):
+        self._rows = _clean({TRIVIAL_MONO: coeffs or {}}, trunc)
+        self.trunc = trunc
+
+    @property
+    def coeffs(self) -> dict:
+        return self._rows.get(TRIVIAL_MONO, {})
+
+    @staticmethod
+    def term(coeff: int, exp: int = 0, trunc: Optional[int] = None) -> "QSeries":
+        return QSeries({exp: coeff}, trunc)
+
+    def degree(self) -> Optional[int]:
+        """Largest stored exponent, or None for the zero series."""
+        return max(self.coeffs) if self._rows else None
+
+    def coeff(self, e: int) -> int:
+        """Coefficient at exponent e; refuses exponents beyond the truncation."""
+        if self.trunc is not None and e >= self.trunc:
+            raise TruncationRequired(
+                f"coefficient at q^{e} is not trusted (trunc={self.trunc})"
+            )
+        return self.coeffs.get(e, 0)
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self.coeffs.items()))
+
+    def eval_at_one(self) -> int:
+        """Sum of coefficients (the q -> 1 value); exact polynomials only."""
+        if self.trunc is not None:
+            raise TruncationRequired("q=1 evaluation needs an exact polynomial")
+        return sum(self.coeffs.values())
+
+    def __repr__(self):
+        return _row_repr(self.coeffs, self.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +553,9 @@ class _Rows:
     below which that list is zero, so the work on a row starts there.
     ``mul`` and ``div`` multiply and divide in place by one factor 1 - a,
     given as the terms of a; whatever falls outside the window is dropped,
-    so every coefficient in it is exact.  The accumulator is private and
-    mutable; ``series`` hands out an immutable MultiSeries.
+    so every coefficient in it is exact.  ``apply`` runs a chain of such
+    steps.  The accumulator is private and mutable; ``series`` hands out an
+    immutable value.
     """
 
     __slots__ = ("rows", "low", "lo", "size")
@@ -640,7 +569,7 @@ class _Rows:
     @staticmethod
     def load(ms: MultiSeries, lo: int, size: int) -> "_Rows":
         acc = _Rows(lo, size)
-        for m, coeffs in ms._rows():
+        for m, coeffs in ms._rows.items():
             inside = {e - lo: c for e, c in coeffs.items() if 0 <= e - lo < acc.size}
             if inside:
                 row = acc.rows[m] = [0] * acc.size
@@ -720,17 +649,29 @@ class _Rows:
                     if fresh and s < last:
                         pending.setdefault(sum(t), []).append(t)
 
+    def apply(self, powers: dict) -> None:
+        """Multiply by each factor 1 - a to its net power in powers, a map
+        {the terms of a: power}: ``mul`` for a positive power, ``div`` for
+        a negative one, once per unit of it."""
+        for a, k in powers.items():
+            step = self.mul if k > 0 else self.div
+            for _ in range(abs(k)):
+                step(a)
+
     def series(self, trunc: Optional[int], scale: int = 1,
-               mono: Mono = TRIVIAL_MONO, shift: int = 0) -> MultiSeries:
-        """The accumulator times scale * mono * q^shift, with the given
-        truncation order."""
+               mono: Mono = TRIVIAL_MONO, shift: int = 0,
+               cls: type = MultiSeries) -> MultiSeries:
+        """The accumulator times scale * mono * q^shift, scale nonzero, as a
+        value of cls with the given truncation order."""
         off = self.lo + shift
+        stop = self.size if trunc is None else max(min(self.size, trunc - off), 0)
         rows = {}
         for m, row in self.rows.items():
-            rows[_mono_mul(m, mono)] = {
-                i + off: scale * c
-                for i, c in enumerate(row[self.low[m]:], self.low[m]) if c}
-        return MultiSeries._from_rows(rows, trunc)
+            low = self.low[m]
+            out = {i + off: scale * c for i, c in enumerate(row[low:stop], low) if c}
+            if out:
+                rows[_mono_mul(m, mono)] = out
+        return cls._new(rows, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +689,6 @@ def _factor_valuation(a: list, j: int) -> Optional[int]:
     return min(exps, default=None)
 
 
-def _factor_chain(a, terms: list, shifts, lo: int, size: int,
-                  t: Optional[int]):
-    """The product of the factors 1 - a*q^j over j in shifts, a given also
-    by its terms, on a dense window of ``size`` q-exponents from q^lo, with
-    the truncation order t; a QSeries when a is one."""
-    acc = _Rows.load(MultiSeries.one(), lo, size)
-    for j in shifts:
-        acc.mul([(m, e + j, c) for m, e, c in terms])
-    out = acc.series(t)
-    return out.qseries() if isinstance(a, QSeries) else out
-
-
 def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
     """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
 
@@ -771,7 +700,7 @@ def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
         raise ValueError("step must be a positive integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    ms = _multi(a)
+    ms = _lift(a)
     terms = ms.terms()
     shifts = [step * k for k in range(count)]
     # the truncation order a factor-by-factor product would derive
@@ -791,7 +720,9 @@ def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
         hi += max([0] + [e + j for _, e, _ in terms])
     # a coefficient below t is a sum of products whose partial products lie
     # below t - lo, so the window [lo, t - lo) keeps them all
-    return _factor_chain(a, terms, shifts, lo, (hi if t is None else t - lo) - lo, t)
+    acc = _Rows.load(MultiSeries.one(), lo, (hi if t is None else t - lo) - lo)
+    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1 for j in shifts})
+    return acc.series(t, cls=_cls(a))
 
 
 def poch_infinite(a, step: int, trunc: int):
@@ -803,13 +734,17 @@ def poch_infinite(a, step: int, trunc: int):
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
-    ms = _multi(a)
+    ms = _lift(a)
     d = ms.min_exp
     if not ms.is_zero() and d <= 0:
         raise NonConvergent(f"factor base has q-degree {d} <= 0")
     # 1 - a is trusted below a's own order even where a has no terms
     t = _min_trunc(trunc, ms.trunc)
-    return _factor_chain(a, ms.terms(), range(0, trunc - d, step), 0, t, t)
+    terms = ms.terms()
+    acc = _Rows.load(MultiSeries.one(), 0, t)
+    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1
+               for j in range(0, trunc - d, step)})
+    return acc.series(t, cls=_cls(a))
 
 
 @lru_cache(maxsize=None)
@@ -824,11 +759,13 @@ def qbinom(m: int, k: int) -> QSeries:
     if k < 0 or k > m:
         return QSeries.zero()
     k = min(k, m - k)
-    result = QSeries.one()
-    for i in range(1, k + 1):
-        result = result.mul(QSeries.one() - QSeries.q(m - k + i))
-        result = result.exact_div(QSeries.one() - QSeries.q(i))
-    return result
+    # the product of the (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k, a
+    # polynomial of degree k(m-k), so exact on the window of that many + 1
+    # exponents; for k <= m - k no numerator factor cancels a denominator
+    acc = _Rows.load(QSeries.one(), 0, k * (m - k) + 1)
+    acc.apply({((TRIVIAL_MONO, j, 1),): power for i in range(1, k + 1)
+               for j, power in ((m - k + i, 1), (i, -1))})
+    return acc.series(None, cls=QSeries)
 
 
 @lru_cache(maxsize=None)

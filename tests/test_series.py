@@ -148,6 +148,8 @@ def test_exact_div_frozen():
 def test_exact_div_rejects_remainder():
     with pytest.raises(DivisionInexact):
         (ONE - QSeries.q(2)).exact_div(ONE - QSeries.q(3))
+    with pytest.raises(DivisionInexact):  # 0/0, whatever the class
+        MultiSeries.zero().exact_div(QSeries.zero())
 
 
 def test_exact_div_roundtrip_with_mul():
@@ -251,6 +253,22 @@ def test_qbinom_symmetry_and_q1(m):
             assert b.degree() == k * (m - k)
 
 
+def test_qbinom_matches_q_pascal_recurrence():
+    # [m, k] = [m-1, k-1] + q^k [m-1, k], built from plain dicts with no
+    # qident arithmetic; qbinom is computed from a cold cache
+    qbinom.cache_clear()
+    ref = {(0, 0): {0: 1}}
+    for m in range(1, 31):
+        for k in range(m + 1):
+            row = dict(ref.get((m - 1, k - 1), {}))
+            for e, c in ref.get((m - 1, k), {}).items():
+                row[e + k] = row.get(e + k, 0) + c
+            ref[m, k] = row
+    for (m, k), want in ref.items():
+        got = qbinom(m, k)
+        assert got.trunc is None and got.coeffs == want, (m, k)
+
+
 @pytest.mark.parametrize("N", range(13))
 def test_q_binomial_theorem(N):
     lhs = poch_finite(MultiSeries.gen("z"), 1, N)
@@ -285,6 +303,24 @@ series_st = st.one_of(qseries_st, st.builds(
 ))
 
 
+def assert_views_agree(v):
+    """v rebuilt from its entries view equals it; each entry is its row by
+    ``series``, with v's truncation order; and the views of v as
+    MultiSeries, QSeries and int, where they exist, equal it and hash as it
+    does."""
+    assert MultiSeries(v.entries, v.trunc) == v
+    for m, row in v.entries.items():
+        assert isinstance(row, QSeries) and row == v.series(m)
+        assert row.trunc == v.trunc
+    alike = [MultiSeries(v.entries, v.trunc)]
+    if set(v.monomials()) <= {(0, 0, 0)}:
+        alike.append(v.qseries())
+        if v.trunc is None and set(v.qseries().coeffs) <= {0}:
+            alike.append(v.qseries().coeffs.get(0, 0))
+    for w in alike:
+        assert w == v and v == w and hash(w) == hash(v)
+
+
 @given(a=series_st, b=series_st, c=series_st)
 @settings(max_examples=120)
 def test_ring_laws(a, b, c):
@@ -293,6 +329,8 @@ def test_ring_laws(a, b, c):
     assert same_below_common_trunc((a * b) * c, a * (b * c))
     assert same_below_common_trunc((a + b) + c, a + (b + c))
     assert same_below_common_trunc(a * (b + c), a * b + a * c)
+    for v in (a, b, a * b, a + b):
+        assert_views_agree(v)
 
 
 @given(a=series_st)
@@ -300,6 +338,8 @@ def test_ring_laws(a, b, c):
 def test_additive_inverse(a):
     assert (a - a).first_mismatch(QSeries.zero()) is None
     assert QSeries.zero().agrees_below(a - a)
+    assert_views_agree(a - a)
+    assert_views_agree(a.neg())
 
 
 @given(
