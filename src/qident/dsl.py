@@ -28,12 +28,13 @@ summands of a ``sum`` that are a monomial times such powers share one
 accumulator: consecutive summands differ in a few factors, so each applies
 only the change from the one before, and a sum of N summands costs O(N)
 kernel steps rather than O(N^2).  A ``sum`` sums the terms of its summands
-once, at the end.  With no truncation order a negative
-power of a q-polynomial is divided out exactly.  An integer power whose
-result would pass MAX_POWER_BITS bits, a sum over more than MAX_SUM_TERMS
-indices, and a power whose degree would pass MAX_EXACT_DEGREE (in q, z, x
-or y for an exact polynomial, in z, x or y for a truncated series) are
-refused with DslError.
+once, at the end.  With no truncation order the accumulator holds the
+whole product, and divides it exactly by the negative powers of Pochhammer
+products and of q-polynomials free of z, x and y.  Refused with DslError
+are an integer power whose result would pass MAX_POWER_BITS bits, a sum
+over more than MAX_SUM_TERMS indices, and a power or an exact product
+whose degree would pass MAX_EXACT_DEGREE (in q, z, x or y for an exact
+polynomial, in z, x or y for a truncated series).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import (
 from .series import (
     TRIVIAL_MONO,
     MultiSeries,
+    _exact_quotient,
     _min_trunc,
     _Rows,
     _mono_mul,
@@ -184,41 +186,24 @@ class Token(_Node):
 
 def _tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
+    line, col, i = 1, 1, 0
     while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
+        ch, j = text[i], i + 1
         if ch.isdigit():
-            j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
+        elif ch in _SYMBOLS:
             tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        if ch == "\n":
+            line, col = line + 1, 0
+        col, i = col + j - i, j
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -241,28 +226,24 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def unexpected(self, expected: str) -> ParseError:
+        """The error for the next token where ``expected`` should be."""
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}"
-                + (f" {tok.text!r}" if tok.text else ""),
-                tok.line,
-                tok.col,
-                expected=kind,
-            )
+        what = tok.kind if tok.kind != "EOF" else "end of input"
+        return ParseError(f"unexpected {what}" + (f" {tok.text!r}" if tok.text else ""),
+                          tok.line, tok.col, expected=expected)
+
+    def expect(self, kind: str) -> Token:
+        if self.peek().kind != kind:
+            raise self.unexpected(kind)
         return self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
-            raise ParseError(
-                f"trailing input starting at {tok.text!r}",
-                tok.line,
-                tok.col,
-                expected="end of input",
-            )
+            raise ParseError(f"trailing input starting at {tok.text!r}",
+                             tok.line, tok.col, expected="end of input")
         return e
 
     def expr(self) -> Expr:
@@ -313,13 +294,7 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        raise ParseError(
-            f"unexpected {tok.kind if tok.kind != 'EOF' else 'end of input'}"
-            + (f" {tok.text!r}" if tok.text else ""),
-            tok.line,
-            tok.col,
-            expected="INT, NAME or '('",
-        )
+        raise self.unexpected("INT, NAME or '('")
 
 
 def parse(text: str) -> Expr:
@@ -504,30 +479,30 @@ def _monomial_poch(e: Expr, bindings: dict) -> Optional[tuple]:
     return None if rest or v < 1 else (c, mono, v, step, count)
 
 
-def _poch_chain(f: Expr, bindings: dict) -> Optional[tuple]:
-    """(poch, k) when the factor f is P or P^k with P = poch(a, ...) as in
-    _monomial_poch and P^k a power series: k >= 0, or a has no negative z,
-    x or y exponent.  Otherwise None."""
+def _poch_chain(f: Expr, bindings: dict, exact: bool = False) -> Optional[tuple]:
+    """(poch, k) when f is P or P^k, P = poch(a, ...) as in _monomial_poch,
+    and P^k a power series: k >= 0, or a has no negative z, x or y exponent
+    (when ``exact``, P is finite and for k < 0 a has no z, x or y at all)."""
     base, k = (f.base, None) if isinstance(f, Pow) else (f, 1)
     p = _monomial_poch(base, bindings)
-    if p is None:
+    if p is None or (exact and p[4] is None):
         return None
     if k is None:
         k = eval_int(f.exponent, bindings)
-    return None if k < 0 and min(p[1]) < 0 else (p, k)
+    return None if k < 0 and (any(p[1]) if exact else min(p[1]) < 0) else (p, k)
 
 
-def _chain_factors(chains: list, size: int) -> dict:
+def _chain_factors(chains: list, size: Optional[int]) -> dict:
     """The factors 1 - c*m*q^j with j < size of the Pochhammer powers in
     chains, as {((m, j, c),): net power}, each keyed by its one term.
 
     Each poch(c*m*q^v, step, count)^k has the factors 1 - c*m*q^(v + step*i)
-    to the power k; a factor with j >= size is 1 below q^size.
+    to the power k; a factor with j >= size (not None) is 1 below q^size.
     """
     powers: dict = {}
     for (c, mono, v, step, count), k in chains:
-        stop = size if count is None else min(size, v + step * count)
-        for j in range(v, stop, step):
+        stop = size if count is None else v + step * count
+        for j in range(v, stop if size is None else min(stop, size), step):
             a = ((mono, j, c),)
             powers[a] = powers.get(a, 0) + k
     return powers
@@ -595,9 +570,9 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     Pochhammer products of a monomial are applied factor by factor to one
     dense accumulator (see ``_apply_chains``), or, when they are the only
     factors besides the monomial, to the accumulator ``carry`` keeps for a
-    sum.  In an exact context (``trunc`` None) a factor X^(-k) with X free
-    of z, x and y is divided out exactly; a remainder raises
-    DivisionInexact.
+    sum.  In an exact context (``trunc`` None) the accumulator holds c times
+    the whole product of the positive powers, and divides it by the others
+    and by each X^(-k) with X free of z, x and y (``_exact_quotient``).
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -611,10 +586,9 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             return MultiSeries.zero(trunc)
         inner = max(trunc - v, 1)
     value = MultiSeries.one()
-    divisors = []
-    chains = []
+    chains, divisors = [], []
     for f in rest:
-        chain = None if inner is None else _poch_chain(f, bindings)
+        chain = _poch_chain(f, bindings, exact=inner is None)
         if chain is not None:
             chains.append(chain)
             continue
@@ -630,15 +604,24 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             _power_check(base, k, with_q=base.trunc is None and not series)
             if series:
                 base = base.truncate(inner)
-        if k < 0 and trunc is None and set(base.monomials()) <= {TRIVIAL_MONO}:
-            divisors.append(base.qseries().power(-k))
+        if k < 0 and inner is None and set(base.monomials()) <= {TRIVIAL_MONO}:
+            divisors.append((base, -k))
             continue
         if k < 0:
             base, k = _reciprocal(base, inner), -k
         x = base if k == 1 else base.power(k)
         value = value.mul(x if inner is None else x.truncate(inner))
-    for d in divisors:
-        value = value.exact_div(d)
+    if inner is None and (chains or divisors):
+        # the kernel's window and steps, refused before they are made
+        powers = _chain_factors(chains, None)
+        exps = [e for _, e, _ in value.terms()] or [0]
+        degree = max(exps) - min(exps) + sum(
+            abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in powers.items() if cj)
+        if degree > MAX_EXACT_DEGREE:
+            raise DslError(f"exact product of degree {degree} exceeds the"
+                           f" {MAX_EXACT_DEGREE}-degree limit")
+        acc, shift = _exact_quotient(value.scale(c), powers, divisors)
+        return acc.series(None, 1, mono, v + shift)
     if not chains or not c or (value.is_zero() and value.trunc is None):
         return value.mul(monomial)
     if carry is not None and len(chains) == len(rest):

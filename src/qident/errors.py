@@ -18,7 +18,7 @@ class TruncationRequired(QidentError):
 
 
 class DivisionInexact(QidentError):
-    """Polynomial division left a nonzero remainder; signals an implementation bug."""
+    """Exact division by zero or with a remainder: a user's text, or a bug."""
 
 
 class DomainViolation(QidentError):

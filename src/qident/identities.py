@@ -35,9 +35,9 @@ def s_sum(n: int, i: int, trunc: Optional[int] = None) -> QSeries:
     """The polynomial sum over s of q^(i*s) * (q;q)_{n+s} / (q^2;q^2)_s.
 
     This is the ay3 left side with q^s generalised to q^(i*s), evaluated
-    exactly as expression-language text.  Each summand is divided out
-    exactly; a nonzero remainder raises DivisionInexact, which would signal
-    an implementation bug rather than a user error.
+    exactly as expression-language text: each summand's Pochhammer factors
+    run on one kernel window, divisions last, and a remainder, which would
+    signal a bug since every summand is a polynomial, raises DivisionInexact.
     """
     from .dsl import evaluate
 

@@ -22,19 +22,20 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products, their inverses, series inversion and the Gaussian
-binomial run on one factor kernel (the product-form approach of F.
-Garvan's q-series package).  A private dense accumulator, ``_Rows``, holds
-one list of coefficients per aux monomial over a fixed window of
-q-exponents, and multiplies or divides it in place by a single factor
-1 - a: multiplying subtracts a shifted, scaled copy of each row, dividing
-runs the recurrence y = x + a*y in increasing q-order, which for a of
-q-valuation >= 1 reads only finished coefficients.  Each factor costs
+Pochhammer products, their inverses, series inversion, the Gaussian
+binomial and exact division run on one factor kernel (the product-form
+approach of F. Garvan's q-series package).  A private dense accumulator,
+``_Rows``, holds one list of coefficients per aux monomial over a fixed
+window of q-exponents, and multiplies or divides it in place by a single
+factor 1 - a: multiplying subtracts a shifted, scaled copy of each row,
+dividing runs the recurrence y = x + a*y in increasing q-order, which for a
+of q-valuation >= 1 reads only finished coefficients.  Each factor costs
 O(rows * T) for T exponents, where a generic product or inverse costs
 O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map {factor:
 net power}; ``poch_finite``, ``poch_infinite``, ``invert_unit``, ``qbinom``
 (k(m-k)+1 exponents, k numerator and k denominator factors) and the
-expression language's Pochhammer powers are each one such chain.
+expression language's Pochhammer powers are each one such chain, and exact
+division divides by factors lead - a (``_exact_quotient``).
 
 All values are immutable after construction and all operations are pure;
 only the kernel's accumulator, which never leaves this module and the
@@ -281,35 +282,8 @@ class MultiSeries:
         divisor = _lift(divisor).qseries()
         if self.trunc is not None or divisor.trunc is not None:
             raise TruncationRequired("exact division needs exact polynomials")
-        if divisor.is_zero():
-            raise DivisionInexact("division by zero")
-        dlo, dhi = divisor.min_exp, divisor.degree()
-        dlead = divisor.coeffs[dlo]
-        dtail = sorted((e - dlo, c) for e, c in divisor.coeffs.items())
-        rows = {}
-        for m, row in self._rows.items():
-            lo, hi = min(row), max(row)
-            if hi - lo < dhi - dlo:
-                raise DivisionInexact("dividend degree span below divisor's")
-            arr = [0] * (hi - lo + 1)
-            for e, c in row.items():
-                arr[e - lo] = c
-            out_len = (hi - lo) - (dhi - dlo) + 1
-            out = [0] * out_len
-            for i in range(out_len):
-                c = arr[i]
-                if c == 0:
-                    continue
-                qc, r = divmod(c, dlead)
-                if r:
-                    raise DivisionInexact(f"coefficient {c} not divisible by {dlead}")
-                out[i] = qc
-                for ed, cd in dtail:
-                    arr[i + ed] -= qc * cd
-            if any(arr[out_len:]):
-                raise DivisionInexact("nonzero remainder")
-            rows[m] = {i + lo - dlo: c for i, c in enumerate(out) if c}
-        return self._new(rows, None)
+        acc, shift = _exact_quotient(self, {}, [(divisor, 1)])
+        return acc.series(None, shift=shift, cls=type(self))
 
     def invert_unit(self, trunc: Optional[int] = None) -> "MultiSeries":
         """Inverse of a series whose q^0 layer is exactly the constant 1.
@@ -529,11 +503,17 @@ class QSeries(MultiSeries):
 # ---------------------------------------------------------------------------
 
 
-def _solve_row(row: list, low: int, own: list) -> None:
+def _solve_row(row: list, low: int, own: list, lead: int = 1) -> None:
     """Divide one dense row, zero below index ``low``, in place by
-    1 - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
-    q-order."""
-    if len(own) == 1:
+    lead - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
+    q-order; a remainder raises DivisionInexact."""
+    if lead != 1:
+        for i in range(low, len(row)):
+            x = row[i] + sum(c * row[i - e] for e, c in own if e <= i)
+            row[i], r = divmod(x, lead)
+            if r:
+                raise DivisionInexact(f"coefficient {x} not divisible by {lead}")
+    elif len(own) == 1:
         ((e, c),) = own
         step = add if c == 1 else (lambda acc, x: x + c * acc)
         # the recurrence row[i] += c * row[i - e] runs apart on each residue
@@ -614,21 +594,22 @@ class _Rows:
                 dst[s:end] = [d - c * x for d, x in zip(dst[s:end], src[s - e:])]
                 low[t] = min(low[t], s)
 
-    def div(self, a: list) -> None:
-        """Divide by 1 - a, where every term of a has q-exponent >= 1 and
-        no negative aux exponent.
+    def div(self, a: list, lead: int = 1) -> None:
+        """Divide by lead - a, where every term of a has q-exponent >= 1
+        and no negative aux exponent; lead != 1 only in exact division.
 
-        The quotient y solves y = x + a*y.  Rows are finished in increasing
-        total aux degree: a row takes the terms of a with the trivial
-        monomial by the recurrence in increasing q-order, which reads only
-        coefficients already final, and then adds its share to the rows of
-        higher degree.
+        The quotient y solves lead*y = x + a*y.  Rows are finished in
+        increasing total aux degree: a row takes the terms of a with the
+        trivial monomial by the recurrence in increasing q-order, which
+        reads only coefficients already final, and then adds its share to
+        the rows of higher degree.
         """
         size, rows, low = self.size, self.rows, self.low
         own = [(e, c) for m, e, c in a if m == TRIVIAL_MONO and c]
         cross = [(m, e, c) for m, e, c in a if m != TRIVIAL_MONO and c]
-        # a row zero below size - e_min is left as it is
-        last = size - min((e for _, e, c in a if c), default=size)
+        # with lead 1, a row zero below size - e_min is left as it is
+        last = size if lead != 1 else size - min((e for _, e, c in a if c),
+                                                 default=size)
         pending: dict = {}  # total aux degree -> rows to finish
         for m in rows:
             if low[m] < last:
@@ -636,7 +617,7 @@ class _Rows:
         while pending:
             for m in pending.pop(min(pending)):
                 row = rows[m]
-                _solve_row(row, low[m], own)
+                _solve_row(row, low[m], own, lead)
                 for ma, e, c in cross:
                     s = low[m] + e
                     if s >= size:
@@ -672,6 +653,42 @@ class _Rows:
             if out:
                 rows[_mono_mul(m, mono)] = out
         return cls._new(rows, trunc)
+
+
+def _span(a) -> int:
+    """The q-degree of 1 - a, for a whose terms have q-exponent >= 1."""
+    return max((e for _, e, c in a if c), default=0)
+
+
+def _exact_quotient(value: MultiSeries, powers: dict, divisors: list) -> tuple:
+    """(acc, shift): the exact value times each factor 1 - a to its net
+    power in powers ({a: power}), divided by each d^k in divisors ([(d, k)],
+    d free of z, x and y), as acc read at q^shift.  The window holds the
+    undivided product and the divisions come last, so a quotient vanishing
+    above its degree is exact; any other, or a zero d, is DivisionInexact."""
+    steps, shift = [(a, 1, -k) for a, k in powers.items() if k < 0], 0
+    for d, k in divisors:
+        if d.is_zero():
+            raise DivisionInexact("division by zero")
+        (v, lead), *rest = sorted(d.qseries().coeffs.items())  # q^v (lead - a)
+        steps.append((tuple((TRIVIAL_MONO, e - v, -c) for e, c in rest), lead, k))
+        shift -= k * v
+    if value.is_zero():
+        return _Rows(0, 0), 0
+    grown = {a: k for a, k in powers.items() if k > 0}
+    lo, span = value.min_qexp(), sum(k * _span(a) for a, _, k in steps)
+    size = (max(max(row) for row in value._rows.values()) - lo + 1
+            + sum(k * _span(a) for a, k in grown.items()))
+    if span >= size:
+        raise DivisionInexact("dividend degree span below divisor's")
+    acc = _Rows.load(value, lo, size)
+    acc.apply(grown)
+    for a, lead, k in steps:
+        for _ in range(k):
+            acc.div(a, lead)
+    if any(any(row[size - span:]) for row in acc.rows.values()):
+        raise DivisionInexact("nonzero remainder")
+    return acc, shift
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from qident.errors import (
     NonIntegerExponent,
     NonUnitConstantTerm,
     ParseError,
+    TruncationRequired,
     UnboundVariable,
 )
 from qident.identities import REGISTRY, build_side
@@ -142,6 +144,179 @@ def test_eval_exact_division():
     assert out == MultiSeries.one() - MultiSeries.q(3)
     with pytest.raises(DivisionInexact):
         evaluate("1 * poch(q, 1, 2)^(-1)", {}, None)
+
+
+def test_exact_division_follows_every_multiplication():
+    # the factors' order in the text does not decide when the division runs
+    for text in ("poch(q,1,2) * (1-q)^(-1)", "(1-q)^(-1) * poch(q,1,2)",
+                 "(1-q)^(-1) * (1+q) * poch(q,1,1)^2"):
+        assert evaluate(text, {}, None) == MultiSeries.one() - MultiSeries.q(2), text
+
+
+def test_exact_division_by_a_non_unit_lowest_coefficient():
+    assert evaluate("(6+3*q)*(2+q)^(-1)", {}, None) == 3
+    assert evaluate("(q^(-1)+2)*(q^(-1)+2)^(-2)*(1+2*q)", {}, None) == MultiSeries.q()
+    for text in ("(1+2*q)*(2+q)^(-1)", "(2+q)*(2+q)^(-2)"):
+        with pytest.raises(DivisionInexact):
+            evaluate(text, {}, None)
+
+
+def test_exact_division_checks_the_span_first():
+    # within the power guard, but the divisor's degree passes the
+    # dividend's: refused before the kernel expands anything
+    with pytest.raises(DivisionInexact, match="span"):
+        evaluate(f"(1-q)^(-{2 ** 21})", {}, None)
+    with pytest.raises(DivisionInexact, match="span"):
+        evaluate(f"(1+q) * poch(q, 1, 1)^(-{2 ** 21})", {}, None)
+
+
+def test_exact_product_window_guard():
+    # error paths only, one step past the limit: the kernel's window and
+    # steps are measured by the degrees, in q or in z, x, y, of the other
+    # factors' product and of each Pochhammer factor to its power
+    over = MAX_EXACT_DEGREE + 1
+    for text in (f"poch(q, 1, 2)^(-{over // 3 + 1})", f"poch(z*q, 2, 1)^{over}",
+                 f"poch(z^2*q, 2, 1)^{over // 2 + 1}",
+                 f"(1 + q^{MAX_EXACT_DEGREE}) * poch(q, 1, 1)"):
+        with pytest.raises(DslError, match="exact product of degree"):
+            evaluate(text, {}, None)
+    # Pochhammer powers that cancel take no step at all
+    text = f"poch(q, 1, 1)^{over} * poch(q, 1, 1)^(-{over}) * (1 + q)"
+    assert evaluate(text, {}, None) == 1 + MultiSeries.q()
+
+
+def test_exact_zero_products():
+    # a zero coefficient or a zero factor makes the whole product zero;
+    # a zero divisor is still a division by zero
+    for text in ("0 * (1+q)^(-1)", "(q-q) * (1+q)^(-1)", "0 * poch(q,1,3)^(-1)"):
+        got = evaluate(text, {}, None)
+        assert got.is_zero() and got.trunc is None, text
+    for text in ("(q-q)^(-1)", "0 * (q-q)^(-1)"):
+        with pytest.raises(DivisionInexact, match="division by zero"):
+            evaluate(text, {}, None)
+
+
+def test_exact_product_error_types():
+    cases = {
+        "1 * poch(q,1,2)^(-1)": DivisionInexact,
+        "(1+q)^(-1)": DivisionInexact,
+        "poch(q,1,inf)": DslError,
+        "2 * poch(q,1,inf)": DslError,
+        "poch(z*q,1,2)^(-1)": TruncationRequired,
+        "poch(q*z^(-1),1,2)^(-1)": NonUnitConstantTerm,
+        "z*(1+z)^(-1)": NonUnitConstantTerm,
+    }
+    for text, error in cases.items():
+        with pytest.raises(error):
+            evaluate(text, {}, None)
+
+
+# A reference for exact products that shares no code with qident:
+# polynomials in z and q as {(z-exponent, q-exponent): coefficient}.
+
+
+def _ref_mul(f, g):
+    out = {}
+    for (a1, e1), c1 in f.items():
+        for (a2, e2), c2 in g.items():
+            key = (a1 + a2, e1 + e2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_add(f, g):
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_div(f, d):
+    """f / d for d free of z, by long division from the top over the
+    rationals; None unless the quotient is a Laurent polynomial with
+    integer coefficients."""
+    dlo, dhi = min(e for _, e in d), max(e for _, e in d)
+    quotient = {}
+    for a in {a for a, _ in f}:
+        rem = {e: Fraction(c) for (b, e), c in f.items() if b == a}
+        stop = min(rem) - dlo
+        while rem and max(rem) - dhi >= stop:
+            top = max(rem)
+            t = rem[top] / d[(0, dhi)]
+            quotient[(a, top - dhi)] = t
+            for (_, e), c in d.items():
+                r = rem.get(top - dhi + e, 0) - t * c
+                if r:
+                    rem[top - dhi + e] = r
+                else:
+                    rem.pop(top - dhi + e, None)
+        if rem:
+            return None
+    if any(t.denominator != 1 for t in quotient.values()):
+        return None
+    return {k: int(t) for k, t in quotient.items()}
+
+
+def _ref_poch(c, a, v, step, count):
+    out = {(0, 0): 1}
+    for i in range(count):
+        out = _ref_mul(out, {(0, 0): 1, (a, v + step * i): -c})
+    return out
+
+
+def _ref_text(f):
+    return " + ".join(f"({c})*z^({a})*q^({e})" for (a, e), c in sorted(f.items())) or "0"
+
+
+_ref_poly = st.dictionaries(st.tuples(st.just(0), st.integers(-3, 5)),
+                            st.integers(-3, 3).filter(bool), max_size=4)
+_ref_chain = st.tuples(st.sampled_from([1, -1, 2, -2]), st.integers(1, 3),
+                       st.integers(1, 3), st.integers(0, 3))
+
+
+@given(data=st.data(), quotient=_ref_poly, divisor=_ref_poly.filter(bool),
+       k=st.integers(1, 2),
+       grown=st.lists(st.tuples(_ref_chain, st.integers(-1, 1), st.integers(1, 2)),
+                      max_size=2),
+       shrunk=st.lists(st.tuples(_ref_chain, st.integers(1, 2)), max_size=2),
+       monomial=st.tuples(st.sampled_from([1, -1, 2, 3, -2]), st.integers(-2, 2),
+                          st.integers(-3, 3)),
+       perturb=st.none() | st.tuples(st.integers(-4, 12), st.integers(-2, 2).filter(bool)))
+@settings(max_examples=200, deadline=None)
+def test_exact_products_match_a_reference(data, quotient, divisor, k, grown,
+                                          shrunk, monomial, perturb):
+    # P = Q * D^k * (the shrunk chains); the text P * D^(-k) * (grown
+    # chains) * (shrunk chains)^(-1) * c*z^a*q^e, its factors in any order
+    dividend, denominator = quotient, {(0, 0): 1}
+    for _ in range(k):
+        dividend = _ref_mul(dividend, divisor)
+        denominator = _ref_mul(denominator, divisor)
+    for (c, v, step, count), power in shrunk:
+        for _ in range(power):
+            dividend = _ref_mul(dividend, _ref_poch(c, 0, v, step, count))
+            denominator = _ref_mul(denominator, _ref_poch(c, 0, v, step, count))
+    if perturb is not None:
+        dividend = _ref_add(dividend, {(0, perturb[0]): perturb[1]})
+    c, a, e = monomial
+    # the coefficient c is part of the dividend; z^a * q^e is a unit
+    numerator = _ref_mul(dividend, {(0, 0): c})
+    factors = [f"({_ref_text(dividend)})", f"({_ref_text(divisor)})^(-{k})",
+               f"({c})*z^({a})*q^({e})"]
+    for (cc, v, step, count), za, power in grown:
+        for _ in range(power):
+            numerator = _ref_mul(numerator, _ref_poch(cc, za, v, step, count))
+        factors.append(f"poch(({cc})*z^({za})*q^{v}, {step}, {count})^{power}")
+    factors += [f"poch(({cc})*q^{v}, {step}, {count})^(-{power})"
+                for (cc, v, step, count), power in shrunk]
+    text = " * ".join(data.draw(st.permutations(factors)))
+    want = _ref_div(numerator, denominator)
+    if want is None:
+        with pytest.raises(DivisionInexact):
+            evaluate(text, {}, None)
+        return
+    got = evaluate(text, {}, None)
+    assert got.trunc is None, text
+    assert {(m[0], q): v for m, q, v in got.terms()} == _ref_mul(want, {(a, e): 1}), text
 
 
 def test_eval_sum_empty_range():

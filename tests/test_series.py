@@ -8,8 +8,10 @@ from qident.errors import (
     TruncationRequired,
 )
 from qident.series import (
+    TRIVIAL_MONO,
     MultiSeries,
     QSeries,
+    _Rows,
     poch_finite,
     poch_infinite,
     qbinom,
@@ -150,6 +152,30 @@ def test_exact_div_rejects_remainder():
         (ONE - QSeries.q(2)).exact_div(ONE - QSeries.q(3))
     with pytest.raises(DivisionInexact):  # 0/0, whatever the class
         MultiSeries.zero().exact_div(QSeries.zero())
+
+
+def test_exact_div_non_unit_lead():
+    six = QSeries({0: 6, 1: 3})
+    assert six.exact_div(QSeries({0: 2, 1: 1})) == 3
+    with pytest.raises(DivisionInexact, match="not divisible by 2"):
+        QSeries({0: 1, 1: 2}).exact_div(QSeries({0: 2, 1: 1}))
+    with pytest.raises(DivisionInexact, match="span"):
+        QSeries({0: 2, 1: 1}).exact_div(QSeries({0: 4, 1: 4, 2: 1}))
+    # the kernel step itself: 6 + 3q divided by 2 + q in place
+    acc = _Rows.load(six, 0, 2)
+    acc.div(((TRIVIAL_MONO, 1, -1),), lead=2)
+    assert acc.rows == {TRIVIAL_MONO: [3, 0]}
+
+
+def test_exact_div_divides_each_row():
+    d = QSeries({-1: 2, 0: 1})  # 2q^-1 + 1: a non-unit lead, valuation -1
+    rows = [((0, 0, 0), QSeries({0: 1, 1: -1})), ((1, 0, 0), QSeries({2: 3})),
+            ((0, 2, -1), QSeries({-3: 1, 0: 5}))]
+    num = MultiSeries({m: s * d for m, s in rows})
+    assert num.exact_div(d) == MultiSeries(dict(rows))
+    # one row with a remainder spoils the whole division
+    with pytest.raises(DivisionInexact):
+        (num + MultiSeries.term(1, 0, z=1)).exact_div(d)
 
 
 def test_exact_div_roundtrip_with_mul():
