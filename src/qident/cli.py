@@ -99,16 +99,24 @@ def parse_pair(text: str) -> PartitionPair:
 
 
 def _dump_series(ms, fmt) -> None:
+    """Print a series' terms by q-exponent, then monomial: one line each, or
+    with ``fmt`` "json" the document {"trunc": ..., "terms": [{"monomial":
+    ..., "exponent": ..., "coeff": ...}, ...]}.  The document is written
+    term by term, in the bytes ``json.dumps`` gives for that dict, without
+    building the dict."""
     from .series import mono_str
 
-    rows = sorted((e, mono_str(m), c) for m, e, c in ms.terms())
+    names = {m: mono_str(m) for m in ms.monomials()}
+    rows = sorted((e, names[m], c) for m, e, c in ms.terms())
     if fmt == "json":
-        print(json.dumps({
-            "trunc": ms.trunc,
-            "terms": [
-                {"monomial": m, "exponent": e, "coeff": c} for e, m, c in rows
-            ],
-        }))
+        write = sys.stdout.write
+        write(f'{{"trunc": {json.dumps(ms.trunc)}, "terms": [')
+        sep = ""
+        for e, m, c in rows:
+            write(f'{sep}{{"monomial": {json.dumps(m)}, "exponent": {e},'
+                  f' "coeff": {c}}}')
+            sep = ", "
+        write("]}\n")
         return
     if not rows:
         print("0")

@@ -27,19 +27,31 @@ accumulator by their factors 1 - c*m*q^j in turn.  At a truncation order,
 summands of a ``sum`` that are a monomial times such powers share one
 accumulator: consecutive summands differ in a few factors, so each applies
 only the change from the one before, and a sum of N summands costs O(N)
-kernel steps rather than O(N^2).  A ``sum`` sums the terms of its summands
-once, at the end.  With no truncation order the accumulator holds the
-whole product, and divides it exactly by the negative powers of Pochhammer
-products and of q-polynomials free of z, x and y.  Refused with DslError
-are an integer power whose result would pass MAX_POWER_BITS bits, a sum
-over more than MAX_SUM_TERMS indices, and a power or an exact product
-whose degree would pass MAX_EXACT_DEGREE (in q, z, x or y for an exact
-polynomial, in z, x or y for a truncated series).
+kernel steps rather than O(N^2).  With no truncation order the
+accumulator holds the whole product, and divides it exactly by the
+negative powers of Pochhammer products and of q-polynomials free of z, x
+and y.
+
+A ``sum`` adds each summand into one running total as soon as it is
+evaluated, so its memory is the size of its result, not that times its
+number of summands.  At a truncation order the total is one dense
+accumulator: a summand that ends on the kernel adds its accumulator,
+times its monomial, straight into it, and any other adds its terms to
+sparse rows; the two are turned into one series at the end.  With no
+truncation order every summand goes to the sparse rows, since a dense
+window over an exact sum's exponents could cost far more than its terms
+(``sum(n, 0, 3, q^(1000000*n))``).  The presence of a truncation order is
+the only thing that picks the dense total.
+
+Refused with DslError are an integer power whose result would pass
+MAX_POWER_BITS bits, a power of a series whose largest coefficient could
+pass it, a sum over more than MAX_SUM_TERMS indices, and a power or an
+exact product whose degree would pass MAX_EXACT_DEGREE (in q, z, x or y
+for an exact polynomial, in z, x or y for a truncated series).
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb, log2
 from typing import Optional, Union
 
@@ -53,8 +65,8 @@ from .series import (
     TRIVIAL_MONO,
     MultiSeries,
     _exact_quotient,
-    _min_trunc,
     _Rows,
+    _Total,
     _mono_mul,
     poch_finite,
     poch_infinite,
@@ -63,7 +75,8 @@ from .series import (
 
 RESERVED = {"q", "z", "x", "y", "inf"}
 
-# the largest integer power the language computes, in bits: far above any
+# the largest integer power the language computes, and the largest
+# coefficient a power of a series may reach, in bits: far above any
 # coefficient the identities need, far below what exhausts memory
 MAX_POWER_BITS = 1 << 16
 
@@ -371,10 +384,21 @@ def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
     return ms.invert_unit(trunc)
 
 
-def _power_check(base: MultiSeries, k: int, with_q: bool) -> None:
+def _power_check(base: MultiSeries, k: int, with_q: bool,
+                 layers: Optional[int]) -> None:
     """Refuse the power base^k when its exponent range in z, x or y, or in
     q when ``with_q``, |k| times that of base, would pass
-    MAX_EXACT_DEGREE."""
+    MAX_EXACT_DEGREE; then, for k > 0, when its largest coefficient could
+    pass MAX_POWER_BITS bits.
+
+    Each coefficient of base^k is at most S^k, S the sum of |c| over
+    base's terms.  When the power is wanted only below q^layers, base
+    being a power series, each wanted coefficient takes at most
+    min(k, layers - 1) of its k factors from above base's lowest q-layer:
+    it is at most S_low^k (k * S_high)^min(k, layers - 1), S_low and
+    S_high the sums of |c| in that layer and in the layers above it below
+    q^layers.
+    """
     terms = base.terms()
     if not terms:
         return
@@ -389,6 +413,20 @@ def _power_check(base: MultiSeries, k: int, with_q: bool) -> None:
         raise DslError(
             f"power {k} of a {what} of degree {degree} exceeds the"
             f" {MAX_EXACT_DEGREE}-degree limit{of}"
+        )
+    if k < 0:
+        return
+    if layers is None:
+        bits = k * log2(sum(abs(c) for _, _, c in terms))
+    else:
+        low = min(e for _, e, _ in terms)
+        s_low = sum(abs(c) for _, e, c in terms if e == low)
+        s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
+        bits = k * log2(s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
+    if bits > MAX_POWER_BITS:
+        raise DslError(
+            f"power {k} of a series with coefficients of up to {bits:.0f} bits"
+            f" exceeds the {MAX_POWER_BITS}-bit limit"
         )
 
 
@@ -523,8 +561,13 @@ def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
 
 
 class _Carry:
-    """The Pochhammer powers of one sum's summands on one accumulator,
-    carried from summand to summand.
+    """One sum's summands: their running total, and their Pochhammer
+    powers on one accumulator, carried from summand to summand.
+
+    ``total`` is a series ``_Total``.  A summand that ends on the kernel
+    adds its accumulator, times its monomial, straight into it; any other
+    adds its terms.  So no summand outlives its addition, and at a
+    truncation order the sum holds one dense total, not its summands.
 
     ``rows`` gives the product of a summand's chains below q^size, the
     summand's window.  Consecutive summands share most of their factors,
@@ -536,11 +579,12 @@ class _Carry:
     aux exponent (which ``div`` does not take), starts afresh.
     """
 
-    __slots__ = ("acc", "powers")
+    __slots__ = ("acc", "powers", "total")
 
     def __init__(self):
         self.acc: Optional[_Rows] = None
         self.powers: dict = {}
+        self.total = _Total()
 
     def rows(self, chains: list, size: int) -> _Rows:
         acc, old = self.acc, self.powers
@@ -558,8 +602,18 @@ class _Carry:
         return acc
 
 
+def _kernel_value(acc: _Rows, trunc: Optional[int], c: int, mono: tuple,
+                  v: int, carry: Optional[_Carry]) -> Optional[MultiSeries]:
+    """acc times c * mono * q^v, trusted below trunc: a series, or None
+    once added to the total of ``carry``."""
+    if carry is None:
+        return acc.series(trunc, c, mono, v)
+    carry.total.add_rows(acc, trunc, c, mono, v)
+    return None
+
+
 def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
-                  carry: Optional[_Carry] = None) -> MultiSeries:
+                  carry: Optional[_Carry] = None) -> Optional[MultiSeries]:
     """A product, valuation first.
 
     The monomial factors fold into c * m * q^v.  When v plus the known
@@ -573,6 +627,8 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     sum.  In an exact context (``trunc`` None) the accumulator holds c times
     the whole product of the positive powers, and divides it by the others
     and by each X^(-k) with X free of z, x and y (``_exact_quotient``).
+    With ``carry``, a product that ends on the kernel is added to the
+    carry's total and None is returned.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -601,7 +657,8 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             # inner; otherwise the power is expanded exactly.  Either way
             # the q-truncation does not bound the degree in z, x and y.
             series = inner is not None and base.min_qexp() >= 0
-            _power_check(base, k, with_q=base.trunc is None and not series)
+            _power_check(base, k, with_q=base.trunc is None and not series,
+                         layers=inner if series else None)
             if series:
                 base = base.truncate(inner)
         if k < 0 and inner is None and set(base.monomials()) <= {TRIVIAL_MONO}:
@@ -621,20 +678,21 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             raise DslError(f"exact product of degree {degree} exceeds the"
                            f" {MAX_EXACT_DEGREE}-degree limit")
         acc, shift = _exact_quotient(value.scale(c), powers, divisors)
-        return acc.series(None, 1, mono, v + shift)
+        return _kernel_value(acc, None, 1, mono, v + shift, carry)
     if not chains or not c or (value.is_zero() and value.trunc is None):
         return value.mul(monomial)
     if carry is not None and len(chains) == len(rest):
         acc = carry.rows(chains, inner)
     else:
         acc = _apply_chains(value, chains, inner)
-    return acc.series(acc.lo + acc.size + v, c, mono, v)
+    return _kernel_value(acc, acc.lo + acc.size + v, c, mono, v, carry)
 
 
 def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
-                carry: Optional[_Carry] = None) -> MultiSeries:
+                carry: Optional[_Carry] = None) -> Optional[MultiSeries]:
     """Evaluate an expression in series context; ``carry``, used only when
-    e is a product, is the accumulator a sum keeps for its summands."""
+    e is a product, is what a sum keeps for its summands, and a product
+    added to its total returns None."""
     if isinstance(e, BinOp) and e.op in ("+", "-"):
         l = eval_series(e.left, bindings, trunc)
         r = eval_series(e.right, bindings, trunc)
@@ -698,19 +756,16 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
                 f"sum over {hi - lo + 1} indices exceeds the"
                 f" {MAX_SUM_TERMS}-term limit"
             )
-        # summands whose only factors besides a monomial are Pochhammer
-        # powers share one accumulator (see _Carry); the summands' terms
-        # are summed once, after the last summand, and a zero summand only
-        # lowers the truncation
+        # each summand is added into one total as soon as it is evaluated
+        # (see _Carry), and a zero summand only lowers the truncation
         inner = dict(bindings)
         carry = _Carry()
-        summands = []
         for v in range(lo, hi + 1):
             inner[var.ident] = v
-            summands.append(eval_series(e.args[3], inner, trunc, carry))
-        return MultiSeries.from_terms(
-            chain.from_iterable(s.terms() for s in summands),
-            _min_trunc(*(s.trunc for s in summands)))
+            value = eval_series(e.args[3], inner, trunc, carry)
+            if value is not None:
+                carry.total.add(value)
+        return carry.total.value()
     raise DslError(f"unknown function {e.func!r}")
 
 

@@ -35,7 +35,10 @@ O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map {factor:
 net power}; ``poch_finite``, ``poch_infinite``, ``invert_unit``, ``qbinom``
 (k(m-k)+1 exponents, k numerator and k denominator factors) and the
 expression language's Pochhammer powers are each one such chain, and exact
-division divides by factors lead - a (``_exact_quotient``).
+division divides by factors lead - a (``_exact_quotient``).  ``_Total``
+sums series and accumulators as they are made, accumulators trusted below
+a truncation order into one dense window, so a sum of many of them costs
+the memory of its result.
 
 All values are immutable after construction and all operations are pure;
 only the kernel's accumulator, which never leaves this module and the
@@ -104,15 +107,25 @@ def _clean(rows: dict, trunc: Optional[int]) -> dict:
     return out
 
 
-def _gather(terms, rows: Optional[dict] = None) -> dict:
-    """The merge-add: rows {monomial: row}, new or changed in place, with
-    the terms (monomial, q-exponent, coefficient) added in; a row is looked
-    up once per run of terms of one monomial, as ``terms()`` lists them."""
+def _gather(terms, rows: Optional[dict] = None,
+            trunc: Optional[int] = None) -> dict:
+    """The merge-add: clean rows {monomial: row}, new or changed in place,
+    with the terms (monomial, q-exponent, coefficient) below trunc added
+    in.  They stay clean (see ``_clean``): a coefficient that sums to zero
+    and a row left empty are dropped.  A row is looked up once per run of
+    terms of one monomial, as ``terms()`` lists them."""
     rows = {} if rows is None else rows
     for m, run in groupby(terms, itemgetter(0)):
         row = rows.setdefault(m, {})
         for _, e, c in run:
-            row[e] = row.get(e, 0) + c
+            if trunc is None or e < trunc:
+                c += row.get(e, 0)
+                if c:
+                    row[e] = c
+                else:
+                    row.pop(e, None)
+        if not row:
+            del rows[m]
     return rows
 
 
@@ -201,7 +214,7 @@ class MultiSeries:
     def from_terms(terms, trunc: Optional[int] = None) -> "MultiSeries":
         """The sum of the terms (monomial, q-exponent, coefficient), with
         the truncation order trunc; terms at or beyond it are dropped."""
-        return MultiSeries._from_rows(_gather(terms), trunc)
+        return MultiSeries._new(_gather(terms, None, trunc), trunc)
 
     @staticmethod
     def gen(var: str) -> "MultiSeries":
@@ -639,20 +652,109 @@ class _Rows:
             for _ in range(abs(k)):
                 step(a)
 
+    def add(self, other: "_Rows", scale: int, mono: Mono, shift: int) -> None:
+        """Add other times scale * mono * q^shift in place.  The window
+        first reaches down to other's lowest exponent; what lies at or
+        above its top is dropped."""
+        start = other.lo + shift
+        if start < self.lo:
+            pad = [0] * (self.lo - start)
+            for m, row in self.rows.items():
+                row[:0] = pad
+                self.low[m] += len(pad)
+            self.lo, self.size = start, self.size + len(pad)
+        d = start - self.lo
+        end = min(self.size, d + other.size)
+        for m, src in other.rows.items():
+            s = d + other.low[m]
+            if s < end:
+                t = _mono_mul(m, mono)
+                dst = self._target(t)
+                dst[s:end] = [x + scale * y for x, y in zip(dst[s:end], src[s - d:])]
+                self.low[t] = min(self.low[t], s)
+
+    def gather(self, rows: dict, trunc: Optional[int], scale: int = 1,
+               mono: Mono = TRIVIAL_MONO, shift: int = 0) -> dict:
+        """The clean rows {monomial: row}, changed in place, with the
+        accumulator times scale * mono * q^shift, scale nonzero, added in
+        below trunc."""
+        off = self.lo + shift
+        stop = self.size if trunc is None else max(min(self.size, trunc - off), 0)
+        for m, row in self.rows.items():
+            low = self.low[m]
+            out = {i + off: scale * c for i, c in enumerate(row[low:stop], low) if c}
+            if out:
+                t = _mono_mul(m, mono)
+                if t in rows:
+                    _gather(((t, e, c) for e, c in out.items()), rows)
+                else:
+                    rows[t] = out
+        return rows
+
     def series(self, trunc: Optional[int], scale: int = 1,
                mono: Mono = TRIVIAL_MONO, shift: int = 0,
                cls: type = MultiSeries) -> MultiSeries:
         """The accumulator times scale * mono * q^shift, scale nonzero, as a
         value of cls with the given truncation order."""
-        off = self.lo + shift
-        stop = self.size if trunc is None else max(min(self.size, trunc - off), 0)
-        rows = {}
-        for m, row in self.rows.items():
-            low = self.low[m]
-            out = {i + off: scale * c for i, c in enumerate(row[low:stop], low) if c}
-            if out:
-                rows[_mono_mul(m, mono)] = out
-        return cls._new(rows, trunc)
+        return cls._new(self.gather({}, trunc, scale, mono, shift), trunc)
+
+
+class _Total:
+    """The running sum of series and accumulators, each added as soon as it
+    is made, so that no addend outlives its addition.
+
+    The terms of a series go into sparse rows, as ``_gather`` makes them.
+    An accumulator trusted below a truncation order goes into one dense
+    total, a ``_Rows`` whose window runs from the lowest exponent of any
+    such accumulator up to the least truncation order seen so far: an
+    accumulator that starts below the window extends it, and an addend
+    trusted below a lower order cuts it.  An exact accumulator goes into
+    the sparse rows, since a dense window over an exact sum's exponents
+    could cost far more than its terms.  ``value`` turns both into one
+    series, once; its truncation order is the least of the addends', None
+    when all are exact.
+    """
+
+    __slots__ = ("rows", "dense", "trunc")
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.dense: Optional[_Rows] = None
+        self.trunc: Optional[int] = None
+
+    def _lower(self, trunc: Optional[int]) -> None:
+        if trunc is None or (self.trunc is not None and trunc >= self.trunc):
+            return
+        self.trunc, dense = trunc, self.dense
+        if dense is not None:
+            if trunc > dense.lo:
+                dense.shrink(trunc - dense.lo)
+            else:
+                self.dense = None
+
+    def add(self, value: MultiSeries) -> None:
+        self._lower(value.trunc)
+        _gather(value.terms(), self.rows)
+
+    def add_rows(self, acc: _Rows, trunc: Optional[int], scale: int,
+                 mono: Mono, shift: int) -> None:
+        """Add acc times scale * mono * q^shift, trusted below trunc (None
+        for an exact accumulator), scale nonzero."""
+        if trunc is None:
+            acc.gather(self.rows, None, scale, mono, shift)
+            return
+        self._lower(trunc)
+        if self.dense is None:
+            self.dense = _Rows(self.trunc, 0)
+        self.dense.add(acc, scale, mono, shift)
+
+    def value(self) -> MultiSeries:
+        t, rows = self.trunc, self.rows
+        if t is not None:
+            dense = {} if self.dense is None else self.dense.gather({}, t)
+            rows = _gather(((m, e, c) for m, row in rows.items()
+                            for e, c in row.items()), dense, t)
+        return MultiSeries._new(rows, t)
 
 
 def _span(a) -> int:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qident.bijections import BIJECTION_NAMES
-from qident.cli import main, parse_partition, parse_pair, parse_signed_set
+from qident.cli import _dump_series, main, parse_partition, parse_pair, parse_signed_set
 from qident.dsl import MAX_EXACT_DEGREE, MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
+from qident.series import MultiSeries, mono_str
 
 
 def run(capsys, *argv):
@@ -191,6 +197,10 @@ def test_eval_refusals_exit_2(capsys):
                        f"(1 + z + poch(q,1,inf))^{MAX_EXACT_DEGREE + 1}",
                        "--trunc", "5")
     assert code == 2 and "degree limit" in err and "exact" not in err
+    # at the degree limit, but 2 + z taken 2^22 times passes the bit limit
+    code, _, err = run(capsys, "eval", "(1 + z + poch(q,1,inf))^(2^22)",
+                       "--trunc", "1")
+    assert code == 2 and "bit limit" in err
 
 
 def test_eval_huge_sum_exit_2(capsys):
@@ -220,6 +230,47 @@ def test_eval_json_output(capsys):
         {"monomial": "1", "exponent": 0, "coeff": 1},
         {"monomial": "1", "exponent": 2, "coeff": 1},
     ]
+
+
+def _dict_form(ms):
+    """The JSON document of a series as a dict, dumped whole."""
+    rows = sorted((e, mono_str(m), c) for m, e, c in ms.terms())
+    return json.dumps({
+        "trunc": ms.trunc,
+        "terms": [{"monomial": m, "exponent": e, "coeff": c} for e, m, c in rows],
+    }) + "\n"
+
+
+_term = st.tuples(st.tuples(*[st.integers(-3, 3)] * 3), st.integers(-20, 20),
+                  st.integers(-10**30, 10**30))
+
+
+@given(terms=st.lists(_term, max_size=30),
+       trunc=st.none() | st.integers(-25, 25))
+def test_streamed_json_is_the_dumped_dict(terms, trunc):
+    ms = MultiSeries.from_terms(terms, trunc)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _dump_series(ms, "json")
+    assert out.getvalue() == _dict_form(ms)
+
+
+def test_eval_json_is_written_term_by_term():
+    # about 1800 terms, a 94 KB document: no per-term dicts and no whole
+    # document in memory; output goes to a null device, so only qident's
+    # own allocations count
+    argv = ["eval", "poch(z, 1, n)", "--bind", "n=22", "--trunc", "232",
+            "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # imports and first-use set-up
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.2e6, peak
 
 
 # ---------------------------------------------------------------------------

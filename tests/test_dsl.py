@@ -2,12 +2,14 @@ import copy
 import inspect
 import pickle
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qident.dsl import (
     MAX_EXACT_DEGREE,
+    MAX_POWER_BITS,
     MAX_SUM_TERMS,
     BinOp,
     Call,
@@ -676,6 +678,28 @@ def test_exact_power_guard():
     assert evaluate(f"q^{over} * (1+q)", {}, None) == (
         MultiSeries.q(over) + MultiSeries.q(over + 1))
     assert evaluate(f"(-q)^{over}", {}, None) == -MultiSeries.q(over)
+
+
+def test_power_coefficient_guard():
+    # error paths only, one step past the limit: these pass the degree check
+    # and are refused before they are expanded.  (1+q)^k and (1+z)^k have
+    # coefficients up to 2^k.
+    over = MAX_POWER_BITS + 1
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate(f"(1+q)^{over}", {}, None)
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate(f"(1+z)^{over}", {}, 5)
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("(1+q)^(2^21)", {}, None)
+    # truncated: the constant layer 2 + z is taken 2^22 times
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("(1 + z + poch(q,1,inf))^(2^22)", {}, 1)
+    # below a truncation order the higher layers count only a few times
+    n = 100000
+    assert evaluate(f"(1+q)^{n}", {}, 5) == MultiSeries.from_terms(
+        [((0, 0, 0), j, comb(n, j)) for j in range(5)], 5)
+    value = evaluate("(1+z)^600", {}, 2)
+    assert value.trunc == 2 and value.coefficient((300, 0, 0), 0) == comb(600, 300)
 
 
 def test_truncated_power_of_polynomial_is_truncated_first():

@@ -12,6 +12,7 @@ from qident.series import (
     MultiSeries,
     QSeries,
     _Rows,
+    _Total,
     poch_finite,
     poch_infinite,
     qbinom,
@@ -176,6 +177,29 @@ def test_exact_div_divides_each_row():
     # one row with a remainder spoils the whole division
     with pytest.raises(DivisionInexact):
         (num + MultiSeries.term(1, 0, z=1)).exact_div(d)
+
+
+def test_total_window_follows_its_addends():
+    z = (1, 0, 0)
+    acc = _Rows.load(MultiSeries.from_terms([(TRIVIAL_MONO, 0, 1), (z, 2, 3)]), 0, 5)
+    total = _Total()
+    total.add_rows(acc, 5, 2, z, 0)  # 2z + 6z^2 q^2, trusted below q^5
+    assert (total.dense.lo, total.dense.size) == (0, 5)
+    total.add_rows(acc, 3, -1, TRIVIAL_MONO, -2)  # starts below the window
+    assert (total.dense.lo, total.dense.size) == (-2, 5)
+    total.add(MultiSeries.from_terms([(z, 1, 5), (z, 2, 7)], 2))  # cuts it
+    assert (total.dense.lo, total.dense.size) == (-2, 4)
+    assert total.value() == MultiSeries.from_terms(
+        [(TRIVIAL_MONO, -2, -1), (z, 0, 2), (z, 0, -3), (z, 1, 5)], 2)
+    # an exact accumulator goes to the sparse rows, and an addend trusted
+    # below the window's start drops it
+    exact = _Total()
+    exact.add_rows(acc, None, 1, TRIVIAL_MONO, 100)
+    assert exact.dense is None
+    exact.add_rows(acc, 4, 1, TRIVIAL_MONO, 0)
+    exact.add(MultiSeries.from_terms([(z, -2, 1)], -1))
+    assert exact.dense is None
+    assert exact.value() == MultiSeries.term(1, -2, z=1, trunc=-1)
 
 
 def test_exact_div_roundtrip_with_mul():

@@ -2,6 +2,8 @@
 summand, checked against a reference that evaluates every summand on its
 own and adds them up."""
 
+import tracemalloc
+
 import pytest
 
 from qident.dsl import Call, eval_int, evaluate, parse, unparse
@@ -136,3 +138,69 @@ def test_ay1_lhs_is_linear_in_the_truncation_order(kernel_calls):
     T = 60
     evaluate(REGISTRY["ay1"].texts["lhs"], {"N": T}, T)
     assert kernel_calls["mul"] + kernel_calls["div"] < 4 * T, kernel_calls
+
+
+# values frozen from the evaluator that kept every summand until one final
+# gather: (text, truncation order, trunc of the value, its sorted terms)
+_PINNED_SUMS = [
+    # all summands exact: the sum stays exact at a truncation order
+    ("sum(n,0,3,q^n)", 10, None,
+     [((0, 0, 0), 0, 1), ((0, 0, 0), 1, 1), ((0, 0, 0), 2, 1), ((0, 0, 0), 3, 1)]),
+    ("sum(t,0,3,qbinom(3,t))", 5, None,
+     [((0, 0, 0), 0, 4), ((0, 0, 0), 1, 2), ((0, 0, 0), 2, 2)]),
+    # n = 2 is the exact poch(z, 1, 2); n = 0, 1 end on the kernel
+    ("sum(n, 0, 2, q^n * poch(z*q^(2-n), 1, n))", 4, 4,
+     [((0, 0, 0), 0, 1), ((0, 0, 0), 1, 1), ((0, 0, 0), 2, 1),
+      ((1, 0, 0), 2, -2), ((1, 0, 0), 3, -1), ((2, 0, 0), 3, 1)]),
+    # n = 2 is trusted only below q^1, after two summands trusted below q^5
+    ("sum(n, 0, 2, q^n * poch(z*q, 1, 2)^(-1)"
+     " * (q^2 * poch(q^5, 1, inf))^(-binom(n, 2)))", 5, 1,
+     [((0, 0, 0), 0, 2)]),
+    # the same through the sparse rows, whose terms above q^1 are dropped
+    ("sum(n, 0, 2, z^n*q^n + q^n * poch(z*q, 1, 2)^(-1)"
+     " * (q^2 * poch(q^5, 1, inf))^(-binom(n, 2)))", 5, 1,
+     [((0, 0, 0), 0, 3)]),
+    # Laurent summands: each starts below the one before
+    ("sum(n, 0, 3, q^(-n) * poch(z*q, 1, n+1)^(-2))", 3, 3,
+     [((0, 0, 0), -3, 1), ((0, 0, 0), -2, 1), ((0, 0, 0), -1, 1),
+      ((0, 0, 0), 0, 1), ((1, 0, 0), -2, 2), ((1, 0, 0), -1, 4),
+      ((1, 0, 0), 0, 6), ((1, 0, 0), 1, 8), ((2, 0, 0), -1, 3),
+      ((2, 0, 0), 0, 7), ((2, 0, 0), 1, 14), ((2, 0, 0), 2, 22),
+      ((3, 0, 0), 0, 4), ((3, 0, 0), 1, 10), ((3, 0, 0), 2, 22),
+      ((4, 0, 0), 1, 5), ((4, 0, 0), 2, 13), ((5, 0, 0), 2, 6)]),
+    # the valuation rises, so the carry's window shrinks at every index
+    ("sum(n, 0, 3, q^(2*n) * poch(z*q, 1, 3)^(-1))", 5, 5,
+     [((0, 0, 0), 0, 1), ((0, 0, 0), 2, 1), ((0, 0, 0), 4, 1),
+      ((1, 0, 0), 1, 1), ((1, 0, 0), 2, 1), ((1, 0, 0), 3, 2),
+      ((1, 0, 0), 4, 1), ((2, 0, 0), 2, 1), ((2, 0, 0), 3, 1),
+      ((2, 0, 0), 4, 3), ((3, 0, 0), 3, 1), ((3, 0, 0), 4, 1),
+      ((4, 0, 0), 4, 1)]),
+    ("sum(m, 0, 2, z^m * sum(n, 0, 2, q^(n+m) * poch(z*q, 1, n)^(-1)))", 4, 4,
+     [((0, 0, 0), 0, 1), ((0, 0, 0), 1, 1), ((0, 0, 0), 2, 1),
+      ((1, 0, 0), 1, 1), ((1, 0, 0), 2, 2), ((1, 0, 0), 3, 2),
+      ((2, 0, 0), 2, 1), ((2, 0, 0), 3, 3)]),
+]
+
+
+@pytest.mark.parametrize("text,T,trunc,terms", _PINNED_SUMS)
+def test_sum_values_are_pinned(text, T, trunc, terms):
+    got = evaluate(text, {}, T)
+    assert got.trunc == trunc
+    assert sorted(got.terms()) == terms
+    assert got == per_summand(text, {}, T)
+
+
+def test_ay1_lhs_peaks_near_its_result_size():
+    # the summands go into one dense total as they are made, so the peak is
+    # the result plus one summand's window, not every summand at once
+    text = REGISTRY["ay1"].texts["lhs"]
+    evaluate(text, {"N": 5}, 5)  # imports and first-use set-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = evaluate(text, {"N": 300}, 300)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.trunc == 300
+    assert peak - before <= 2 * (retained - before), (peak, retained, before)
