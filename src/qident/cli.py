@@ -8,11 +8,12 @@ Each command imports the modules it runs inside its own function, so a
 launch compiles and executes only those (besides this module and
 ``errors``):
 
-- ``eval``: ``dsl`` and ``series``;
+- ``eval``: ``dsl``, ``syntax``, ``series`` and ``kernel``;
 - ``bijection``: ``bijections`` and ``partitions``;
-- ``verify`` and ``table``: ``identities``, ``dsl`` and ``series``, then
-  ``partitions`` when an enumeration side or a brute-force count runs, and
-  ``bijections`` for the ``p_gt`` recount of ``middle``;
+- ``verify`` and ``table``: ``identities``, ``dsl``, ``syntax``, ``series``
+  and ``kernel``, then ``partitions`` when an enumeration side or a
+  brute-force count runs, and ``bijections`` for the ``p_gt`` recount of
+  ``middle``;
 - ``list``: ``identities``, ``bijections`` and ``partitions``.
 
 The argparse namespace is the only configuration: each subcommand accepts
@@ -103,8 +104,9 @@ def _dump_series(ms, fmt) -> None:
     with ``fmt`` "json" the document {"trunc": ..., "terms": [{"monomial":
     ..., "exponent": ..., "coeff": ...}, ...]}.  The document is written
     term by term, in the bytes ``json.dumps`` gives for that dict, without
-    building the dict."""
+    building the dict.  Numbers of any length are printed (``int_str``)."""
     from .series import mono_str
+    from .syntax import int_str
 
     names = {m: mono_str(m) for m in ms.monomials()}
     rows = sorted((e, names[m], c) for m, e, c in ms.terms())
@@ -113,16 +115,16 @@ def _dump_series(ms, fmt) -> None:
         write(f'{{"trunc": {json.dumps(ms.trunc)}, "terms": [')
         sep = ""
         for e, m, c in rows:
-            write(f'{sep}{{"monomial": {json.dumps(m)}, "exponent": {e},'
-                  f' "coeff": {c}}}')
+            write(f'{sep}{{"monomial": {json.dumps(m)}, "exponent": {int_str(e)},'
+                  f' "coeff": {int_str(c)}}}')
             sep = ", "
         write("]}\n")
         return
     if not rows:
         print("0")
     for e, m, c in rows:
-        head = f"q^{e}" if m == "1" else f"{m}*q^{e}"
-        print(f"{head}: {c}")
+        head = f"q^{int_str(e)}" if m == "1" else f"{m}*q^{int_str(e)}"
+        print(f"{head}: {int_str(c)}")
     if ms.trunc is not None:
         print(f"(exact below q^{ms.trunc})")
 
@@ -323,6 +325,7 @@ def cmd_bijection(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import dsl
     from .series import mono_str
+    from .syntax import int_str
 
     if len(args.exprs) > 2:
         return _usage_error("eval takes one or two expressions")
@@ -350,15 +353,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"equal below q^{bound}")
         return 0
     mono, e, lc, rc = mm
+    m, e, lc, rc = mono_str(mono), int_str(e), int_str(lc), int_str(rc)
     if args.format == "json":
-        print(json.dumps({
-            "equal": False,
-            "first_mismatch": {
-                "monomial": mono_str(mono), "exponent": e, "lhs": lc, "rhs": rc,
-            },
-        }))
+        # the bytes json.dumps gives, with numbers of any length
+        print(f'{{"equal": false, "first_mismatch": {{"monomial": {json.dumps(m)},'
+              f' "exponent": {e}, "lhs": {lc}, "rhs": {rc}}}}}')
     else:
-        print(f"MISMATCH at {mono_str(mono)}*q^{e}: {lc} != {rc}")
+        print(f"MISMATCH at {m}*q^{e}: {lc} != {rc}")
     return 1
 
 

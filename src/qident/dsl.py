@@ -1,20 +1,14 @@
-"""A small expression language for q-series.
+"""The evaluator of a small expression language for q-series.
 
-Grammar (whitespace-insensitive, no implicit multiplication)::
+The language's syntax (its grammar, AST, tokenizer, parser and
+``unparse``) is in ``qident.syntax``; this module re-exports those names
+and evaluates what ``parse`` returns.
 
-    expr   := term (("+" | "-") term)*
-    term   := unary ("*" unary)*
-    unary  := "-" unary | factor
-    factor := atom ("^" factor)?
-    atom   := INT | NAME | "(" expr ")" | call
-    call   := NAME "(" expr ("," expr)* ")"
-
-"+", "-" and "*" are left-associative, "^" is right-associative.  Built-in
-calls: ``poch(a, step, count|inf)``, ``qbinom(m, k)``, ``binom(m, k)`` and
-``sum(var, lo, hi, body)``.  Exponents, Pochhammer steps/counts, binom
-arguments and sum bounds live in integer context; q and the aux variables
-z, x, y are series-valued and may not appear there.  A negative exponent on
-a series denotes the multiplicative inverse.
+Built-in calls: ``poch(a, step, count|inf)``, ``qbinom(m, k)``,
+``binom(m, k)`` and ``sum(var, lo, hi, body)``.  Exponents, Pochhammer
+steps/counts, binom arguments and sum bounds live in integer context; q
+and the aux variables z, x, y are series-valued and may not appear there.
+A negative exponent on a series denotes the multiplicative inverse.
 
 The texts in the identity registry are the only closed-form definitions of
 the identities' sides, so evaluation passes precision down on demand, as
@@ -22,12 +16,12 @@ lazy power series do.  A product first folds its monomial factors into
 c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
 to reach ``trunc``.  Powers of Pochhammer products of a monomial are not
-expanded on their own: the series kernel multiplies or divides one dense
-accumulator by their factors 1 - c*m*q^j in turn.  At a truncation order,
-summands of a ``sum`` that are a monomial times such powers share one
-accumulator: consecutive summands differ in a few factors, so each applies
-only the change from the one before, and a sum of N summands costs O(N)
-kernel steps rather than O(N^2).  With no truncation order the
+expanded on their own: the factor kernel (``qident.kernel``) multiplies
+or divides one dense accumulator by their factors 1 - c*m*q^j in turn.
+At a truncation order, summands of a ``sum`` that are a monomial times
+such powers share one accumulator: consecutive summands differ in a few
+factors, so each applies only the change from the one before, and a sum
+of N summands costs O(N) kernel steps rather than O(N^2).  With no truncation order the
 accumulator holds the whole product, and divides it exactly by the
 negative powers of Pochhammer products and of q-polynomials free of z, x
 and y.
@@ -52,33 +46,37 @@ for an exact polynomial, in z, x or y for a truncated series).
 
 from __future__ import annotations
 
-from math import comb, log2
-from typing import Optional, Union
+from math import comb, inf, log2
+from typing import Optional
 
-from .errors import (
-    DslError,
-    NonIntegerExponent,
-    ParseError,
-    UnboundVariable,
-)
-from .series import (
-    TRIVIAL_MONO,
-    MultiSeries,
+from .errors import DslError, NonIntegerExponent, UnboundVariable
+from .kernel import (
     _exact_quotient,
     _Rows,
     _Total,
-    _mono_mul,
     poch_finite,
     poch_infinite,
     qbinom,
 )
+from .series import TRIVIAL_MONO, MultiSeries, _mono_mul
+
+# the syntax this module evaluates, and re-exports
+from .syntax import (
+    MAX_POWER_BITS,
+    BinOp,
+    Call,
+    Expr,
+    Int,
+    Name,
+    Neg,
+    Pow,
+    Token,
+    int_str,
+    parse,
+    unparse,
+)
 
 RESERVED = {"q", "z", "x", "y", "inf"}
-
-# the largest integer power the language computes, and the largest
-# coefficient a power of a series may reach, in bits: far above any
-# coefficient the identities need, far below what exhausts memory
-MAX_POWER_BITS = 1 << 16
 
 # the most indices one sum may run over: far above any registry sum, whose
 # range is its truncation order, and refused before the first summand, so a
@@ -91,242 +89,19 @@ MAX_SUM_TERMS = 1 << 16
 MAX_EXACT_DEGREE = 1 << 22
 
 
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-
-class _Node:
-    """An immutable record whose fields are its ``__slots__``: equal to a
-    record of the same class with equal fields, hashed by its fields, and
-    shown as ``Class(field=value, ...)``."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-_init = object.__setattr__
-
-
-class Int(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        _init(self, "value", value)
-
-
-class Name(_Node):
-    __slots__ = ("ident",)
-
-    def __init__(self, ident: str):
-        _init(self, "ident", ident)
-
-
-class Neg(_Node):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: "Expr"):
-        _init(self, "operand", operand)
-
-
-class BinOp(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        _init(self, "op", op)  # "+", "-" or "*"
-        _init(self, "left", left)
-        _init(self, "right", right)
-
-
-class Pow(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: "Expr", exponent: "Expr"):
-        _init(self, "base", base)
-        _init(self, "exponent", exponent)
-
-
-class Call(_Node):
-    __slots__ = ("func", "args")
-
-    def __init__(self, func: str, args: tuple):
-        _init(self, "func", func)
-        _init(self, "args", args)
-
-
-Expr = Union[Int, Name, Neg, BinOp, Pow, Call]
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-_SYMBOLS = "+-*^(),"
-
-
-class Token(_Node):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _init(self, "kind", kind)  # INT, NAME, one of _SYMBOLS, or EOF
-        _init(self, "text", text)
-        _init(self, "line", line)
-        _init(self, "col", col)
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        ch, j = text[i], i + 1
-        if ch.isdigit():
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-        elif ch.isalpha() or ch == "_":
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-        elif ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-        elif not ch.isspace():
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        if ch == "\n":
-            line, col = line + 1, 0
-        col, i = col + j - i, j
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def unexpected(self, expected: str) -> ParseError:
-        """The error for the next token where ``expected`` should be."""
-        tok = self.peek()
-        what = tok.kind if tok.kind != "EOF" else "end of input"
-        return ParseError(f"unexpected {what}" + (f" {tok.text!r}" if tok.text else ""),
-                          tok.line, tok.col, expected=expected)
-
-    def expect(self, kind: str) -> Token:
-        if self.peek().kind != kind:
-            raise self.unexpected(kind)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input starting at {tok.text!r}",
-                             tok.line, tok.col, expected="end of input")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "*":
-            self.advance()
-            e = BinOp("*", e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.factor()
-
-    def factor(self) -> Expr:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            return Pow(base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return Int(int(tok.text))
-        if tok.kind == "NAME":
-            self.advance()
-            if self.peek().kind == "(":
-                self.advance()
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                return Call(tok.text, tuple(args))
-            return Name(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise self.unexpected("INT, NAME or '('")
-
-
-def parse(text: str) -> Expr:
-    """Parse source text into an AST; raises ParseError with a position."""
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
+def _bits(k: int, s: int) -> float:
+    """k * log2(s) for k >= 0 and s >= 1, also for a k past a float's range."""
+    if s == 1:
+        return 0.0
+    return k * log2(s) if k.bit_length() < 1000 else inf
 
 
 def _int_power(base: int, exp: int) -> int:
     """base ** exp for exp >= 0, refused when the result would pass
     MAX_POWER_BITS bits."""
-    if abs(base) > 1 and exp * log2(abs(base)) > MAX_POWER_BITS:
-        raise DslError(
-            f"integer power {base}^{exp} exceeds the {MAX_POWER_BITS}-bit limit"
-        )
+    if abs(base) > 1 and _bits(exp, abs(base)) > MAX_POWER_BITS:
+        raise DslError(f"integer power {int_str(base)}^{int_str(exp)} exceeds"
+                       f" the {MAX_POWER_BITS}-bit limit")
     return base**exp
 
 
@@ -411,21 +186,21 @@ def _power_check(base: MultiSeries, k: int, with_q: bool,
         what, of = (("polynomial", " of exact powers") if base.trunc is None
                     else ("truncated series", ""))
         raise DslError(
-            f"power {k} of a {what} of degree {degree} exceeds the"
+            f"power {int_str(k)} of a {what} of degree {degree} exceeds the"
             f" {MAX_EXACT_DEGREE}-degree limit{of}"
         )
     if k < 0:
         return
     if layers is None:
-        bits = k * log2(sum(abs(c) for _, _, c in terms))
+        bits = _bits(k, sum(abs(c) for _, _, c in terms))
     else:
         low = min(e for _, e, _ in terms)
         s_low = sum(abs(c) for _, e, c in terms if e == low)
         s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
-        bits = k * log2(s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
+        bits = _bits(k, s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
     if bits > MAX_POWER_BITS:
         raise DslError(
-            f"power {k} of a series with coefficients of up to {bits:.0f} bits"
+            f"power {int_str(k)} of a series with coefficients of up to {bits:.0f} bits"
             f" exceeds the {MAX_POWER_BITS}-bit limit"
         )
 
@@ -753,7 +528,7 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         hi = eval_int(e.args[2], bindings)
         if hi - lo + 1 > MAX_SUM_TERMS:
             raise DslError(
-                f"sum over {hi - lo + 1} indices exceeds the"
+                f"sum over {int_str(hi - lo + 1)} indices exceeds the"
                 f" {MAX_SUM_TERMS}-term limit"
             )
         # each summand is added into one total as soon as it is evaluated
@@ -778,44 +553,3 @@ def evaluate(text: str, bindings: Optional[dict] = None,
         if name in RESERVED:
             raise DslError(f"binding may not shadow reserved name {name!r}")
     return eval_series(parse(text), bindings, trunc)
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printing
-# ---------------------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, (Int, Name, Call)):
-        return _LEVEL_ATOM
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_MUL if e.op == "*" else _LEVEL_ADD
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    s = unparse(e)
-    return f"({s})" if _level(e) < minimum else s
-
-
-def unparse(e: Expr) -> str:
-    """Render an AST as source text that reparses to an identical AST."""
-    if isinstance(e, Int):
-        return str(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.operand, _LEVEL_UNARY)
-    if isinstance(e, BinOp):
-        if e.op == "*":
-            return f"{_wrap(e.left, _LEVEL_MUL)} * {_wrap(e.right, _LEVEL_UNARY)}"
-        return f"{_wrap(e.left, _LEVEL_ADD)} {e.op} {_wrap(e.right, _LEVEL_MUL)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _LEVEL_ATOM)}^{_wrap(e.exponent, _LEVEL_POW)}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(unparse(a) for a in e.args)})"
-    raise DslError(f"cannot unparse {e!r}")

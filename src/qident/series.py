@@ -22,42 +22,21 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products, their inverses, series inversion, the Gaussian
-binomial and exact division run on one factor kernel (the product-form
-approach of F. Garvan's q-series package).  A private dense accumulator,
-``_Rows``, holds one list of coefficients per aux monomial over a fixed
-window of q-exponents, and multiplies or divides it in place by a single
-factor 1 - a: multiplying subtracts a shifted, scaled copy of each row,
-dividing runs the recurrence y = x + a*y in increasing q-order, which for a
-of q-valuation >= 1 reads only finished coefficients.  Each factor costs
-O(rows * T) for T exponents, where a generic product or inverse costs
-O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map {factor:
-net power}; ``poch_finite``, ``poch_infinite``, ``invert_unit``, ``qbinom``
-(k(m-k)+1 exponents, k numerator and k denominator factors) and the
-expression language's Pochhammer powers are each one such chain, and exact
-division divides by factors lead - a (``_exact_quotient``).  ``_Total``
-sums series and accumulators as they are made, accumulators trusted below
-a truncation order into one dense window, so a sum of many of them costs
-the memory of its result.
-
-All values are immutable after construction and all operations are pure;
-only the kernel's accumulator, which never leaves this module and the
-evaluator, is mutated.
+Pochhammer products, series inversion, the Gaussian binomial and exact
+division run on the dense factor kernel of ``qident.kernel``, which builds
+values of these classes; this module re-exports its names on first use
+(``poch_finite``, ``qbinom``, ``_Rows``, ...), so ``import qident.series``
+alone does not load it.  All values are immutable after construction and
+all operations are pure.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, groupby
-from operator import add, itemgetter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Optional
 
-from .errors import (
-    DivisionInexact,
-    NonConvergent,
-    NonUnitConstantTerm,
-    TruncationRequired,
-)
+from .errors import NonUnitConstantTerm, TruncationRequired
 
 AUX_VARS = ("z", "x", "y")
 TRIVIAL_MONO = (0, 0, 0)
@@ -295,6 +274,8 @@ class MultiSeries:
         divisor = _lift(divisor).qseries()
         if self.trunc is not None or divisor.trunc is not None:
             raise TruncationRequired("exact division needs exact polynomials")
+        from .kernel import _exact_quotient
+
         acc, shift = _exact_quotient(self, {}, [(divisor, 1)])
         return acc.series(None, shift=shift, cls=type(self))
 
@@ -320,6 +301,8 @@ class MultiSeries:
             if len(terms) == 1:
                 return self.one()
             raise TruncationRequired("inverse of a non-trivial series is infinite")
+        from .kernel import _Rows
+
         # self = 1 - a, where a holds every term of self above q^0, negated
         acc = _Rows.load(MultiSeries.one(), 0, t)
         acc.apply({tuple((m, e, -c) for m, e, c in terms if e): -1})
@@ -511,385 +494,17 @@ class QSeries(MultiSeries):
         return _row_repr(self.coeffs, self.trunc)
 
 
-# ---------------------------------------------------------------------------
-# Dense factor kernel
-# ---------------------------------------------------------------------------
+# the kernel imports this module's classes, so its names resolve here on
+# first use rather than at import
+_KERNEL = frozenset((
+    "_Rows", "_Total", "_exact_quotient", "_factor_valuation", "_solve_row",
+    "_span", "poch_finite", "poch_infinite", "qbinom", "qq_factorial",
+))
 
 
-def _solve_row(row: list, low: int, own: list, lead: int = 1) -> None:
-    """Divide one dense row, zero below index ``low``, in place by
-    lead - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
-    q-order; a remainder raises DivisionInexact."""
-    if lead != 1:
-        for i in range(low, len(row)):
-            x = row[i] + sum(c * row[i - e] for e, c in own if e <= i)
-            row[i], r = divmod(x, lead)
-            if r:
-                raise DivisionInexact(f"coefficient {x} not divisible by {lead}")
-    elif len(own) == 1:
-        ((e, c),) = own
-        step = add if c == 1 else (lambda acc, x: x + c * acc)
-        # the recurrence row[i] += c * row[i - e] runs apart on each residue
-        # class mod e
-        for r in range(low, low + e):
-            row[r::e] = accumulate(row[r::e], step)
-    elif own:
-        for i in range(low + 1, len(row)):
-            row[i] += sum(c * row[i - e] for e, c in own if e <= i)
+def __getattr__(name: str):
+    if name not in _KERNEL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import kernel
 
-
-class _Rows:
-    """The dense accumulator of the factor kernel.
-
-    ``rows`` maps an aux monomial to a list of ``size`` integers, the
-    coefficients of q^lo .. q^(lo + size - 1); ``low`` maps it to an index
-    below which that list is zero, so the work on a row starts there.
-    ``mul`` and ``div`` multiply and divide in place by one factor 1 - a,
-    given as the terms of a; whatever falls outside the window is dropped,
-    so every coefficient in it is exact.  ``apply`` runs a chain of such
-    steps.  The accumulator is private and mutable; ``series`` hands out an
-    immutable value.
-    """
-
-    __slots__ = ("rows", "low", "lo", "size")
-
-    def __init__(self, lo: int, size: int):
-        self.rows: dict = {}
-        self.low: dict = {}
-        self.lo = lo
-        self.size = max(size, 0)
-
-    @staticmethod
-    def load(ms: MultiSeries, lo: int, size: int) -> "_Rows":
-        acc = _Rows(lo, size)
-        for m, coeffs in ms._rows.items():
-            inside = {e - lo: c for e, c in coeffs.items() if 0 <= e - lo < acc.size}
-            if inside:
-                row = acc.rows[m] = [0] * acc.size
-                for i, c in inside.items():
-                    row[i] = c
-                acc.low[m] = min(inside)
-        return acc
-
-    def shrink(self, size: int) -> None:
-        """Cut the window to its first ``size`` q-exponents, size >= 1, and
-        drop the rows that are zero in it."""
-        self.size = size
-        for m, row in list(self.rows.items()):
-            del row[size:]
-            if not any(row):
-                del self.rows[m], self.low[m]
-
-    def _target(self, m: Mono) -> list:
-        """The row of m, made (zero) if it is absent."""
-        if m not in self.rows:
-            self.rows[m] = [0] * self.size
-            self.low[m] = self.size
-        return self.rows[m]
-
-    def mul(self, a: list) -> None:
-        """Multiply by 1 - a: subtract a shifted, scaled copy of each row
-        for each term of a."""
-        size, rows, low = self.size, self.rows, self.low
-        old, old_low = dict(rows), dict(low)
-        for ma, e, c in a:
-            if not c:
-                continue
-            end = size + min(e, 0)
-            for m, src in old.items():
-                s = max(old_low[m] + e, 0)
-                if s >= end:
-                    continue
-                t = _mono_mul(m, ma)
-                dst = self._target(t)
-                if dst is old.get(t):
-                    dst = rows[t] = dst.copy()
-                dst[s:end] = [d - c * x for d, x in zip(dst[s:end], src[s - e:])]
-                low[t] = min(low[t], s)
-
-    def div(self, a: list, lead: int = 1) -> None:
-        """Divide by lead - a, where every term of a has q-exponent >= 1
-        and no negative aux exponent; lead != 1 only in exact division.
-
-        The quotient y solves lead*y = x + a*y.  Rows are finished in
-        increasing total aux degree: a row takes the terms of a with the
-        trivial monomial by the recurrence in increasing q-order, which
-        reads only coefficients already final, and then adds its share to
-        the rows of higher degree.
-        """
-        size, rows, low = self.size, self.rows, self.low
-        own = [(e, c) for m, e, c in a if m == TRIVIAL_MONO and c]
-        cross = [(m, e, c) for m, e, c in a if m != TRIVIAL_MONO and c]
-        # with lead 1, a row zero below size - e_min is left as it is
-        last = size if lead != 1 else size - min((e for _, e, c in a if c),
-                                                 default=size)
-        pending: dict = {}  # total aux degree -> rows to finish
-        for m in rows:
-            if low[m] < last:
-                pending.setdefault(sum(m), []).append(m)
-        while pending:
-            for m in pending.pop(min(pending)):
-                row = rows[m]
-                _solve_row(row, low[m], own, lead)
-                for ma, e, c in cross:
-                    s = low[m] + e
-                    if s >= size:
-                        continue
-                    t = _mono_mul(m, ma)
-                    fresh = low.get(t, size) >= last
-                    dst = self._target(t)
-                    dst[s:] = [d + c * x for d, x in zip(dst[s:], row[low[m]:])]
-                    low[t] = min(low[t], s)
-                    if fresh and s < last:
-                        pending.setdefault(sum(t), []).append(t)
-
-    def apply(self, powers: dict) -> None:
-        """Multiply by each factor 1 - a to its net power in powers, a map
-        {the terms of a: power}: ``mul`` for a positive power, ``div`` for
-        a negative one, once per unit of it."""
-        for a, k in powers.items():
-            step = self.mul if k > 0 else self.div
-            for _ in range(abs(k)):
-                step(a)
-
-    def add(self, other: "_Rows", scale: int, mono: Mono, shift: int) -> None:
-        """Add other times scale * mono * q^shift in place.  The window
-        first reaches down to other's lowest exponent; what lies at or
-        above its top is dropped."""
-        start = other.lo + shift
-        if start < self.lo:
-            pad = [0] * (self.lo - start)
-            for m, row in self.rows.items():
-                row[:0] = pad
-                self.low[m] += len(pad)
-            self.lo, self.size = start, self.size + len(pad)
-        d = start - self.lo
-        end = min(self.size, d + other.size)
-        for m, src in other.rows.items():
-            s = d + other.low[m]
-            if s < end:
-                t = _mono_mul(m, mono)
-                dst = self._target(t)
-                dst[s:end] = [x + scale * y for x, y in zip(dst[s:end], src[s - d:])]
-                self.low[t] = min(self.low[t], s)
-
-    def gather(self, rows: dict, trunc: Optional[int], scale: int = 1,
-               mono: Mono = TRIVIAL_MONO, shift: int = 0) -> dict:
-        """The clean rows {monomial: row}, changed in place, with the
-        accumulator times scale * mono * q^shift, scale nonzero, added in
-        below trunc."""
-        off = self.lo + shift
-        stop = self.size if trunc is None else max(min(self.size, trunc - off), 0)
-        for m, row in self.rows.items():
-            low = self.low[m]
-            out = {i + off: scale * c for i, c in enumerate(row[low:stop], low) if c}
-            if out:
-                t = _mono_mul(m, mono)
-                if t in rows:
-                    _gather(((t, e, c) for e, c in out.items()), rows)
-                else:
-                    rows[t] = out
-        return rows
-
-    def series(self, trunc: Optional[int], scale: int = 1,
-               mono: Mono = TRIVIAL_MONO, shift: int = 0,
-               cls: type = MultiSeries) -> MultiSeries:
-        """The accumulator times scale * mono * q^shift, scale nonzero, as a
-        value of cls with the given truncation order."""
-        return cls._new(self.gather({}, trunc, scale, mono, shift), trunc)
-
-
-class _Total:
-    """The running sum of series and accumulators, each added as soon as it
-    is made, so that no addend outlives its addition.
-
-    The terms of a series go into sparse rows, as ``_gather`` makes them.
-    An accumulator trusted below a truncation order goes into one dense
-    total, a ``_Rows`` whose window runs from the lowest exponent of any
-    such accumulator up to the least truncation order seen so far: an
-    accumulator that starts below the window extends it, and an addend
-    trusted below a lower order cuts it.  An exact accumulator goes into
-    the sparse rows, since a dense window over an exact sum's exponents
-    could cost far more than its terms.  ``value`` turns both into one
-    series, once; its truncation order is the least of the addends', None
-    when all are exact.
-    """
-
-    __slots__ = ("rows", "dense", "trunc")
-
-    def __init__(self):
-        self.rows: dict = {}
-        self.dense: Optional[_Rows] = None
-        self.trunc: Optional[int] = None
-
-    def _lower(self, trunc: Optional[int]) -> None:
-        if trunc is None or (self.trunc is not None and trunc >= self.trunc):
-            return
-        self.trunc, dense = trunc, self.dense
-        if dense is not None:
-            if trunc > dense.lo:
-                dense.shrink(trunc - dense.lo)
-            else:
-                self.dense = None
-
-    def add(self, value: MultiSeries) -> None:
-        self._lower(value.trunc)
-        _gather(value.terms(), self.rows)
-
-    def add_rows(self, acc: _Rows, trunc: Optional[int], scale: int,
-                 mono: Mono, shift: int) -> None:
-        """Add acc times scale * mono * q^shift, trusted below trunc (None
-        for an exact accumulator), scale nonzero."""
-        if trunc is None:
-            acc.gather(self.rows, None, scale, mono, shift)
-            return
-        self._lower(trunc)
-        if self.dense is None:
-            self.dense = _Rows(self.trunc, 0)
-        self.dense.add(acc, scale, mono, shift)
-
-    def value(self) -> MultiSeries:
-        t, rows = self.trunc, self.rows
-        if t is not None:
-            dense = {} if self.dense is None else self.dense.gather({}, t)
-            rows = _gather(((m, e, c) for m, row in rows.items()
-                            for e, c in row.items()), dense, t)
-        return MultiSeries._new(rows, t)
-
-
-def _span(a) -> int:
-    """The q-degree of 1 - a, for a whose terms have q-exponent >= 1."""
-    return max((e for _, e, c in a if c), default=0)
-
-
-def _exact_quotient(value: MultiSeries, powers: dict, divisors: list) -> tuple:
-    """(acc, shift): the exact value times each factor 1 - a to its net
-    power in powers ({a: power}), divided by each d^k in divisors ([(d, k)],
-    d free of z, x and y), as acc read at q^shift.  The window holds the
-    undivided product and the divisions come last, so a quotient vanishing
-    above its degree is exact; any other, or a zero d, is DivisionInexact."""
-    steps, shift = [(a, 1, -k) for a, k in powers.items() if k < 0], 0
-    for d, k in divisors:
-        if d.is_zero():
-            raise DivisionInexact("division by zero")
-        (v, lead), *rest = sorted(d.qseries().coeffs.items())  # q^v (lead - a)
-        steps.append((tuple((TRIVIAL_MONO, e - v, -c) for e, c in rest), lead, k))
-        shift -= k * v
-    if value.is_zero():
-        return _Rows(0, 0), 0
-    grown = {a: k for a, k in powers.items() if k > 0}
-    lo, span = value.min_qexp(), sum(k * _span(a) for a, _, k in steps)
-    size = (max(max(row) for row in value._rows.values()) - lo + 1
-            + sum(k * _span(a) for a, k in grown.items()))
-    if span >= size:
-        raise DivisionInexact("dividend degree span below divisor's")
-    acc = _Rows.load(value, lo, size)
-    acc.apply(grown)
-    for a, lead, k in steps:
-        for _ in range(k):
-            acc.div(a, lead)
-    if any(any(row[size - span:]) for row in acc.rows.values()):
-        raise DivisionInexact("nonzero remainder")
-    return acc, shift
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer products and the Gaussian binomial
-# ---------------------------------------------------------------------------
-
-
-def _factor_valuation(a: list, j: int) -> Optional[int]:
-    """Lowest q-exponent with a nonzero coefficient in 1 - a*q^j, or None
-    when it is zero.  Only the 1 can cancel, against a term 1*q^(-j)."""
-    one = (TRIVIAL_MONO, -j, 1)
-    exps = [e + j for m, e, c in a if (m, e, c) != one]
-    if one not in a:
-        exps.append(0)
-    return min(exps, default=None)
-
-
-def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
-    """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
-
-    Exact (a polynomial) when ``a`` is exact and ``trunc`` is None; passing a
-    truncation order merely prunes high-order terms early.  The factors are
-    applied one by one to a dense accumulator.
-    """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    ms = _lift(a)
-    terms = ms.terms()
-    shifts = [step * k for k in range(count)]
-    # the truncation order a factor-by-factor product would derive
-    t, low, lo, hi = None, 0, 0, 1
-    for j in shifts:
-        v = _factor_valuation(terms, j)
-        f_t = _shift_trunc(ms.trunc, j)
-        if v is None and f_t is None:  # an exact zero factor
-            t = None
-        else:
-            v = f_t if v is None else v
-            t = _product_trunc(t, low, f_t, v)
-        if trunc is not None:
-            t = trunc if t is None else min(t, trunc)
-        low += v or 0
-        lo += min(v or 0, 0)
-        hi += max([0] + [e + j for _, e, _ in terms])
-    # a coefficient below t is a sum of products whose partial products lie
-    # below t - lo, so the window [lo, t - lo) keeps them all
-    acc = _Rows.load(MultiSeries.one(), lo, (hi if t is None else t - lo) - lo)
-    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1 for j in shifts})
-    return acc.series(t, cls=_cls(a))
-
-
-def poch_infinite(a, step: int, trunc: int):
-    """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
-
-    Requires ``a`` to carry strictly positive q-degree so that all but
-    finitely many factors are 1 modulo q^trunc; the others are applied one
-    by one to a dense accumulator.
-    """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    ms = _lift(a)
-    d = ms.min_exp
-    if not ms.is_zero() and d <= 0:
-        raise NonConvergent(f"factor base has q-degree {d} <= 0")
-    # 1 - a is trusted below a's own order even where a has no terms
-    t = _min_trunc(trunc, ms.trunc)
-    terms = ms.terms()
-    acc = _Rows.load(MultiSeries.one(), 0, t)
-    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1
-               for j in range(0, trunc - d, step)})
-    return acc.series(t, cls=_cls(a))
-
-
-@lru_cache(maxsize=None)
-def qbinom(m: int, k: int) -> QSeries:
-    """The Gaussian binomial coefficient as an exact polynomial in q.
-
-    Zero when k < 0 or k > m; otherwise a polynomial with nonnegative
-    coefficients and degree k*(m-k).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k < 0 or k > m:
-        return QSeries.zero()
-    k = min(k, m - k)
-    # the product of the (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k, a
-    # polynomial of degree k(m-k), so exact on the window of that many + 1
-    # exponents; for k <= m - k no numerator factor cancels a denominator
-    acc = _Rows.load(QSeries.one(), 0, k * (m - k) + 1)
-    acc.apply({((TRIVIAL_MONO, j, 1),): power for i in range(1, k + 1)
-               for j, power in ((m - k + i, 1), (i, -1))})
-    return acc.series(None, cls=QSeries)
-
-
-@lru_cache(maxsize=None)
-def qq_factorial(m: int) -> QSeries:
-    """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return poch_finite(QSeries.q(), 1, m)
+    return getattr(kernel, name)

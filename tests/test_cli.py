@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from qident.cli import _dump_series, main, parse_partition, parse_pair, parse_si
 from qident.dsl import MAX_EXACT_DEGREE, MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
 from qident.series import MultiSeries, mono_str
+from qident.syntax import MAX_LITERAL_DIGITS
 
 
 def run(capsys, *argv):
@@ -201,6 +203,46 @@ def test_eval_refusals_exit_2(capsys):
     code, _, err = run(capsys, "eval", "(1 + z + poch(q,1,inf))^(2^22)",
                        "--trunc", "1")
     assert code == 2 and "bit limit" in err
+    # a literal of more than MAX_POWER_BITS bits' worth of digits is refused
+    # where it starts; one of 5 000 digits is read
+    code, _, err = run(capsys, "eval", "q + " + "7" * (MAX_LITERAL_DIGITS + 1))
+    assert code == 2 and "1:5" in err and "bit limit" in err
+    # integers past a float's range, or past str()'s 4 300 digits
+    for text in ("2^(10^400)", "(2 + q)^(10^400)", "7" * 5000 + "^9",
+                 "(1 + z)^(" + "7" * 5000 + ")", "sum(n, 0, 10^5000, q)"):
+        code, _, err = run(capsys, "eval", text, "--trunc", "3")
+        assert code == 2 and "limit" in err, text[:20]
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Let int() and str() take decimal texts of any length, to read what
+    the program printed under Python's default limit of 4 300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_eval_prints_numbers_of_any_length(capsys):
+    # 2^20000 has 6 021 digits
+    code, text, _ = run(capsys, "eval", "2^20000")
+    assert code == 0
+    code, doc, _ = run(capsys, "eval", "2^20000", "--format", "json")
+    assert code == 0
+    code, mismatch, _ = run(capsys, "eval", "2^20000", "q^(-(2^20000))",
+                            "--format", "json")
+    assert code == 1
+    code, literal, _ = run(capsys, "eval", "7" * 5000)
+    assert code == 0 and literal == "q^0: " + "7" * 5000 + "\n"
+    with _any_int_length():
+        assert text == f"q^0: {2**20000}\n"
+        assert json.loads(doc) == {"trunc": None, "terms": [
+            {"monomial": "1", "exponent": 0, "coeff": 2**20000}]}
+        assert json.loads(mismatch) == {"equal": False, "first_mismatch": {
+            "monomial": "1", "exponent": -2**20000, "lhs": 0, "rhs": 1}}
 
 
 def test_eval_huge_sum_exit_2(capsys):

@@ -36,6 +36,7 @@ from qident.errors import (
 )
 from qident.identities import REGISTRY, build_side
 from qident.series import MultiSeries, QSeries, poch_finite, poch_infinite
+from qident.syntax import MAX_LITERAL_DIGITS, _read_int, int_str
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,32 @@ def test_parse_bad_character():
     with pytest.raises(ParseError) as exc:
         parse("1 + $")
     assert exc.value.col == 5
+
+
+def test_parse_literals_of_any_length():
+    # past str()'s and int()'s 4 300 digits, up to MAX_POWER_BITS bits
+    sevens = "7" * 5000
+    assert parse(sevens) == Int((10**5000 - 1) // 9 * 7)
+    assert unparse(parse(sevens)) == sevens
+    top = parse("9" * MAX_LITERAL_DIGITS).value
+    assert top == 10**MAX_LITERAL_DIGITS - 1
+    assert top.bit_length() <= MAX_POWER_BITS
+    with pytest.raises(ParseError, match="bit limit") as exc:
+        parse("1 + " + "9" * (MAX_LITERAL_DIGITS + 1))
+    assert exc.value.col == 5
+    # a digit that is not decimal is no literal
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse("2\u00b2")
+    assert exc.value.col == 2
+
+
+@given(st.integers(0, 30000), st.integers(0, 10**9), st.sampled_from([1, -1]))
+def test_int_str_reads_back(bits, low, sign):
+    n = sign * ((1 << bits) + low)
+    text = int_str(n)
+    assert _read_int(text.lstrip("-")) == abs(n)
+    if abs(n) < 10**4000:
+        assert text == str(n)
 
 
 def test_precedence_shapes():

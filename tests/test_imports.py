@@ -1,6 +1,7 @@
 """The import contract: a command loads only the modules it runs, nothing
 loads ``dataclasses``, and the package's public names resolve on first use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -73,7 +74,8 @@ def test_import_loads_no_submodule():
 def test_eval_loads_only_dsl_and_series():
     loaded = _after_main("eval", "q", "--trunc", "3")
     assert {m for m in loaded if m.startswith("qident")} == {
-        "qident", "qident.cli", "qident.errors", "qident.dsl", "qident.series"}
+        "qident", "qident.cli", "qident.errors", "qident.dsl", "qident.syntax",
+        "qident.series", "qident.kernel"}
     assert not loaded & {"qident.partitions", "qident.bijections",
                          "qident.identities", "dataclasses"}
 
@@ -89,6 +91,40 @@ def test_list_loads_no_dsl_or_series():
     loaded = _after_main("list")
     assert not loaded & {"qident.dsl", "qident.series", "dataclasses"}
     assert "qident.identities" in loaded
+
+
+@pytest.mark.parametrize("module", ["kernel", "syntax"])
+def test_split_module_imports_first(module):
+    # each half of a split module loads on its own, before the other half
+    loaded = _modules_after(f"import qident.{module}")
+    assert f"qident.{module}" in loaded
+
+
+def test_split_modules_reexport():
+    from qident import dsl, kernel, series, syntax
+
+    for name in ("_Rows", "_Total", "_exact_quotient", "_factor_valuation",
+                 "_solve_row", "_span", "poch_finite", "poch_infinite",
+                 "qbinom", "qq_factorial"):
+        assert getattr(series, name) is getattr(kernel, name), name
+    for name in ("BinOp", "Call", "Int", "Name", "Neg", "Pow", "Token",
+                 "MAX_POWER_BITS", "parse", "unparse"):
+        assert getattr(dsl, name) is getattr(syntax, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        series.nope
+
+
+# Compiling a module holds its whole parse tree at once, about 400 B per
+# node, and with bytecode not written every launch compiles its modules:
+# the largest tree a command compiles sets its cold-launch memory peak
+MAX_AST_NODES = 4000
+
+
+@pytest.mark.parametrize("path", sorted(Path(qident.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_parse_tree_is_small(path):
+    nodes = sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    assert nodes <= MAX_AST_NODES
 
 
 def test_public_names_resolve():
