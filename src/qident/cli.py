@@ -325,7 +325,7 @@ def cmd_bijection(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import dsl
     from .series import mono_str
-    from .syntax import int_str
+    from .syntax import int_str, read_int
 
     if len(args.exprs) > 2:
         return _usage_error("eval takes one or two expressions")
@@ -335,9 +335,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return _usage_error(f"--bind needs name=value: {b!r}")
         name, _, value = b.partition("=")
         try:
-            bindings[name.strip()] = int(value)
-        except ValueError:
-            return _usage_error(f"binding value must be an integer: {b!r}")
+            bindings[name.strip()] = read_int(value)
+        except ValueError as exc:
+            return _usage_error(f"--bind {name.strip()}: {exc}")
     trunc = DEFAULT_TRUNC if args.trunc is None else args.trunc
     values = [dsl.evaluate(t, bindings, trunc) for t in args.exprs]
     if len(values) == 1:

@@ -37,11 +37,12 @@ window over an exact sum's exponents could cost far more than its terms
 (``sum(n, 0, 3, q^(1000000*n))``).  The presence of a truncation order is
 the only thing that picks the dense total.
 
-Refused with DslError are an integer power whose result would pass
-MAX_POWER_BITS bits, a power of a series whose largest coefficient could
-pass it, a sum over more than MAX_SUM_TERMS indices, and a power or an
-exact product whose degree would pass MAX_EXACT_DEGREE (in q, z, x or y
-for an exact polynomial, in z, x or y for a truncated series).
+Refused with DslError are an integer power or a ``binom`` whose result
+could pass MAX_POWER_BITS bits, a power of a series whose largest
+coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
+a power or an exact product whose degree would pass MAX_EXACT_DEGREE (in
+q, z, x or y for an exact polynomial, in z, x or y for a truncated
+series).
 """
 
 from __future__ import annotations
@@ -135,9 +136,13 @@ def eval_int(e: Expr, bindings: dict) -> int:
                 raise DslError("binom takes exactly 2 arguments")
             m = eval_int(e.args[0], bindings)
             k = eval_int(e.args[1], bindings)
-            if k < 0 or m < 0:
+            if not 0 <= k <= m:
                 return 0
-            return comb(m, k) if k <= m else 0
+            j = min(k, m - k)
+            if j and _bits(j, m) > MAX_POWER_BITS:  # binom(m, k) < m^j
+                raise DslError(f"binom({int_str(m)}, {int_str(k)}) could pass"
+                               f" the {MAX_POWER_BITS}-bit limit")
+            return comb(m, j)
         raise NonIntegerExponent(
             f"call to {e.func!r} is series-valued and cannot be used as an integer"
         )

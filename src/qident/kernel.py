@@ -60,7 +60,10 @@ def _solve_row(row: list, low: int, own: list, lead: int = 1) -> None:
             x = row[i] + sum(c * row[i - e] for e, c in own if e <= i)
             row[i], r = divmod(x, lead)
             if r:
-                raise DivisionInexact(f"coefficient {x} not divisible by {lead}")
+                from .syntax import int_str
+
+                raise DivisionInexact(f"coefficient {int_str(x)} not divisible"
+                                      f" by {int_str(lead)}")
     elif len(own) == 1:
         ((e, c),) = own
         step = add if c == 1 else (lambda acc, x: x + c * acc)

@@ -14,7 +14,7 @@ one conjugate, O(len + largest part).
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 from operator import ge, gt, lt, mod
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -65,14 +65,9 @@ class Partition:
         return Partition(conjugate_parts(self.parts))
 
     def durfee_size(self) -> int:
-        """Side of the largest square inside the Ferrers diagram."""
-        d = 0
-        for i, p in enumerate(self.parts):
-            if p >= i + 1:
-                d = i + 1
-            else:
-                break
-        return d
+        """Side of the largest square inside the Ferrers diagram: the
+        number of rows i (from 1) with a part >= i, which come first."""
+        return sum(map(ge, self.parts, range(1, len(self.parts) + 1)))
 
     def is_self_conjugate(self) -> bool:
         return conjugate_parts(self.parts) == self.parts
@@ -87,8 +82,7 @@ class DistinctPartition(Partition):
         parts = tuple(parts)
         if parts and not (parts[-1] > 0 and all(map(gt, parts, parts[1:]))):
             _partition_error(parts)
-            if any(parts[i] == parts[i + 1] for i in range(len(parts) - 1)):
-                raise ValueError(f"parts must be strictly decreasing: {parts}")
+            raise ValueError(f"parts must be strictly decreasing: {parts}")
         self.parts = parts
 
 
@@ -99,7 +93,7 @@ def _partition_error(parts: tuple) -> None:
     (possible only with incomparable ones such as NaN) raise nothing."""
     if any(p <= 0 for p in parts):
         raise ValueError(f"parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if any(map(lt, parts, parts[1:])):
         raise ValueError(f"parts must be weakly decreasing: {parts}")
 
 
@@ -119,7 +113,7 @@ class SignedDistinctSet:
                              and all(map(lt, elements, elements[1:]))):
             if any(abs(e) > n for e in elements):
                 raise ValueError(f"element out of range [-{n}, {n}]: {elements}")
-            if any(elements[i] >= elements[i + 1] for i in range(len(elements) - 1)):
+            if any(map(ge, elements, elements[1:])):
                 raise ValueError(f"elements must be strictly increasing: {elements}")
         self.elements = elements
         self.n = n
@@ -199,8 +193,13 @@ def conjugate_parts(parts) -> tuple:
     for p in parts:
         if p > 0:
             tally[p if p < width else width] += 1
-    # summed from the widest column down, entry j counts the parts >= j
-    return tuple(accumulate(reversed(tally[1:])))[::-1]
+    # summed from the widest column down, entry j counts the parts >= j.
+    # Through a list: tuple() of an iterator with no length hint allocates
+    # 10 slots and resizes, so the tuple is born outside CPython's free
+    # list of its size but dies into it, and those lists fill up for good
+    columns = list(accumulate(reversed(tally[1:])))
+    columns.reverse()
+    return tuple(columns)
 
 
 def durfee_size(p: Partition) -> int:
@@ -218,7 +217,7 @@ def selfconj_to_distinct_odd(p: Partition) -> DistinctPartition:
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
     d = p.durfee_size()
     return DistinctPartition(
-        tuple(2 * (p.parts[i] - (i + 1)) + 1 for i in range(d))
+        tuple([2 * (p.parts[i] - (i + 1)) + 1 for i in range(d)])
     )
 
 
@@ -236,7 +235,7 @@ def distinct_odd_to_selfconj(dp: Partition) -> Partition:
     # row i < d ends with hook i's arm; row r >= d holds one cell of every
     # leg that reaches it, which is entry r - 1 of the conjugate of reach
     below = conjugate_parts(reach)[d - 1:] if d else ()
-    return Partition(tuple(r + 1 for r in reach) + below)
+    return Partition(tuple([r + 1 for r in reach]) + below)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +387,18 @@ def _val_b2(elt, n: int) -> bool:
     return not parts or parts[0] <= n - t
 
 
+def _enum_b3(n: int) -> Iterator[tuple]:
+    """B2's elements in the order of rho's images of P_gt: for t
+    ascending, the nondecreasing excess vectors of n+1+t entries in
+    [0, n-t], lexicographically, each reversed with its zeros dropped."""
+    for t in range(n + 1):
+        for excess in combinations_with_replacement(range(n - t + 1), n + 1 + t):
+            yield (t, Partition(excess[excess.count(0):][::-1]))
+
+
 # B3 elements have the same (t, nu) shape and bounds as B2; only the
 # reconstruction of the first component differs (a consecutive run from -n
 # instead of a staircase), so the box constraints coincide.
-_enum_b3 = _enum_b2
 _val_b3 = _val_b2
 
 
@@ -464,7 +471,7 @@ def _val_ds(elt, k: int) -> bool:
     below = elt.parts[d:]
     if not _is_odd_even_mult(below):
         return False
-    right = conjugate_parts(tuple(p - d for p in elt.parts[:d] if p > d))
+    right = conjugate_parts([p - d for p in elt.parts[:d] if p > d])
     return _is_odd_even_mult(right)
 
 
@@ -477,10 +484,9 @@ def _enum_ds(k: int, cap: int) -> Iterator[Partition]:
             continue
         for c in _odd_even_mult(d, cap - d * d, length=cols):
             room = cap - d * d - sum(c)
+            # c's parts are at most d, so its conjugate has at most d parts
             r = conjugate_parts(c)
-            top = tuple(
-                d + (r[i] if i < len(r) else 0) for i in range(d)
-            )
+            top = tuple([d + x for x in r] + [d] * (d - len(r)))
             for b in _odd_even_mult(d, room):
                 yield Partition(top + b)
 

@@ -131,9 +131,13 @@ def _cls(*values) -> type:
 
 
 def _row_repr(row: dict, trunc: Optional[int]) -> str:
+    # imported here: at the top it would load syntax before dsl does and
+    # change the order, and so the memory peak, of every launch
+    from .syntax import int_str
+
     parts = []
     for e, c in sorted(row.items()):
-        mag = "" if abs(c) == 1 and e != 0 else str(abs(c))
+        mag = "" if abs(c) == 1 and e != 0 else int_str(abs(c))
         pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
         star = "*" if mag and pow_ else ""
         parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)

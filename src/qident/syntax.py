@@ -46,6 +46,21 @@ def _read_int(text: str) -> int:
     return value
 
 
+def read_int(text: str) -> int:
+    """The integer a decimal text spells, with surrounding whitespace and
+    one sign allowed; ValueError when it is not one, or when it has more
+    digits than a literal may (MAX_LITERAL_DIGITS)."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdecimal():
+        raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer of {len(digits)} digits exceeds the"
+                         f" {MAX_POWER_BITS}-bit limit")
+    value = _read_int(digits)
+    return -value if body[0] == "-" else value
+
+
 def int_str(n: int) -> str:
     """n in decimal, whatever its number of digits."""
     if -_BLOCK_MAX < n < _BLOCK_MAX:  # the common case, at str's speed

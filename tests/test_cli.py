@@ -212,6 +212,15 @@ def test_eval_refusals_exit_2(capsys):
                  "(1 + z)^(" + "7" * 5000 + ")", "sum(n, 0, 10^5000, q)"):
         code, _, err = run(capsys, "eval", text, "--trunc", "3")
         assert code == 2 and "limit" in err, text[:20]
+    # a binom whose result could pass the bit limit is refused before
+    # math.comb runs; binom(m, k) is below m^min(k, m - k), and
+    # (2^16)^(2^12) has exactly the limit's bits
+    for text in ("q^binom(10^9, 10^6)", "binom(2^16, 2^12 + 1)",
+                 "binom(10^9, 10^9 - 10^6)"):
+        code, _, err = run(capsys, "eval", text, "--trunc", "3")
+        assert code == 2 and "bit limit" in err, text
+    code, out, _ = run(capsys, "eval", "binom(10^9, 10^9 - 2)", "--trunc", "3")
+    assert code == 0 and out == "q^0: 499999999500000000\n"
 
 
 @contextlib.contextmanager
@@ -254,7 +263,16 @@ def test_eval_huge_sum_exit_2(capsys):
 
 def test_eval_bad_binding(capsys):
     code, _, err = run(capsys, "eval", "q", "--bind", "n=x")
-    assert code == 2
+    assert code == 2 and "not an integer" in err
+    # binding values are read as literals are: of any length up to
+    # MAX_LITERAL_DIGITS digits, and refused past it for that reason
+    code, out, _ = run(capsys, "eval", "n", "--bind", "n=-" + "7" * 5000)
+    assert code == 0 and out == "q^0: -" + "7" * 5000 + "\n"
+    code, out, err = run(capsys, "eval", "n", "--bind",
+                         "n=" + "7" * (MAX_LITERAL_DIGITS + 1))
+    assert code == 2 and out == ""
+    assert err == (f"error: --bind n: integer of {MAX_LITERAL_DIGITS + 1} digits"
+                   " exceeds the 65536-bit limit\n")
 
 
 def test_eval_too_many_exprs(capsys):

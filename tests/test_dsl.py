@@ -99,6 +99,13 @@ def test_parse_literals_of_any_length():
     assert exc.value.col == 2
 
 
+def test_repr_of_coefficients_of_any_length():
+    # past str()'s 4 300 digits
+    big = int_str(2**20000)
+    assert repr(evaluate("2^20000", {}, 5)) == f"MultiSeries(1*<{big}>)"
+    assert repr(QSeries({0: 5, 3: -(2**20000)}, 6)) == f"<5 - {big}*q^3 + O(q^6)>"
+
+
 @given(st.integers(0, 30000), st.integers(0, 10**9), st.sampled_from([1, -1]))
 def test_int_str_reads_back(bits, low, sign):
     n = sign * ((1 << bits) + low)

@@ -18,6 +18,7 @@ from qident.series import (
     qbinom,
     qq_factorial,
 )
+from qident.syntax import int_str
 
 ONE = QSeries.one()
 Q = QSeries.q()
@@ -162,6 +163,11 @@ def test_exact_div_non_unit_lead():
         QSeries({0: 1, 1: 2}).exact_div(QSeries({0: 2, 1: 1}))
     with pytest.raises(DivisionInexact, match="span"):
         QSeries({0: 2, 1: 1}).exact_div(QSeries({0: 4, 1: 4, 2: 1}))
+    # a coefficient past str()'s 4 300 digits is named in full
+    huge = 2**20000 + 1
+    with pytest.raises(DivisionInexact) as info:
+        QSeries({0: huge, 1: huge}).exact_div(QSeries({0: 2, 1: 1}))
+    assert str(info.value) == f"coefficient {int_str(huge)} not divisible by 2"
     # the kernel step itself: 6 + 3q divided by 2 + q in place
     acc = _Rows.load(six, 0, 2)
     acc.div(((TRIVIAL_MONO, 1, -1),), lead=2)
