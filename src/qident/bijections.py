@@ -17,6 +17,28 @@ i-th one for psi and rho, and phi, durfee_split and nu3 hold at most a
 few hundred pending in the sweeps the benchmark runs.  tau's codomain,
 lexicographic within a size, is the exception.
 
+Which check runs where, for each domain element x of a sweep:
+
+- the map forward checks x against the domain's validator (its input
+  check); durfee_split and nu3 also check their image against the
+  codomain's validator (the output self-check);
+- the sweep tests the image for membership in the codomain, compares the
+  two weights, and maps the image back: the inverse checks the image
+  against the codomain's validator, and durfee_join and nu3_inverse check
+  their preimage against the domain's;
+- only when the preimage equals x does the sweep test x for membership in
+  the domain; the image then waits, with its codomain weight, for its twin.
+
+A codomain element equal to a waiting image costs one dictionary lookup:
+its checks are its twin's, and so is its weight.  Any other codomain
+element gets its weight and, at the end, the full path: inverse, domain
+membership, forward.  So a family's validator is asked about the same
+value two or three times in a row.  The validators of the weight-capped
+families keep their last verdict (``capped._keeps_last``), so a repeat
+costs a comparison; the others cost about that much anyway.  A sweep
+looks its two validators up once, when it starts; the maps look theirs
+up on every call.
+
 The six bijections are the rows of one table, ``_BIJECTIONS``: the
 parameters a sweep needs, the domain and codomain families, the forward and
 inverse maps, the two weight functions and the shift of the weight law.
@@ -27,7 +49,7 @@ map's checks format their ``DomainViolation`` message only when they fail.
 
 from __future__ import annotations
 
-from itertools import combinations, zip_longest
+from itertools import combinations, filterfalse, zip_longest
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Optional
 
@@ -37,6 +59,7 @@ from .partitions import (
     Partition,
     PartitionPair,
     SignedDistinctSet,
+    _principal_hooks,
     b2_weight,
     b3_weight,
     conjugate_parts,
@@ -44,7 +67,6 @@ from .partitions import (
     domain_validator,
     enumerate_domain,
     rectangle,
-    selfconj_to_distinct_odd,
     signed_sets,
 )
 
@@ -81,7 +103,7 @@ def phi_inv(n: int, elt: tuple) -> PartitionPair:
     _require(domain_validator("B2")(elt, n), "not a B2({}) element: {!r}", n, elt)
     t, nu = elt
     padded = nu.parts + (0,) * (t - len(nu.parts))
-    lam = tuple(list(map(add, padded, range(t, 0, -1))))
+    lam = list(map(add, padded, range(t, 0, -1)))
     return PartitionPair(DistinctPartition(lam), Partition(nu.parts[t:]))
 
 
@@ -95,6 +117,12 @@ def _within(values, lo: int, hi: int) -> bool:
     return not values or (lo <= min(values) and max(values) <= hi)
 
 
+def _unnegated(values, span: range) -> list:
+    """The entries of ``span`` whose negation is not among ``values``, in
+    the order of ``span``: one set and one pass, no sort."""
+    return list(filterfalse(set(map(neg, values)).__contains__, span))
+
+
 def psi(n: int, mu: SignedDistinctSet) -> DistinctPartition:
     """Negate the complement of mu inside {-n, ..., -1}.
 
@@ -104,8 +132,7 @@ def psi(n: int, mu: SignedDistinctSet) -> DistinctPartition:
         isinstance(mu, SignedDistinctSet) and mu.n == n and _within(mu.elements, -n, -1),
         "psi input must use only negative elements of [-{},-1]: {!r}", n, mu,
     )
-    missing = sorted(set(range(-n, 0)) - set(mu.elements))
-    return DistinctPartition(tuple(sorted((-e for e in missing), reverse=True)))
+    return DistinctPartition(_unnegated(mu.elements, range(n, 0, -1)))
 
 
 def psi_inv(n: int, dp: DistinctPartition) -> SignedDistinctSet:
@@ -115,8 +142,7 @@ def psi_inv(n: int, dp: DistinctPartition) -> SignedDistinctSet:
         and _within(dp.parts, 1, n),
         "psi inverse needs a distinct partition with parts in [1,{}]: {!r}", n, dp,
     )
-    keep = set(range(-n, 0)) - {-p for p in dp.parts}
-    return SignedDistinctSet(tuple(sorted(keep)), n)
+    return SignedDistinctSet(_unnegated(dp.parts, range(-n, 0)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +159,7 @@ def tau(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
 def tau_complement(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
     """The underlying involution, with no side constraint on the part count."""
     _require(lam.n == n, "not a P({}) element: {!r}", n, lam)
-    missing = set(range(-n, n + 1)).difference(lam.elements)
-    return SignedDistinctSet(tuple(sorted(map(neg, missing))), n)
+    return SignedDistinctSet(_unnegated(lam.elements, range(-n, n + 1)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +176,20 @@ def rho(n: int, lam: SignedDistinctSet) -> tuple:
     _require(domain_validator("P_gt")(lam, n), "not a P_gt({}) element: {!r}", n, lam)
     els = lam.elements
     t = len(els) - (n + 1)
-    excess = map(sub, els, range(-n, len(els) - n))
-    nu = Partition(tuple(sorted((e for e in excess if e > 0), reverse=True)))
-    return (t, nu)
+    # over the run, the excesses of an increasing set in [-n, n] are
+    # nonnegative and nondecreasing: nu is their positive tail, reversed
+    excess = list(map(sub, els, range(-n, len(els) - n)))
+    nu = excess[excess.count(0):]
+    nu.reverse()
+    return (t, Partition(nu))
 
 
 def rho_inv(n: int, elt: tuple) -> SignedDistinctSet:
     _require(domain_validator("B3")(elt, n), "not a B3({}) element: {!r}", n, elt)
     t, nu = elt
     size = n + 1 + t
-    increasing = (0,) * (size - len(nu.parts)) + tuple(sorted(nu.parts))
-    elements = tuple(list(map(add, increasing, range(-n, size - n))))
-    return SignedDistinctSet(elements, n)
+    increasing = (0,) * (size - len(nu.parts)) + nu.parts[::-1]
+    return SignedDistinctSet(list(map(add, increasing, range(-n, size - n))), n)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +212,7 @@ def durfee_split(lam: Partition) -> PartitionPair:
 def durfee_join(pair: PartitionPair) -> Partition:
     """Attach the single odd part on top; the Durfee side comes out odd."""
     mu, nu = pair.first, pair.second
-    _require(len(mu) == 1 and mu.parts[0] % 2 == 1,
+    _require(len(mu.parts) == 1 and mu.parts[0] % 2 == 1,
              "first component must be a single odd part: {!r}", mu)
     k = (mu.parts[0] - 1) // 2
     _require(domain_validator("OE")(pair, k), "not an OE({}) element: {!r}", k, pair)
@@ -196,7 +223,7 @@ def durfee_join(pair: PartitionPair) -> Partition:
 
 
 def _ds_k(lam: Partition) -> int:
-    _require(bool(lam) and lam.parts[0] % 2 == 1, "largest part must be odd: {!r}", lam)
+    _require(lam.parts and lam.parts[0] % 2 == 1, "largest part must be odd: {!r}", lam)
     k = (lam.parts[0] - 1) // 2
     _require(domain_validator("DS")(lam, k), "not a DS({}) element: {!r}", k, lam)
     return k
@@ -243,10 +270,10 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     _require(nu_prime.is_self_conjugate(), "residue not self-conjugate: {!r}", nu_prime)
     d = nu_prime.durfee_size()
     _require(d == n, "residue Durfee side {} != {}", d, n)
-    _require(not nu_prime or nu_prime.parts[0] <= n + k,
+    _require(not nu_prime.parts or nu_prime.parts[0] <= n + k,
              "residue largest part exceeds n+k: {!r}", nu_prime)
-    nu = selfconj_to_distinct_odd(nu_prime)
-    out = PartitionPair(mu, nu)
+    # selfconj_to_distinct_odd less its checks, which have just passed
+    out = PartitionPair(mu, _principal_hooks(nu_prime.parts, n))
     _require(domain_validator("DO")(out, n, k),
              "image left the DO({},{}) family: {!r}", n, k, out)
     return out
@@ -260,7 +287,7 @@ def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     nu_prime = distinct_odd_to_selfconj(pair.second)
     d = nu_prime.durfee_size()
     _require(d == n, "hook closure has Durfee side {} != {}", d, n)
-    _require(not nu_prime or nu_prime.parts[0] <= n + k,
+    _require(not nu_prime.parts or nu_prime.parts[0] <= n + k,
              "hook closure largest part exceeds n+k: {!r}", nu_prime)
     nu_star = ((n + k,) if n + k else ()) + nu_prime.parts
     head = nu_star[: n + 1]
@@ -335,7 +362,10 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
     drops both.  Only the codomain elements still pending at the end take
     the full path, in codomain order; an element met more than once is
     checked once and counted as often as it was met.  The weight multisets
-    are compared through one tally of counts per weight.  Memory is what
+    are compared through one tally of counts per weight; a proved image
+    keeps its codomain weight, which its twin then shares, so a matched
+    codomain element costs one lookup in ``proved``.  The module docstring
+    lists which check runs where, map or sweep.  Memory is what
     is pending, not the families: near zero when the codomain streams in
     the domain's image order, as the module docstring says.  The report
     does not depend on the order; it is that of a domain pass
@@ -351,7 +381,7 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
     dom_witness = cod_witness = None
     dom_size = cod_size = 0
     balance = {}  # weight -> its count in the domain minus in the codomain
-    proved = set()  # images of proved domain elements, twin not met yet
+    proved = {}  # image of a proved domain element, twin not met yet -> its weight
     pending = {}  # unmatched codomain element -> times met
     for x, y in zip_longest(domain, codomain, fillvalue=_END):
         if x is not _END:
@@ -362,7 +392,8 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
             try:
                 fx = forward(n, k, x)
                 if in_codomain(fx):
-                    if w_codomain(n, fx) != wx:
+                    wfx = w_codomain(n, fx)
+                    if wfx != wx:
                         weight += 1
                         dom_witness = dom_witness or repr(x)
                     if inverse(n, k, fx) != x:
@@ -377,15 +408,14 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
                 membership += 1
                 dom_witness = dom_witness or repr(x)
             if back and in_domain(x) and not pending.pop(fx, 0):
-                proved.add(fx)
+                proved[fx] = wfx
         if y is not _END:
-            wy = w_codomain(n, y)
             cod_size += 1
-            balance[wy] = balance.get(wy, 0) - 1
-            if y in proved:
-                proved.remove(y)
-            else:
+            wy = proved.pop(y, _END)  # one hash; a twin's weight is its image's
+            if wy is _END:
+                wy = w_codomain(n, y)
                 pending[y] = pending.get(y, 0) + 1
+            balance[wy] = balance.get(wy, 0) - 1
     for y, times in pending.items():
         try:
             x = inverse(n, k, y)
@@ -414,9 +444,11 @@ class _Bijection(NamedTuple):
     ``domain`` and ``codomain`` are families: functions of (n, k, weight_cap)
     returning the elements and a membership test.  ``forward`` and
     ``inverse`` take (n, k, element); the weights take (n, element) and the
-    shift, added to every domain weight, takes n.  Every entry reaches the
-    maps, enumerators and validators through this module's globals when it
-    runs, so a wrapped map is the one the sweep calls.
+    shift, added to every domain weight, takes n.  ``size_bits``, for the
+    families of closed-form size, takes n and gives the base-2 logarithm
+    of the domain's size.  Every entry reaches the maps, enumerators and
+    validators through this module's globals when it runs, so a wrapped map
+    is the one the sweep calls.
     """
 
     params: tuple
@@ -427,15 +459,20 @@ class _Bijection(NamedTuple):
     w_domain: Callable = lambda n, x: x.weight
     w_codomain: Callable = lambda n, y: y.weight
     shift: Callable = lambda n: 0
+    size_bits: Optional[Callable] = None
 
 
 def _domain(name: str, *takes: str) -> Callable:
     """The partitions domain ``name`` as a family; its validator takes the
     parameters ``takes`` (of "n", "k") after the element."""
     def family(n, k, cap):
-        args = [n if p == "n" else k for p in takes]
-        return (enumerate_domain(name, n=n, k=k, weight_cap=cap),
-                lambda x: domain_validator(name)(x, *args))
+        elements = enumerate_domain(name, n=n, k=k, weight_cap=cap)
+        valid = domain_validator(name)  # looked up once, when the sweep starts
+        # no call through *args, which costs three plain ones
+        if takes == ("n", "k"):
+            return elements, lambda x: valid(x, n, k)
+        param = n if takes == ("n",) else k
+        return elements, lambda x: valid(x, param)
     return family
 
 
@@ -446,11 +483,10 @@ def _subsets(iterable):
 
 
 def _negative_sets(n, k, cap):
-    """Subsets of {-n, ..., -1}, the domain of psi."""
-    sets = (
-        SignedDistinctSet(tuple(sorted(-v for v in combo)), n)
-        for combo in _subsets(range(1, n + 1))
-    )
+    """Subsets of {-n, ..., -1}, the domain of psi: for each subset of
+    {1..n} in ``_subsets`` order, its negation."""
+    sets = (SignedDistinctSet(combo[::-1], n)
+            for combo in _subsets(range(-1, -n - 1, -1)))
     return sets, lambda x: _within(x.elements, -n, -1)
 
 
@@ -459,37 +495,36 @@ def _bounded_distinct(n, k, cap):
     the order of psi's images: for each subset of {1..n} in ``_subsets``
     order, the parts of its complement."""
     top = range(n, 0, -1)
-    parts = (
-        DistinctPartition(tuple([p for p in top if p not in combo]))
-        for combo in _subsets(range(1, n + 1))
-    )
+    parts = (DistinctPartition(_unnegated(combo, top))
+             for combo in _subsets(range(-1, -n - 1, -1)))
     return parts, lambda y: _within(y.parts, 1, n)
 
 
 def _short_sets(n, k, cap):
     """Elements of P(n) with at most n elements, the codomain of tau."""
-    return signed_sets(n, range(n, -1, -1)), lambda y: len(y) <= n
+    return signed_sets(n, range(n, -1, -1)), lambda y: len(y.elements) <= n
 
 
 _BIJECTIONS = {
     "phi": _Bijection(
         ("n",), _domain("B1", "n"), _domain("B2", "n"),
         lambda n, k, x: phi(n, x), lambda n, k, y: phi_inv(n, y),
-        w_codomain=lambda n, y: b2_weight(y),
+        w_codomain=lambda n, y: b2_weight(y), size_bits=lambda n: 2 * n,
     ),
     "psi": _Bijection(
         ("n",), _negative_sets, _bounded_distinct,
         lambda n, k, x: psi(n, x), lambda n, k, y: psi_inv(n, y),
-        shift=lambda n: n * (n + 1) // 2,
+        shift=lambda n: n * (n + 1) // 2, size_bits=lambda n: n,
     ),
     "tau": _Bijection(
         ("n",), _domain("P_gt", "n"), _short_sets,
         lambda n, k, x: tau(n, x), lambda n, k, y: tau_complement(n, y),
+        size_bits=lambda n: 2 * n,
     ),
     "rho": _Bijection(
         ("n",), _domain("P_gt", "n"), _domain("B3", "n"),
         lambda n, k, x: rho(n, x), lambda n, k, y: rho_inv(n, y),
-        w_codomain=lambda n, y: b3_weight(n, y),
+        w_codomain=lambda n, y: b3_weight(n, y), size_bits=lambda n: 2 * n,
     ),
     "durfee_split": _Bijection(
         ("k", "weight_cap"), _domain("DS", "k"), _domain("OE", "k"),
@@ -503,6 +538,13 @@ _BIJECTIONS = {
 
 BIJECTION_NAMES = tuple(_BIJECTIONS)
 
+# a sweep of more than 2^MAX_SWEEP_BITS domain elements is refused before
+# it starts: phi, tau and rho pass up to n = 10 (4^10 elements) and psi up
+# to n = 20, sweeps of 12 to 21 s (Python 3.11 on one core of a shared
+# 2-CPU machine); one step further doubles or quadruples the time, and
+# phi at n = 30 (4^30 elements) would run for some 400 000 years
+MAX_SWEEP_BITS = 20
+
 
 def _check_single(name: str, n: Optional[int], k: Optional[int],
                   weight_cap: Optional[int]) -> BijectionReport:
@@ -512,6 +554,10 @@ def _check_single(name: str, n: Optional[int], k: Optional[int],
         *rest, last = spec.params
         needs = f"{', '.join(rest)} and {last}" if rest else last
         raise MissingParam(f"{name} requires {needs}")
+    bits = spec.size_bits(n) if spec.size_bits else 0
+    if bits > MAX_SWEEP_BITS:
+        raise BadParams(f"bijection {name} at n = {n} would sweep 2^{bits}"
+                        f" elements, past the limit of 2^{MAX_SWEEP_BITS}")
     return _sweep(name, spec, n, k, weight_cap)
 
 
@@ -523,7 +569,9 @@ def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
     For ``durfee_split`` omitting k sweeps every k reachable under the weight
     cap; for ``nu3`` passing ``max_nk`` (in place of n and k) sweeps all
     pairs with n + k bounded by it.  Merged reports add sizes and failure
-    counts.  A parameter the map does not take is refused with ``BadParams``.
+    counts.  A parameter the map does not take, a negative one, and a
+    domain of more than 2^MAX_SWEEP_BITS elements are refused with
+    ``BadParams`` before anything is enumerated.
     """
     if name not in BIJECTION_NAMES:
         raise UnknownBijection(
@@ -536,6 +584,10 @@ def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
     extra = [p for p, v in given.items() if v is not None and p not in takes]
     if extra:
         raise BadParams(f"bijection {name} does not take parameter(s) {extra}")
+    negative = [f"{p}={v}" for p, v in given.items() if v is not None and v < 0]
+    if negative:
+        raise BadParams(f"bijection {name} takes no negative parameter: "
+                        + ", ".join(negative))
     if name == "durfee_split" and k is None:
         if weight_cap is None:
             raise MissingParam("durfee_split requires weight_cap")

@@ -4,6 +4,9 @@ Covers ordinary/distinct partitions, sets of distinct integers in a symmetric
 range (whose weight may be negative), partitions-in-a-box enumeration, and the
 bounded families the constructive maps act on, each paired with a validator
 predicate.  Enumerators yield each element exactly once and are restartable.
+The table of families holds B1, B2, B3, P and P_gt; the weight-capped
+families DS, OE, O and DO live in ``capped``, which the table loads the
+first time one of them is named.
 
 Constructors and validators check each invariant once, as one pass over
 neighbouring entries (``all(map(ge, parts, parts[1:]))`` for weakly
@@ -153,7 +156,7 @@ class PartitionPair:
 
     @property
     def weight(self) -> int:
-        return self.first.weight + self.second.weight
+        return sum(self.first.parts) + sum(self.second.parts)
 
     def __eq__(self, other):
         return (
@@ -163,7 +166,8 @@ class PartitionPair:
         )
 
     def __hash__(self):
-        return hash((self.first, self.second))
+        # the hash of (first, second), as a partition hashes as its parts
+        return hash((self.first.parts, self.second.parts))
 
     def __iter__(self):
         return iter((self.first, self.second))
@@ -215,10 +219,14 @@ def selfconj_to_distinct_odd(p: Partition) -> DistinctPartition:
     """
     if not p.is_self_conjugate():
         raise NotSelfConjugate(f"{p!r} is not self-conjugate")
-    d = p.durfee_size()
-    return DistinctPartition(
-        tuple([2 * (p.parts[i] - (i + 1)) + 1 for i in range(d)])
-    )
+    return _principal_hooks(p.parts, p.durfee_size())
+
+
+def _principal_hooks(parts: tuple, d: int) -> DistinctPartition:
+    """The odd parts 2*(parts[i] - (i + 1)) + 1 of the first d rows: the
+    hook lengths of a self-conjugate partition with Durfee side d, which the
+    caller has checked."""
+    return DistinctPartition([2 * (parts[i] - i) - 1 for i in range(d)])
 
 
 def distinct_odd_to_selfconj(dp: Partition) -> Partition:
@@ -292,57 +300,6 @@ def _distinct_subsets(n: int) -> Iterator[tuple]:
             yield combo
 
 
-def _odd_exact(k: int, max_part: int, budget: Optional[int] = None,
-               distinct: bool = False) -> Iterator[tuple]:
-    """Odd partitions with exactly k parts, each <= max_part, decreasing.
-
-    With ``budget`` only those of weight <= budget, and no candidate over it
-    is generated; with ``distinct`` only those with distinct parts.  The
-    order is that of the unbounded sequence.
-    """
-    if k == 0:
-        if budget is None or budget >= 0:
-            yield ()
-        return
-    top = max_part
-    if budget is not None:
-        # the k-1 smallest admissible parts after the first
-        top = min(top, budget - ((k - 1) ** 2 if distinct else k - 1))
-    top = top if top % 2 == 1 else top - 1
-    for first in range(top, 0, -2):
-        rest_budget = None if budget is None else budget - first
-        for rest in _odd_exact(k - 1, first - 2 if distinct else first,
-                               rest_budget, distinct):
-            yield (first,) + rest
-
-
-def _odd_even_mult(max_odd: int, weight_cap: int, length: Optional[int] = None,
-                   ) -> Iterator[tuple]:
-    """Odd partitions, each distinct part occurring an even number of times.
-
-    Parts are <= max_odd, total weight <= weight_cap, and when ``length`` is
-    given the number of parts (with multiplicity) is exactly ``length``.
-    """
-    top = max_odd if max_odd % 2 == 1 else max_odd - 1
-
-    def rec(part, cap, slots):
-        if part <= 0:
-            if slots is None or slots == 0:
-                yield ()
-            return
-        m = 0
-        while 2 * m * part <= cap and (slots is None or 2 * m <= slots):
-            head = (part,) * (2 * m)
-            nslots = None if slots is None else slots - 2 * m
-            for rest in rec(part - 2, cap - 2 * m * part, nslots):
-                yield head + rest
-            m += 1
-
-    if length is not None and length % 2 == 1:
-        return
-    yield from rec(top, weight_cap, length)
-
-
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
@@ -351,22 +308,22 @@ def _odd_even_mult(max_odd: int, weight_cap: int, length: Optional[int] = None,
 def _enum_b1(n: int) -> Iterator[PartitionPair]:
     for lam in _distinct_subsets(n):
         bound = (lam[-1] - 1) if lam else n
+        first = DistinctPartition(lam)  # shared by the pairs it heads
         for pi in _box_tuples(n + 1, bound):
-            yield PartitionPair(DistinctPartition(lam), Partition(pi))
+            yield PartitionPair(first, Partition(pi))
 
 
 def _val_b1(elt, n: int) -> bool:
     if not isinstance(elt, PartitionPair):
         return False
-    lam, pi = elt.first, elt.second
-    if len(set(lam.parts)) != len(lam.parts):
+    lam, pi = elt.first.parts, elt.second.parts
+    if len(set(lam)) != len(lam):
         return False
-    if lam and lam.parts[0] > n:
+    if lam and lam[0] > n:
         return False
     if len(pi) > n + 1:
         return False
-    bound = (lam.parts[-1] - 1) if lam else n
-    return not pi or pi.parts[0] <= bound
+    return not pi or pi[0] <= ((lam[-1] - 1) if lam else n)
 
 
 def _enum_b2(n: int) -> Iterator[tuple]:
@@ -414,12 +371,13 @@ def run_weight(n: int, t: int) -> int:
 
 def b2_weight(elt) -> int:
     t, nu = elt
-    return t * (t + 1) // 2 + nu.weight
+    return t * (t + 1) // 2 + sum(nu.parts)
 
 
 def b3_weight(n: int, elt) -> int:
+    """run_weight(n, t) plus the weight of nu."""
     t, nu = elt
-    return run_weight(n, t) + nu.weight
+    return (t * (t + 1) - n * (n + 1)) // 2 + sum(nu.parts)
 
 
 def signed_sets(n: int, sizes: Iterable[int]) -> Iterator[SignedDistinctSet]:
@@ -452,123 +410,33 @@ def _val_p_gt(elt, n: int) -> bool:
     return _val_p(elt, n) and len(elt.elements) >= n + 1
 
 
-def _is_odd_even_mult(parts) -> bool:
-    """Every part odd, every multiplicity even: sorted, the parts pair off
-    into equal neighbours, and one of each pair is odd."""
-    ordered = sorted(parts)
-    half = ordered[::2]
-    return half == ordered[1::2] and all(p % 2 == 1 for p in half)
-
-
-def _val_ds(elt, k: int) -> bool:
-    if not isinstance(elt, Partition) or not elt:
-        return False
-    if elt.parts[0] != 2 * k + 1:
-        return False
-    d = elt.durfee_size()
-    if d % 2 == 0:
-        return False
-    below = elt.parts[d:]
-    if not _is_odd_even_mult(below):
-        return False
-    right = conjugate_parts([p - d for p in elt.parts[:d] if p > d])
-    return _is_odd_even_mult(right)
-
-
-def _enum_ds(k: int, cap: int) -> Iterator[Partition]:
-    """Partitions with odd Durfee side, odd/even-multiplicity residue below
-    and (conjugated) right of the square, largest part 2k+1, weight <= cap."""
-    for d in range(1, 2 * k + 2, 2):
-        cols = 2 * k + 1 - d  # number of cells the top row extends past the square
-        if d * d + cols > cap:
-            continue
-        for c in _odd_even_mult(d, cap - d * d, length=cols):
-            room = cap - d * d - sum(c)
-            # c's parts are at most d, so its conjugate has at most d parts
-            r = conjugate_parts(c)
-            top = tuple([d + x for x in r] + [d] * (d - len(r)))
-            for b in _odd_even_mult(d, room):
-                yield Partition(top + b)
-
-
-def _enum_oe(k: int, cap: int) -> Iterator[PartitionPair]:
-    mu = Partition((2 * k + 1,))
-    if mu.weight > cap:
-        return
-    for nu in _odd_even_mult(2 * k + 1, cap - mu.weight):
-        yield PartitionPair(mu, Partition(nu))
-
-
-def _val_oe(elt, k: int) -> bool:
-    if not isinstance(elt, PartitionPair):
-        return False
-    mu, nu = elt.first, elt.second
-    if mu.parts != (2 * k + 1,):
-        return False
-    if nu and nu.parts[0] > 2 * k + 1:
-        return False
-    return _is_odd_even_mult(nu.parts)
-
-
 def rectangle(n: int) -> Partition:
     """n+1 rows of width n (the empty partition when n = 0)."""
     return Partition((n,) * (n + 1) if n else ())
 
 
-def _enum_o(n: int, k: int, cap: Optional[int] = None) -> Iterator[PartitionPair]:
-    lam = rectangle(n)
-    budget = None if cap is None else cap - lam.weight
-    for pi in _odd_exact(k, 2 * n + 1, budget):
-        yield PartitionPair(lam, Partition(pi))
-
-
-def _val_o(elt, n: int, k: int) -> bool:
-    if not isinstance(elt, PartitionPair):
-        return False
-    lam, pi = elt.first, elt.second
-    if lam != rectangle(n):
-        return False
-    if len(pi) != k or not all(map(mod, pi.parts, repeat(2))):
-        return False
-    return not pi or pi.parts[0] <= 2 * n + 1
-
-
-def _enum_do(n: int, k: int, cap: Optional[int] = None) -> Iterator[PartitionPair]:
-    mu = Partition((n + k,) if n + k else ())
-    budget = None if cap is None else cap - mu.weight
-    for combo in _odd_exact(n, 2 * (n + k) - 1, budget, distinct=True):
-        yield PartitionPair(mu, DistinctPartition(combo))
-
-
-def _val_do(elt, n: int, k: int) -> bool:
-    if not isinstance(elt, PartitionPair):
-        return False
-    mu, nu = elt.first, elt.second
-    if mu.parts != ((n + k,) if n + k else ()):
-        return False
-    if len(nu) != n:
-        return False
-    if not all(map(mod, nu.parts, repeat(2))):
-        return False
-    if len(set(nu.parts)) != len(nu.parts):
-        return False
-    return not nu or nu.parts[0] <= 2 * (n + k) - 1
-
-
-# name -> (required params, takes weight_cap, enumerator, validator)
+# name -> (required params, takes weight_cap, enumerator, validator); the
+# rows of the weight-capped families come from ``capped`` on first use
 _DOMAINS = {
     "B1": (("n",), False, _enum_b1, _val_b1),
     "B2": (("n",), False, _enum_b2, _val_b2),
     "B3": (("n",), False, _enum_b3, _val_b3),
     "P": (("n",), False, _enum_p, _val_p),
     "P_gt": (("n",), False, _enum_p_gt, _val_p_gt),
-    "DS": (("k",), True, _enum_ds, _val_ds),
-    "OE": (("k",), True, _enum_oe, _val_oe),
-    "O": (("n", "k"), True, _enum_o, _val_o),
-    "DO": (("n", "k"), True, _enum_do, _val_do),
 }
 
-DOMAIN_NAMES = tuple(_DOMAINS)
+DOMAIN_NAMES = ("B1", "B2", "B3", "P", "P_gt", "DS", "OE", "O", "DO")
+
+
+def _family(name: str) -> tuple:
+    """The table row of ``name``, loading ``capped`` for its families."""
+    if name not in _DOMAINS and name in DOMAIN_NAMES:
+        from .capped import DOMAINS
+
+        _DOMAINS.update(DOMAINS)
+    if name not in _DOMAINS:
+        raise UnknownDomain(f"unknown domain {name!r}; choose from {DOMAIN_NAMES}")
+    return _DOMAINS[name]
 
 
 def enumerate_domain(name: str, n: Optional[int] = None, k: Optional[int] = None,
@@ -578,9 +446,7 @@ def enumerate_domain(name: str, n: Optional[int] = None, k: Optional[int] = None
     Finite families (B1, B2, B3, P, P_gt) ignore the weight cap; DS, OE, O
     and DO require one and yield only elements of weight <= weight_cap.
     """
-    if name not in _DOMAINS:
-        raise UnknownDomain(f"unknown domain {name!r}; choose from {DOMAIN_NAMES}")
-    required, capped, enum, _ = _DOMAINS[name]
+    required, capped, enum, _ = _family(name)
     args = {}
     for p in required:
         v = n if p == "n" else k
@@ -596,9 +462,8 @@ def enumerate_domain(name: str, n: Optional[int] = None, k: Optional[int] = None
 
 def domain_validator(name: str):
     """Membership predicate for the named family (element, **params) -> bool."""
-    if name not in _DOMAINS:
-        raise UnknownDomain(f"unknown domain {name!r}; choose from {DOMAIN_NAMES}")
-    return _DOMAINS[name][3]
+    row = _DOMAINS.get(name)
+    return (row or _family(name))[3]
 
 
 def weight_gf(weights) -> QSeries:

@@ -741,3 +741,104 @@ def test_inner_violation_text(monkeypatch, verdicts, call, message):
     with pytest.raises(DomainViolation) as info:
         call()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# every map's images, pinned
+# ---------------------------------------------------------------------------
+
+_IMAGES = json.loads(Path(__file__).with_name("golden_images.json").read_text())
+
+
+def _pinned_domain(name, params):
+    """The map's domain at ``params`` and the map as a function of one
+    element."""
+    n, k = params.get("n"), params.get("k")
+    if name == "psi":
+        return bijections._negative_sets(n, None, None)[0], lambda x: psi(n, x)
+    if name == "durfee_split":
+        return enumerate_domain("DS", **params), durfee_split
+    if name == "nu3":
+        return (enumerate_domain("O", **params),
+                lambda x: nu3_forward(n, k, x))
+    forward = {"phi": phi, "tau": tau, "rho": rho}[name]
+    return enumerate_domain("B1" if name == "phi" else "P_gt", n=n), (
+        lambda x: forward(n, x))
+
+
+@pytest.mark.parametrize(
+    "case", _IMAGES["cases"],
+    ids=lambda c: "-".join([c["map"]] + [f"{p}{v}" for p, v in c["params"].items()]))
+def test_every_image_is_pinned(case):
+    # recorded before the maps were rewritten for speed: an image that
+    # changes fails here even when it still round-trips
+    domain, forward = _pinned_domain(case["map"], case["params"])
+    got = {repr(x): repr(forward(x)) for x in domain}
+    assert got == dict(case["images"])
+
+
+def test_pinned_images_cover_the_small_families():
+    covered = {}
+    for case in _IMAGES["cases"]:
+        covered[case["map"]] = covered.get(case["map"], 0) + len(case["images"])
+    # phi, tau and rho: 4^0 + ... + 4^3; psi: 2^0 + ... + 2^5
+    assert covered["phi"] == covered["tau"] == covered["rho"] == 85
+    assert covered["psi"] == 63
+    assert covered["durfee_split"] == check_bijection(
+        "durfee_split", weight_cap=15).domain_size
+    assert covered["nu3"] == check_bijection(
+        "nu3", max_nk=3, weight_cap=20).domain_size
+
+
+# ---------------------------------------------------------------------------
+# parameters refused before the sweep starts
+# ---------------------------------------------------------------------------
+
+
+def _no_sweep(*args):
+    raise AssertionError("a refused sweep must not start")
+
+
+@pytest.mark.parametrize("name,kwargs,shown", [
+    ("phi", dict(n=-1), "n=-1"),
+    ("nu3", dict(n=2, k=-1, weight_cap=10), "k=-1"),
+    ("durfee_split", dict(weight_cap=-3), "weight_cap=-3"),
+    ("nu3", dict(max_nk=-1, weight_cap=5), "max_nk=-1"),
+], ids=["n", "k", "weight_cap", "max_nk"])
+def test_negative_parameters_are_refused(monkeypatch, name, kwargs, shown):
+    monkeypatch.setattr(bijections, "_sweep", _no_sweep)
+    with pytest.raises(BadParams) as info:
+        check_bijection(name, **kwargs)
+    assert str(info.value) == f"bijection {name} takes no negative parameter: {shown}"
+
+
+@pytest.mark.parametrize("name,n,bits", [
+    ("phi", 11, 22), ("tau", 11, 22), ("rho", 11, 22), ("psi", 21, 21),
+])
+def test_sweeps_one_step_past_the_size_limit_are_refused(monkeypatch, name, n, bits):
+    assert bijections.MAX_SWEEP_BITS == 20
+    monkeypatch.setattr(bijections, "_sweep", _no_sweep)
+    monkeypatch.setattr(bijections, "enumerate_domain", _no_sweep)
+    with pytest.raises(BadParams) as info:
+        check_bijection(name, n=n)
+    assert str(info.value) == (f"bijection {name} at n = {n} would sweep 2^{bits}"
+                               " elements, past the limit of 2^20")
+
+
+@pytest.mark.parametrize("name,n", [("phi", 10), ("tau", 10), ("rho", 10), ("psi", 20)])
+def test_sweeps_at_the_size_limit_start(monkeypatch, name, n):
+    started = []
+    monkeypatch.setattr(bijections, "_sweep", lambda *args: started.append(args[2]))
+    check_bijection(name, n=n)
+    assert started == [n]
+
+
+def test_size_bits_are_the_domain_sizes():
+    for name, expect in (("phi", lambda n: 4 ** n), ("tau", lambda n: 4 ** n),
+                         ("rho", lambda n: 4 ** n), ("psi", lambda n: 2 ** n)):
+        row = bijections._BIJECTIONS[name]
+        for n in range(5):
+            domain, _ = row.domain(n, None, None)
+            assert sum(1 for _ in domain) == expect(n) == 2 ** row.size_bits(n)
+    for name in ("durfee_split", "nu3"):
+        assert bijections._BIJECTIONS[name].size_bits is None

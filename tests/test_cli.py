@@ -474,6 +474,25 @@ def test_bijection_refuses_parameters_the_map_does_not_take(capsys, argv, extra)
     assert (code, out, err) == (2, "", f"error: bijection {extra}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("nu3", "--n", "2", "--k", "-1", "--cap", "10"),
+     "nu3 takes no negative parameter: k=-1"),
+    (("psi", "--n", "-2"), "psi takes no negative parameter: n=-2"),
+    (("phi", "--n", "-1"), "phi takes no negative parameter: n=-1"),
+    (("durfee_split", "--cap", "-3"),
+     "durfee_split takes no negative parameter: weight_cap=-3"),
+    (("nu3", "--max-nk", "-1", "--cap", "5"),
+     "nu3 takes no negative parameter: max_nk=-1"),
+    (("phi", "--n", "30"),
+     "phi at n = 30 would sweep 2^60 elements, past the limit of 2^20"),
+    (("psi", "--n", "21"),
+     "psi at n = 21 would sweep 2^21 elements, past the limit of 2^20"),
+], ids=["nu3-k", "psi-n", "phi-n", "durfee-cap", "nu3-max-nk", "phi-30", "psi-21"])
+def test_bijection_refuses_negative_or_oversized_sweeps(capsys, argv, message):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (2, "", f"error: bijection {message}\n")
+
+
 def test_bijection_default_cap_only_for_maps_that_take_one(capsys):
     # --cap was not given: phi takes none, durfee_split sweeps at 30
     code, out, _ = run(capsys, "bijection", "phi", "--n", "2")

@@ -155,3 +155,26 @@ def test_unknown_attribute():
         qident.nope
     with pytest.raises(ImportError):
         exec("from qident import nope", {})
+
+
+def test_capped_families_load_on_first_use():
+    # the weight-capped families are a module of their own: a sweep of
+    # phi, psi, tau or rho does not load it, one of nu3 or durfee_split does
+    assert "qident.capped" not in _after_main("bijection", "phi", "--n", "1")
+    assert "qident.capped" in _after_main("bijection", "nu3", "--n", "1",
+                                          "--k", "1", "--cap", "9")
+    loaded = _modules_after("import qident.capped")
+    assert {"qident.capped", "qident.partitions"} <= loaded
+
+
+def test_capped_families_join_the_table():
+    from qident import capped, partitions
+    from qident.errors import UnknownDomain
+
+    assert partitions.DOMAIN_NAMES == (
+        "B1", "B2", "B3", "P", "P_gt", "DS", "OE", "O", "DO")
+    for name, row in capped.DOMAINS.items():
+        assert partitions.domain_validator(name) is row[3]
+    with pytest.raises(UnknownDomain, match=r"unknown domain 'Q'; choose from"
+                       r" \('B1', 'B2', 'B3', 'P', 'P_gt', 'DS', 'OE', 'O', 'DO'\)"):
+        partitions.domain_validator("Q")

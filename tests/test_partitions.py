@@ -560,3 +560,24 @@ def test_validators_match_definitions_on_mutated_elements(data):
     # the validator is also asked about neighbouring parameters
     asked = {p: max(0, v + data.draw(st.integers(-1, 1))) for p, v in params.items()}
     assert domain_validator(name)(elt, **asked) == definition(elt, **asked)
+
+
+def test_capped_validators_answer_a_changed_element_afresh():
+    # a weight-capped validator keeps its last verdict, keyed by the value:
+    # the same value answers at once, and an element whose parts were
+    # replaced after the verdict is a new question
+    check = domain_validator("O")
+    elt = PartitionPair(Partition((1, 1)), Partition((3,)))
+    assert check(elt, 1, 1) and check(elt, 1, 1)
+    assert check(PartitionPair(Partition((1, 1)), Partition((3,))), 1, 1)
+    assert not check(elt, 1, 2) and check(elt, n=1, k=1)
+    elt.second.parts = (2,)
+    assert not check(elt, 1, 1)
+    elt.second.parts = (3,)
+    assert check(elt, 1, 1)
+    assert not check((1, Partition((3,))), 1, 1)
+    ds = domain_validator("DS")
+    lam = Partition((3, 1))
+    assert not ds(lam, 1)
+    lam.parts = (3, 1, 1)
+    assert ds(lam, 1) and not ds(lam, 2)
