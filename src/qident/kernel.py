@@ -25,7 +25,6 @@ values of ``qident.series``, which re-exports this module's names.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Optional
@@ -404,7 +403,6 @@ def poch_infinite(a, step: int, trunc: int):
     return acc.series(t, cls=_cls(a))
 
 
-@lru_cache(maxsize=None)
 def qbinom(m: int, k: int) -> QSeries:
     """The Gaussian binomial coefficient as an exact polynomial in q.
 
@@ -425,7 +423,6 @@ def qbinom(m: int, k: int) -> QSeries:
     return acc.series(None, cls=QSeries)
 
 
-@lru_cache(maxsize=None)
 def qq_factorial(m: int) -> QSeries:
     """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
     if m < 0:

@@ -322,6 +322,16 @@ def test_check_bijection_errors():
         check_bijection("nu3", n=1, k=1)  # cap required
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    ("durfee_split", {}),
+    ("nu3", dict(max_nk=2)),
+])
+def test_capped_sweeps_without_a_cap_are_refused(name, kwargs):
+    with pytest.raises(MissingParam) as info:
+        check_bijection(name, **kwargs)
+    assert str(info.value) == f"{name} requires weight_cap"
+
+
 def test_check_bijection_refuses_parameters_the_map_does_not_take():
     with pytest.raises(BadParams, match=r"phi does not take parameter\(s\) \['k'\]"):
         check_bijection("phi", n=2, k=1)

@@ -383,6 +383,20 @@ def test_eval_errors():
         evaluate("poch(q, 1, -2)", {}, 10)
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("poch(q, m, 2)", UnboundVariable, "unbound variable 'm'"),
+    ("q^(2^(-1))", NonIntegerExponent, "negative exponent in integer context"),
+    ("q^binom(1, 2, 3)", DslError, "binom takes exactly 2 arguments"),
+    ("sum(n, 0, 2)", DslError,
+     "sum takes exactly 4 arguments: sum(var, lo, hi, body)"),
+    ("sum(1, 0, 2, q)", DslError, "sum index must be a plain name"),
+])
+def test_eval_error_types_and_messages(text, error, message):
+    with pytest.raises(DslError) as info:
+        evaluate(text, {}, 10)
+    assert info.type is error and str(info.value) == message
+
+
 def test_eval_refuses_reserved_bindings():
     # a binding of q, z, x, y or inf would be ignored, so it is refused
     for name in ("q", "z", "x", "y", "inf"):

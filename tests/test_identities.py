@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from qident import identities
+from qident.cli import main
 from qident.dsl import eval_series, evaluate, parse
 from qident.errors import BadParams, TruncationRequired, UnknownIdentity
 from qident.identities import (
@@ -140,6 +148,48 @@ def test_verify_json_shape():
                       "first_mismatch"}
     assert d["equal"] is True and d["first_mismatch"] is None
     assert d["complete"] is True  # degree 6 < 60
+
+
+def test_verify_reports_its_first_mismatch(monkeypatch, capsys):
+    # ay3 with q^3 added to its rhs: both sides are exact, and they first
+    # differ at q^3, where the lhs has 0 and the rhs 1
+    case = REGISTRY["ay3"]
+    monkeypatch.setitem(REGISTRY, "ay3", case._replace(
+        texts={**case.texts, "rhs": "poch(q^2, 2, n) + q^3"}))
+    rep = verify("ay3", {"n": 2}, trunc=None)
+    assert not rep.equal and rep.complete
+    assert rep.first_mismatch == Mismatch((0, 0, 0), 3, 0, 1, ("lhs", "rhs"))
+    assert rep.to_json_dict() == {
+        "id": "ay3", "params": {"n": 2}, "trunc": None, "equal": False,
+        "complete": True,
+        "first_mismatch": {"monomial": "1", "exponent": 3, "lhs": 0, "rhs": 1},
+    }
+    assert main(["verify", "ay3", "--n", "2"]) == 1
+    assert capsys.readouterr().out == (
+        "ay3 {'n': 2} trunc=None: MISMATCH (every coefficient compared)\n"
+        "  first mismatch between lhs and rhs at 1*q^3: 0 != 1\n")
+
+
+_TRACED_VERIFY = """
+import json, tracemalloc
+from qident.identities import verify
+verify("lemma22", {"n": 2}, trunc=None, include_comb=False)
+tracemalloc.start()
+verify("lemma22", {"n": 30}, trunc=None, include_comb=False)
+print(json.dumps(tracemalloc.get_traced_memory()))
+"""
+
+
+def test_exact_sums_retain_only_their_result():
+    # in a fresh interpreter, after a warm-up that loads every module: what
+    # an exact verify still holds once it returns; Gaussian binomials kept
+    # for the life of the process left 3 047 kB here, without them 88 kB
+    src = str(Path(identities.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _TRACED_VERIFY], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out)[0] < 256 * 1024
 
 
 def test_report_records():

@@ -311,8 +311,7 @@ def test_qbinom_symmetry_and_q1(m):
 
 def test_qbinom_matches_q_pascal_recurrence():
     # [m, k] = [m-1, k-1] + q^k [m-1, k], built from plain dicts with no
-    # qident arithmetic; qbinom is computed from a cold cache
-    qbinom.cache_clear()
+    # qident arithmetic
     ref = {(0, 0): {0: 1}}
     for m in range(1, 31):
         for k in range(m + 1):
@@ -323,6 +322,19 @@ def test_qbinom_matches_q_pascal_recurrence():
     for (m, k), want in ref.items():
         got = qbinom(m, k)
         assert got.trunc is None and got.coeffs == want, (m, k)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: poch_finite(Q, 0, 3), "step must be a positive integer"),
+    (lambda: poch_finite(Q, 1, -1), "count must be nonnegative"),
+    (lambda: poch_infinite(Q, 0, 5), "step must be a positive integer"),
+    (lambda: qbinom(-1, 0), "m must be nonnegative"),
+    (lambda: qq_factorial(-1), "m must be nonnegative"),
+])
+def test_kernel_constructors_refuse_bad_arguments(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("N", range(13))
