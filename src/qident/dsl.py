@@ -40,9 +40,9 @@ the only thing that picks the dense total.
 Refused with DslError are an integer power or a ``binom`` whose result
 could pass MAX_POWER_BITS bits, a power of a series whose largest
 coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
-a power or an exact product whose degree would pass MAX_EXACT_DEGREE (in
-q, z, x or y for an exact polynomial, in z, x or y for a truncated
-series).
+a ``qbinom``, a power or an exact product whose degree would pass
+MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
+for a truncated series).
 """
 
 from __future__ import annotations
@@ -51,15 +51,11 @@ from math import comb, inf, log2
 from typing import Optional
 
 from .errors import DslError, NonIntegerExponent, UnboundVariable
-from .kernel import (
-    _exact_quotient,
-    _Rows,
-    _Total,
-    poch_finite,
-    poch_infinite,
-    qbinom,
-)
-from .series import TRIVIAL_MONO, MultiSeries, _mono_mul
+# series first: it loads the kernel, which is smaller, so the larger parse
+# tree is compiled while less is in memory (see MAX_AST_NODES in
+# tests/test_imports.py)
+from .series import MultiSeries, poch_finite, poch_infinite, qbinom
+from .kernel import _ONE, TRIVIAL_MONO, _exact_quotient, _mono_mul, _Rows, _Total
 
 # the syntax this module evaluates, and re-exports
 from .syntax import (
@@ -326,20 +322,6 @@ def _chain_factors(chains: list, size: Optional[int]) -> dict:
     return powers
 
 
-def _apply_chains(value: MultiSeries, chains: list, inner: int) -> _Rows:
-    """value times the Pochhammer powers in chains, as a dense accumulator.
-
-    These powers have constant term 1 and are trusted below ``inner``, so
-    the product is trusted below min(value.trunc, inner + value's
-    valuation), the window the accumulator keeps.
-    """
-    lo = value.min_qexp()
-    size = inner if value.trunc is None else min(value.trunc - lo, inner)
-    acc = _Rows.load(value, lo, size)
-    acc.apply(_chain_factors(chains, acc.size))
-    return acc
-
-
 class _Carry:
     """One sum's summands: their running total, and their Pochhammer
     powers on one accumulator, carried from summand to summand.
@@ -376,20 +358,10 @@ class _Carry:
                   for a in {**old, **powers}}
         if acc is None or size > acc.size or any(
                 k < 0 and min(a[0][0]) < 0 for a, k in change.items()):
-            acc, change = _Rows.load(MultiSeries.one(), 0, size), powers
+            acc, change = _Rows.load(_ONE, 0, size), powers
         acc.apply(change)
         self.acc, self.powers = acc, powers
         return acc
-
-
-def _kernel_value(acc: _Rows, trunc: Optional[int], c: int, mono: tuple,
-                  v: int, carry: Optional[_Carry]) -> Optional[MultiSeries]:
-    """acc times c * mono * q^v, trusted below trunc: a series, or None
-    once added to the total of ``carry``."""
-    if carry is None:
-        return acc.series(trunc, c, mono, v)
-    carry.total.add_rows(acc, trunc, c, mono, v)
-    return None
 
 
 def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
@@ -402,11 +374,12 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     are evaluated at ``trunc - v``, but at least 1 so that the constant term
     an inverse needs is kept, multiplied and shifted by q^v.  Powers of
     Pochhammer products of a monomial are applied factor by factor to one
-    dense accumulator (see ``_apply_chains``), or, when they are the only
-    factors besides the monomial, to the accumulator ``carry`` keeps for a
-    sum.  In an exact context (``trunc`` None) the accumulator holds c times
-    the whole product of the positive powers, and divides it by the others
-    and by each X^(-k) with X free of z, x and y (``_exact_quotient``).
+    dense accumulator over the window they are trusted in, or, when they
+    are the only factors besides the monomial, to the accumulator
+    ``carry`` keeps for a sum.  In an exact context (``trunc`` None) the
+    accumulator holds c times the whole product of the positive powers,
+    and divides it by the others and by each X^(-k) with X free of z, x
+    and y (``_exact_quotient``).
     With ``carry``, a product that ends on the kernel is added to the
     carry's total and None is returned.
     """
@@ -442,7 +415,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             if series:
                 base = base.truncate(inner)
         if k < 0 and inner is None and set(base.monomials()) <= {TRIVIAL_MONO}:
-            divisors.append((base, -k))
+            divisors.append((base.qseries().coeffs, -k))
             continue
         if k < 0:
             base, k = _reciprocal(base, inner), -k
@@ -457,15 +430,27 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         if degree > MAX_EXACT_DEGREE:
             raise DslError(f"exact product of degree {degree} exceeds the"
                            f" {MAX_EXACT_DEGREE}-degree limit")
-        acc, shift = _exact_quotient(value.scale(c), powers, divisors)
-        return _kernel_value(acc, None, 1, mono, v + shift, carry)
-    if not chains or not c or (value.is_zero() and value.trunc is None):
-        return value.mul(monomial)
-    if carry is not None and len(chains) == len(rest):
-        acc = carry.rows(chains, inner)
+        acc, shift = _exact_quotient(value.scale(c)._rows, powers, divisors)
+        t, c, v = None, 1, v + shift
     else:
-        acc = _apply_chains(value, chains, inner)
-    return _kernel_value(acc, acc.lo + acc.size + v, c, mono, v, carry)
+        if not chains or not c or (value.is_zero() and value.trunc is None):
+            return value.mul(monomial)
+        if carry is not None and len(chains) == len(rest):
+            acc = carry.rows(chains, inner)
+        else:
+            # the powers have constant term 1 and are trusted below inner,
+            # so the product is trusted below min(value.trunc, inner +
+            # value's valuation), the window the accumulator keeps
+            lo = value.min_qexp()
+            acc = _Rows.load(value._rows, lo, inner if value.trunc is None
+                             else min(value.trunc - lo, inner))
+            acc.apply(_chain_factors(chains, acc.size))
+        t = acc.lo + acc.size + v
+    # acc times c * mono * q^v, trusted below t
+    if carry is None:
+        return MultiSeries._new(acc.gather({}, t, c, mono, v), t)
+    carry.total.add_rows(acc, t, c, mono, v)
+    return None
 
 
 def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
@@ -501,13 +486,18 @@ def _poch_args(e: Call, bindings: dict) -> tuple:
 
 
 def _qbinom_args(e: Call, bindings: dict) -> tuple:
-    """Checked (m, k) of a qbinom call."""
+    """Checked (m, k) of a qbinom call, refused when its degree k(m - k)
+    would pass MAX_EXACT_DEGREE."""
     if len(e.args) != 2:
         raise DslError("qbinom takes exactly 2 arguments")
     m = eval_int(e.args[0], bindings)
     if m < 0:
         raise DslError("qbinom needs m >= 0")
-    return m, eval_int(e.args[1], bindings)
+    k = eval_int(e.args[1], bindings)
+    if k * (m - k) > MAX_EXACT_DEGREE:  # for m >= 0 only when 0 < k < m
+        raise DslError(f"qbinom of degree {int_str(k * (m - k))} exceeds the"
+                       f" {MAX_EXACT_DEGREE}-degree limit")
+    return m, k
 
 
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
@@ -544,8 +534,8 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             inner[var.ident] = v
             value = eval_series(e.args[3], inner, trunc, carry)
             if value is not None:
-                carry.total.add(value)
-        return carry.total.value()
+                carry.total.add(value._rows, value.trunc)
+        return MultiSeries._new(*carry.total.value())
     raise DslError(f"unknown function {e.func!r}")
 
 

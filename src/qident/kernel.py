@@ -1,48 +1,106 @@
-"""The factor kernel: Pochhammer products, their inverses, series
-inversion, the Gaussian binomial and exact division.
+"""The factor kernel: one dense accumulator for Pochhammer products, their
+inverses, series inversion, the Gaussian binomial and exact division.
 
-They run on one dense accumulator (the product-form approach of F.
-Garvan's q-series package).  ``_Rows`` holds one list of coefficients per
-aux monomial over a fixed window of q-exponents, and multiplies or divides
-it in place by a single factor 1 - a: multiplying subtracts a shifted,
-scaled copy of each row, dividing runs the recurrence y = x + a*y in
-increasing q-order, which for a of q-valuation >= 1 reads only finished
-coefficients.  Each factor costs O(rows * T) for T exponents, where a
-generic product or inverse costs O(T^2) per pair of rows.  ``_Rows.apply``
-takes a chain as a map {factor: net power}; ``poch_finite``,
-``poch_infinite``, ``MultiSeries.invert_unit``, ``qbinom`` (k(m-k)+1
-exponents, k numerator and k denominator factors) and the expression
-language's Pochhammer powers are each one such chain, and exact division
-divides by factors lead - a (``_exact_quotient``).  ``_Total`` sums series
-and accumulators as they are made, accumulators trusted below a truncation
-order into one dense window, so a sum of many of them costs the memory of
-its result.
+It works on plain rows, the storage of every series: a map {aux monomial:
+{q-exponent: nonzero coefficient}}, with a truncation order beside it
+(None when every coefficient is exact).  It imports nothing from
+``qident.series``, which builds its values from what this module returns,
+and it holds the row and truncation-order helpers that ``series`` imports
+back.
+
+The accumulator follows the product-form approach of F. Garvan's q-series
+package.  ``_Rows`` holds one list of coefficients per aux monomial over a
+fixed window of q-exponents, and multiplies or divides it in place by a
+single factor 1 - a: multiplying subtracts a shifted, scaled copy of each
+row, dividing runs the recurrence y = x + a*y in increasing q-order, which
+for a of q-valuation >= 1 reads only finished coefficients.  Each factor
+costs O(rows * T) for T exponents, where a generic product or inverse
+costs O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
+{factor: net power}; ``series``' Pochhammer products, inverses and
+Gaussian binomials and the expression language's Pochhammer powers are
+each one such chain, and exact division divides by factors lead - a
+(``_exact_quotient``).  ``_Total`` sums rows and accumulators as they are
+made, accumulators trusted below a truncation order into one dense window,
+so a sum of many of them costs the memory of its result.
 
 The accumulator is the only mutable value, and it never leaves this module
-and the evaluator (``qident.dsl``): what they hand out are the immutable
-values of ``qident.series``, which re-exports this module's names.
+and the evaluator (``qident.dsl``): what leaves them are plain rows, which
+``series`` and the evaluator wrap in immutable values.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, groupby
+from operator import add, itemgetter
 from typing import Optional
 
-from .errors import DivisionInexact, NonConvergent
-from .series import (
-    TRIVIAL_MONO,
-    Mono,
-    MultiSeries,
-    QSeries,
-    _cls,
-    _gather,
-    _lift,
-    _min_trunc,
-    _mono_mul,
-    _product_trunc,
-    _shift_trunc,
-)
+from .errors import DivisionInexact
+
+TRIVIAL_MONO = (0, 0, 0)
+
+Mono = tuple  # exponent vector over the aux variables z, x, y
+
+# the plain rows of the constant 1
+_ONE = {TRIVIAL_MONO: {0: 1}}
+
+
+def _min_trunc(*truncs: Optional[int]) -> Optional[int]:
+    """Minimum of truncation orders, treating None as +infinity."""
+    finite = [t for t in truncs if t is not None]
+    return min(finite) if finite else None
+
+
+def _shift_trunc(t: Optional[int], k: int) -> Optional[int]:
+    return None if t is None else t + k
+
+
+def _product_trunc(t1: Optional[int], v1: int, t2: Optional[int],
+                   v2: int) -> Optional[int]:
+    """The truncation order of a product of two factors trusted below t1
+    and t2 whose q-valuations are at least v1 and v2."""
+    return _min_trunc(_shift_trunc(t1, v2), _shift_trunc(t2, v1))
+
+
+def _mono_mul(m1: Mono, m2: Mono) -> Mono:
+    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+
+
+def _terms(rows: dict):
+    """The terms (monomial, q-exponent, coefficient) of plain rows."""
+    return ((m, e, c) for m, row in rows.items() for e, c in row.items())
+
+
+def _clean(rows: dict, trunc: Optional[int]) -> dict:
+    """The rows made clean: without zero coefficients, coefficients at or
+    beyond trunc, and rows left empty."""
+    out = {}
+    for m, row in rows.items():
+        row = {e: c for e, c in row.items() if c and (trunc is None or e < trunc)}
+        if row:
+            out[m] = row
+    return out
+
+
+def _gather(terms, rows: Optional[dict] = None,
+            trunc: Optional[int] = None) -> dict:
+    """The merge-add: clean rows {monomial: row}, new or changed in place,
+    with the terms (monomial, q-exponent, coefficient) below trunc added
+    in.  They stay clean (see ``_clean``): a coefficient that sums to zero
+    and a row left empty are dropped.  A row is looked up once per run of
+    terms of one monomial, as ``_terms`` lists them."""
+    rows = {} if rows is None else rows
+    for m, run in groupby(terms, itemgetter(0)):
+        row = rows.setdefault(m, {})
+        for _, e, c in run:
+            if trunc is None or e < trunc:
+                c += row.get(e, 0)
+                if c:
+                    row[e] = c
+                else:
+                    row.pop(e, None)
+        if not row:
+            del rows[m]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +142,8 @@ class _Rows:
     ``mul`` and ``div`` multiply and divide in place by one factor 1 - a,
     given as the terms of a; whatever falls outside the window is dropped,
     so every coefficient in it is exact.  ``apply`` runs a chain of such
-    steps.  The accumulator is private and mutable; ``series`` hands out an
-    immutable value.
+    steps.  ``load`` fills it from plain rows and ``gather`` reads it back
+    into them.
     """
 
     __slots__ = ("rows", "low", "lo", "size")
@@ -97,9 +155,11 @@ class _Rows:
         self.size = max(size, 0)
 
     @staticmethod
-    def load(ms: MultiSeries, lo: int, size: int) -> "_Rows":
+    def load(rows: dict, lo: int, size: int) -> "_Rows":
+        """The plain rows' coefficients inside the window of ``size``
+        q-exponents from q^lo."""
         acc = _Rows(lo, size)
-        for m, coeffs in ms._rows.items():
+        for m, coeffs in rows.items():
             inside = {e - lo: c for e, c in coeffs.items() if 0 <= e - lo < acc.size}
             if inside:
                 row = acc.rows[m] = [0] * acc.size
@@ -228,28 +288,21 @@ class _Rows:
                     rows[t] = out
         return rows
 
-    def series(self, trunc: Optional[int], scale: int = 1,
-               mono: Mono = TRIVIAL_MONO, shift: int = 0,
-               cls: type = MultiSeries) -> MultiSeries:
-        """The accumulator times scale * mono * q^shift, scale nonzero, as a
-        value of cls with the given truncation order."""
-        return cls._new(self.gather({}, trunc, scale, mono, shift), trunc)
-
 
 class _Total:
-    """The running sum of series and accumulators, each added as soon as it
-    is made, so that no addend outlives its addition.
+    """The running sum of plain rows and accumulators, each added as soon
+    as it is made, so that no addend outlives its addition.
 
-    The terms of a series go into sparse rows, as ``_gather`` makes them.
+    Plain rows go into sparse rows, as ``_gather`` makes them.
     An accumulator trusted below a truncation order goes into one dense
     total, a ``_Rows`` whose window runs from the lowest exponent of any
     such accumulator up to the least truncation order seen so far: an
     accumulator that starts below the window extends it, and an addend
     trusted below a lower order cuts it.  An exact accumulator goes into
     the sparse rows, since a dense window over an exact sum's exponents
-    could cost far more than its terms.  ``value`` turns both into one
-    series, once; its truncation order is the least of the addends', None
-    when all are exact.
+    could cost far more than its terms.  ``value`` turns both into one set
+    of plain rows, once; their truncation order is the least of the
+    addends', None when all are exact.
     """
 
     __slots__ = ("rows", "dense", "trunc")
@@ -269,9 +322,10 @@ class _Total:
             else:
                 self.dense = None
 
-    def add(self, value: MultiSeries) -> None:
-        self._lower(value.trunc)
-        _gather(value.terms(), self.rows)
+    def add(self, rows: dict, trunc: Optional[int]) -> None:
+        """Add plain rows trusted below trunc."""
+        self._lower(trunc)
+        _gather(_terms(rows), self.rows)
 
     def add_rows(self, acc: _Rows, trunc: Optional[int], scale: int,
                  mono: Mono, shift: int) -> None:
@@ -285,13 +339,13 @@ class _Total:
             self.dense = _Rows(self.trunc, 0)
         self.dense.add(acc, scale, mono, shift)
 
-    def value(self) -> MultiSeries:
+    def value(self) -> tuple:
+        """The sum as (clean rows, truncation order)."""
         t, rows = self.trunc, self.rows
         if t is not None:
             dense = {} if self.dense is None else self.dense.gather({}, t)
-            rows = _gather(((m, e, c) for m, row in rows.items()
-                            for e, c in row.items()), dense, t)
-        return MultiSeries._new(rows, t)
+            rows = _gather(_terms(rows), dense, t)
+        return rows, t
 
 
 def _span(a) -> int:
@@ -299,28 +353,29 @@ def _span(a) -> int:
     return max((e for _, e, c in a if c), default=0)
 
 
-def _exact_quotient(value: MultiSeries, powers: dict, divisors: list) -> tuple:
-    """(acc, shift): the exact value times each factor 1 - a to its net
-    power in powers ({a: power}), divided by each d^k in divisors ([(d, k)],
-    d free of z, x and y), as acc read at q^shift.  The window holds the
-    undivided product and the divisions come last, so a quotient vanishing
-    above its degree is exact; any other, or a zero d, is DivisionInexact."""
+def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
+    """(acc, shift): the exact plain rows times each factor 1 - a to its
+    net power in powers ({a: power}), divided by each d^k in divisors
+    ([(d, k)], d a plain row {q-exponent: coefficient} free of z, x and y),
+    as acc read at q^shift.  The window holds the undivided product and the
+    divisions come last, so a quotient vanishing above its degree is exact;
+    any other, or a zero d, is DivisionInexact."""
     steps, shift = [(a, 1, -k) for a, k in powers.items() if k < 0], 0
     for d, k in divisors:
-        if d.is_zero():
+        if not d:
             raise DivisionInexact("division by zero")
-        (v, lead), *rest = sorted(d.qseries().coeffs.items())  # q^v (lead - a)
+        (v, lead), *rest = sorted(d.items())  # q^v (lead - a)
         steps.append((tuple((TRIVIAL_MONO, e - v, -c) for e, c in rest), lead, k))
         shift -= k * v
-    if value.is_zero():
+    if not rows:
         return _Rows(0, 0), 0
     grown = {a: k for a, k in powers.items() if k > 0}
-    lo, span = value.min_qexp(), sum(k * _span(a) for a, _, k in steps)
-    size = (max(max(row) for row in value._rows.values()) - lo + 1
+    lo, span = min(map(min, rows.values())), sum(k * _span(a) for a, _, k in steps)
+    size = (max(map(max, rows.values())) - lo + 1
             + sum(k * _span(a) for a, k in grown.items()))
     if span >= size:
         raise DivisionInexact("dividend degree span below divisor's")
-    acc = _Rows.load(value, lo, size)
+    acc = _Rows.load(rows, lo, size)
     acc.apply(grown)
     for a, lead, k in steps:
         for _ in range(k):
@@ -328,103 +383,3 @@ def _exact_quotient(value: MultiSeries, powers: dict, divisors: list) -> tuple:
     if any(any(row[size - span:]) for row in acc.rows.values()):
         raise DivisionInexact("nonzero remainder")
     return acc, shift
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer products and the Gaussian binomial
-# ---------------------------------------------------------------------------
-
-
-def _factor_valuation(a: list, j: int) -> Optional[int]:
-    """Lowest q-exponent with a nonzero coefficient in 1 - a*q^j, or None
-    when it is zero.  Only the 1 can cancel, against a term 1*q^(-j)."""
-    one = (TRIVIAL_MONO, -j, 1)
-    exps = [e + j for m, e, c in a if (m, e, c) != one]
-    if one not in a:
-        exps.append(0)
-    return min(exps, default=None)
-
-
-def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
-    """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
-
-    Exact (a polynomial) when ``a`` is exact and ``trunc`` is None; passing a
-    truncation order merely prunes high-order terms early.  The factors are
-    applied one by one to a dense accumulator.
-    """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    ms = _lift(a)
-    terms = ms.terms()
-    shifts = [step * k for k in range(count)]
-    # the truncation order a factor-by-factor product would derive
-    t, low, lo, hi = None, 0, 0, 1
-    for j in shifts:
-        v = _factor_valuation(terms, j)
-        f_t = _shift_trunc(ms.trunc, j)
-        if v is None and f_t is None:  # an exact zero factor
-            t = None
-        else:
-            v = f_t if v is None else v
-            t = _product_trunc(t, low, f_t, v)
-        if trunc is not None:
-            t = trunc if t is None else min(t, trunc)
-        low += v or 0
-        lo += min(v or 0, 0)
-        hi += max([0] + [e + j for _, e, _ in terms])
-    # a coefficient below t is a sum of products whose partial products lie
-    # below t - lo, so the window [lo, t - lo) keeps them all
-    acc = _Rows.load(MultiSeries.one(), lo, (hi if t is None else t - lo) - lo)
-    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1 for j in shifts})
-    return acc.series(t, cls=_cls(a))
-
-
-def poch_infinite(a, step: int, trunc: int):
-    """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
-
-    Requires ``a`` to carry strictly positive q-degree so that all but
-    finitely many factors are 1 modulo q^trunc; the others are applied one
-    by one to a dense accumulator.
-    """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    ms = _lift(a)
-    d = ms.min_exp
-    if not ms.is_zero() and d <= 0:
-        raise NonConvergent(f"factor base has q-degree {d} <= 0")
-    # 1 - a is trusted below a's own order even where a has no terms
-    t = _min_trunc(trunc, ms.trunc)
-    terms = ms.terms()
-    acc = _Rows.load(MultiSeries.one(), 0, t)
-    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1
-               for j in range(0, trunc - d, step)})
-    return acc.series(t, cls=_cls(a))
-
-
-def qbinom(m: int, k: int) -> QSeries:
-    """The Gaussian binomial coefficient as an exact polynomial in q.
-
-    Zero when k < 0 or k > m; otherwise a polynomial with nonnegative
-    coefficients and degree k*(m-k).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k < 0 or k > m:
-        return QSeries.zero()
-    k = min(k, m - k)
-    # the product of the (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k, a
-    # polynomial of degree k(m-k), so exact on the window of that many + 1
-    # exponents; for k <= m - k no numerator factor cancels a denominator
-    acc = _Rows.load(QSeries.one(), 0, k * (m - k) + 1)
-    acc.apply({((TRIVIAL_MONO, j, 1),): power for i in range(1, k + 1)
-               for j, power in ((m - k + i, 1), (i, -1))})
-    return acc.series(None, cls=QSeries)
-
-
-def qq_factorial(m: int) -> QSeries:
-    """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return poch_finite(QSeries.q(), 1, m)

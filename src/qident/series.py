@@ -22,40 +22,36 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products, series inversion, the Gaussian binomial and exact
-division run on the dense factor kernel of ``qident.kernel``, which builds
-values of these classes; this module re-exports its names on first use
-(``poch_finite``, ``qbinom``, ``_Rows``, ...), so ``import qident.series``
-alone does not load it.  All values are immutable after construction and
-all operations are pure.
+Pochhammer products (``poch_finite``, ``poch_infinite``), series
+inversion, the Gaussian binomial (``qbinom``, ``qq_factorial``) and exact
+division run on the dense factor kernel of ``qident.kernel``, which this
+module imports: it hands the kernel its plain rows and wraps the plain
+rows the kernel returns in its own values.  The kernel also holds the row
+helpers this module builds on (``_clean``, ``_gather``, ``_mono_mul``, the
+truncation-order arithmetic).  All values are immutable after construction
+and all operations are pure.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Optional
 
-from .errors import NonUnitConstantTerm, TruncationRequired
+from .errors import NonConvergent, NonUnitConstantTerm, TruncationRequired
+from .kernel import (
+    _ONE,
+    TRIVIAL_MONO,
+    Mono,
+    _clean,
+    _exact_quotient,
+    _gather,
+    _min_trunc,
+    _mono_mul,
+    _product_trunc,
+    _Rows,
+    _shift_trunc,
+)
 
 AUX_VARS = ("z", "x", "y")
-TRIVIAL_MONO = (0, 0, 0)
-
-Mono = tuple  # exponent vector over AUX_VARS
-
-
-def _min_trunc(*truncs: Optional[int]) -> Optional[int]:
-    """Minimum of truncation orders, treating None as +infinity."""
-    finite = [t for t in truncs if t is not None]
-    return min(finite) if finite else None
-
-
-def _shift_trunc(t: Optional[int], k: int) -> Optional[int]:
-    return None if t is None else t + k
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
 
 
 def mono_str(m: Mono) -> str:
@@ -75,46 +71,6 @@ def mono_str(m: Mono) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _clean(rows: dict, trunc: Optional[int]) -> dict:
-    """The rows without zero coefficients, coefficients at or beyond
-    trunc, and rows left empty."""
-    out = {}
-    for m, row in rows.items():
-        row = {e: c for e, c in row.items() if c and (trunc is None or e < trunc)}
-        if row:
-            out[m] = row
-    return out
-
-
-def _gather(terms, rows: Optional[dict] = None,
-            trunc: Optional[int] = None) -> dict:
-    """The merge-add: clean rows {monomial: row}, new or changed in place,
-    with the terms (monomial, q-exponent, coefficient) below trunc added
-    in.  They stay clean (see ``_clean``): a coefficient that sums to zero
-    and a row left empty are dropped.  A row is looked up once per run of
-    terms of one monomial, as ``terms()`` lists them."""
-    rows = {} if rows is None else rows
-    for m, run in groupby(terms, itemgetter(0)):
-        row = rows.setdefault(m, {})
-        for _, e, c in run:
-            if trunc is None or e < trunc:
-                c += row.get(e, 0)
-                if c:
-                    row[e] = c
-                else:
-                    row.pop(e, None)
-        if not row:
-            del rows[m]
-    return rows
-
-
-def _product_trunc(t1: Optional[int], v1: int, t2: Optional[int],
-                   v2: int) -> Optional[int]:
-    """The truncation order of a product of two factors trusted below t1
-    and t2 whose q-valuations are at least v1 and v2."""
-    return _min_trunc(_shift_trunc(t1, v2), _shift_trunc(t2, v1))
-
-
 def _lift(v) -> "MultiSeries":
     """A series as it is; an int as the exact constant QSeries."""
     if isinstance(v, MultiSeries):
@@ -128,22 +84,6 @@ def _cls(*values) -> type:
     """The class of a result computed from values: QSeries when every one
     is a QSeries, else MultiSeries."""
     return QSeries if all(isinstance(v, QSeries) for v in values) else MultiSeries
-
-
-def _row_repr(row: dict, trunc: Optional[int]) -> str:
-    # imported here: at the top it would load syntax before dsl does and
-    # change the order, and so the memory peak, of every launch
-    from .syntax import int_str
-
-    parts = []
-    for e, c in sorted(row.items()):
-        mag = "" if abs(c) == 1 and e != 0 else int_str(abs(c))
-        pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-        star = "*" if mag and pow_ else ""
-        parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)
-    body = " ".join(parts).lstrip("+ ") or "0"
-    tail = "" if trunc is None else f" + O(q^{trunc})"
-    return f"<{body}{tail}>"
 
 
 class MultiSeries:
@@ -278,10 +218,8 @@ class MultiSeries:
         divisor = _lift(divisor).qseries()
         if self.trunc is not None or divisor.trunc is not None:
             raise TruncationRequired("exact division needs exact polynomials")
-        from .kernel import _exact_quotient
-
-        acc, shift = _exact_quotient(self, {}, [(divisor, 1)])
-        return acc.series(None, shift=shift, cls=type(self))
+        acc, shift = _exact_quotient(self._rows, {}, [(divisor.coeffs, 1)])
+        return self._new(acc.gather({}, None, shift=shift), None)
 
     def invert_unit(self, trunc: Optional[int] = None) -> "MultiSeries":
         """Inverse of a series whose q^0 layer is exactly the constant 1.
@@ -305,12 +243,10 @@ class MultiSeries:
             if len(terms) == 1:
                 return self.one()
             raise TruncationRequired("inverse of a non-trivial series is infinite")
-        from .kernel import _Rows
-
         # self = 1 - a, where a holds every term of self above q^0, negated
-        acc = _Rows.load(MultiSeries.one(), 0, t)
+        acc = _Rows.load(_ONE, 0, t)
         acc.apply({tuple((m, e, -c) for m, e, c in terms if e): -1})
-        return acc.series(t, cls=type(self))
+        return self._new(acc.gather({}, t), t)
 
     invert = invert_unit
 
@@ -321,32 +257,18 @@ class MultiSeries:
         (sign, variable name).  E.g. ``subst_aux(x=1, y=(-1, "z"))`` performs
         x -> 1, y -> -z.
         """
-        norm = {}
+        norm = {}  # aux index -> (sign, exponent vector) of its image
         for var, val in subs.items():
-            idx = AUX_VARS.index(var)
-            if val in (1, -1):
-                norm[idx] = (val, (0, 0, 0))
-            else:
-                if isinstance(val, str):
-                    sign, target = 1, val
-                else:
-                    sign, target = val
-                j = AUX_VARS.index(target)
-                norm[idx] = (sign, tuple(1 if i == j else 0 for i in range(3)))
+            sign, target = ((val, None) if val in (1, -1) else
+                            (1, val) if isinstance(val, str) else val)
+            norm[AUX_VARS.index(var)] = sign, [int(v == target) for v in AUX_VARS]
         image = {}  # monomial -> (its image, sign)
         for mono in self._rows:
-            sign_total = 1
-            new = [0, 0, 0]
-            for i in range(3):
-                e = mono[i]
-                if e and i in norm:
-                    sg, vec = norm[i]
-                    if sg == -1 and e % 2:
-                        sign_total = -sign_total
-                    for j in range(3):
-                        new[j] += e * vec[j]
-                else:
-                    new[i] += e
+            new, sign_total = list(mono), 1
+            for i, (sign, vec) in norm.items():
+                e, new[i] = mono[i], new[i] - mono[i]
+                new = [n + e * v for n, v in zip(new, vec)]
+                sign_total *= sign ** (e % 2)
             image[mono] = tuple(new), sign_total
         return MultiSeries.from_terms(
             [(image[m][0], e, image[m][1] * c) for m, e, c in self.terms()],
@@ -444,6 +366,10 @@ class MultiSeries:
     __pow__, __neg__ = power, neg
 
     def __repr__(self):
+        # imported here: at the top it would load syntax before dsl does and
+        # change the order, and so the memory peak, of every launch
+        from .syntax import _row_repr
+
         body = " + ".join(f"{mono_str(m)}*{_row_repr(self._rows[m], self.trunc)}"
                           for m in sorted(self._rows)) or "0"
         tail = "" if self.trunc is None else f" [trunc {self.trunc}]"
@@ -495,20 +421,113 @@ class QSeries(MultiSeries):
         return sum(self.coeffs.values())
 
     def __repr__(self):
+        from .syntax import _row_repr
+
         return _row_repr(self.coeffs, self.trunc)
 
 
-# the kernel imports this module's classes, so its names resolve here on
-# first use rather than at import
-_KERNEL = frozenset((
-    "_Rows", "_Total", "_exact_quotient", "_factor_valuation", "_solve_row",
-    "_span", "poch_finite", "poch_infinite", "qbinom", "qq_factorial",
-))
+# ---------------------------------------------------------------------------
+# Pochhammer products and the Gaussian binomial, each one chain of factors
+# on the kernel's accumulator
+# ---------------------------------------------------------------------------
 
 
-def __getattr__(name: str):
-    if name not in _KERNEL:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kernel
+def _factor_valuation(a: list, j: int) -> Optional[int]:
+    """Lowest q-exponent with a nonzero coefficient in 1 - a*q^j, or None
+    when it is zero.  Only the 1 can cancel, against a term 1*q^(-j)."""
+    one = (TRIVIAL_MONO, -j, 1)
+    exps = [e + j for m, e, c in a if (m, e, c) != one]
+    if one not in a:
+        exps.append(0)
+    return min(exps, default=None)
 
-    return getattr(kernel, name)
+
+def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
+    """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
+
+    Exact (a polynomial) when ``a`` is exact and ``trunc`` is None; passing a
+    truncation order merely prunes high-order terms early.  The factors are
+    applied one by one to a dense accumulator; once the product has a
+    truncation order, the factors that are 1 inside its window are not.
+    """
+    if step <= 0:
+        raise ValueError("step must be a positive integer")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    ms = _lift(a)
+    terms, d = ms.terms(), ms.min_exp
+    # the truncation order a factor-by-factor product would derive
+    factors, t, low, lo, hi = [], None, 0, 0, 1
+    for j in range(0, step * count, step):
+        # a factor whose terms all lie at or above q^max(t - lo, 1) is 1
+        # inside the window [lo, t - lo) below and has valuation 0, so it
+        # changes neither t nor lo; so is every later one, and none of them
+        # is listed or applied
+        if t is not None and d + j >= max(t - lo, 1):
+            break
+        factors.append(tuple((m, e + j, c) for m, e, c in terms))
+        v = _factor_valuation(terms, j)
+        f_t = _shift_trunc(ms.trunc, j)
+        if v is None and f_t is None:  # an exact zero factor
+            t = None
+        else:
+            v = f_t if v is None else v
+            t = _product_trunc(t, low, f_t, v)
+        t = _min_trunc(t, trunc)
+        low += v or 0
+        lo += min(v or 0, 0)
+        hi += max([0] + [e + j for _, e, _ in terms])
+    # a coefficient below t is a sum of products whose partial products lie
+    # below t - lo, so the window [lo, t - lo) keeps them all
+    acc = _Rows.load(_ONE, lo, (hi if t is None else t - lo) - lo)
+    acc.apply(dict.fromkeys(factors, 1))
+    return _cls(a)._new(acc.gather({}, t), t)
+
+
+def poch_infinite(a, step: int, trunc: int):
+    """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
+
+    Requires ``a`` to carry strictly positive q-degree so that all but
+    finitely many factors are 1 modulo q^trunc; the others are applied one
+    by one to a dense accumulator.
+    """
+    if step <= 0:
+        raise ValueError("step must be a positive integer")
+    ms = _lift(a)
+    d = ms.min_exp
+    if not ms.is_zero() and d <= 0:
+        raise NonConvergent(f"factor base has q-degree {d} <= 0")
+    # 1 - a is trusted below a's own order even where a has no terms
+    t = _min_trunc(trunc, ms.trunc)
+    terms = ms.terms()
+    acc = _Rows.load(_ONE, 0, t)
+    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1
+               for j in range(0, trunc - d, step)})
+    return _cls(a)._new(acc.gather({}, t), t)
+
+
+def qbinom(m: int, k: int) -> QSeries:
+    """The Gaussian binomial coefficient as an exact polynomial in q.
+
+    Zero when k < 0 or k > m; otherwise a polynomial with nonnegative
+    coefficients and degree k*(m-k).
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if k < 0 or k > m:
+        return QSeries.zero()
+    k = min(k, m - k)
+    # the product of the (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k, a
+    # polynomial of degree k(m-k), so exact on the window of that many + 1
+    # exponents; for k <= m - k no numerator factor cancels a denominator
+    acc = _Rows.load(_ONE, 0, k * (m - k) + 1)
+    acc.apply({((TRIVIAL_MONO, j, 1),): power for i in range(1, k + 1)
+               for j, power in ((m - k + i, 1), (i, -1))})
+    return QSeries._new(acc.gather({}, None), None)
+
+
+def qq_factorial(m: int) -> QSeries:
+    """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return poch_finite(QSeries.q(), 1, m)

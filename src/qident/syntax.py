@@ -13,12 +13,14 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
 "+", "-" and "*" are left-associative, "^" is right-associative.  An INT
 literal has at most MAX_LITERAL_DIGITS digits; a longer one is refused
 with ParseError.  ``unparse`` renders an AST as text that parses back to it.
+``int_str`` writes an integer of any length, and ``_row_repr`` a series
+row as the reprs of ``qident.series`` show it.
 """
 
 from __future__ import annotations
 
 from math import log10
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DslError, ParseError
 
@@ -70,6 +72,20 @@ def int_str(n: int) -> str:
         head, low = divmod(head, _BLOCK_MAX)
         blocks.append(str(low).zfill(_BLOCK))
     return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
+
+
+def _row_repr(row: dict, trunc: Optional[int]) -> str:
+    """A series row {q-exponent: coefficient}, trusted below trunc, as the
+    reprs of ``qident.series`` show it, e.g. <1 - 3*q^2 + O(q^5)>."""
+    parts = []
+    for e, c in sorted(row.items()):
+        mag = "" if abs(c) == 1 and e != 0 else int_str(abs(c))
+        pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
+        star = "*" if mag and pow_ else ""
+        parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)
+    body = " ".join(parts).lstrip("+ ") or "0"
+    tail = "" if trunc is None else f" + O(q^{trunc})"
+    return f"<{body}{tail}>"
 
 
 # ---------------------------------------------------------------------------

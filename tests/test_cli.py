@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +223,32 @@ def test_eval_refusals_exit_2(capsys):
         assert code == 2 and "bit limit" in err, text
     code, out, _ = run(capsys, "eval", "binom(10^9, 10^9 - 2)", "--trunc", "3")
     assert code == 0 and out == "q^0: 499999999500000000\n"
+    # a Gaussian binomial one step past the degree limit, refused before
+    # its window is allocated
+    code, _, err = run(capsys, "eval", f"qbinom({MAX_EXACT_DEGREE + 2}, 1)",
+                       "--trunc", "5")
+    assert code == 2 and err == (f"error: qbinom of degree {MAX_EXACT_DEGREE + 1}"
+                                 f" exceeds the {MAX_EXACT_DEGREE}-degree limit\n")
+
+
+@pytest.mark.parametrize("text", ["poch(q, 1, 10^8)", "poch(1+q, 1, 10^6)",
+                                  "poch(z*q, 1, 10^8)"])
+def test_bare_poch_keeps_to_the_truncation_order(text):
+    # the factors 1 - a*q^j that are 1 below the truncation order are
+    # neither listed nor applied, so a bare poch of 10^8 factors answers as
+    # fast as its product form; a fresh interpreter, so that a regression
+    # is cut off by the timeout
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def eval_(t):
+        done = subprocess.run([sys.executable, "-m", "qident", "eval", t, "--trunc", "5"],
+                              env=env, capture_output=True, text=True, timeout=5)
+        return done.returncode, done.stdout, done.stderr
+
+    bare = eval_(text)
+    assert bare[0] == 0 and bare == eval_(f"1*{text}")
 
 
 @contextlib.contextmanager

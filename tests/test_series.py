@@ -7,12 +7,10 @@ from qident.errors import (
     NonUnitConstantTerm,
     TruncationRequired,
 )
+from qident.kernel import TRIVIAL_MONO, _Rows, _Total
 from qident.series import (
-    TRIVIAL_MONO,
     MultiSeries,
     QSeries,
-    _Rows,
-    _Total,
     poch_finite,
     poch_infinite,
     qbinom,
@@ -169,7 +167,7 @@ def test_exact_div_non_unit_lead():
         QSeries({0: huge, 1: huge}).exact_div(QSeries({0: 2, 1: 1}))
     assert str(info.value) == f"coefficient {int_str(huge)} not divisible by 2"
     # the kernel step itself: 6 + 3q divided by 2 + q in place
-    acc = _Rows.load(six, 0, 2)
+    acc = _Rows.load({TRIVIAL_MONO: {0: 6, 1: 3}}, 0, 2)
     acc.div(((TRIVIAL_MONO, 1, -1),), lead=2)
     assert acc.rows == {TRIVIAL_MONO: [3, 0]}
 
@@ -187,25 +185,24 @@ def test_exact_div_divides_each_row():
 
 def test_total_window_follows_its_addends():
     z = (1, 0, 0)
-    acc = _Rows.load(MultiSeries.from_terms([(TRIVIAL_MONO, 0, 1), (z, 2, 3)]), 0, 5)
+    acc = _Rows.load({TRIVIAL_MONO: {0: 1}, z: {2: 3}}, 0, 5)
     total = _Total()
     total.add_rows(acc, 5, 2, z, 0)  # 2z + 6z^2 q^2, trusted below q^5
     assert (total.dense.lo, total.dense.size) == (0, 5)
     total.add_rows(acc, 3, -1, TRIVIAL_MONO, -2)  # starts below the window
     assert (total.dense.lo, total.dense.size) == (-2, 5)
-    total.add(MultiSeries.from_terms([(z, 1, 5), (z, 2, 7)], 2))  # cuts it
+    total.add({z: {1: 5, 2: 7}}, 2)  # cuts it
     assert (total.dense.lo, total.dense.size) == (-2, 4)
-    assert total.value() == MultiSeries.from_terms(
-        [(TRIVIAL_MONO, -2, -1), (z, 0, 2), (z, 0, -3), (z, 1, 5)], 2)
+    assert total.value() == ({TRIVIAL_MONO: {-2: -1}, z: {0: 2 - 3, 1: 5}}, 2)
     # an exact accumulator goes to the sparse rows, and an addend trusted
     # below the window's start drops it
     exact = _Total()
     exact.add_rows(acc, None, 1, TRIVIAL_MONO, 100)
     assert exact.dense is None
     exact.add_rows(acc, 4, 1, TRIVIAL_MONO, 0)
-    exact.add(MultiSeries.from_terms([(z, -2, 1)], -1))
+    exact.add({z: {-2: 1}}, -1)
     assert exact.dense is None
-    assert exact.value() == MultiSeries.term(1, -2, z=1, trunc=-1)
+    assert exact.value() == ({z: {-2: 1}}, -1)
 
 
 def test_exact_div_roundtrip_with_mul():

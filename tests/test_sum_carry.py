@@ -9,7 +9,8 @@ import pytest
 from qident.dsl import Call, eval_int, evaluate, parse, unparse
 from qident.errors import DslError
 from qident.identities import REGISTRY
-from qident.series import MultiSeries, _Rows
+from qident.kernel import _Rows
+from qident.series import MultiSeries
 
 
 def per_summand(text, bindings, T):
