@@ -12,19 +12,21 @@ A negative exponent on a series denotes the multiplicative inverse.
 
 The texts in the identity registry are the only closed-form definitions of
 the identities' sides, so evaluation passes precision down on demand, as
-lazy power series do.  A product first folds its monomial factors into
-c * z^a * x^b * y^d * q^v; the remaining factors are evaluated only to
+lazy power series do.  Everything but a sum is a product, and a call alone
+is a product of one factor.  A product first folds its monomial factors
+into c * z^a * x^b * y^d * q^v; the other factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
-to reach ``trunc``.  Powers of Pochhammer products of a monomial are not
-expanded on their own: the factor kernel (``qident.kernel``) multiplies
-or divides one dense accumulator by their factors 1 - c*m*q^j in turn.
-At a truncation order, summands of a ``sum`` that are a monomial times
-such powers share one accumulator: consecutive summands differ in a few
-factors, so each applies only the change from the one before, and a sum
-of N summands costs O(N) kernel steps rather than O(N^2).  With no truncation order the
-accumulator holds the whole product, and divides it exactly by the
-negative powers of Pochhammer products and of q-polynomials free of z, x
-and y.
+to reach ``trunc``.  Powers of Pochhammer products of a monomial, and at a
+truncation order those of qbinom(m, k) = (q^(m-k+1); q)_k / (q; q)_k, are
+not expanded on their own: the factor kernel (``qident.kernel``)
+multiplies or divides one dense accumulator by their factors 1 - c*m*q^j
+inside its window in turn.  At a truncation order, summands of a ``sum``
+that are a monomial times such powers share one accumulator: consecutive
+summands differ in a few factors, so each applies only the change from the
+one before, and a sum of N summands costs O(N) kernel steps rather than
+O(N^2).  With no truncation order the accumulator holds the whole product,
+and divides it exactly by the negative powers of Pochhammer products and
+of q-polynomials free of z, x and y; an exact qbinom is expanded whole.
 
 A ``sum`` adds each summand into one running total as soon as it is
 evaluated, so its memory is the size of its result, not that times its
@@ -42,7 +44,7 @@ could pass MAX_POWER_BITS bits, a power of a series whose largest
 coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
 a ``qbinom``, a power or an exact product whose degree would pass
 MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
-for a truncated series).
+for a truncated series), and an exact ``poch`` whose exponents alone do.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from .errors import DslError, NonIntegerExponent, UnboundVariable
 # tree is compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
 from .series import MultiSeries, poch_finite, poch_infinite, qbinom
-from .kernel import _ONE, TRIVIAL_MONO, _exact_quotient, _mono_mul, _Rows, _Total
+from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _mono_mul,
+                     _qbinom_chains, _Rows, _Total)
 
 # the syntax this module evaluates, and re-exports
 from .syntax import (
@@ -264,10 +267,7 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
             lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
             if None not in lows:
                 b = min(lows)
-        elif isinstance(f, Call) and f.func == "qbinom":
-            _qbinom_args(f, bindings)
-            b = 0
-        elif _poch_chain(f, bindings) is not None:
+        elif _chains(f, bindings, False) is not None:
             b = 0
         elif isinstance(f, Pow):
             k = eval_int(f.exponent, bindings)
@@ -280,46 +280,31 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
     return low
 
 
-def _monomial_poch(e: Expr, bindings: dict) -> Optional[tuple]:
-    """(c, mono, v, step, count) when e is poch(a, step, count) with a the
-    monomial c * mono * q^v of positive q-valuation, else None.  Such a
-    product has constant term 1, so it is a power series.  A malformed
-    poch call raises."""
-    if not (isinstance(e, Call) and e.func == "poch"):
+def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
+    """The chains of f (see ``_chain_factors``) when f is P or P^k and the
+    kernel applies P^k factor by factor, else None; a malformed call raises.
+    P is a poch of a monomial of q-valuation v >= 1, or of v = 0 in z, x or
+    y with a finite count and k >= 0 (so no factor is 0); for k < 0 the
+    monomial has no negative z, x or y exponent (none at all when
+    ``exact``).  At a truncation order P may be a qbinom(m, j), 0 <= j <= m."""
+    base = f.base if isinstance(f, Pow) else f
+    if not (isinstance(base, Call) and base.func in ("poch", "qbinom")):
         return None
-    step, count = _poch_args(e, bindings)
+    if base.func == "qbinom":
+        m, j = _qbinom_args(base, bindings)
+        if exact or not 0 <= j <= m:
+            return None
+        k = eval_int(f.exponent, bindings) if base is not f else 1
+        return [(a, k * s) for a, s in _qbinom_chains(m, j)]
+    step, count = _poch_args(base, bindings, exact)
     rest: list = []
-    c, mono, v = _split(e.args[0], bindings, rest)
-    return None if rest or v < 1 else (c, mono, v, step, count)
-
-
-def _poch_chain(f: Expr, bindings: dict, exact: bool = False) -> Optional[tuple]:
-    """(poch, k) when f is P or P^k, P = poch(a, ...) as in _monomial_poch,
-    and P^k a power series: k >= 0, or a has no negative z, x or y exponent
-    (when ``exact``, P is finite and for k < 0 a has no z, x or y at all)."""
-    base, k = (f.base, None) if isinstance(f, Pow) else (f, 1)
-    p = _monomial_poch(base, bindings)
-    if p is None or (exact and p[4] is None):
+    c, mono, v = _split(base.args[0], bindings, rest)
+    if rest or v < 0 or not v and (count is None or not any(mono)):
         return None
-    if k is None:
-        k = eval_int(f.exponent, bindings)
-    return None if k < 0 and (any(p[1]) if exact else min(p[1]) < 0) else (p, k)
-
-
-def _chain_factors(chains: list, size: Optional[int]) -> dict:
-    """The factors 1 - c*m*q^j with j < size of the Pochhammer powers in
-    chains, as {((m, j, c),): net power}, each keyed by its one term.
-
-    Each poch(c*m*q^v, step, count)^k has the factors 1 - c*m*q^(v + step*i)
-    to the power k; a factor with j >= size (not None) is 1 below q^size.
-    """
-    powers: dict = {}
-    for (c, mono, v, step, count), k in chains:
-        stop = size if count is None else v + step * count
-        for j in range(v, stop if size is None else min(stop, size), step):
-            a = ((mono, j, c),)
-            powers[a] = powers.get(a, 0) + k
-    return powers
+    k = eval_int(f.exponent, bindings) if base is not f else 1
+    if k < 0 and (not v or (any(mono) if exact else min(mono) < 0)):
+        return None
+    return [((c, mono, v, step, count), k)]
 
 
 class _Carry:
@@ -333,12 +318,12 @@ class _Carry:
 
     ``rows`` gives the product of a summand's chains below q^size, the
     summand's window.  Consecutive summands share most of their factors,
-    so only the change in each factor's net power is applied: ``mul`` for
-    a power that rises, ``div`` for one that falls.  Every factor has
-    j >= 1, so each step is exact inside the window.  A smaller window cuts
-    the rows and forgets the factors with j >= size, which are 1 below
-    q^size.  A larger window, or a division by a factor with a negative
-    aux exponent (which ``div`` does not take), starts afresh.
+    so only the change in each factor's net power is applied, exactly
+    inside the window: ``mul`` for a power that rises, ``div`` for one that
+    falls.  A smaller window cuts the rows and forgets the factors with
+    j >= size, which are 1 below q^size.  A larger window, or a fall in the
+    power of a factor ``div`` does not take (j = 0, as in poch(z, 1, n), or
+    a negative aux exponent), starts afresh.
     """
 
     __slots__ = ("acc", "powers", "total")
@@ -356,8 +341,8 @@ class _Carry:
             old = {a: k for a, k in old.items() if a[0][1] < size}
         change = {a: powers.get(a, 0) - old.get(a, 0)
                   for a in {**old, **powers}}
-        if acc is None or size > acc.size or any(
-                k < 0 and min(a[0][0]) < 0 for a, k in change.items()):
+        if acc is None or size > acc.size or any(  # a division div does not take
+                k < 0 and (not a[0][1] or min(a[0][0]) < 0) for a, k in change.items()):
             acc, change = _Rows.load(_ONE, 0, size), powers
         acc.apply(change)
         self.acc, self.powers = acc, powers
@@ -372,16 +357,15 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     valuations of the other factors reaches ``trunc``, the product is zero
     below ``trunc`` and the other factors are not evaluated.  Otherwise they
     are evaluated at ``trunc - v``, but at least 1 so that the constant term
-    an inverse needs is kept, multiplied and shifted by q^v.  Powers of
-    Pochhammer products of a monomial are applied factor by factor to one
-    dense accumulator over the window they are trusted in, or, when they
-    are the only factors besides the monomial, to the accumulator
-    ``carry`` keeps for a sum.  In an exact context (``trunc`` None) the
-    accumulator holds c times the whole product of the positive powers,
-    and divides it by the others and by each X^(-k) with X free of z, x
-    and y (``_exact_quotient``).
-    With ``carry``, a product that ends on the kernel is added to the
-    carry's total and None is returned.
+    an inverse needs is kept, multiplied and shifted by q^v; a call that is
+    no chain (``_chains``) goes to ``_eval_call``.  The chains are applied
+    factor by factor to one dense accumulator over the window they are
+    trusted in, or, when they are the only factors besides the monomial, to
+    the accumulator ``carry`` keeps for a sum.  In an exact context
+    (``trunc`` None) the accumulator holds c times the whole product of the
+    positive powers, and divides it by the others and by each X^(-k) with
+    X free of z, x and y (``_exact_quotient``).  With ``carry``, a product
+    that ends on the kernel is added to the carry's total, returning None.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -395,16 +379,18 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             return MultiSeries.zero(trunc)
         inner = max(trunc - v, 1)
     value = MultiSeries.one()
-    chains, divisors = [], []
+    chains, divisors, others = [], [], 0
     for f in rest:
-        chain = _poch_chain(f, bindings, exact=inner is None)
+        chain = _chains(f, bindings, inner is None)
         if chain is not None:
-            chains.append(chain)
+            chains += chain
             continue
+        others += 1
         if isinstance(f, Pow):
             base, k = eval_series(f.base, bindings, inner), eval_int(f.exponent, bindings)
         else:
-            base, k = eval_series(f, bindings, inner), 1
+            ev = _eval_call if isinstance(f, Call) else eval_series
+            base, k = ev(f, bindings, inner), 1
         if abs(k) > 1 and (inner is None or k > 0):
             # a power series' power below inner needs only its terms below
             # inner; otherwise the power is expanded exactly.  Either way
@@ -433,9 +419,9 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         acc, shift = _exact_quotient(value.scale(c)._rows, powers, divisors)
         t, c, v = None, 1, v + shift
     else:
-        if not chains or not c or (value.is_zero() and value.trunc is None):
+        if others == len(rest) or not c or (value.is_zero() and value.trunc is None):
             return value.mul(monomial)
-        if carry is not None and len(chains) == len(rest):
+        if carry is not None and not others:
             acc = carry.rows(chains, inner)
         else:
             # the powers have constant term 1 and are trusted below inner,
@@ -462,15 +448,17 @@ def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
         l = eval_series(e.left, bindings, trunc)
         r = eval_series(e.right, bindings, trunc)
         return l.add(r) if e.op == "+" else l.add(r.neg())
-    if isinstance(e, Call) and e.func != "binom":
+    if isinstance(e, Call) and e.func == "sum":
         return _eval_call(e, bindings, trunc)
     if isinstance(e, (Int, Name, Neg, BinOp, Pow, Call)):
         return _eval_product(e, bindings, trunc, carry)
     raise DslError(f"cannot evaluate {e!r} as a series")
 
 
-def _poch_args(e: Call, bindings: dict) -> tuple:
-    """Checked (step, count) of a poch call; count is None for inf."""
+def _poch_args(e: Call, bindings: dict, exact: bool) -> tuple:
+    """Checked (step, count) of a poch call, count None for inf.  When
+    ``exact``, inf is refused, and so is a count whose factors' exponents
+    step*i, i < count, alone sum past MAX_EXACT_DEGREE, before any is listed."""
     if len(e.args) != 3:
         raise DslError("poch takes exactly 3 arguments: poch(a, step, count)")
     step = eval_int(e.args[1], bindings)
@@ -478,10 +466,16 @@ def _poch_args(e: Call, bindings: dict) -> tuple:
         raise DslError("poch step must be a positive integer")
     count_arg = e.args[2]
     if isinstance(count_arg, Name) and count_arg.ident == "inf":
+        if exact:
+            raise DslError("poch(..., inf) needs a finite truncation order")
         return step, None
     count = eval_int(count_arg, bindings)
     if count < 0:
         raise DslError("poch count must be nonnegative or inf")
+    degree = step * count * (count - 1) // 2
+    if exact and degree > MAX_EXACT_DEGREE:
+        raise DslError(f"exact product of degree {int_str(degree)} exceeds the"
+                       f" {MAX_EXACT_DEGREE}-degree limit")
     return step, count
 
 
@@ -502,12 +496,10 @@ def _qbinom_args(e: Call, bindings: dict) -> tuple:
 
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "poch":
-        step, count = _poch_args(e, bindings)
+        step, count = _poch_args(e, bindings, trunc is None)
         a = eval_series(e.args[0], bindings, trunc)
         if count is not None:
             return poch_finite(a, step, count, trunc=trunc)
-        if trunc is None:
-            raise DslError("poch(..., inf) needs a finite truncation order")
         return poch_infinite(a, step, trunc)
     if e.func == "qbinom":
         return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
@@ -519,17 +511,13 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             raise DslError("sum index must be a plain name")
         if var.ident in RESERVED:
             raise DslError(f"sum index may not shadow reserved name {var.ident!r}")
-        lo = eval_int(e.args[1], bindings)
-        hi = eval_int(e.args[2], bindings)
+        lo, hi = eval_int(e.args[1], bindings), eval_int(e.args[2], bindings)
         if hi - lo + 1 > MAX_SUM_TERMS:
-            raise DslError(
-                f"sum over {int_str(hi - lo + 1)} indices exceeds the"
-                f" {MAX_SUM_TERMS}-term limit"
-            )
+            raise DslError(f"sum over {int_str(hi - lo + 1)} indices exceeds the"
+                           f" {MAX_SUM_TERMS}-term limit")
         # each summand is added into one total as soon as it is evaluated
         # (see _Carry), and a zero summand only lowers the truncation
-        inner = dict(bindings)
-        carry = _Carry()
+        inner, carry = dict(bindings), _Carry()
         for v in range(lo, hi + 1):
             inner[var.ident] = v
             value = eval_series(e.args[3], inner, trunc, carry)

@@ -16,9 +16,10 @@ row, dividing runs the recurrence y = x + a*y in increasing q-order, which
 for a of q-valuation >= 1 reads only finished coefficients.  Each factor
 costs O(rows * T) for T exponents, where a generic product or inverse
 costs O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
-{factor: net power}; ``series``' Pochhammer products, inverses and
-Gaussian binomials and the expression language's Pochhammer powers are
-each one such chain, and exact division divides by factors lead - a
+{factor: net power}, which ``_chain_factors`` lists for Pochhammer powers
+of a monomial; ``series``' Pochhammer products, inverses and Gaussian
+binomials and the expression language's Pochhammer and q-binomial powers
+are each one such chain, and exact division divides by factors lead - a
 (``_exact_quotient``).  ``_Total`` sums rows and accumulators as they are
 made, accumulators trusted below a truncation order into one dense window,
 so a sum of many of them costs the memory of its result.
@@ -287,6 +288,27 @@ class _Rows:
                 else:
                     rows[t] = out
         return rows
+
+
+def _chain_factors(chains: list, size: Optional[int]) -> dict:
+    """{((m, j, c),): net power}, the factors 1 - c*m*q^j, j < size, of chains
+    ((c, m, v, step, count), k), each poch(c*m*q^v, step, count)^k: j = v +
+    step*i, i < count (any i for count None); a larger j is 1 below q^size."""
+    powers: dict = {}
+    for (c, mono, v, step, count), k in chains:
+        stop = size if count is None else v + step * count
+        for j in range(v, stop if size is None else min(stop, size), step):
+            a = ((mono, j, c),)
+            powers[a] = powers.get(a, 0) + k
+    return powers
+
+
+def _qbinom_chains(m: int, k: int) -> list:
+    """[m, k], 0 <= k <= m, as its factors (1 - q^(m-j+i)) / (1 - q^i), i = 1..j,
+    j = min(k, m - k), one chain each: the partial products [m-j+i, i] stay small."""
+    j = min(k, m - k)
+    return [((1, TRIVIAL_MONO, e, 1, 1), p) for i in range(1, j + 1)
+            for e, p in ((m - j + i, 1), (i, -1))]
 
 
 class _Total:

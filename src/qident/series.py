@@ -41,12 +41,14 @@ from .kernel import (
     _ONE,
     TRIVIAL_MONO,
     Mono,
+    _chain_factors,
     _clean,
     _exact_quotient,
     _gather,
     _min_trunc,
     _mono_mul,
     _product_trunc,
+    _qbinom_chains,
     _Rows,
     _shift_trunc,
 )
@@ -516,13 +518,9 @@ def qbinom(m: int, k: int) -> QSeries:
         raise ValueError("m must be nonnegative")
     if k < 0 or k > m:
         return QSeries.zero()
-    k = min(k, m - k)
-    # the product of the (1 - q^(m-k+i)) / (1 - q^i) over i = 1..k, a
-    # polynomial of degree k(m-k), so exact on the window of that many + 1
-    # exponents; for k <= m - k no numerator factor cancels a denominator
+    # a polynomial of degree k(m-k), exact on a window of that many + 1 exponents
     acc = _Rows.load(_ONE, 0, k * (m - k) + 1)
-    acc.apply({((TRIVIAL_MONO, j, 1),): power for i in range(1, k + 1)
-               for j, power in ((m - k + i, 1), (i, -1))})
+    acc.apply(_chain_factors(_qbinom_chains(m, k), None))
     return QSeries._new(acc.gather({}, None), None)
 
 

@@ -232,7 +232,8 @@ def test_eval_refusals_exit_2(capsys):
 
 
 @pytest.mark.parametrize("text", ["poch(q, 1, 10^8)", "poch(1+q, 1, 10^6)",
-                                  "poch(z*q, 1, 10^8)"])
+                                  "poch(z*q, 1, 10^8)", "qbinom(5,2)",
+                                  f"qbinom({MAX_EXACT_DEGREE + 1},1)"])
 def test_bare_poch_keeps_to_the_truncation_order(text):
     # the factors 1 - a*q^j that are 1 below the truncation order are
     # neither listed nor applied, so a bare poch of 10^8 factors answers as
@@ -249,6 +250,16 @@ def test_bare_poch_keeps_to_the_truncation_order(text):
 
     bare = eval_(text)
     assert bare[0] == 0 and bare == eval_(f"1*{text}")
+
+
+def test_exact_poch_past_the_degree_limit_is_refused(capsys):
+    # one step past the limit: the factors' q-exponents 0 + 1 + ... +
+    # (n - 1) of the lhs poch(z, 1, n) pass it, refused before any factor
+    # is listed
+    n = next(c for c in range(2, 10**4) if c * (c - 1) // 2 > MAX_EXACT_DEGREE)
+    code, _, err = run(capsys, "verify", "qbinom_thm", "--n", str(n), "--no-comb")
+    assert code == 2 and err == (f"error: exact product of degree {n * (n - 1) // 2}"
+                                 f" exceeds the {MAX_EXACT_DEGREE}-degree limit\n")
 
 
 @contextlib.contextmanager

@@ -35,7 +35,7 @@ from qident.errors import (
     UnboundVariable,
 )
 from qident.identities import REGISTRY, build_side
-from qident.series import MultiSeries, QSeries, poch_finite, poch_infinite
+from qident.series import MultiSeries, QSeries, poch_finite, poch_infinite, qbinom
 from qident.syntax import MAX_LITERAL_DIGITS, _read_int, int_str
 
 
@@ -134,7 +134,23 @@ def test_eval_poch():
 
 
 def test_eval_qbinom_trivial():
-    assert evaluate("qbinom(5,0)", {}, 10) == MultiSeries.one()
+    assert evaluate("qbinom(5,0)", {}, None) == MultiSeries.one()
+    # at a truncation order a qbinom is a product on the kernel, trusted
+    # below that order, as 1*qbinom(5,0) is
+    assert evaluate("qbinom(5,0)", {}, 10) == MultiSeries.one(10)
+
+
+def test_eval_qbinom_keeps_to_the_truncation_order():
+    # (q^4; q)_2 / (q; q)_2 below q^3, bare or in a product; exact, whole
+    for text in ("qbinom(5,2)", "1*qbinom(5,2)"):
+        got = evaluate(text, {}, 3)
+        assert got.trunc == 3 and got.qseries().coeffs == {0: 1, 1: 1, 2: 2}, text
+    got = evaluate("qbinom(5,2)", {}, None)
+    assert got.trunc is None
+    assert got.qseries().coeffs == {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}
+    # k outside 0..m is zero
+    assert evaluate("q * qbinom(2, 3)", {}, None) == MultiSeries.zero()
+    assert evaluate("q * qbinom(2, 3)", {}, 3).is_zero()
 
 
 def test_eval_precedence():
@@ -219,6 +235,31 @@ def test_exact_product_window_guard():
     # Pochhammer powers that cancel take no step at all
     text = f"poch(q, 1, 1)^{over} * poch(q, 1, 1)^(-{over}) * (1 + q)"
     assert evaluate(text, {}, None) == 1 + MultiSeries.q()
+
+
+def test_exact_poch_guard():
+    # error paths only, one step past the limit: an exact poch whose
+    # factors' q-exponents step*i, i < count, alone sum past the limit is
+    # refused before any factor is listed, whether it is a chain, a bare
+    # call, a factor or the base of a power
+    count = next(c for c in range(2, 10**4) if c * (c - 1) // 2 > MAX_EXACT_DEGREE)
+    for text in (f"poch(q, 1, {count})", f"poch(z, 1, {count})",
+                 f"poch(1+q, 1, {count})", f"2 * poch(q, 1, {count})^0",
+                 f"poch(q, {MAX_EXACT_DEGREE + 1}, 2)"):
+        with pytest.raises(DslError, match="exact product of degree"):
+            evaluate(text, {}, None)
+    # at a truncation order they keep to its window
+    assert evaluate(f"poch(z, 1, {count})", {}, 2) == evaluate("poch(z, 1, 2)", {}, 2)
+
+
+def test_zero_poch_factor_is_no_chain():
+    # poch(1, ...) has the factor 1 - 1 = 0, so it is evaluated, not
+    # chained: the product is zero even beside a division that the
+    # kernel's window could not hold
+    for text in ("poch(1, 1, 2) * poch(q, 1, 2)^(-1)",
+                 "q * poch(q^2, 2, 3)^(-1) * poch(1, 2, 2)^3"):
+        assert evaluate(text, {}, None) == MultiSeries.zero(), text
+        assert evaluate(text, {}, 5).is_zero(), text
 
 
 def test_exact_zero_products():
@@ -580,9 +621,29 @@ def _binomial(draw):
 
 
 @st.composite
+def _qbinom(draw):
+    # qbinom(a + b*n, c + d*n)^(k); c + d*n may leave 0..m under a positive
+    # power, where the factor is the exact zero
+    k = draw(st.sampled_from([1, 2, -1]))
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    if k < 0:
+        c, d = draw(st.integers(0, a)), draw(st.integers(0, b))
+    else:
+        c, d = draw(st.integers(-1, a + 2)), draw(st.integers(0, b + 1))
+    text = f"qbinom({a}+{b}*n, {c}+{d}*n)^({k})"
+
+    def value(n, T):
+        g = MultiSeries.from_qseries(qbinom(a + b * n, c + d * n))
+        if k < 0:
+            g = g.invert_unit(T)
+        return g.power(abs(k)).truncate(T)
+    return text, value
+
+
+@st.composite
 def _sum_text(draw):
     factors = draw(st.lists(
-        st.one_of(_monomial(), _signed_power(), _poch(), _binomial()),
+        st.one_of(_monomial(), _signed_power(), _poch(), _binomial(), _qbinom()),
         min_size=1, max_size=4,
     ))
     lo, hi = draw(st.integers(0, 2)), draw(st.integers(0, 6))
