@@ -44,7 +44,7 @@ could pass MAX_POWER_BITS bits, a power of a series whose largest
 coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
 a ``qbinom``, a power or an exact product whose degree would pass
 MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
-for a truncated series), and an exact ``poch`` whose exponents alone do.
+for a truncated series), and an exact ``poch`` whose count alone could.
 """
 
 from __future__ import annotations
@@ -281,28 +281,27 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
 
 
 def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
-    """The chains of f (see ``_chain_factors``) when f is P or P^k and the
-    kernel applies P^k factor by factor, else None; a malformed call raises.
-    P is a poch of a monomial of q-valuation v >= 1, or of v = 0 in z, x or
-    y with a finite count and k >= 0 (so no factor is 0); for k < 0 the
-    monomial has no negative z, x or y exponent (none at all when
-    ``exact``).  At a truncation order P may be a qbinom(m, j), 0 <= j <= m."""
+    """The chains of f (see ``_chain_factors``) when the kernel applies f =
+    P^k factor by factor, else None; a malformed call raises.  P is a poch
+    of a monomial of q-valuation v >= 1, or for k = 1 of v = 0 in z, x or y
+    with a finite count; for k < 0 the monomial has no negative z, x or y
+    exponent (none when ``exact``).  At a truncation order P may also be
+    qbinom(m, j), 0 <= j <= m, for |k| <= 1: a larger power is squared."""
     base = f.base if isinstance(f, Pow) else f
     if not (isinstance(base, Call) and base.func in ("poch", "qbinom")):
         return None
+    k = eval_int(f.exponent, bindings) if base is not f else 1
     if base.func == "qbinom":
         m, j = _qbinom_args(base, bindings)
-        if exact or not 0 <= j <= m:
+        if exact or abs(k) > 1 or not 0 <= j <= m:
             return None
-        k = eval_int(f.exponent, bindings) if base is not f else 1
         return [(a, k * s) for a, s in _qbinom_chains(m, j)]
-    step, count = _poch_args(base, bindings, exact)
+    step, count = _poch_args(base, bindings, exact, k)
     rest: list = []
     c, mono, v = _split(base.args[0], bindings, rest)
-    if rest or v < 0 or not v and (count is None or not any(mono)):
+    if rest or v < 0 or not v and (k != 1 or count is None or not any(mono)):
         return None
-    k = eval_int(f.exponent, bindings) if base is not f else 1
-    if k < 0 and (not v or (any(mono) if exact else min(mono) < 0)):
+    if k < 0 and (any(mono) if exact else min(mono) < 0):
         return None
     return [((c, mono, v, step, count), k)]
 
@@ -455,10 +454,10 @@ def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
     raise DslError(f"cannot evaluate {e!r} as a series")
 
 
-def _poch_args(e: Call, bindings: dict, exact: bool) -> tuple:
+def _poch_args(e: Call, bindings: dict, exact: bool, k: int = 1) -> tuple:
     """Checked (step, count) of a poch call, count None for inf.  When
-    ``exact``, inf is refused, and so is a count whose factors' exponents
-    step*i, i < count, alone sum past MAX_EXACT_DEGREE, before any is listed."""
+    ``exact``, inf is refused, and so, for a power k != 0, is a count whose
+    exponent steps step*i, i < count, sum past MAX_EXACT_DEGREE."""
     if len(e.args) != 3:
         raise DslError("poch takes exactly 3 arguments: poch(a, step, count)")
     step = eval_int(e.args[1], bindings)
@@ -472,9 +471,8 @@ def _poch_args(e: Call, bindings: dict, exact: bool) -> tuple:
     count = eval_int(count_arg, bindings)
     if count < 0:
         raise DslError("poch count must be nonnegative or inf")
-    degree = step * count * (count - 1) // 2
-    if exact and degree > MAX_EXACT_DEGREE:
-        raise DslError(f"exact product of degree {int_str(degree)} exceeds the"
+    if exact and k and step * count * (count - 1) // 2 > MAX_EXACT_DEGREE:
+        raise DslError(f"exact poch of {int_str(count)} factors could pass the"
                        f" {MAX_EXACT_DEGREE}-degree limit")
     return step, count
 
@@ -511,13 +509,17 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
             raise DslError("sum index must be a plain name")
         if var.ident in RESERVED:
             raise DslError(f"sum index may not shadow reserved name {var.ident!r}")
-        lo, hi = eval_int(e.args[1], bindings), eval_int(e.args[2], bindings)
+        lo = eval_int(e.args[1], bindings)
+        hi = eval_int(e.args[2], bindings)
         if hi - lo + 1 > MAX_SUM_TERMS:
-            raise DslError(f"sum over {int_str(hi - lo + 1)} indices exceeds the"
-                           f" {MAX_SUM_TERMS}-term limit")
+            raise DslError(
+                f"sum over {int_str(hi - lo + 1)} indices exceeds the"
+                f" {MAX_SUM_TERMS}-term limit"
+            )
         # each summand is added into one total as soon as it is evaluated
         # (see _Carry), and a zero summand only lowers the truncation
-        inner, carry = dict(bindings), _Carry()
+        inner = dict(bindings)
+        carry = _Carry()
         for v in range(lo, hi + 1):
             inner[var.ident] = v
             value = eval_series(e.args[3], inner, trunc, carry)

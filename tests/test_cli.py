@@ -253,13 +253,12 @@ def test_bare_poch_keeps_to_the_truncation_order(text):
 
 
 def test_exact_poch_past_the_degree_limit_is_refused(capsys):
-    # one step past the limit: the factors' q-exponents 0 + 1 + ... +
-    # (n - 1) of the lhs poch(z, 1, n) pass it, refused before any factor
-    # is listed
+    # one step past the limit: the exponent steps 0 + 1 + ... + (n - 1)
+    # of the lhs poch(z, 1, n) pass it, refused before any factor is listed
     n = next(c for c in range(2, 10**4) if c * (c - 1) // 2 > MAX_EXACT_DEGREE)
     code, _, err = run(capsys, "verify", "qbinom_thm", "--n", str(n), "--no-comb")
-    assert code == 2 and err == (f"error: exact product of degree {n * (n - 1) // 2}"
-                                 f" exceeds the {MAX_EXACT_DEGREE}-degree limit\n")
+    assert code == 2 and err == (f"error: exact poch of {n} factors could pass the"
+                                 f" {MAX_EXACT_DEGREE}-degree limit\n")
 
 
 @contextlib.contextmanager

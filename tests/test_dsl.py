@@ -239,17 +239,33 @@ def test_exact_product_window_guard():
 
 def test_exact_poch_guard():
     # error paths only, one step past the limit: an exact poch whose
-    # factors' q-exponents step*i, i < count, alone sum past the limit is
-    # refused before any factor is listed, whether it is a chain, a bare
-    # call, a factor or the base of a power
+    # factors' exponent steps step*i, i < count, alone sum past the limit
+    # is refused before any factor is listed, whether it is a chain, a
+    # bare call, a factor or the base of a power
     count = next(c for c in range(2, 10**4) if c * (c - 1) // 2 > MAX_EXACT_DEGREE)
     for text in (f"poch(q, 1, {count})", f"poch(z, 1, {count})",
-                 f"poch(1+q, 1, {count})", f"2 * poch(q, 1, {count})^0",
+                 f"poch(1+q, 1, {count})", f"poch(q, 1, {count})^(-1)",
                  f"poch(q, {MAX_EXACT_DEGREE + 1}, 2)"):
-        with pytest.raises(DslError, match="exact product of degree"):
+        with pytest.raises(DslError, match=r"exact poch of \d+ factors could pass"):
             evaluate(text, {}, None)
-    # at a truncation order they keep to its window
+    # a power 0 lists no factor, and at a truncation order they keep to
+    # its window
+    assert evaluate(f"2 * poch(q, 1, {count})^0", {}, None) == 2
     assert evaluate(f"poch(z, 1, {count})", {}, 2) == evaluate("poch(z, 1, 2)", {}, 2)
+
+
+def test_chain_powers_past_one_are_raised_by_squaring():
+    # a power k != 1 of a poch of q-valuation 0, or |k| > 1 of a qbinom, is
+    # no chain: k factor-by-factor steps would grow with k, so the base is
+    # raised by squaring, refused one step past the degree limit as any
+    # power is
+    over = MAX_EXACT_DEGREE + 1
+    with pytest.raises(DslError, match="degree limit"):
+        evaluate(f"poch(z, 1, 1)^{over}", {}, 5)
+    assert evaluate("poch(z, 1, 3)^2", {}, 5) == evaluate("poch(z, 1, 3)^1 * poch(z, 1, 3)", {}, 5)
+    k = 10**9  # 4 * 10^9 kernel steps if its factors were chained
+    assert evaluate(f"qbinom(5, 2)^{k}", {}, 10) == MultiSeries.from_qseries(
+        qbinom(5, 2)).truncate(10).power(k)
 
 
 def test_zero_poch_factor_is_no_chain():
