@@ -19,14 +19,15 @@ q-order ``trunc - v``, and not at all once the product's valuation is known
 to reach ``trunc``.  Powers of Pochhammer products of a monomial, and at a
 truncation order those of qbinom(m, k) = (q^(m-k+1); q)_k / (q; q)_k, are
 not expanded on their own: the factor kernel (``qident.kernel``)
-multiplies or divides one dense accumulator by their factors 1 - c*m*q^j
-inside its window in turn.  At a truncation order, summands of a ``sum``
-that are a monomial times such powers share one accumulator: consecutive
-summands differ in a few factors, so each applies only the change from the
-one before, and a sum of N summands costs O(N) kernel steps rather than
-O(N^2).  With no truncation order the accumulator holds the whole product,
-and divides it exactly by the negative powers of Pochhammer products and
-of q-polynomials free of z, x and y; an exact qbinom is expanded whole.
+multiplies or divides one dense accumulator by each factor 1 - c*m*q^j to
+its power, in one step, inside its window.  At a truncation order,
+summands of a ``sum`` that are a monomial times such powers share one
+accumulator: consecutive summands differ in a few factors, so each applies
+only the change from the one before, and a sum of N summands costs O(N)
+kernel steps rather than O(N^2).  With no truncation order the accumulator
+holds the whole product, and divides it exactly by the negative powers of
+Pochhammer products and of q-polynomials free of z, x and y; an exact
+qbinom is expanded whole.
 
 A ``sum`` adds each summand into one running total as soon as it is
 evaluated, so its memory is the size of its result, not that times its
@@ -286,14 +287,14 @@ def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
     of a monomial of q-valuation v >= 1, or for k = 1 of v = 0 in z, x or y
     with a finite count; for k < 0 the monomial has no negative z, x or y
     exponent (none when ``exact``).  At a truncation order P may also be
-    qbinom(m, j), 0 <= j <= m, for |k| <= 1: a larger power is squared."""
+    qbinom(m, j), 0 <= j <= m, to any power."""
     base = f.base if isinstance(f, Pow) else f
     if not (isinstance(base, Call) and base.func in ("poch", "qbinom")):
         return None
     k = eval_int(f.exponent, bindings) if base is not f else 1
     if base.func == "qbinom":
         m, j = _qbinom_args(base, bindings)
-        if exact or abs(k) > 1 or not 0 <= j <= m:
+        if exact or not 0 <= j <= m:
             return None
         return [(a, k * s) for a, s in _qbinom_chains(m, j)]
     step, count = _poch_args(base, bindings, exact, k)

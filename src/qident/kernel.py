@@ -17,7 +17,11 @@ for a of q-valuation >= 1 reads only finished coefficients.  Each factor
 costs O(rows * T) for T exponents, where a generic product or inverse
 costs O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 {factor: net power}, which ``_chain_factors`` lists for Pochhammer powers
-of a monomial; ``series``' Pochhammer products, inverses and Gaussian
+of a monomial, and takes each factor to its power k in one step: for a =
+c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
+binomial series below the window (``_factor_power``), so it costs
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.
+``series``' Pochhammer products, inverses and Gaussian
 binomials and the expression language's Pochhammer and q-binomial powers
 are each one such chain, and exact division divides by factors lead - a
 (``_exact_quotient``).  ``_Total`` sums rows and accumulators as they are
@@ -32,10 +36,11 @@ and the evaluator (``qident.dsl``): what leaves them are plain rows, which
 from __future__ import annotations
 
 from itertools import accumulate, groupby
+from math import log2
 from operator import add, itemgetter
 from typing import Optional
 
-from .errors import DivisionInexact
+from .errors import DivisionInexact, DslError
 
 TRIVIAL_MONO = (0, 0, 0)
 
@@ -242,13 +247,15 @@ class _Rows:
                         pending.setdefault(sum(t), []).append(t)
 
     def apply(self, powers: dict) -> None:
-        """Multiply by each factor 1 - a to its net power in powers, a map
-        {the terms of a: power}: ``mul`` for a positive power, ``div`` for
-        a negative one, once per unit of it."""
+        """Multiply by each factor 1 - a to its net power k in powers, a map
+        {the terms of a: k}, in one step each: ``mul`` for k > 0 and ``div``
+        for k < 0 by 1 - a, or for |k| > 1, a then one term, by (1 - a)^|k|
+        (``_factor_power``)."""
         for a, k in powers.items():
-            step = self.mul if k > 0 else self.div
-            for _ in range(abs(k)):
-                step(a)
+            if abs(k) > 1:
+                a = _factor_power(a, k, self.size)
+            if k:
+                (self.mul if k > 0 else self.div)(a)
 
     def add(self, other: "_Rows", scale: int, mono: Mono, shift: int) -> None:
         """Add other times scale * mono * q^shift in place.  The window
@@ -288,6 +295,26 @@ class _Rows:
                 else:
                     rows[t] = out
         return rows
+
+
+def _factor_power(a: tuple, k: int, size: int) -> list:
+    """The terms of b, 1 - b = (1 - a)^|k| below q^size, for a one term
+    c*m*q^j: b = -sum_{i >= 1} C(|k|, i) (-a)^i, of min(|k|, (size - 1) // j)
+    terms (|k| for j = 0).  Refused, as a power of a series whose
+    coefficients could pass MAX_POWER_BITS bits, when min(|k|, size - 1) *
+    log2(|k*c|), the bound of ``dsl._power_check`` for 1 - a, passes it."""
+    from .syntax import MAX_POWER_BITS, int_str
+
+    ((m, j, c),), n = a, abs(k)
+    bits = min(n, size - 1) * log2(max(n * abs(c), 1))
+    if bits > MAX_POWER_BITS:
+        raise DslError(f"power {int_str(k)} of a series with coefficients of up to"
+                       f" {bits:.0f} bits exceeds the {MAX_POWER_BITS}-bit limit")
+    b, coef = [], -1
+    for i in range(1, min(n, (size - 1) // j if j else n) + 1):
+        coef = coef * (n - i + 1) * -c // i
+        b.append((tuple(i * e for e in m), i * j, coef))
+    return b
 
 
 def _chain_factors(chains: list, size: Optional[int]) -> dict:
@@ -382,7 +409,7 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     as acc read at q^shift.  The window holds the undivided product and the
     divisions come last, so a quotient vanishing above its degree is exact;
     any other, or a zero d, is DivisionInexact."""
-    steps, shift = [(a, 1, -k) for a, k in powers.items() if k < 0], 0
+    steps, shift = [], 0
     for d, k in divisors:
         if not d:
             raise DivisionInexact("division by zero")
@@ -391,14 +418,14 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
         shift -= k * v
     if not rows:
         return _Rows(0, 0), 0
-    grown = {a: k for a, k in powers.items() if k > 0}
-    lo, span = min(map(min, rows.values())), sum(k * _span(a) for a, _, k in steps)
-    size = (max(map(max, rows.values())) - lo + 1
-            + sum(k * _span(a) for a, k in grown.items()))
+    spans = [k * _span(a) for a, k in powers.items()] + [-k * _span(a) for a, _, k in steps]
+    lo, span = min(map(min, rows.values())), -sum(s for s in spans if s < 0)
+    size = max(map(max, rows.values())) - lo + 1 + sum(s for s in spans if s > 0)
     if span >= size:
         raise DivisionInexact("dividend degree span below divisor's")
     acc = _Rows.load(rows, lo, size)
-    acc.apply(grown)
+    acc.apply({a: k for a, k in powers.items() if k > 0})
+    acc.apply({a: k for a, k in powers.items() if k < 0})
     for a, lead, k in steps:
         for _ in range(k):
             acc.div(a, lead)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,64 @@ def test_bare_poch_keeps_to_the_truncation_order(text):
 
     bare = eval_(text)
     assert bare[0] == 0 and bare == eval_(f"1*{text}")
+
+
+def _eval_fresh(text, trunc):
+    """(exit code, stdout, stderr) of ``qident eval text --trunc trunc`` in a
+    fresh interpreter, cut off after 10 s."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "qident", "eval", text, "--trunc", str(trunc)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _series_text(coeffs, trunc):
+    """What eval prints for the coefficients of q^0, q^1, ... below trunc."""
+    return "".join(f"q^{e}: {c}\n" for e, c in enumerate(coeffs) if c) + (
+        f"(exact below q^{trunc})\n")
+
+
+def test_chain_powers_take_one_kernel_step_per_factor():
+    # a factor's power k is one multiplication or division by (1 - a)^|k|,
+    # not |k| steps, so these answer at once where 10^9 steps would run out
+    # the timeout
+    k, t = 10**9, 5
+    code, out, _ = _eval_fresh("poch(q,1,1)^(10^9)", t)
+    assert code == 0 and out == _series_text([(-1)**i * comb(k, i) for i in range(t)], t)
+    code, out, _ = _eval_fresh("poch(q,1,inf)^(-(10^9))", 200)
+    # q^2 from (1 - q)^(-k) and from (1 - q^2)^(-k)
+    assert code == 0 and out.startswith(f"q^0: 1\nq^1: {k}\nq^2: {comb(k + 1, 2) + k}\n")
+    assert out.endswith("(exact below q^200)\n")
+    # qbinom(5,2) = (1 - q^4)(1 - q^5) / ((1 - q)(1 - q^2)), each factor to
+    # the power K = 2^7000 by the binomial series
+    k, t = 2**7000, 10
+    want = [1] + [0] * (t - 1)
+    for j, sign in ((4, 1), (5, 1), (1, -1), (2, -1)):
+        factor = [0] * t
+        for i in range(0, (t - 1) // j + 1):
+            factor[i * j] = (-1)**i * comb(k, i) if sign > 0 else comb(k + i - 1, i)
+        want = [sum(want[i] * factor[e - i] for i in range(e + 1)) for e in range(t)]
+    code, out, _ = _eval_fresh("qbinom(5,2)^(2^7000)", t)
+    with _any_int_length():
+        assert code == 0 and out == _series_text(want, t)
+
+
+def test_chain_power_past_the_bit_limit_is_refused():
+    # (1 - q)^K below q^10 has coefficients C(K, i), i <= 9, of up to 9 *
+    # log2(K) bits: K = 2^7281 is within the 65536-bit limit and 2^7282 one
+    # step past it; every factor of a qbinom power has the same bound
+    code, out, _ = _eval_fresh("poch(q,1,1)^(2^7281)", 10)
+    assert code == 0 and out.endswith("(exact below q^10)\n")
+    for text, k, bits in (("poch(q,1,1)^(2^7282)", 2**7282, 65538),
+                          ("poch(q,1,1)^(2^60000)", 2**60000, 540000),
+                          ("qbinom(5,2)^(2^60000)", 2**60000, 540000)):
+        code, out, err = _eval_fresh(text, 10)
+        with _any_int_length():
+            assert code == 2 and out == "" and err == (
+                f"error: power {k} of a series with coefficients of up to {bits} bits"
+                " exceeds the 65536-bit limit\n"), text
 
 
 def test_exact_poch_past_the_degree_limit_is_refused(capsys):

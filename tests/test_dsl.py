@@ -254,16 +254,16 @@ def test_exact_poch_guard():
     assert evaluate(f"poch(z, 1, {count})", {}, 2) == evaluate("poch(z, 1, 2)", {}, 2)
 
 
-def test_chain_powers_past_one_are_raised_by_squaring():
-    # a power k != 1 of a poch of q-valuation 0, or |k| > 1 of a qbinom, is
-    # no chain: k factor-by-factor steps would grow with k, so the base is
-    # raised by squaring, refused one step past the degree limit as any
-    # power is
+def test_powers_past_one_of_poch_and_qbinom():
+    # a power k != 1 of a poch of q-valuation 0 is no chain: (1 - z)^k grows
+    # the rows with k, so the base is raised by squaring, refused one step
+    # past the degree limit as any power is; a qbinom to any power is a
+    # chain, one kernel step per factor, and agrees with its squared series
     over = MAX_EXACT_DEGREE + 1
     with pytest.raises(DslError, match="degree limit"):
         evaluate(f"poch(z, 1, 1)^{over}", {}, 5)
     assert evaluate("poch(z, 1, 3)^2", {}, 5) == evaluate("poch(z, 1, 3)^1 * poch(z, 1, 3)", {}, 5)
-    k = 10**9  # 4 * 10^9 kernel steps if its factors were chained
+    k = 10**9  # 4 * 10^9 kernel steps if each unit of k were one
     assert evaluate(f"qbinom(5, 2)^{k}", {}, 10) == MultiSeries.from_qseries(
         qbinom(5, 2)).truncate(10).power(k)
 
