@@ -57,7 +57,7 @@ from .errors import DslError, NonIntegerExponent, UnboundVariable
 # series first: it loads the kernel, which is smaller, so the larger parse
 # tree is compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
-from .series import MultiSeries, poch_finite, poch_infinite, qbinom
+from .series import MultiSeries, _poch, qbinom
 from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _mono_mul,
                      _qbinom_chains, _Rows, _Total)
 
@@ -496,10 +496,7 @@ def _qbinom_args(e: Call, bindings: dict) -> tuple:
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "poch":
         step, count = _poch_args(e, bindings, trunc is None)
-        a = eval_series(e.args[0], bindings, trunc)
-        if count is not None:
-            return poch_finite(a, step, count, trunc=trunc)
-        return poch_infinite(a, step, trunc)
+        return _poch(eval_series(e.args[0], bindings, trunc), step, count, trunc)
     if e.func == "qbinom":
         return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
     if e.func == "sum":

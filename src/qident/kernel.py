@@ -11,22 +11,25 @@ back.
 The accumulator follows the product-form approach of F. Garvan's q-series
 package.  ``_Rows`` holds one list of coefficients per aux monomial over a
 fixed window of q-exponents, and multiplies or divides it in place by a
-single factor 1 - a: multiplying subtracts a shifted, scaled copy of each
-row, dividing runs the recurrence y = x + a*y in increasing q-order, which
-for a of q-valuation >= 1 reads only finished coefficients.  Each factor
-costs O(rows * T) for T exponents, where a generic product or inverse
-costs O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
+single factor 1 - a.  Multiplying takes every term of a at q^0 or above
+and subtracts a shifted, scaled copy of each row.  Dividing takes every
+term of a at q^1 or above and runs the recurrence y = x + a*y in
+increasing q-order, which then reads only finished coefficients; it
+refuses any other a, on which it would never finish.  Each factor costs
+O(rows * T) for T exponents, where a generic product or inverse costs
+O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 {factor: net power}, which ``_chain_factors`` lists for Pochhammer powers
 of a monomial, and takes each factor to its power k in one step: for a =
 c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
-O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.
-``series``' Pochhammer products, inverses and Gaussian
-binomials and the expression language's Pochhammer and q-binomial powers
-are each one such chain, and exact division divides by factors lead - a
-(``_exact_quotient``).  ``_Total`` sums rows and accumulators as they are
-made, accumulators trusted below a truncation order into one dense window,
-so a sum of many of them costs the memory of its result.
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
+inversion, Gaussian binomials, the factors of a Pochhammer product after
+those that reach q^0 (``series._poch``) and the expression language's
+Pochhammer and q-binomial powers are each one such chain, and exact
+division divides by factors lead - a (``_exact_quotient``).  ``_Total``
+sums rows and accumulators as they are made, accumulators trusted below a
+truncation order into one dense window, so a sum of many of them costs
+the memory of its result.
 
 The accumulator is the only mutable value, and it never leaves this module
 and the evaluator (``qident.dsl``): what leaves them are plain rows, which
@@ -191,23 +194,22 @@ class _Rows:
         return self.rows[m]
 
     def mul(self, a: list) -> None:
-        """Multiply by 1 - a: subtract a shifted, scaled copy of each row
-        for each term of a."""
+        """Multiply by 1 - a, where every term of a has q-exponent >= 0:
+        subtract a shifted, scaled copy of each row for each term of a."""
         size, rows, low = self.size, self.rows, self.low
         old, old_low = dict(rows), dict(low)
         for ma, e, c in a:
             if not c:
                 continue
-            end = size + min(e, 0)
             for m, src in old.items():
-                s = max(old_low[m] + e, 0)
-                if s >= end:
+                s = old_low[m] + e
+                if s >= size:
                     continue
                 t = _mono_mul(m, ma)
                 dst = self._target(t)
                 if dst is old.get(t):
                     dst = rows[t] = dst.copy()
-                dst[s:end] = [d - c * x for d, x in zip(dst[s:end], src[s - e:])]
+                dst[s:] = [d - c * x for d, x in zip(dst[s:], src[s - e:])]
                 low[t] = min(low[t], s)
 
     def div(self, a: list, lead: int = 1) -> None:
@@ -223,9 +225,12 @@ class _Rows:
         size, rows, low = self.size, self.rows, self.low
         own = [(e, c) for m, e, c in a if m == TRIVIAL_MONO and c]
         cross = [(m, e, c) for m, e, c in a if m != TRIVIAL_MONO and c]
-        # with lead 1, a row zero below size - e_min is left as it is
-        last = size if lead != 1 else size - min((e for _, e, c in a if c),
-                                                 default=size)
+        # with lead 1, a row zero below size - e_min is left as it is; a
+        # term below q^1 would hand rows on to each other without end
+        e_min = min((e for _, e, c in a if c), default=max(size, 1))
+        if e_min < 1:
+            raise ValueError(f"cannot divide by a factor with a term at q^{e_min}")
+        last = size if lead != 1 else size - e_min
         pending: dict = {}  # total aux degree -> rows to finish
         for m in rows:
             if low[m] < last:

@@ -22,11 +22,16 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products (``poch_finite``, ``poch_infinite``), series
-inversion, the Gaussian binomial (``qbinom``, ``qq_factorial``) and exact
-division run on the dense factor kernel of ``qident.kernel``, which this
-module imports: it hands the kernel its plain rows and wraps the plain
-rows the kernel returns in its own values.  The kernel also holds the row
+Pochhammer products (``poch_finite``, ``poch_infinite``,
+``qq_factorial``), series inversion, the Gaussian binomial (``qbinom``) and
+exact division run on the dense factor kernel of ``qident.kernel``, which
+this module imports: it hands the kernel its plain rows and wraps the
+plain rows the kernel returns in its own values.  Every Pochhammer
+product, whatever its base, is ``_poch``: the factors whose terms can
+reach q^0 or below are multiplied one by one and cut at the truncation
+order, and the rest, each of constant term 1, are one chain on the
+kernel, so its truncation order is the one a factor-by-factor product
+derives.  The kernel also holds the row
 helpers this module builds on (``_clean``, ``_gather``, ``_mono_mul``, the
 truncation-order arithmetic).  All values are immutable after construction
 and all operations are pure.
@@ -434,78 +439,66 @@ class QSeries(MultiSeries):
 # ---------------------------------------------------------------------------
 
 
-def _factor_valuation(a: list, j: int) -> Optional[int]:
-    """Lowest q-exponent with a nonzero coefficient in 1 - a*q^j, or None
-    when it is zero.  Only the 1 can cancel, against a term 1*q^(-j)."""
-    one = (TRIVIAL_MONO, -j, 1)
-    exps = [e + j for m, e, c in a if (m, e, c) != one]
-    if one not in a:
-        exps.append(0)
-    return min(exps, default=None)
+def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
+    """prod_{k=0}^{count-1} (1 - a*q^(step*k)), or over every k >= 0 for
+    count None, truncated at trunc (required for count None) once there is
+    a factor.  The truncation order is the one a factor-by-factor product
+    derives.
+
+    The head, the factors whose terms can reach q^0 or below, is multiplied
+    factor by factor and cut at trunc.  Every later factor has constant
+    term 1, so the tail is one chain on the kernel: applied to the head
+    inside the window the product is trusted in, or exactly, with no
+    truncation anywhere, through ``_exact_quotient``.
+    """
+    ms = _lift(a)
+    terms, d = ms.terms(), ms.min_exp
+    if count is None and terms and d <= 0:
+        raise NonConvergent(f"factor base has q-degree {d} <= 0")
+    stop = None if count is None else step * count
+    head, j = ms.one(), 0
+    while d + j < 1 and (stop is None or j < stop):
+        head = head.mul(ms.one() - ms.shift_q(j)).truncate(trunc)
+        j += step
+    t, lo = head.trunc, head.min_exp
+    if stop is None or j < stop:
+        # the tail, of valuation 0, is trusted below a's order times its
+        # first factor's q^j; the head has valuation lo
+        t =_min_trunc(t, _shift_trunc(ms.trunc, j + lo), trunc)
+    end = stop if t is None else _min_trunc(stop, t - lo - d)
+    tail = {tuple((m, e + i, c) for m, e, c in terms): 1 for i in range(j, end, step)}
+    if t is None:
+        acc, _ = _exact_quotient(head._rows, tail, [])
+    else:
+        acc = _Rows.load(head._rows, lo, t - lo)
+        acc.apply(tail)
+    return _cls(a)._new(acc.gather({}, t), t)
 
 
 def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
     """The finite product prod_{k=0}^{count-1} (1 - a*q^(step*k)).
 
-    Exact (a polynomial) when ``a`` is exact and ``trunc`` is None; passing a
-    truncation order merely prunes high-order terms early.  The factors are
-    applied one by one to a dense accumulator; once the product has a
-    truncation order, the factors that are 1 inside its window are not.
+    Exact (a polynomial) when ``a`` is exact and ``trunc`` is None.  With a
+    truncation order, or a truncated ``a``, the product is trusted below
+    the order a factor-by-factor product derives, which a factor of
+    negative valuation lowers below ``trunc`` (see ``_poch``).
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    ms = _lift(a)
-    terms, d = ms.terms(), ms.min_exp
-    # the truncation order a factor-by-factor product would derive
-    factors, t, low, lo, hi = [], None, 0, 0, 1
-    for j in range(0, step * count, step):
-        # a factor whose terms all lie at or above q^max(t - lo, 1) is 1
-        # inside the window [lo, t - lo) below and has valuation 0, so it
-        # changes neither t nor lo; so is every later one, and none of them
-        # is listed or applied
-        if t is not None and d + j >= max(t - lo, 1):
-            break
-        factors.append(tuple((m, e + j, c) for m, e, c in terms))
-        v = _factor_valuation(terms, j)
-        f_t = _shift_trunc(ms.trunc, j)
-        if v is None and f_t is None:  # an exact zero factor
-            t = None
-        else:
-            v = f_t if v is None else v
-            t = _product_trunc(t, low, f_t, v)
-        t = _min_trunc(t, trunc)
-        low += v or 0
-        lo += min(v or 0, 0)
-        hi += max([0] + [e + j for _, e, _ in terms])
-    # a coefficient below t is a sum of products whose partial products lie
-    # below t - lo, so the window [lo, t - lo) keeps them all
-    acc = _Rows.load(_ONE, lo, (hi if t is None else t - lo) - lo)
-    acc.apply(dict.fromkeys(factors, 1))
-    return _cls(a)._new(acc.gather({}, t), t)
+    return _poch(a, step, count, trunc)
 
 
 def poch_infinite(a, step: int, trunc: int):
     """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
 
     Requires ``a`` to carry strictly positive q-degree so that all but
-    finitely many factors are 1 modulo q^trunc; the others are applied one
-    by one to a dense accumulator.
+    finitely many factors are 1 modulo q^trunc (see ``_poch``).
     """
     if step <= 0:
         raise ValueError("step must be a positive integer")
-    ms = _lift(a)
-    d = ms.min_exp
-    if not ms.is_zero() and d <= 0:
-        raise NonConvergent(f"factor base has q-degree {d} <= 0")
-    # 1 - a is trusted below a's own order even where a has no terms
-    t = _min_trunc(trunc, ms.trunc)
-    terms = ms.terms()
-    acc = _Rows.load(_ONE, 0, t)
-    acc.apply({tuple((m, e + j, c) for m, e, c in terms): 1
-               for j in range(0, trunc - d, step)})
-    return _cls(a)._new(acc.gather({}, t), t)
+    return _poch(a, step, None, trunc)
 
 
 def qbinom(m: int, k: int) -> QSeries:
@@ -528,4 +521,4 @@ def qq_factorial(m: int) -> QSeries:
     """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return poch_finite(QSeries.q(), 1, m)
+    return _poch(QSeries.q(), 1, m, None)

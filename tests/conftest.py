@@ -41,15 +41,14 @@ def golden():
     }
 
 
-def _factor_product(c, aux, v, step, count, T):
-    """prod (1 - c*aux*q^(v + step*i)) over i < count (all i with
-    v + step*i < T when count is None), one MultiSeries.mul per factor,
+def _factor_product(a, step, count, T):
+    """prod (1 - a*q^(step*i)) over i < count (all i with a.min_exp +
+    step*i < T when count is None), one MultiSeries.mul per factor,
     truncated at T after each."""
     out = MultiSeries.one()
     i = 0
-    while (i < count) if count is not None else (v + step * i < T):
-        factor = MultiSeries.one() - MultiSeries.term(c, v + step * i, *aux)
-        out = out.mul(factor).truncate(T)
+    while (i < count) if count is not None else (a.min_exp + step * i < T):
+        out = out.mul(MultiSeries.one() - a.shift_q(step * i)).truncate(T)
         i += 1
     return out
 

@@ -124,13 +124,18 @@ def power(v, k, order):
     return out
 
 
-def poch(c, aux, v, step, count, order):
-    """prod (1 - c * m * q^(v + step*i)), m = z^aux[0] x^aux[1], over
-    i < count; count None runs over every i with v + step*i < order, v >=
-    1, and the product is trusted below q^order."""
+def poch(base, step, count, order):
+    """prod (1 - a * q^(step*i)) over i < count, a the sum of the terms
+    c * z^aux[0] x^aux[1] q^v of base, a list of (c, aux, v); count None
+    runs over every i with min(v) + step*i < order, every v >= 1, and the
+    product is trusted below q^order."""
     out, i = ONE if count is not None else truncate(ONE, order), 0
-    while i < count if count is not None else v + step * i < order:
-        out = mul(out, add(ONE, term(-c, aux, v + step * i)))
+    low = min(v for _, _, v in base)
+    while i < count if count is not None else low + step * i < order:
+        factor = ONE
+        for c, aux, v in base:
+            factor = add(factor, term(-c, aux, v + step * i))
+        out = mul(out, factor)
         i += 1
     return out
 

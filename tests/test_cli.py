@@ -648,3 +648,12 @@ def test_eval_reciprocal_of_truncated_term(capsys):
     assert code == 0 and out == "equal below q^1\n"
     code, out, _ = run(capsys, "eval", "(q^2 - q^3)^(-1)", "--trunc", "3")
     assert code == 0 and out == "q^-2: 1\n(exact below q^-1)\n"
+
+
+def test_eval_poch_of_a_base_without_terms(capsys):
+    # the base is 0 + O(q^-2) at --trunc 4, so 1 - a and 1 - a*q are
+    # O(q^-2) and O(q^-1): their 1 is not trusted, and the true coefficient
+    # of q^-3 in the product is 1
+    code, out, _ = run(capsys, "eval", "poch((q^3+q^4)^(-1) - q^(-3), 1, 2)",
+                       "--trunc", "4")
+    assert code == 0 and out == "0\n(exact below q^-3)\n"

@@ -735,7 +735,8 @@ def test_poch_power_chains_match_generic_products(factor_product, case, T,
     # the generic evaluation: each factor truncated at the inner order,
     # P^|k| built factor by factor (at a higher order), then multiplied
     inner = max(T - u, 1)
-    p = factor_product(c, aux, v, step, count, T + 10).power(abs(k))
+    p = factor_product(MultiSeries.term(c, v, *aux), step, count,
+                       T + 10).power(abs(k))
     want = MultiSeries.q(u) * (g.truncate(inner) * p.truncate(inner))
     assert got.trunc == want.trunc
     if k > 0:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qident.errors import (
     DivisionInexact,
@@ -170,6 +170,15 @@ def test_exact_div_non_unit_lead():
     acc = _Rows.load({TRIVIAL_MONO: {0: 6, 1: 3}}, 0, 2)
     acc.div(((TRIVIAL_MONO, 1, -1),), lead=2)
     assert acc.rows == {TRIVIAL_MONO: [3, 0]}
+
+
+def test_kernel_division_refuses_a_term_below_q1():
+    # dividing by 1 - z would hand each row on to the next z-degree
+    # without end; the factor is refused before any row is touched
+    acc = _Rows.load({TRIVIAL_MONO: {0: 1}}, 0, 5)
+    with pytest.raises(ValueError, match=r"a term at q\^0"):
+        acc.div((((1, 0, 0), 0, 1),))
+    assert acc.rows == {TRIVIAL_MONO: [1, 0, 0, 0, 0]}
 
 
 def test_exact_div_divides_each_row():
@@ -445,14 +454,29 @@ def poch_bases(draw, inverted):
     return draw(st.sampled_from([1, -1, 2, -2, 3])), aux, draw(st.integers(1, 4))
 
 
-@given(base=poch_bases(inverted=False), step=st.integers(1, 4),
-       count=st.one_of(st.none(), st.integers(0, 6)), T=st.integers(1, 30))
-@settings(max_examples=150, deadline=None)
+@st.composite
+def poch_terms(draw):
+    """(base series, convergent): a base of one to three terms with Laurent
+    and aux exponents, or none, truncated or exact; convergent when every
+    term has q-exponent >= 1, as an infinite product needs."""
+    terms = draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-1, 2)] * 3), st.integers(-3, 4),
+        st.sampled_from([1, -1, 2, -3])), max_size=3))
+    trunc = draw(st.one_of(st.none(), st.integers(-4, 8)))
+    a = MultiSeries.from_terms(terms, trunc)
+    return a, a.is_zero() or a.min_exp >= 1
+
+
+@given(base=st.one_of(poch_bases(inverted=False).map(
+           lambda b: (MultiSeries.term(b[0], b[2], *b[1]), True)), poch_terms()),
+       step=st.integers(1, 4), count=st.one_of(st.none(), st.integers(0, 6)),
+       T=st.integers(1, 30))
+@settings(max_examples=300, deadline=None)
 def test_poch_is_the_product_of_its_factors(factor_product, base, step, count,
                                           T):
-    c, aux, v = base
-    a = MultiSeries.term(c, v, *aux)
-    want = factor_product(c, aux, v, step, count, T)
+    a, convergent = base
+    assume(convergent or count is not None)
+    want = factor_product(a, step, count, T)
     if count is None:
         # poch_infinite keeps the order T even when no factor is below it
         got, want = poch_infinite(a, step, T), want.truncate(T)
@@ -466,7 +490,7 @@ def test_poch_is_the_product_of_its_factors(factor_product, base, step, count,
 @settings(max_examples=100, deadline=None)
 def test_invert_unit_of_poch(factor_product, base, step, count, T):
     c, aux, v = base
-    p = factor_product(c, aux, v, step, count, T)
+    p = factor_product(MultiSeries.term(c, v, *aux), step, count, T)
     inv = p.invert_unit(T)
     assert inv.trunc == T
     assert (p * inv).first_mismatch(MultiSeries.one()) is None
@@ -486,6 +510,12 @@ def test_poch_of_laurent_polynomial_is_exact():
     assert poch_finite(b, 2, 2, trunc=3) == MultiSeries(want.entries, 2)
     # the factor 1 - q^(-2)*q^2 is an exact zero
     assert poch_finite(MultiSeries.term(1, -2), 1, 3) == MultiSeries.zero()
+    # a base with no terms trusted below q^-2 makes factors 1 + O(q^-2) and
+    # 1 + O(q^-1), whose 1 is not trusted: their product is O(q^-3)
+    empty = QSeries.zero(-2)
+    want = (QSeries.one() - empty) * (QSeries.one() - empty.shift_q(1))
+    assert want == QSeries.zero(-3)
+    assert poch_finite(empty, 1, 2) == want
 
 
 # ---------------------------------------------------------------------------
