@@ -11,9 +11,8 @@ launch compiles and executes only those (besides this module and
 - ``eval``: ``dsl``, ``syntax``, ``series`` and ``kernel``;
 - ``bijection``: ``bijections`` and ``partitions``;
 - ``verify`` and ``table``: ``identities``, ``dsl``, ``syntax``, ``series``
-  and ``kernel``, then ``partitions`` when an enumeration side or a
-  brute-force count runs, and ``bijections`` for the ``p_gt`` recount of
-  ``middle``;
+  and ``kernel``, then ``partitions`` when an enumeration side runs, and
+  ``bijections`` for the ``p_gt`` recount of ``middle``;
 - ``list``: ``identities``, ``bijections`` and ``partitions``.
 
 The argparse namespace is the only configuration: each subcommand accepts
@@ -22,14 +21,16 @@ subparser names as ``run`` with the namespace.  ``main`` also reports every
 ``QidentError`` a command raises, once.  The demos render what the maps
 compute; the nu3 demo prints the fold of ``bijections._fold``.
 
-Exit codes: 0 = success/equal, 1 = verified false, 2 = usage or parse error.
-JSON goes to stdout with ``--format json``; diagnostics go to stderr.
+Exit codes: 0 = success/equal, 1 = verified false, 2 = usage or parse error,
+141 = stdout closed before the output was written (see ``entry``).  JSON
+goes to stdout with ``--format json``; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -41,9 +42,10 @@ if TYPE_CHECKING:
 
 DEFAULT_TRUNC = 200
 DEFAULT_CAP = 30
-# the p_omega and p_nu oracles build 367 236 partitions over N <= 60 (about
-# 4 s) and 3.8e10 over N <= 200; the count grows like p(N)
-MAX_TABLE_N = 60
+# a table's cost is its two series sides at T = max_n + 1, since the counts
+# are O(max_n^2) additions: --max-n 400 takes about 0.8 s and 35 MB of max
+# RSS (Python 3.11.7), and the time grows about as max_n^2.5
+MAX_TABLE_N = 400
 
 
 def _usage_error(message: str) -> int:
@@ -373,10 +375,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         return _usage_error(f"table --max-n may not exceed {MAX_TABLE_N}")
     series_omega = identities.p_omega_series(max_n + 1)
     series_nu = identities.p_nu_series(max_n + 1)
+    count_omega, count_nu = identities.counts(max_n), identities.counts(max_n, True)
     rows = []
     ok = True
     for N in range(1, max_n + 1):
-        po, pn = identities.p_omega(N), identities.p_nu(N)
+        po, pn = count_omega[N], count_nu[N]
         co, cn = series_omega.coeff(N), series_nu.coeff(N)
         agree = po == co and pn == cn
         ok = ok and agree
@@ -509,7 +512,18 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run ``main`` and exit with its code.  When stdout closes before the
+    output is written (piped into ``head``), end quietly with 141, the
+    status a shell reports for a process killed by SIGPIPE, since 0, 1 and
+    2 carry verdicts."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let it write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

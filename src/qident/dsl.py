@@ -58,8 +58,8 @@ from .errors import DslError, NonIntegerExponent, UnboundVariable
 # tree is compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
 from .series import MultiSeries, _poch, qbinom
-from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _mono_mul,
-                     _qbinom_chains, _Rows, _Total)
+from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _inverse_bits,
+                     _mono_mul, _qbinom_chains, _Rows, _Total)
 
 # the syntax this module evaluates, and re-exports
 from .syntax import (
@@ -168,41 +168,49 @@ def _power_check(base: MultiSeries, k: int, with_q: bool,
                  layers: Optional[int]) -> None:
     """Refuse the power base^k when its exponent range in z, x or y, or in
     q when ``with_q``, |k| times that of base, would pass
-    MAX_EXACT_DEGREE; then, for k > 0, when its largest coefficient could
-    pass MAX_POWER_BITS bits.
+    MAX_EXACT_DEGREE; then, for k > 0 or below q^layers, when its largest
+    coefficient could pass MAX_POWER_BITS bits.
 
-    Each coefficient of base^k is at most S^k, S the sum of |c| over
-    base's terms.  When the power is wanted only below q^layers, base
+    Each coefficient of base^k, k > 0, is at most S^k, S the sum of |c|
+    over base's terms.  When the power is wanted only below q^layers, base
     being a power series, each wanted coefficient takes at most
     min(k, layers - 1) of its k factors from above base's lowest q-layer:
     it is at most S_low^k (k * S_high)^min(k, layers - 1), S_low and
     S_high the sums of |c| in that layer and in the layers above it below
-    q^layers.
+    q^layers.  For k < 0 the q^0 layer is 1 (else the inverse is refused
+    later), the exponent range in z, x and y is that of the wanted layers,
+    and base^k = (1 - a)^k, a of |c| summing to S_high, is at most
+    sum_{r <= i} C(-k + r - 1, r) S_high^r <= C(i - k, i) S_high^i at q^i:
+    the bound of one term to the power k - 1 (``_inverse_bits``).
     """
     terms = base.terms()
     if not terms:
         return
-    ranges = [max(col) - min(col) for col in zip(*(m for m, _, _ in terms))]
-    if with_q:
-        exps = [e for _, e, _ in terms]
-        ranges.append(max(exps) - min(exps))
-    degree = max(ranges)
-    if degree * abs(k) > MAX_EXACT_DEGREE:
-        what, of = (("polynomial", " of exact powers") if base.trunc is None
-                    else ("truncated series", ""))
-        raise DslError(
-            f"power {int_str(k)} of a {what} of degree {degree} exceeds the"
-            f" {MAX_EXACT_DEGREE}-degree limit{of}"
-        )
-    if k < 0:
-        return
-    if layers is None:
-        bits = _bits(k, sum(abs(c) for _, _, c in terms))
+    if k < 0 and layers is not None:
+        s_high = sum(abs(c) for _, e, c in terms if 0 < e < layers)
+        bits = _inverse_bits(layers - 1, s_high, 1 - k)
     else:
-        low = min(e for _, e, _ in terms)
-        s_low = sum(abs(c) for _, e, c in terms if e == low)
-        s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
-        bits = _bits(k, s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
+        ranges = [max(col) - min(col) for col in zip(*(m for m, _, _ in terms))]
+        if with_q:
+            exps = [e for _, e, _ in terms]
+            ranges.append(max(exps) - min(exps))
+        degree = max(ranges)
+        if degree * abs(k) > MAX_EXACT_DEGREE:
+            what, of = (("polynomial", " of exact powers") if base.trunc is None
+                        else ("truncated series", ""))
+            raise DslError(
+                f"power {int_str(k)} of a {what} of degree {degree} exceeds the"
+                f" {MAX_EXACT_DEGREE}-degree limit{of}"
+            )
+        if k < 0:
+            return
+        if layers is None:
+            bits = _bits(k, sum(abs(c) for _, _, c in terms))
+        else:
+            low = min(e for _, e, _ in terms)
+            s_low = sum(abs(c) for _, e, c in terms if e == low)
+            s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
+            bits = _bits(k, s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
     if bits > MAX_POWER_BITS:
         raise DslError(
             f"power {int_str(k)} of a series with coefficients of up to {bits:.0f} bits"
@@ -391,14 +399,14 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         else:
             ev = _eval_call if isinstance(f, Call) else eval_series
             base, k = ev(f, bindings, inner), 1
-        if abs(k) > 1 and (inner is None or k > 0):
+        series = inner is not None and base.min_qexp() >= 0
+        if abs(k) > 1 and (inner is None or k > 0 or series):
             # a power series' power below inner needs only its terms below
             # inner; otherwise the power is expanded exactly.  Either way
             # the q-truncation does not bound the degree in z, x and y.
-            series = inner is not None and base.min_qexp() >= 0
             _power_check(base, k, with_q=base.trunc is None and not series,
                          layers=inner if series else None)
-            if series:
+            if series and k > 0:
                 base = base.truncate(inner)
         if k < 0 and inner is None and set(base.monomials()) <= {TRIVIAL_MONO}:
             divisors.append((base.qseries().coeffs, -k))

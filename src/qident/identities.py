@@ -17,8 +17,9 @@ from collections import Counter
 from functools import partial
 from itertools import combinations
 from math import comb
+from operator import add
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from .errors import BadParams, TruncationRequired, UnknownIdentity
 
@@ -79,58 +80,65 @@ def q1_limit_check(n: int, pivot_limit: int = 7) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _parts_between(weight: int, lo: int, top: int, odd_bound: int,
-                   distinct: bool) -> Iterator[tuple]:
-    """Partitions of ``weight`` as decreasing tuples of parts in [lo, top]
-    whose odd parts are all < odd_bound; strictly decreasing if distinct.
+def _toggle(f, p, sign, up):
+    """Add (sign 1) or remove (sign -1) the part p, p >= 0, in place, where
+    f[w] counts the partitions of w into the allowed parts: f times
+    (1 - q^p)^(-sign) when parts repeat, (1 + q^p)^sign when they are
+    distinct.  Both are the step f[w] += sign * f[w - p] for w >= p: in
+    increasing w (``up``) it reads the new f[w - p], which divides, else
+    the old one, which multiplies.  Part 0 changes nothing."""
+    ws = range(p, len(f)) if p else ()
+    for w in ws if up else reversed(ws):
+        f[w] += sign * f[w - p]
 
-    A first part that leaves a positive remainder below ``lo`` is never
-    tried, so every branch below a non-final part is entered with a
-    remainder of 0 or at least ``lo``.
+
+def counts(N: int, distinct: bool = False) -> list:
+    """p_omega(n) for n = 0..N, or p_nu(n) when ``distinct``, in one pass
+    over the smallest part s with O(N^2) integer additions; entry 0 is no
+    value of either function.
+
+    Besides one s, a partition counted at s has parts from A_s = {s, ...,
+    2s - 1} and the even parts >= 2s, or, for p_nu, distinct parts from B_s,
+    A_s without s.  So with f[w] counting the partitions of w into those
+    parts, f shifted by s counts the partitions with smallest part s.  A_s
+    is A_(s-1) without s - 1 and with 2s - 1, and B_s is B_(s-1) without s
+    and with 2s - 1.  Taking A_0 and B_0 as the even parts, f starts as the
+    partitions into even parts, and each s adds one part and removes one
+    (``_toggle``); at s = 1, A_0 loses part 0 and B_0 gains part 1 and
+    loses it again, which changes nothing.  For p_nu, s = 0 counts too: the
+    partitions into distinct even parts, each with its zero part, which is
+    where f starts.  Only lists of integers are used: nothing here reads
+    the series side.
     """
-    if weight == 0:
-        yield ()
-        return
-    for first in range(min(top, weight), lo - 1, -1):
-        rest = weight - first
-        if (first % 2 and first >= odd_bound) or 0 < rest < lo:
-            continue
-        below = first - 1 if distinct else first
-        for tail in _parts_between(rest, lo, below, odd_bound, distinct):
-            yield (first,) + tail
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    f = [1] + [0] * N
+    for p in range(2, N + 1, 2):
+        _toggle(f, p, 1, not distinct)
+    total = [distinct * x for x in f]
+    for s in range(1, N + 1):
+        _toggle(f, 2 * s - 1, 1, not distinct)
+        _toggle(f, s - 1 + distinct, -1, distinct)
+        total[s:] = map(add, total[s:], f)
+    return total
 
 
 def p_omega(N: int) -> int:
     """Partitions of N in which every odd part is less than twice the
-    smallest part.
-
-    Counted by enumeration, one smallest part s = 1..N at a time: the other
-    parts fill N - s, each at least s, and the odd ones less than 2s.  No
-    other partition is built.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return sum(1 for s in range(1, N + 1)
-               for _ in _parts_between(N - s, s, N - s, 2 * s, False))
+    smallest part: entry N of ``counts(N)``."""
+    return counts(N)[N]
 
 
 def p_nu(N: int) -> int:
     """Partitions of N with distinct nonnegative parts in which every odd
-    part is less than twice the smallest part.
+    part is less than twice the smallest part: entry N of ``counts(N,
+    True)``.
 
     A single part 0 is admissible; a partition carrying it has smallest part
     0, so it may not contain any odd part.  Dropping the zero-part convention
     would undercount by exactly the partitions into distinct even parts.
-
-    Counted by enumeration, one smallest part s = 0..N at a time: the other
-    parts are distinct, fill N - s, each exceeds s, and the odd ones are
-    less than 2s.  At s = 0 that is the partitions of N into distinct even
-    parts, each counted once more with its zero part.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return sum(1 for s in range(N + 1)
-               for _ in _parts_between(N - s, s + 1, N - s, 2 * s, True))
+    return counts(N, True)[N]
 
 
 # ---------------------------------------------------------------------------

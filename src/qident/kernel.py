@@ -22,7 +22,9 @@ O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 of a monomial, and takes each factor to its power k in one step: for a =
 c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
-O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost; a power k < 0
+or k > 1 whose coefficients in the window could pass MAX_POWER_BITS bits
+is refused before its step (``_check_power``).  Series
 inversion, Gaussian binomials, the factors of a Pochhammer product after
 those that reach q^0 (``series._poch``) and the expression language's
 Pochhammer and q-binomial powers are each one such chain, and exact
@@ -255,8 +257,11 @@ class _Rows:
         """Multiply by each factor 1 - a to its net power k in powers, a map
         {the terms of a: k}, in one step each: ``mul`` for k > 0 and ``div``
         for k < 0 by 1 - a, or for |k| > 1, a then one term, by (1 - a)^|k|
-        (``_factor_power``)."""
+        (``_factor_power``).  A power k < 0 or k > 1 is checked
+        (``_check_power``) before its step."""
         for a, k in powers.items():
+            if k < 0 or k > 1:
+                _check_power(a, k, self.size)
             if abs(k) > 1:
                 a = _factor_power(a, k, self.size)
             if k:
@@ -302,19 +307,47 @@ class _Rows:
         return rows
 
 
-def _factor_power(a: tuple, k: int, size: int) -> list:
-    """The terms of b, 1 - b = (1 - a)^|k| below q^size, for a one term
-    c*m*q^j: b = -sum_{i >= 1} C(|k|, i) (-a)^i, of min(|k|, (size - 1) // j)
-    terms (|k| for j = 0).  Refused, as a power of a series whose
-    coefficients could pass MAX_POWER_BITS bits, when min(|k|, size - 1) *
-    log2(|k*c|), the bound of ``dsl._power_check`` for 1 - a, passes it."""
+def _check_power(a: tuple, k: int, size: int) -> None:
+    """Refuse (1 - a)^k below q^size, as a power of a series whose
+    coefficients could pass MAX_POWER_BITS bits: for |k| > 1 by the bound
+    of ``dsl._power_check`` for 1 - a, min(|k|, size - 1) * log2(|k*c|),
+    and for k < 0 also by ``_inverse_bits``, with j the least q-exponent of
+    a's terms and s the sum of their |c|."""
     from .syntax import MAX_POWER_BITS, int_str
 
-    ((m, j, c),), n = a, abs(k)
-    bits = min(n, size - 1) * log2(max(n * abs(c), 1))
+    n, bits = abs(k), 0.0
+    if n > 1:
+        ((_, _, c),) = a
+        bits = min(n, size - 1) * log2(max(n * abs(c), 1))
+    if k < 0:
+        j = min((e for _, e, c in a if c), default=0)
+        if j > 0:  # else div refuses a
+            s = sum(abs(c) for _, e, c in a if e < size)
+            bits = max(bits, _inverse_bits((size - 1) // j, s, n))
     if bits > MAX_POWER_BITS:
         raise DslError(f"power {int_str(k)} of a series with coefficients of up to"
                        f" {bits:.0f} bits exceeds the {MAX_POWER_BITS}-bit limit")
+
+
+def _inverse_bits(i: int, s: int, n: int) -> float:
+    """i log2(s) + min(i, n - 1) log2(n + i), n >= 1: at least the bits of
+    C(n + i - 1, i) s^i, since C(n + i - 1, i) <= (n + i)^min(i, n - 1).
+
+    That bounds each coefficient of (1 - a)^(-n) below q^((i + 1) * j),
+    where a's terms lie at q^j and above, j >= 1, and their |c| sum to s,
+    when a is one term c*q^j, whose power has C(n + r - 1, r) c^r at
+    q^(r*j), or when n = 1: each coefficient of 1/(1 - a) at q^w is at
+    most s^floor(w/j), by induction on w.  So a factor with |c| = 1 is
+    never refused at n = 1.
+    """
+    return i * log2(max(s, 1)) + min(i, n - 1) * log2(n + i)
+
+
+def _factor_power(a: tuple, k: int, size: int) -> list:
+    """The terms of b, 1 - b = (1 - a)^|k| below q^size, for a one term
+    c*m*q^j: b = -sum_{i >= 1} C(|k|, i) (-a)^i, of min(|k|, (size - 1) // j)
+    terms (|k| for j = 0)."""
+    ((m, j, c),), n = a, abs(k)
     b, coef = [], -1
     for i in range(1, min(n, (size - 1) // j if j else n) + 1):
         coef = coef * (n - i + 1) * -c // i

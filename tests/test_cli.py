@@ -253,14 +253,19 @@ def test_bare_poch_keeps_to_the_truncation_order(text):
     assert bare[0] == 0 and bare == eval_(f"1*{text}")
 
 
-def _eval_fresh(text, trunc):
-    """(exit code, stdout, stderr) of ``qident eval text --trunc trunc`` in a
-    fresh interpreter, cut off after 10 s."""
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _eval_fresh(text, trunc):
+    """(exit code, stdout, stderr) of ``qident eval text --trunc trunc`` in a
+    fresh interpreter, cut off after 10 s."""
     done = subprocess.run([sys.executable, "-m", "qident", "eval", text, "--trunc", str(trunc)],
-                          env=env, capture_output=True, text=True, timeout=10)
+                          env=_fresh_env(), capture_output=True, text=True, timeout=10)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -309,6 +314,30 @@ def test_chain_power_past_the_bit_limit_is_refused():
             assert code == 2 and out == "" and err == (
                 f"error: power {k} of a series with coefficients of up to {bits} bits"
                 " exceeds the 65536-bit limit\n"), text
+
+
+def test_inverse_past_the_bit_limit_exits_2(capsys):
+    # 1/(1 - 2q) below q^100000 has coefficients 2^i of up to 99 999 bits;
+    # refused before any is made
+    for text in ("(1-2*q)^(-1)", "poch(2*q,1,1)^(-1)"):
+        code, out, err = run(capsys, "eval", text, "--trunc", "100000")
+        assert code == 2 and out == "" and err == (
+            "error: power -1 of a series with coefficients of up to 99999 bits"
+            " exceeds the 65536-bit limit\n"), text
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # the reader takes 200 bytes of a document of about 1.2 MB and closes
+    # the pipe: no traceback, and the status a shell gives SIGPIPE
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qident", "eval", "(1-2*q)^(-1)", "--trunc", "2000",
+         "--format", "json"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.read(200)
+    child.stdout.close()
+    _, err = child.communicate(timeout=10)
+    assert head.startswith(b'{"trunc": 2000, "terms": [')
+    assert child.returncode == 141 and err == b""
 
 
 def test_exact_poch_past_the_degree_limit_is_refused(capsys):

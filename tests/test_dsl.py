@@ -828,6 +828,34 @@ def test_power_coefficient_guard():
     assert value.trunc == 2 and value.coefficient((300, 0, 0), 0) == comb(600, 300)
 
 
+def test_negative_power_coefficient_guard():
+    # one step past each bound, refused before any coefficient is made.
+    # 1/(1 - c*q) has coefficients c^i: with c = 2^4096 those below q^17
+    # reach 16 * 4096 = MAX_POWER_BITS bits, and q^17 passes it, for a
+    # chain factor, a series inverse and one whose |c| sum to c
+    c = 2**4096
+    assert 16 * 4096 == MAX_POWER_BITS
+    for text in ("(1 - 2^4096*q)^(-1)", "poch(2^4096*q, 1, 1)^(-1)",
+                 "(1 - 2^4095*q - 2^4095*q^2)^(-1)"):
+        value = evaluate(text, {}, 17)
+        assert value.trunc == 17 and value.coefficient((0, 0, 0), 16) >= c**15, text
+        with pytest.raises(DslError, match="up to 69632 bits"):
+            evaluate(text, {}, 18)
+    # a power -n adds the binomial growth C(n + i - 1, i): (1 - q)^(-n) at
+    # q^1 is n = 2^65535, and at q^2 C(n + 1, 2) passes the limit
+    value = evaluate("poch(q, 1, 1)^(-(2^65535))", {}, 2)
+    assert value.coefficient((0, 0, 0), 1) == 2**65535
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("poch(q, 1, 1)^(-(2^65535))", {}, 3)
+    # a series to a power -n, bounded by C(n + i, i) c^i at q^i: within the
+    # limit below q^16, past it below q^17
+    assert evaluate("(1 - 2^4096*q)^(-2)", {}, 16).coefficient((0, 0, 0), 15) == 16 * c**15
+    with pytest.raises(DslError, match="bit limit"):
+        evaluate("(1 - 2^4096*q)^(-2)", {}, 17)
+    # a factor with c = +-1 is never refused to the power -1
+    assert evaluate("poch(q, 1, inf)^(-1) * poch(-q, 2, inf)^(-1)", {}, 3000).trunc == 3000
+
+
 def test_truncated_power_of_polynomial_is_truncated_first():
     # a power series raised to a huge power below a truncation order needs
     # only its terms below that order; its trusted coefficients are exact

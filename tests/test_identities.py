@@ -16,8 +16,8 @@ from qident.identities import (
     IdentityCase,
     Mismatch,
     VerifyReport,
-    _parts_between,
     build_side,
+    counts,
     nu3_specialized,
     p_nu,
     p_nu_series,
@@ -301,22 +301,21 @@ def test_counting_oracles_match_a_filter_of_all_partitions():
         assert (p_omega(N), p_nu(N)) == (omega, nu), N
 
 
-def test_parts_between_yields_the_filtered_partitions_once():
-    for weight in range(13):
-        every = [()] if weight == 0 else list(partitions_of(weight))
-        for lo in range(1, 5):
-            for top in range(lo, weight + 2):
-                for odd_bound in range(0, 8):
-                    for distinct in (False, True):
-                        got = list(_parts_between(weight, lo, top, odd_bound,
-                                                  distinct))
-                        want = [
-                            t for t in every
-                            if all(lo <= p <= top for p in t)
-                            and all(p < odd_bound for p in t if p % 2 == 1)
-                            and (not distinct or len(set(t)) == len(t))
-                        ]
-                        assert got == want, (weight, lo, top, odd_bound, distinct)
+def test_one_pass_counts_equal_the_counts_of_each_n():
+    # counts(60) reads every N off one pass; p_omega(N) and p_nu(N) each
+    # make their own pass up to N
+    omega, nu = counts(60), counts(60, True)
+    assert len(omega) == len(nu) == 61
+    assert [(omega[N], nu[N]) for N in range(1, 61)] == [
+        (p_omega(N), p_nu(N)) for N in range(1, 61)]
+
+
+def test_one_pass_counts_match_the_generating_functions_to_200():
+    # the ay1 and ay2 left sides at z = 1, which table compares with them
+    omega, nu = counts(200), counts(200, True)
+    so, sn = p_omega_series(201), p_nu_series(201)
+    assert [(omega[N], nu[N]) for N in range(1, 201)] == [
+        (so.coeff(N), sn.coeff(N)) for N in range(1, 201)]
 
 
 def test_counting_series_match_oracles():
