@@ -8,10 +8,10 @@ Each command imports the modules it runs inside its own function, so a
 launch compiles and executes only those (besides this module and
 ``errors``):
 
-- ``eval``: ``dsl``, ``syntax``, ``series`` and ``kernel``;
+- ``eval``: ``dsl``, ``budget``, ``syntax``, ``series`` and ``kernel``;
 - ``bijection``: ``bijections`` and ``partitions``;
-- ``verify`` and ``table``: ``identities``, ``dsl``, ``syntax``, ``series``
-  and ``kernel``, then ``partitions`` when an enumeration side runs, and
+- ``verify`` and ``table``: ``identities``, ``dsl``, ``budget``, ``syntax``,
+  ``series`` and ``kernel``, then ``partitions`` when an enumeration side runs, and
   ``bijections`` for the ``p_gt`` recount of ``middle``;
 - ``list``: ``identities``, ``bijections`` and ``partitions``.
 

@@ -38,115 +38,27 @@ sparse rows; the two are turned into one series at the end.  With no
 truncation order every summand goes to the sparse rows, since a dense
 window over an exact sum's exponents could cost far more than its terms
 (``sum(n, 0, 3, q^(1000000*n))``).  The presence of a truncation order is
-the only thing that picks the dense total.
-
-Refused with DslError are an integer power or a ``binom`` whose result
-could pass MAX_POWER_BITS bits, a power of a series whose largest
-coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
-a ``qbinom``, a power or an exact product whose degree would pass
-MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
-for a truncated series), and an exact ``poch`` whose count alone could.
+the only thing that picks the dense total.  The integer context
+(``eval_int``) and every size limit and refusal are in ``qident.budget``.
 """
 
 from __future__ import annotations
 
-from math import comb, inf, log2
 from typing import Optional
 
-from .errors import DslError, NonIntegerExponent, UnboundVariable
+from .errors import DslError, UnboundVariable
 # series first: it loads the kernel, which is smaller, so the larger parse
 # tree is compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
 from .series import MultiSeries, _poch, qbinom
-from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _inverse_bits,
-                     _mono_mul, _qbinom_chains, _Rows, _Total)
-
+from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _mono_mul,
+                     _qbinom_chains, _Rows, _Total)
+# the integer context and the size limits, eval_int and the limits re-exported
+from .budget import (MAX_EXACT_DEGREE, MAX_SUM_TERMS, RESERVED, _int_power, _poch_args,
+                     _power_check, _product_check, _qbinom_args, _sum_args, eval_int)
 # the syntax this module evaluates, and re-exports
-from .syntax import (
-    MAX_POWER_BITS,
-    BinOp,
-    Call,
-    Expr,
-    Int,
-    Name,
-    Neg,
-    Pow,
-    Token,
-    int_str,
-    parse,
-    unparse,
-)
-
-RESERVED = {"q", "z", "x", "y", "inf"}
-
-# the most indices one sum may run over: far above any registry sum, whose
-# range is its truncation order, and refused before the first summand, so a
-# huge range fails at once instead of walking summands one by one
-MAX_SUM_TERMS = 1 << 16
-
-# the largest degree, in q or in any of z, x, y, that the power of an exact
-# polynomial may expand to: 16 times the largest registry power at n = 500
-# ((-q;q)_500^2, degree 250 500); refused before the power is expanded
-MAX_EXACT_DEGREE = 1 << 22
-
-
-def _bits(k: int, s: int) -> float:
-    """k * log2(s) for k >= 0 and s >= 1, also for a k past a float's range."""
-    if s == 1:
-        return 0.0
-    return k * log2(s) if k.bit_length() < 1000 else inf
-
-
-def _int_power(base: int, exp: int) -> int:
-    """base ** exp for exp >= 0, refused when the result would pass
-    MAX_POWER_BITS bits."""
-    if abs(base) > 1 and _bits(exp, abs(base)) > MAX_POWER_BITS:
-        raise DslError(f"integer power {int_str(base)}^{int_str(exp)} exceeds"
-                       f" the {MAX_POWER_BITS}-bit limit")
-    return base**exp
-
-
-def eval_int(e: Expr, bindings: dict) -> int:
-    """Evaluate an expression in integer context."""
-    if isinstance(e, Int):
-        return e.value
-    if isinstance(e, Name):
-        if e.ident in RESERVED:
-            raise NonIntegerExponent(
-                f"{e.ident!r} is series-valued and cannot be used as an integer"
-            )
-        if e.ident not in bindings:
-            raise UnboundVariable(f"unbound variable {e.ident!r}")
-        return bindings[e.ident]
-    if isinstance(e, Neg):
-        return -eval_int(e.operand, bindings)
-    if isinstance(e, BinOp):
-        l = eval_int(e.left, bindings)
-        r = eval_int(e.right, bindings)
-        return l + r if e.op == "+" else l - r if e.op == "-" else l * r
-    if isinstance(e, Pow):
-        base = eval_int(e.base, bindings)
-        exp = eval_int(e.exponent, bindings)
-        if exp < 0:
-            raise NonIntegerExponent("negative exponent in integer context")
-        return _int_power(base, exp)
-    if isinstance(e, Call):
-        if e.func == "binom":
-            if len(e.args) != 2:
-                raise DslError("binom takes exactly 2 arguments")
-            m = eval_int(e.args[0], bindings)
-            k = eval_int(e.args[1], bindings)
-            if not 0 <= k <= m:
-                return 0
-            j = min(k, m - k)
-            if j and _bits(j, m) > MAX_POWER_BITS:  # binom(m, k) < m^j
-                raise DslError(f"binom({int_str(m)}, {int_str(k)}) could pass"
-                               f" the {MAX_POWER_BITS}-bit limit")
-            return comb(m, j)
-        raise NonIntegerExponent(
-            f"call to {e.func!r} is series-valued and cannot be used as an integer"
-        )
-    raise DslError(f"cannot evaluate {e!r} as an integer")
+from .syntax import (MAX_POWER_BITS, BinOp, Call, Expr, Int, Name, Neg, Pow, Token, parse,
+                     unparse)
 
 
 def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
@@ -162,60 +74,6 @@ def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
                 [(tuple(-v for v in mono), -e, c)],
                 None if ms.trunc is None else ms.trunc - 2 * e)
     return ms.invert_unit(trunc)
-
-
-def _power_check(base: MultiSeries, k: int, with_q: bool,
-                 layers: Optional[int]) -> None:
-    """Refuse the power base^k when its exponent range in z, x or y, or in
-    q when ``with_q``, |k| times that of base, would pass
-    MAX_EXACT_DEGREE; then, for k > 0 or below q^layers, when its largest
-    coefficient could pass MAX_POWER_BITS bits.
-
-    Each coefficient of base^k, k > 0, is at most S^k, S the sum of |c|
-    over base's terms.  When the power is wanted only below q^layers, base
-    being a power series, each wanted coefficient takes at most
-    min(k, layers - 1) of its k factors from above base's lowest q-layer:
-    it is at most S_low^k (k * S_high)^min(k, layers - 1), S_low and
-    S_high the sums of |c| in that layer and in the layers above it below
-    q^layers.  For k < 0 the q^0 layer is 1 (else the inverse is refused
-    later), the exponent range in z, x and y is that of the wanted layers,
-    and base^k = (1 - a)^k, a of |c| summing to S_high, is at most
-    sum_{r <= i} C(-k + r - 1, r) S_high^r <= C(i - k, i) S_high^i at q^i:
-    the bound of one term to the power k - 1 (``_inverse_bits``).
-    """
-    terms = base.terms()
-    if not terms:
-        return
-    if k < 0 and layers is not None:
-        s_high = sum(abs(c) for _, e, c in terms if 0 < e < layers)
-        bits = _inverse_bits(layers - 1, s_high, 1 - k)
-    else:
-        ranges = [max(col) - min(col) for col in zip(*(m for m, _, _ in terms))]
-        if with_q:
-            exps = [e for _, e, _ in terms]
-            ranges.append(max(exps) - min(exps))
-        degree = max(ranges)
-        if degree * abs(k) > MAX_EXACT_DEGREE:
-            what, of = (("polynomial", " of exact powers") if base.trunc is None
-                        else ("truncated series", ""))
-            raise DslError(
-                f"power {int_str(k)} of a {what} of degree {degree} exceeds the"
-                f" {MAX_EXACT_DEGREE}-degree limit{of}"
-            )
-        if k < 0:
-            return
-        if layers is None:
-            bits = _bits(k, sum(abs(c) for _, _, c in terms))
-        else:
-            low = min(e for _, e, _ in terms)
-            s_low = sum(abs(c) for _, e, c in terms if e == low)
-            s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
-            bits = _bits(k, s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
-    if bits > MAX_POWER_BITS:
-        raise DslError(
-            f"power {int_str(k)} of a series with coefficients of up to {bits:.0f} bits"
-            f" exceeds the {MAX_POWER_BITS}-bit limit"
-        )
 
 
 _GENERATORS = {"z": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
@@ -271,22 +129,25 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
     rest: list = []
     _, _, low = _split(e, bindings, rest)
     for f in rest:
-        b = None
-        if isinstance(f, BinOp):  # "+" or "-"
-            lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
-            if None not in lows:
-                b = min(lows)
-        elif _chains(f, bindings, False) is not None:
-            b = 0
-        elif isinstance(f, Pow):
-            k = eval_int(f.exponent, bindings)
-            if k >= 0:
-                base_low = _low_bound(f.base, bindings)
-                b = None if base_low is None else k * base_low
-        if b is None:
+        if (b := _factor_low(f, bindings, _chains(f, bindings, False))) is None:
             return None
         low += b
     return low
+
+
+def _factor_low(f: Expr, bindings: dict, chain: Optional[list]) -> Optional[int]:
+    """``_low_bound`` of f, a factor of a product that is no monomial, whose
+    chains at a truncation order are ``chain``."""
+    if chain is not None:
+        return 0
+    if isinstance(f, BinOp):  # "+" or "-"
+        lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
+        return None if None in lows else min(lows)
+    if isinstance(f, Pow):
+        k = eval_int(f.exponent, bindings)
+        if k >= 0 and (base_low := _low_bound(f.base, bindings)) is not None:
+            return k * base_low
+    return None
 
 
 def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
@@ -380,16 +241,22 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     monomial = MultiSeries.term(c, v, *mono)
     if not rest:
         return monomial if trunc is None or v < trunc else MultiSeries.zero(trunc)
-    inner = None
-    if trunc is not None:
-        low = _low_bound(e, bindings)
-        if low is not None and low >= trunc:
+    # the valuation walk: each factor's chains, worked out once and in
+    # factor order, and its valuation, up to the first factor of none known
+    low, walked = v, []
+    for f in rest:
+        walked.append(_chains(f, bindings, trunc is None))
+        if trunc is None or (b := _factor_low(f, bindings, walked[-1])) is None:
+            break
+        low += b
+    else:
+        if low >= trunc:
             return MultiSeries.zero(trunc)
-        inner = max(trunc - v, 1)
+    inner = None if trunc is None else max(trunc - v, 1)
     value = MultiSeries.one()
     chains, divisors, others = [], [], 0
-    for f in rest:
-        chain = _chains(f, bindings, inner is None)
+    for i, f in enumerate(rest):
+        chain = walked[i] if i < len(walked) else _chains(f, bindings, inner is None)
         if chain is not None:
             chains += chain
             continue
@@ -418,12 +285,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     if inner is None and (chains or divisors):
         # the kernel's window and steps, refused before they are made
         powers = _chain_factors(chains, None)
-        exps = [e for _, e, _ in value.terms()] or [0]
-        degree = max(exps) - min(exps) + sum(
-            abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in powers.items() if cj)
-        if degree > MAX_EXACT_DEGREE:
-            raise DslError(f"exact product of degree {degree} exceeds the"
-                           f" {MAX_EXACT_DEGREE}-degree limit")
+        _product_check(value.terms(), powers)
         acc, shift = _exact_quotient(value.scale(c)._rows, powers, divisors)
         t, c, v = None, 1, v + shift
     else:
@@ -463,44 +325,6 @@ def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
     raise DslError(f"cannot evaluate {e!r} as a series")
 
 
-def _poch_args(e: Call, bindings: dict, exact: bool, k: int = 1) -> tuple:
-    """Checked (step, count) of a poch call, count None for inf.  When
-    ``exact``, inf is refused, and so, for a power k != 0, is a count whose
-    exponent steps step*i, i < count, sum past MAX_EXACT_DEGREE."""
-    if len(e.args) != 3:
-        raise DslError("poch takes exactly 3 arguments: poch(a, step, count)")
-    step = eval_int(e.args[1], bindings)
-    if step <= 0:
-        raise DslError("poch step must be a positive integer")
-    count_arg = e.args[2]
-    if isinstance(count_arg, Name) and count_arg.ident == "inf":
-        if exact:
-            raise DslError("poch(..., inf) needs a finite truncation order")
-        return step, None
-    count = eval_int(count_arg, bindings)
-    if count < 0:
-        raise DslError("poch count must be nonnegative or inf")
-    if exact and k and step * count * (count - 1) // 2 > MAX_EXACT_DEGREE:
-        raise DslError(f"exact poch of {int_str(count)} factors could pass the"
-                       f" {MAX_EXACT_DEGREE}-degree limit")
-    return step, count
-
-
-def _qbinom_args(e: Call, bindings: dict) -> tuple:
-    """Checked (m, k) of a qbinom call, refused when its degree k(m - k)
-    would pass MAX_EXACT_DEGREE."""
-    if len(e.args) != 2:
-        raise DslError("qbinom takes exactly 2 arguments")
-    m = eval_int(e.args[0], bindings)
-    if m < 0:
-        raise DslError("qbinom needs m >= 0")
-    k = eval_int(e.args[1], bindings)
-    if k * (m - k) > MAX_EXACT_DEGREE:  # for m >= 0 only when 0 < k < m
-        raise DslError(f"qbinom of degree {int_str(k * (m - k))} exceeds the"
-                       f" {MAX_EXACT_DEGREE}-degree limit")
-    return m, k
-
-
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "poch":
         step, count = _poch_args(e, bindings, trunc is None)
@@ -508,26 +332,13 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "qbinom":
         return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
     if e.func == "sum":
-        if len(e.args) != 4:
-            raise DslError("sum takes exactly 4 arguments: sum(var, lo, hi, body)")
-        var = e.args[0]
-        if not isinstance(var, Name):
-            raise DslError("sum index must be a plain name")
-        if var.ident in RESERVED:
-            raise DslError(f"sum index may not shadow reserved name {var.ident!r}")
-        lo = eval_int(e.args[1], bindings)
-        hi = eval_int(e.args[2], bindings)
-        if hi - lo + 1 > MAX_SUM_TERMS:
-            raise DslError(
-                f"sum over {int_str(hi - lo + 1)} indices exceeds the"
-                f" {MAX_SUM_TERMS}-term limit"
-            )
+        var, lo, hi = _sum_args(e, bindings)
         # each summand is added into one total as soon as it is evaluated
         # (see _Carry), and a zero summand only lowers the truncation
         inner = dict(bindings)
         carry = _Carry()
         for v in range(lo, hi + 1):
-            inner[var.ident] = v
+            inner[var] = v
             value = eval_series(e.args[3], inner, trunc, carry)
             if value is not None:
                 carry.total.add(value._rows, value.trunc)

@@ -22,16 +22,18 @@ O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 of a monomial, and takes each factor to its power k in one step: for a =
 c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
-O(rows * T * min(|k|, T/j)), not |k| times a factor's cost; a power k < 0
-or k > 1 whose coefficients in the window could pass MAX_POWER_BITS bits
-is refused before its step (``_check_power``).  Series
-inversion, Gaussian binomials, the factors of a Pochhammer product after
-those that reach q^0 (``series._poch``) and the expression language's
-Pochhammer and q-binomial powers are each one such chain, and exact
-division divides by factors lead - a (``_exact_quotient``).  ``_Total``
-sums rows and accumulators as they are made, accumulators trusted below a
-truncation order into one dense window, so a sum of many of them costs
-the memory of its result.
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost; a fall of
+|k| <= T/j with m trivial is |k| one-term divisions, which run in C.
+Series inversion, Gaussian binomials, the factors of a Pochhammer product
+after those that reach q^0 (``series._poch``) and the expression
+language's Pochhammer and q-binomial powers are each one such chain, and
+exact division divides by factors lead - a (``_exact_quotient``).  A
+power k < 0 or k > 1, or a division with lead +-1, whose coefficients in
+the window could pass MAX_POWER_BITS bits is refused before its step
+(``qident.budget``, loaded on first use).  ``_Total`` sums rows and
+accumulators as they are made, accumulators trusted below a truncation
+order into one dense window, so a sum of many of them costs the memory
+of its result.
 
 The accumulator is the only mutable value, and it never leaves this module
 and the evaluator (``qident.dsl``): what leaves them are plain rows, which
@@ -41,11 +43,10 @@ and the evaluator (``qident.dsl``): what leaves them are plain rows, which
 from __future__ import annotations
 
 from itertools import accumulate, groupby
-from math import log2
 from operator import add, itemgetter
 from typing import Optional
 
-from .errors import DivisionInexact, DslError
+from .errors import DivisionInexact
 
 TRIVIAL_MONO = (0, 0, 0)
 
@@ -256,12 +257,19 @@ class _Rows:
     def apply(self, powers: dict) -> None:
         """Multiply by each factor 1 - a to its net power k in powers, a map
         {the terms of a: k}, in one step each: ``mul`` for k > 0 and ``div``
-        for k < 0 by 1 - a, or for |k| > 1, a then one term, by (1 - a)^|k|
-        (``_factor_power``).  A power k < 0 or k > 1 is checked
-        (``_check_power``) before its step."""
+        for k < 0 by 1 - a, or for |k| > 1, a then one term c*m*q^j, by
+        (1 - a)^|k| (``_factor_power``); a fall of 0 < |k| * j < size with m
+        trivial is |k| one-term divisions, which run in C.  A power k < 0 or
+        k > 1 is checked (``budget._check_power``) before its step."""
         for a, k in powers.items():
             if k < 0 or k > 1:
+                from .budget import _check_power
+
                 _check_power(a, k, self.size)
+            if k < -1 and a[0][0] == TRIVIAL_MONO and 0 < -k * a[0][1] < self.size:
+                for _ in range(-k):
+                    self.div(a)
+                continue
             if abs(k) > 1:
                 a = _factor_power(a, k, self.size)
             if k:
@@ -305,42 +313,6 @@ class _Rows:
                 else:
                     rows[t] = out
         return rows
-
-
-def _check_power(a: tuple, k: int, size: int) -> None:
-    """Refuse (1 - a)^k below q^size, as a power of a series whose
-    coefficients could pass MAX_POWER_BITS bits: for |k| > 1 by the bound
-    of ``dsl._power_check`` for 1 - a, min(|k|, size - 1) * log2(|k*c|),
-    and for k < 0 also by ``_inverse_bits``, with j the least q-exponent of
-    a's terms and s the sum of their |c|."""
-    from .syntax import MAX_POWER_BITS, int_str
-
-    n, bits = abs(k), 0.0
-    if n > 1:
-        ((_, _, c),) = a
-        bits = min(n, size - 1) * log2(max(n * abs(c), 1))
-    if k < 0:
-        j = min((e for _, e, c in a if c), default=0)
-        if j > 0:  # else div refuses a
-            s = sum(abs(c) for _, e, c in a if e < size)
-            bits = max(bits, _inverse_bits((size - 1) // j, s, n))
-    if bits > MAX_POWER_BITS:
-        raise DslError(f"power {int_str(k)} of a series with coefficients of up to"
-                       f" {bits:.0f} bits exceeds the {MAX_POWER_BITS}-bit limit")
-
-
-def _inverse_bits(i: int, s: int, n: int) -> float:
-    """i log2(s) + min(i, n - 1) log2(n + i), n >= 1: at least the bits of
-    C(n + i - 1, i) s^i, since C(n + i - 1, i) <= (n + i)^min(i, n - 1).
-
-    That bounds each coefficient of (1 - a)^(-n) below q^((i + 1) * j),
-    where a's terms lie at q^j and above, j >= 1, and their |c| sum to s,
-    when a is one term c*q^j, whose power has C(n + r - 1, r) c^r at
-    q^(r*j), or when n = 1: each coefficient of 1/(1 - a) at q^w is at
-    most s^floor(w/j), by induction on w.  So a factor with |c| = 1 is
-    never refused at n = 1.
-    """
-    return i * log2(max(s, 1)) + min(i, n - 1) * log2(n + i)
 
 
 def _factor_power(a: tuple, k: int, size: int) -> list:
@@ -446,7 +418,8 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     ([(d, k)], d a plain row {q-exponent: coefficient} free of z, x and y),
     as acc read at q^shift.  The window holds the undivided product and the
     divisions come last, so a quotient vanishing above its degree is exact;
-    any other, or a zero d, is DivisionInexact."""
+    any other, or a zero d, is DivisionInexact.  A d = +-1 - a is checked
+    as (1 - a)^(-k) is (``budget._check_power``)."""
     steps, shift = [], 0
     for d, k in divisors:
         if not d:
@@ -465,6 +438,10 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     acc.apply({a: k for a, k in powers.items() if k > 0})
     acc.apply({a: k for a, k in powers.items() if k < 0})
     for a, lead, k in steps:
+        if lead in (1, -1):  # else each step checks its remainder
+            from .budget import _check_power
+
+            _check_power(a, -k, size)
         for _ in range(k):
             acc.div(a, lead)
     if any(any(row[size - span:]) for row in acc.rows.values()):

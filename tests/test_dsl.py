@@ -191,6 +191,34 @@ def test_eval_product_valuation():
             evaluate(text, {}, 10)
 
 
+def test_product_reports_its_first_error_in_factor_order():
+    # the valuation walk stops at the first factor of unknown valuation, so
+    # that factor's evaluation fails before a later malformed call is seen;
+    # with no truncation order there is no walk, and the malformed call is
+    # the first error
+    text = "(q^(-1) + 1)^(-1) * poch(q, 0, 3)"
+    with pytest.raises(NonUnitConstantTerm, match="series has terms below q\\^0"):
+        evaluate(text, {}, 10)
+    with pytest.raises(DslError, match="poch step must be a positive integer"):
+        evaluate(text, {}, None)
+
+
+@pytest.mark.parametrize("divisor", ["1 - 2*q + q^2", "-1 + 2*q - q^2"])
+def test_exact_division_bit_guard(divisor):
+    # dividing by d = lead - a, lead = +-1, by the chain inverse's bound:
+    # below q^(2n) the quotient's coefficients could have 2n * log2(3)
+    # bits, a's |c| summing to 3, under the limit for n = 20674 and past it
+    # for n = 20675, refused before any division step
+    n = 20674
+    value = evaluate(f"(1 - q^{n})^2 * ({divisor})^(-1)", {}, None)
+    sign = 1 if divisor[0] == "1" else -1
+    assert value.qseries().coeffs == {
+        e: sign * min(e + 1, 2 * n - 1 - e) for e in range(2 * n - 1)}
+    with pytest.raises(DslError, match="power -1 of a series with coefficients of up"
+                       " to 65538 bits exceeds the 65536-bit limit"):
+        evaluate(f"(1 - q^{n + 1})^2 * ({divisor})^(-1)", {}, None)
+
+
 def test_eval_exact_division():
     out = evaluate("poch(q, 1, 3) * poch(q, 1, 2)^(-1)", {}, None)
     assert out == MultiSeries.one() - MultiSeries.q(3)

@@ -71,13 +71,22 @@ def test_import_loads_no_submodule():
     assert "dataclasses" not in loaded
 
 
+_EVALUATOR = {"qident", "qident.cli", "qident.errors", "qident.dsl", "qident.budget",
+              "qident.syntax", "qident.series", "qident.kernel"}
+
+
 def test_eval_loads_only_dsl_and_series():
     loaded = _after_main("eval", "q", "--trunc", "3")
-    assert {m for m in loaded if m.startswith("qident")} == {
-        "qident", "qident.cli", "qident.errors", "qident.dsl", "qident.syntax",
-        "qident.series", "qident.kernel"}
+    assert {m for m in loaded if m.startswith("qident")} == _EVALUATOR
     assert not loaded & {"qident.partitions", "qident.bijections",
                          "qident.identities", "dataclasses"}
+
+
+def test_verify_of_series_sides_loads_the_evaluator_and_identities():
+    loaded = _after_main("verify", "ay1", "--no-comb", "--trunc", "10")
+    assert {m for m in loaded if m.startswith("qident")} == _EVALUATOR | {
+        "qident.identities"}
+    assert "dataclasses" not in loaded
 
 
 def test_bijection_loads_no_dsl_or_identities():
@@ -93,7 +102,7 @@ def test_list_loads_no_dsl_or_series():
     assert "qident.identities" in loaded
 
 
-@pytest.mark.parametrize("module", ["kernel", "syntax"])
+@pytest.mark.parametrize("module", ["budget", "kernel", "syntax"])
 def test_split_module_imports_first(module):
     # each half of a split module loads on its own, before the other half
     loaded = _modules_after(f"import qident.{module}")
@@ -104,6 +113,8 @@ def test_kernel_loads_below_the_series():
     # the imports run one way, kernel -> series -> dsl
     loaded = _modules_after("import qident.kernel")
     assert "qident.series" not in loaded and "qident.dsl" not in loaded
+    # the kernel reaches its size checks only when it runs them
+    assert "qident.budget" not in loaded
 
 
 def test_split_modules_reexport():
