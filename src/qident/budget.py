@@ -9,7 +9,7 @@ a ``qbinom``, a power or an exact product whose degree would pass
 MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
 for a truncated series), and an exact ``poch`` whose count alone could.
 The factor kernel checks here each factor's power, and each exact
-division by a q-polynomial of leading coefficient +-1.
+division by a q-polynomial of lowest coefficient +-1.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ launch compiles and executes only those (besides this module and
 
 - ``eval``: ``dsl``, ``budget``, ``syntax``, ``series`` and ``kernel``;
 - ``bijection``: ``bijections`` and ``partitions``;
-- ``verify`` and ``table``: ``identities``, ``dsl``, ``budget``, ``syntax``,
-  ``series`` and ``kernel``, then ``partitions`` when an enumeration side runs, and
-  ``bijections`` for the ``p_gt`` recount of ``middle``;
+- ``verify`` and ``table``: ``identities`` and those of ``eval``, then
+  ``partitions`` when an enumeration side runs, and ``bijections`` for
+  the ``p_gt`` recount of ``middle``;
 - ``list``: ``identities``, ``bijections`` and ``partitions``.
 
 The argparse namespace is the only configuration: each subcommand accepts

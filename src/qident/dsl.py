@@ -128,26 +128,29 @@ def _low_bound(e: Expr, bindings: dict) -> Optional[int]:
     """
     rest: list = []
     _, _, low = _split(e, bindings, rest)
+    return _factors_low(rest, low, bindings, [])
+
+
+def _factors_low(rest: list, low: int, bindings: dict, walked: list) -> Optional[int]:
+    """low plus ``_low_bound`` of each factor in rest, None at the first of
+    none; each factor's chains at a truncation order are appended to
+    ``walked`` as the walk reaches it."""
     for f in rest:
-        if (b := _factor_low(f, bindings, _chains(f, bindings, False))) is None:
+        walked.append(chain := _chains(f, bindings, False))
+        if chain is not None:  # of valuation 0
+            continue
+        if isinstance(f, BinOp):  # "+" or "-"
+            lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
+            b = None if None in lows else min(lows)
+        elif isinstance(f, Pow) and (k := eval_int(f.exponent, bindings)) >= 0:
+            b = _low_bound(f.base, bindings)
+            b = None if b is None else k * b
+        else:
+            return None
+        if b is None:
             return None
         low += b
     return low
-
-
-def _factor_low(f: Expr, bindings: dict, chain: Optional[list]) -> Optional[int]:
-    """``_low_bound`` of f, a factor of a product that is no monomial, whose
-    chains at a truncation order are ``chain``."""
-    if chain is not None:
-        return 0
-    if isinstance(f, BinOp):  # "+" or "-"
-        lows = (_low_bound(f.left, bindings), _low_bound(f.right, bindings))
-        return None if None in lows else min(lows)
-    if isinstance(f, Pow):
-        k = eval_int(f.exponent, bindings)
-        if k >= 0 and (base_low := _low_bound(f.base, bindings)) is not None:
-            return k * base_low
-    return None
 
 
 def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
@@ -241,18 +244,13 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     monomial = MultiSeries.term(c, v, *mono)
     if not rest:
         return monomial if trunc is None or v < trunc else MultiSeries.zero(trunc)
-    # the valuation walk: each factor's chains, worked out once and in
-    # factor order, and its valuation, up to the first factor of none known
-    low, walked = v, []
-    for f in rest:
-        walked.append(_chains(f, bindings, trunc is None))
-        if trunc is None or (b := _factor_low(f, bindings, walked[-1])) is None:
-            break
-        low += b
-    else:
-        if low >= trunc:
+    # each factor's chains, worked out once in factor order, at a
+    # truncation order first by the valuation walk, up to where it stops
+    inner, walked = None, []
+    if trunc is not None:
+        if (low := _factors_low(rest, v, bindings, walked)) is not None and low >= trunc:
             return MultiSeries.zero(trunc)
-    inner = None if trunc is None else max(trunc - v, 1)
+        inner = max(trunc - v, 1)
     value = MultiSeries.one()
     chains, divisors, others = [], [], 0
     for i, f in enumerate(rest):
@@ -335,8 +333,7 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
         var, lo, hi = _sum_args(e, bindings)
         # each summand is added into one total as soon as it is evaluated
         # (see _Carry), and a zero summand only lowers the truncation
-        inner = dict(bindings)
-        carry = _Carry()
+        inner, carry = dict(bindings), _Carry()
         for v in range(lo, hi + 1):
             inner[var] = v
             value = eval_series(e.args[3], inner, trunc, carry)

@@ -22,15 +22,15 @@ O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 of a monomial, and takes each factor to its power k in one step: for a =
 c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
-O(rows * T * min(|k|, T/j)), not |k| times a factor's cost; a fall of
-|k| <= T/j with m trivial is |k| one-term divisions, which run in C.
-Series inversion, Gaussian binomials, the factors of a Pochhammer product
-after those that reach q^0 (``series._poch``) and the expression
-language's Pochhammer and q-binomial powers are each one such chain, and
-exact division divides by factors lead - a (``_exact_quotient``).  A
-power k < 0 or k > 1, or a division with lead +-1, whose coefficients in
-the window could pass MAX_POWER_BITS bits is refused before its step
-(``qident.budget``, loaded on first use).  ``_Total`` sums rows and
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
+inversion, Gaussian binomials, the factors of a Pochhammer product after
+those that reach q^0 (``series._poch``) and the expression language's
+Pochhammer and q-binomial powers are each one such chain, and exact
+division divides by factors lead - a (``_exact_quotient``).  A power
+k < 0 or k > 1, or a division by +-1 - c*q^j, whose coefficients in the
+window could pass MAX_POWER_BITS bits is refused before its step, and a
+longer +-1 - a at a quotient coefficient that far past the dividend's
+(checks in ``qident.budget``, loaded on first use).  ``_Total`` sums rows and
 accumulators as they are made, accumulators trusted below a truncation
 order into one dense window, so a sum of many of them costs the memory
 of its result.
@@ -120,11 +120,14 @@ def _gather(terms, rows: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def _solve_row(row: list, low: int, own: list, lead: int = 1) -> None:
+def _solve_row(row: list, low: int, own: list, lead=1, power=0, top=0) -> None:
     """Divide one dense row, zero below index ``low``, in place by
     lead - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
-    q-order; a remainder raises DivisionInexact."""
-    if lead != 1:
+    q-order; a remainder raises DivisionInexact.  For power != 0, a step of
+    that power, a coefficient past top + MAX_POWER_BITS bits is refused."""
+    if lead != 1 or power:
+        if power:
+            from .budget import MAX_POWER_BITS, _refuse_bits
         for i in range(low, len(row)):
             x = row[i] + sum(c * row[i - e] for e, c in own if e <= i)
             row[i], r = divmod(x, lead)
@@ -133,6 +136,8 @@ def _solve_row(row: list, low: int, own: list, lead: int = 1) -> None:
 
                 raise DivisionInexact(f"coefficient {int_str(x)} not divisible"
                                       f" by {int_str(lead)}")
+            if power and (bits := x.bit_length() - top) > MAX_POWER_BITS:
+                _refuse_bits(power, bits)
     elif len(own) == 1:
         ((e, c),) = own
         step = add if c == 1 else (lambda acc, x: x + c * acc)
@@ -215,9 +220,10 @@ class _Rows:
                 dst[s:] = [d - c * x for d, x in zip(dst[s:], src[s - e:])]
                 low[t] = min(low[t], s)
 
-    def div(self, a: list, lead: int = 1) -> None:
+    def div(self, a: list, lead: int = 1, power: int = 0, top: int = 0) -> None:
         """Divide by lead - a, where every term of a has q-exponent >= 1
-        and no negative aux exponent; lead != 1 only in exact division.
+        and no negative aux exponent; lead != 1, power and top
+        (``_solve_row``) only in exact division.
 
         The quotient y solves lead*y = x + a*y.  Rows are finished in
         increasing total aux degree: a row takes the terms of a with the
@@ -241,7 +247,7 @@ class _Rows:
         while pending:
             for m in pending.pop(min(pending)):
                 row = rows[m]
-                _solve_row(row, low[m], own, lead)
+                _solve_row(row, low[m], own, lead, power, top)
                 for ma, e, c in cross:
                     s = low[m] + e
                     if s >= size:
@@ -257,19 +263,14 @@ class _Rows:
     def apply(self, powers: dict) -> None:
         """Multiply by each factor 1 - a to its net power k in powers, a map
         {the terms of a: k}, in one step each: ``mul`` for k > 0 and ``div``
-        for k < 0 by 1 - a, or for |k| > 1, a then one term c*m*q^j, by
-        (1 - a)^|k| (``_factor_power``); a fall of 0 < |k| * j < size with m
-        trivial is |k| one-term divisions, which run in C.  A power k < 0 or
-        k > 1 is checked (``budget._check_power``) before its step."""
+        for k < 0 by 1 - a, or for |k| > 1, a then one term, by (1 - a)^|k|
+        (``_factor_power``).  A power k < 0 or k > 1 is checked
+        (``budget._check_power``) before its step."""
         for a, k in powers.items():
             if k < 0 or k > 1:
                 from .budget import _check_power
 
                 _check_power(a, k, self.size)
-            if k < -1 and a[0][0] == TRIVIAL_MONO and 0 < -k * a[0][1] < self.size:
-                for _ in range(-k):
-                    self.div(a)
-                continue
             if abs(k) > 1:
                 a = _factor_power(a, k, self.size)
             if k:
@@ -419,7 +420,7 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     as acc read at q^shift.  The window holds the undivided product and the
     divisions come last, so a quotient vanishing above its degree is exact;
     any other, or a zero d, is DivisionInexact.  A d = +-1 - a is checked
-    as (1 - a)^(-k) is (``budget._check_power``)."""
+    by ``budget._check_power`` for one term a, else on each coefficient."""
     steps, shift = [], 0
     for d, k in divisors:
         if not d:
@@ -438,12 +439,15 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     acc.apply({a: k for a, k in powers.items() if k > 0})
     acc.apply({a: k for a, k in powers.items() if k < 0})
     for a, lead, k in steps:
-        if lead in (1, -1):  # else each step checks its remainder
+        power = top = 0  # a lead past +-1 checks its remainder at each step
+        if lead in (1, -1) and len(a) == 1:
             from .budget import _check_power
 
             _check_power(a, -k, size)
+        elif lead in (1, -1):  # the dividend's largest coefficient, in bits
+            power, top = -k, max(max(map(int.bit_length, r)) for r in acc.rows.values())
         for _ in range(k):
-            acc.div(a, lead)
+            acc.div(a, lead, power, top)
     if any(any(row[size - span:]) for row in acc.rows.values()):
         raise DivisionInexact("nonzero remainder")
     return acc, shift

@@ -203,20 +203,29 @@ def test_product_reports_its_first_error_in_factor_order():
         evaluate(text, {}, None)
 
 
-@pytest.mark.parametrize("divisor", ["1 - 2*q + q^2", "-1 + 2*q - q^2"])
-def test_exact_division_bit_guard(divisor):
-    # dividing by d = lead - a, lead = +-1, by the chain inverse's bound:
-    # below q^(2n) the quotient's coefficients could have 2n * log2(3)
-    # bits, a's |c| summing to 3, under the limit for n = 20674 and past it
-    # for n = 20675, refused before any division step
-    n = 20674
-    value = evaluate(f"(1 - q^{n})^2 * ({divisor})^(-1)", {}, None)
-    sign = 1 if divisor[0] == "1" else -1
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_division_bit_guard(sign):
+    # d = 1 - 2q + q^2 cancels: (1 - q^n)^2 / d = (1 + ... + q^(n-1))^2 has
+    # coefficients of at most n, so it is divided although a bound on the
+    # inverse by |c| summing to 3 would pass the limit (2n * log2(3) bits)
+    n = 20675
+    value = evaluate(f"(1 - q^{n})^2 * ({sign} * (1 - 2*q + q^2))^(-1)", {}, None)
     assert value.qseries().coeffs == {
         e: sign * min(e + 1, 2 * n - 1 - e) for e in range(2 * n - 1)}
+
+
+@pytest.mark.parametrize("divisor", ["1 - 2^64*q", "-1 + 2^64*q",
+                                     "1 - 2^64*q - q^2", "-1 + 2^64*q + q^2"])
+def test_exact_division_past_the_bit_limit(divisor):
+    # the quotient of 1 - q^n by d has at q^i a coefficient of 64i + 1 bits,
+    # 64i past the dividend's: within the limit up to n = 1024, where the
+    # division runs to its remainder, and refused for n = 1025, a one-term d
+    # before any step and a longer d at the coefficient that passes it
+    with pytest.raises(DivisionInexact, match="nonzero remainder"):
+        evaluate(f"(1 - q^1024) * ({divisor})^(-1)", {}, None)
     with pytest.raises(DslError, match="power -1 of a series with coefficients of up"
-                       " to 65538 bits exceeds the 65536-bit limit"):
-        evaluate(f"(1 - q^{n + 1})^2 * ({divisor})^(-1)", {}, None)
+                       " to 65600 bits exceeds the 65536-bit limit"):
+        evaluate(f"(1 - q^1025) * ({divisor})^(-1)", {}, None)
 
 
 def test_eval_exact_division():
