@@ -49,7 +49,7 @@ map's checks format their ``DomainViolation`` message only when they fail.
 
 from __future__ import annotations
 
-from itertools import combinations, filterfalse, zip_longest
+from itertools import filterfalse, zip_longest
 from operator import add, neg, sub
 from typing import Callable, NamedTuple, Optional
 
@@ -60,6 +60,7 @@ from .partitions import (
     PartitionPair,
     SignedDistinctSet,
     _principal_hooks,
+    _subsets,
     b2_weight,
     b3_weight,
     conjugate_parts,
@@ -474,12 +475,6 @@ def _domain(name: str, *takes: str) -> Callable:
         param = n if takes == ("n",) else k
         return elements, lambda x: valid(x, param)
     return family
-
-
-def _subsets(iterable):
-    items = tuple(iterable)
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
 
 
 def _negative_sets(n, k, cap):

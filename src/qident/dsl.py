@@ -264,7 +264,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         else:
             ev = _eval_call if isinstance(f, Call) else eval_series
             base, k = ev(f, bindings, inner), 1
-        series = inner is not None and base.min_qexp() >= 0
+        series = inner is not None and base.min_exp >= 0
         if abs(k) > 1 and (inner is None or k > 0 or series):
             # a power series' power below inner needs only its terms below
             # inner; otherwise the power is expanded exactly.  Either way
@@ -295,7 +295,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
             # the powers have constant term 1 and are trusted below inner,
             # so the product is trusted below min(value.trunc, inner +
             # value's valuation), the window the accumulator keeps
-            lo = value.min_qexp()
+            lo = value.min_exp
             acc = _Rows.load(value._rows, lo, inner if value.trunc is None
                              else min(value.trunc - lo, inner))
             acc.apply(_chain_factors(chains, acc.size))

@@ -26,6 +26,8 @@ from .errors import BadParams, TruncationRequired, UnknownIdentity
 if TYPE_CHECKING:
     from .series import MultiSeries, QSeries
 
+# the largest n whose right side q1_limit_check recounts, in 4^n subsets
+PIVOT_MAX_N = 7
 
 # ---------------------------------------------------------------------------
 # Elementary closed forms
@@ -50,7 +52,7 @@ def s_sum(n: int, i: int, trunc: Optional[int] = None) -> QSeries:
     return total if trunc is None else total.truncate(trunc)
 
 
-def q1_limit_check(n: int, pivot_limit: int = 7) -> dict:
+def q1_limit_check(n: int) -> dict:
     """Integer identity sum_s 2^(n-s)*C(n+s,s) = sum_t C(2n+1,n+1+t) = 4^n.
 
     For small n the right side is also recounted by enumerating subsets of
@@ -63,7 +65,7 @@ def q1_limit_check(n: int, pivot_limit: int = 7) -> dict:
     rhs = sum(comb(2 * n + 1, n + 1 + t) for t in range(n + 1))
     power = 4**n
     pivot_ok = None
-    if n <= pivot_limit:
+    if n <= PIVOT_MAX_N:
         counts: Counter = Counter()
         for r in range(n + 1, 2 * n + 2):
             for combo in combinations(range(1, 2 * n + 2), r):
@@ -519,18 +521,8 @@ def verify(identity_id: str, params: Optional[dict] = None,
 
 
 # ---------------------------------------------------------------------------
-# Specializations and counting series
+# Counting series
 # ---------------------------------------------------------------------------
-
-
-def nu3_specialized(target: str, side: str, trunc: int) -> MultiSeries:
-    """nu3 with x, y substituted to produce the nu1 or nu2 shape."""
-    ms = build_side("nu3", side, None, trunc)
-    if target == "nu1":
-        return ms.subst_aux(x=1, y=(-1, "z"))
-    if target == "nu2":
-        return ms.subst_aux(x="z", y=-1)
-    raise BadParams("target must be nu1 or nu2")
 
 
 def p_omega_series(trunc: int) -> QSeries:

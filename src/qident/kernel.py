@@ -26,14 +26,14 @@ O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
 inversion, Gaussian binomials, the factors of a Pochhammer product after
 those that reach q^0 (``series._poch``) and the expression language's
 Pochhammer and q-binomial powers are each one such chain, and exact
-division divides by factors lead - a (``_exact_quotient``).  A power
-k < 0 or k > 1, or a division by +-1 - c*q^j, whose coefficients in the
-window could pass MAX_POWER_BITS bits is refused before its step, and a
-longer +-1 - a at a quotient coefficient that far past the dividend's
-(checks in ``qident.budget``, loaded on first use).  ``_Total`` sums rows and
-accumulators as they are made, accumulators trusted below a truncation
-order into one dense window, so a sum of many of them costs the memory
-of its result.
+division divides by factors lead - a (``_exact_quotient``), a lead of -1
+folded into lead 1 and a sign.  A power k < 0 or k > 1, or a division by
++-1 - c*q^j, whose coefficients in the window could pass MAX_POWER_BITS
+bits is refused before its step, and a longer +-1 - a at a quotient
+coefficient that far past the dividend's (checks in ``qident.budget``,
+loaded on first use).  ``_Total`` sums rows and accumulators as they are
+made, accumulators trusted below a truncation order into one dense
+window, so a sum of many of them costs the memory of its result.
 
 The accumulator is the only mutable value, and it never leaves this module
 and the evaluator (``qident.dsl``): what leaves them are plain rows, which
@@ -121,10 +121,14 @@ def _gather(terms, rows: Optional[dict] = None,
 
 
 def _solve_row(row: list, low: int, own: list, lead=1, power=0, top=0) -> None:
-    """Divide one dense row, zero below index ``low``, in place by
-    lead - sum(c * q^e) over own's (e, c), every e >= 1, in increasing
-    q-order; a remainder raises DivisionInexact.  For power != 0, a step of
-    that power, a coefficient past top + MAX_POWER_BITS bits is refused."""
+    """Divide one dense row, zero below index ``low``, in place by lead - a,
+    a = sum(c * q^e) over own's (e, c), every e >= 1, in increasing q-order;
+    a remainder raises DivisionInexact.  For power != 0, a step of that
+    power, a coefficient past top + MAX_POWER_BITS bits is refused; else a
+    lead -1 is a lead 1 and a sign, -1 - a = -(1 - (-a))."""
+    if lead == -1 and not power:
+        row[low:] = [-x for x in row[low:]]
+        own, lead = [(e, -c) for e, c in own], 1
     if lead != 1 or power:
         if power:
             from .budget import MAX_POWER_BITS, _refuse_bits

@@ -251,17 +251,6 @@ def distinct_odd_to_selfconj(dp: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[tuple]:
-    """All partitions of n as decreasing tuples, largest part <= max_part."""
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def _box_tuples(max_parts: int, max_part: int) -> Iterator[tuple]:
     """Partitions with at most max_parts parts, each at most max_part.
 
@@ -293,11 +282,11 @@ def enumerate_partitions(max_parts: int, max_part: int) -> Iterator[Partition]:
         yield Partition(t)
 
 
-def _distinct_subsets(n: int) -> Iterator[tuple]:
-    """Strictly decreasing tuples with parts drawn from {1..n}."""
-    for r in range(n + 1):
-        for combo in combinations(range(n, 0, -1), r):
-            yield combo
+def _subsets(items: Iterable) -> Iterator[tuple]:
+    """The subsets of items as tuples, each size in ``combinations`` order."""
+    items = tuple(items)
+    for r in range(len(items) + 1):
+        yield from combinations(items, r)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +295,7 @@ def _distinct_subsets(n: int) -> Iterator[tuple]:
 
 
 def _enum_b1(n: int) -> Iterator[PartitionPair]:
-    for lam in _distinct_subsets(n):
+    for lam in _subsets(range(n, 0, -1)):
         bound = (lam[-1] - 1) if lam else n
         first = DistinctPartition(lam)  # shared by the pairs it heads
         for pi in _box_tuples(n + 1, bound):

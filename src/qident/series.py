@@ -12,7 +12,8 @@ once, on ``MultiSeries``; the classes differ only in the class of a result
 their accessors (``QSeries.coeffs``; ``MultiSeries.entries``, a read-only
 {monomial: QSeries} view) and reprs.  Other modules read a value only as
 its (monomial, q-exponent, coefficient) ``terms()`` and build one only by
-``MultiSeries.from_terms``, which sums duplicate terms.
+``MultiSeries.from_terms``, which sums duplicate terms.  Each operation
+has one name: ``shift`` by q^k, ``invert_unit``, the property ``min_exp``.
 
 Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
 whose coefficients the value guarantees exact.  ``trunc is None`` means every
@@ -147,13 +148,6 @@ class MultiSeries:
         return MultiSeries._new(_gather(terms, None, trunc), trunc)
 
     @staticmethod
-    def gen(var: str) -> "MultiSeries":
-        """The generator z, x or y as an exact series."""
-        i = AUX_VARS.index(var)
-        mono = tuple(1 if j == i else 0 for j in range(3))
-        return MultiSeries._new({mono: {0: 1}}, None)
-
-    @staticmethod
     def term(coeff: int = 1, qexp: int = 0, z: int = 0, x: int = 0, y: int = 0,
              trunc: Optional[int] = None) -> "MultiSeries":
         return MultiSeries._from_rows({(z, x, y): {qexp: coeff}}, trunc)
@@ -163,13 +157,12 @@ class MultiSeries:
     def is_zero(self) -> bool:
         return not self._rows
 
-    def min_qexp(self) -> int:
+    @property
+    def min_exp(self) -> int:
         """Lower bound on q-exponents where any row can be nonzero."""
         if not self._rows:
             return self.trunc if self.trunc is not None else 0
         return min(min(row) for row in self._rows.values())
-
-    min_exp = property(min_qexp)
 
     def series(self, mono: Mono) -> "QSeries":
         row = self._rows.get(tuple(mono))
@@ -203,13 +196,11 @@ class MultiSeries:
         return self._new({m: {e: -c for e, c in row.items()}
                           for m, row in self._rows.items()}, self.trunc)
 
-    def shift_q(self, k: int) -> "MultiSeries":
+    def shift(self, k: int) -> "MultiSeries":
         """Multiply by q^k (Laurent shift)."""
         return self._new({m: {e + k: c for e, c in row.items()}
                           for m, row in self._rows.items()},
                          _shift_trunc(self.trunc, k))
-
-    shift = shift_q
 
     def scale(self, c: int) -> "MultiSeries":
         return self._from_rows({m: {e: c * v for e, v in row.items()}
@@ -254,8 +245,6 @@ class MultiSeries:
         acc = _Rows.load(_ONE, 0, t)
         acc.apply({tuple((m, e, -c) for m, e, c in terms if e): -1})
         return self._new(acc.gather({}, t), t)
-
-    invert = invert_unit
 
     def subst_aux(self, **subs) -> "MultiSeries":
         """Substitute aux variables by +-1 or +-(another variable).
@@ -312,7 +301,7 @@ class MultiSeries:
 
     def power(self, n: int) -> "MultiSeries":
         if n < 0:
-            raise ValueError("negative power; use invert or invert_unit")
+            raise ValueError("negative power; use invert_unit")
         result = self.one()
         base = self
         while n:
@@ -343,9 +332,6 @@ class MultiSeries:
             return None
         e, m, lc, rc = min(bad)
         return (e, lc, rc) if _cls(self, b) is QSeries else (m, e, lc, rc)
-
-    def agrees_below(self, other, bound: Optional[int] = None) -> bool:
-        return self.first_mismatch(other, bound) is None
 
     def __eq__(self, other):
         """An int is an exact constant: it equals an exact series with that
@@ -421,12 +407,6 @@ class QSeries(MultiSeries):
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.coeffs.items()))
 
-    def eval_at_one(self) -> int:
-        """Sum of coefficients (the q -> 1 value); exact polynomials only."""
-        if self.trunc is not None:
-            raise TruncationRequired("q=1 evaluation needs an exact polynomial")
-        return sum(self.coeffs.values())
-
     def __repr__(self):
         from .syntax import _row_repr
 
@@ -458,7 +438,7 @@ def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
     stop = None if count is None else step * count
     head, j = ms.one(), 0
     while d + j < 1 and (stop is None or j < stop):
-        head = head.mul(ms.one() - ms.shift_q(j)).truncate(trunc)
+        head = head.mul(ms.one() - ms.shift(j)).truncate(trunc)
         j += step
     t, lo = head.trunc, head.min_exp
     if stop is None or j < stop:

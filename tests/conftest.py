@@ -48,7 +48,7 @@ def _factor_product(a, step, count, T):
     out = MultiSeries.one()
     i = 0
     while (i < count) if count is not None else (a.min_exp + step * i < T):
-        out = out.mul(MultiSeries.one() - a.shift_q(step * i)).truncate(T)
+        out = out.mul(MultiSeries.one() - a.shift(step * i)).truncate(T)
         i += 1
     return out
 
@@ -58,3 +58,20 @@ def factor_product():
     """The generic reference for Pochhammer products: explicit factors
     multiplied one at a time by MultiSeries.mul."""
     return _factor_product
+
+
+_NU3_SUBS = {"nu1": {"x": 1, "y": (-1, "z")}, "nu2": {"x": "z", "y": -1}}
+
+
+def _nu3_specialized(target, side, trunc):
+    """nu3's side, trusted below trunc, with x and y substituted to give
+    the nu1 shape (x -> 1, y -> -z) or the nu2 shape (x -> z, y -> -1)."""
+    from qident.identities import build_side
+
+    return build_side("nu3", side, None, trunc).subst_aux(**_NU3_SUBS[target])
+
+
+@pytest.fixture(scope="session")
+def nu3_specialized():
+    """nu3 specialized to the shape of nu1 or nu2, by target name."""
+    return _nu3_specialized

@@ -1,5 +1,6 @@
 """A truncated evaluator written apart from qident, the reference that
-``test_reference.py`` holds qident's evaluator to.
+``test_reference.py`` holds qident's evaluator to, and ``partitions_of``,
+the brute-force enumeration the counting tests hold qident's counts to.
 
 It imports nothing from qident and shares none of its rules.  A value is
 a Laurent series in q whose coefficients are Laurent polynomials in z and
@@ -89,8 +90,9 @@ def mul(a, b):
 def inverse(v, order):
     """1 / v, for v whose lowest q-layer is one term +-m*q^lo: exact when v
     is that term alone; else v = +-m*q^lo * u, u = 1 + O(q), is trusted
-    below N = hi - lo (order - lo when v is exact), 1/u = sum (1 - u)^i is
-    summed below q^N, and 1/v is trusted below N - lo."""
+    below N = hi - lo (order - lo when v is exact), 1/u is solved below q^N
+    from u * (1/u) = 1, one q-order at a time, and 1/v is trusted below
+    N - lo."""
     lo, hi, rows = v
     (aux0, c0), = ((a, r[0]) for a, r in rows.items() if r[0])
     assert c0 in (1, -1), v
@@ -99,18 +101,26 @@ def inverse(v, order):
         n, hi = 1, None
     else:
         hi = n - lo
-    # u's rows, each shifted by m^-1 and scaled by c0 = 1/c0
-    u = {(a[0] - aux0[0], a[1] - aux0[1]): [c0 * x for x in r] for a, r in rows.items()}
-    y = {(0, 0): [1] + [0] * (n - 1)} if n else {}
+    # u's terms at each q-order i >= 1, shifted by m^-1 and scaled by c0 = 1/c0
+    u = [[] for _ in range(n)]
+    for a, r in rows.items():
+        for i, x in enumerate(r[1:n], 1):
+            if x:
+                u[i].append(((a[0] - aux0[0], a[1] - aux0[1]), c0 * x))
+    # 1/u one q-order at a time: y_k = -sum u_i y_(k-i) over 1 <= i <= k
+    y = [{(0, 0): 1}] if n else []
     for k in range(1, n):
-        for bx, br in u.items():
-            for i in range(1, min(k, len(br) - 1) + 1):
-                if br[i]:
-                    for yx, yr in list(y.items()):
-                        if yr[k - i]:
-                            row = y.setdefault((yx[0] + bx[0], yx[1] + bx[1]), [0] * n)
-                            row[k] -= br[i] * yr[k - i]
-    rows = {(a[0] - aux0[0], a[1] - aux0[1]): [c0 * x for x in r] for a, r in y.items()}
+        yk = {}
+        for i in range(1, k + 1):
+            for (bz, bx), c in u[i]:
+                for (yz, yx), d in y[k - i].items():
+                    key = bz + yz, bx + yx
+                    yk[key] = yk.get(key, 0) - c * d
+        y.append({a: c for a, c in yk.items() if c})
+    rows = {}
+    for k, yk in enumerate(y):
+        for a, c in yk.items():
+            rows.setdefault((a[0] - aux0[0], a[1] - aux0[1]), [0] * n)[k] = c0 * c
     return canon(-lo, hi, rows)
 
 
@@ -162,3 +172,14 @@ def terms(v):
     """{((z, x), q-exponent): coefficient} of v's nonzero coefficients."""
     lo, _, rows = v
     return {(a, lo + i): c for a, r in rows.items() for i, c in enumerate(r) if c}
+
+
+def partitions_of(n, max_part=None):
+    """All partitions of n as decreasing tuples, largest part <= max_part."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(max_part, n)
+    for first in range(top, 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest

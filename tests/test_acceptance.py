@@ -12,7 +12,6 @@ from qident.dsl import evaluate
 from qident.identities import (
     REGISTRY,
     build_side,
-    nu3_specialized,
     p_nu,
     p_nu_series,
     p_omega,
@@ -153,7 +152,7 @@ def test_criterion_07_omega_identities_and_durfee_split():
                " forms (weight<=25); durfee_split roundtrip clean", failures)
 
 
-def test_criterion_08_nu_identities_and_bijection():
+def test_criterion_08_nu_identities_and_bijection(nu3_specialized):
     failures = []
     rep = verify("nu3", None, trunc=40, comb_cap=30)
     if not rep.equal:
@@ -181,7 +180,7 @@ def test_criterion_08_nu_identities_and_bijection():
 def test_criterion_09_q_binomial_theorem():
     failures = []
     for N in range(13):
-        lhs = poch_finite(MultiSeries.gen("z"), 1, N)
+        lhs = poch_finite(MultiSeries.term(z=1), 1, N)
         rhs = MultiSeries.zero()
         for t in range(N + 1):
             c = qbinom(N, t).shift(t * (t - 1) // 2).scale((-1) ** t)

@@ -203,15 +203,34 @@ def test_product_reports_its_first_error_in_factor_order():
         evaluate(text, {}, None)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_exact_division_bit_guard(sign):
+@pytest.mark.parametrize("dividend, divisors", [
+    pytest.param("(1 - q^20675)^2", [("1 - 2*q + q^2", 1)], id="1"),
+    pytest.param("(1 - q^20675)^2", [("-1 + 2*q - q^2", 1)], id="-1"),
+    pytest.param("(1 - q^60)^3", [("-1 + q", 1)], id="-1+q"),
+    pytest.param("(1 - q^60)^3", [("-1 + q^2", 2)], id="(-1+q^2)^2"),
+    pytest.param("(1 - q^60)^3", [("-1 + q^3", 3)], id="(-1+q^3)^3"),
+    pytest.param("(1 - q^60)^3", [("-1 + q^2", 1), ("-1 + q^3", 2)],
+                 id="(-1+q^2)*(-1+q^3)^2"),
+])
+def test_exact_division_bit_guard(dividend, divisors):
     # d = 1 - 2q + q^2 cancels: (1 - q^n)^2 / d = (1 + ... + q^(n-1))^2 has
     # coefficients of at most n, so it is divided although a bound on the
-    # inverse by |c| summing to 3 would pass the limit (2n * log2(3) bits)
-    n = 20675
-    value = evaluate(f"(1 - q^{n})^2 * ({sign} * (1 - 2*q + q^2))^(-1)", {}, None)
-    assert value.qseries().coeffs == {
-        e: sign * min(e + 1, 2 * n - 1 - e) for e in range(2 * n - 1)}
+    # inverse by |c| summing to 3 would pass the limit (2n * log2(3) bits).
+    # A lead -1 is a lead 1 and a sign, -1 - a = -(1 - (-a)): the quotient
+    # is (-1)^k times the one by the divisors negated to lead 1, k the
+    # total power of the divisors of lead -1
+    def quotient(negate):
+        return evaluate(dividend + "".join(
+            f" * ({'-' if negate and d.startswith('-1') else ''}({d}))^(-{k})"
+            for d, k in divisors), {}, None)
+
+    plus = quotient(True)
+    k = sum(k for d, k in divisors if d.startswith("-1"))
+    assert quotient(False) == (-1) ** k * plus
+    if dividend == "(1 - q^20675)^2":
+        n = 20675
+        assert plus.qseries().coeffs == {
+            e: min(e + 1, 2 * n - 1 - e) for e in range(2 * n - 1)}
 
 
 @pytest.mark.parametrize("divisor", ["1 - 2^64*q", "-1 + 2^64*q",

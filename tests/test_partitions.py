@@ -18,12 +18,12 @@ from qident.partitions import (
     durfee_size,
     enumerate_domain,
     enumerate_partitions,
-    partitions_of,
     selfconj_to_distinct_odd,
     staircase,
     weight_gf,
 )
 from qident.series import QSeries, poch_finite, qbinom
+from reference import partitions_of
 
 
 # ---------------------------------------------------------------------------

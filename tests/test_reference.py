@@ -54,18 +54,16 @@ def _signed_power(draw, var):
 @st.composite
 def _poch(draw, var, lo, hi, moving=False):
     # a base of one to three terms, each later one with the first's aux
-    # monomial or none, so that the reference's rows stay few, and one term
-    # under the inverse of an infinite product, which the reference takes
-    # longest to invert; an inverse needs q-valuation >= 1 and no negative
-    # aux exponent; a ``moving`` poch is a chain (a monomial of q-valuation
-    # >= 1) whose count rises or falls with the index, so a sum carries it
-    # from summand to summand
+    # monomial or none, so that the reference's rows stay few; an inverse
+    # needs q-valuation >= 1 and no negative aux exponent; a ``moving`` poch
+    # is a chain (a monomial of q-valuation >= 1) whose count rises or
+    # falls with the index, so a sum carries it from summand to summand
     k = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
     inf = not moving and draw(st.booleans())
     low = 1 if k < 0 or inf or moving else -1
     aux = tuple(draw(st.integers(0 if k < 0 else -1, 1)) for _ in range(2))
     more = draw(st.lists(st.sampled_from([aux, (0, 0)]),
-                         max_size=0 if moving or inf and k < 0 else 2))
+                         max_size=0 if moving else 2))
     base = [(draw(st.sampled_from([1, -1, 2])), a, draw(st.integers(low, 3)))
             for a in [aux] + more]
     step = draw(st.integers(1, 3))

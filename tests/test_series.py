@@ -70,7 +70,7 @@ def test_mul_exact_zero_annihilates():
 
 
 def test_aux_monomial_multiplication():
-    z = MultiSeries.gen("z")
+    z = MultiSeries.term(z=1)
     one = MultiSeries.one()
     mq = MultiSeries.q()
     out = (z * (one - mq)) * (z * (one + mq))
@@ -90,30 +90,30 @@ def test_coeff_guard_beyond_trunc():
 
 
 def test_invert_geometric():
-    inv = (ONE - Q).invert(8)
+    inv = (ONE - Q).invert_unit(8)
     assert inv.coeffs == {e: 1 for e in range(8)}
     assert inv.trunc == 8
 
 
 def test_invert_one_is_exact():
-    assert ONE.invert() == ONE
+    assert ONE.invert_unit() == ONE
 
 
 def test_invert_self_check_q_q2_pochhammer():
     p = poch_finite(Q, 2, 2)  # (1-q)(1-q^3)
-    prod = p * p.invert(50)
+    prod = p * p.invert_unit(50)
     assert prod.first_mismatch(ONE) is None
     p1 = poch_finite(Q, 2, 1)
-    assert p1.invert(20).coeffs == {e: 1 for e in range(20)}
+    assert p1.invert_unit(20).coeffs == {e: 1 for e in range(20)}
 
 
 def test_invert_requires_unit_constant():
     with pytest.raises(NonUnitConstantTerm):
-        (QSeries.term(2)).invert(5)
+        (QSeries.term(2)).invert_unit(5)
     with pytest.raises(NonUnitConstantTerm):
-        (Q + ONE.shift(-1)).invert(5)  # has q^-1 term
+        (Q + ONE.shift(-1)).invert_unit(5)  # has q^-1 term
     with pytest.raises(TruncationRequired):
-        (ONE - Q).invert()  # infinite expansion with no truncation
+        (ONE - Q).invert_unit()  # infinite expansion with no truncation
 
 
 def test_multiseries_invert_unit():
@@ -121,7 +121,7 @@ def test_multiseries_invert_unit():
     inv = d.invert_unit(40)
     assert (inv * d).first_mismatch(MultiSeries.one()) is None
     with pytest.raises(NonUnitConstantTerm):
-        (MultiSeries.one() - MultiSeries.gen("z")).invert_unit(10)
+        (MultiSeries.one() - MultiSeries.term(z=1)).invert_unit(10)
 
 
 @given(
@@ -134,7 +134,7 @@ def test_multiseries_invert_unit():
 )
 def test_invert_property(tail, trunc):
     a = QSeries({0: 1, **tail})
-    assert (a * a.invert(trunc)).first_mismatch(ONE) is None
+    assert (a * a.invert_unit(trunc)).first_mismatch(ONE) is None
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def test_poch_infinite_nonconvergent():
     with pytest.raises(NonConvergent):
         poch_infinite(ONE, 1, 10)
     with pytest.raises(NonConvergent):
-        poch_infinite(MultiSeries.gen("z"), 2, 10)
+        poch_infinite(MultiSeries.term(z=1), 2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_qbinom_symmetry_and_q1(m):
     for k in range(m + 1):
         b = qbinom(m, k)
         assert b == qbinom(m, m - k)
-        assert b.eval_at_one() == comb(m, k)
+        assert b.trunc is None and sum(b.coeffs.values()) == comb(m, k)
         assert all(c > 0 for c in b.coeffs.values())
         if k not in (0, m):
             assert b.degree() == k * (m - k)
@@ -345,7 +345,7 @@ def test_kernel_constructors_refuse_bad_arguments(build, message):
 
 @pytest.mark.parametrize("N", range(13))
 def test_q_binomial_theorem(N):
-    lhs = poch_finite(MultiSeries.gen("z"), 1, N)
+    lhs = poch_finite(MultiSeries.term(z=1), 1, N)
     rhs = MultiSeries.zero()
     for t in range(N + 1):
         coeff = qbinom(N, t).shift(t * (t - 1) // 2).scale((-1) ** t)
@@ -411,7 +411,7 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=60)
 def test_additive_inverse(a):
     assert (a - a).first_mismatch(QSeries.zero()) is None
-    assert QSeries.zero().agrees_below(a - a)
+    assert QSeries.zero().first_mismatch(a - a) is None
     assert_views_agree(a - a)
     assert_views_agree(a.neg())
 
@@ -502,10 +502,10 @@ def test_poch_of_laurent_polynomial_is_exact():
     a = MultiSeries.term(1, -2) + MultiSeries.term(3, 1, z=1)
     want = MultiSeries.one()
     for j in (0, 1, 2):
-        want = want * (MultiSeries.one() - a.shift_q(j))
+        want = want * (MultiSeries.one() - a.shift(j))
     assert poch_finite(a, 1, 3) == want
     b = MultiSeries.term(2, -3) + MultiSeries.term(1, 2, y=1)
-    want = (MultiSeries.one() - b) * (MultiSeries.one() - b.shift_q(2))
+    want = (MultiSeries.one() - b) * (MultiSeries.one() - b.shift(2))
     assert poch_finite(b, 2, 2) == want
     assert poch_finite(b, 2, 2, trunc=3) == MultiSeries(want.entries, 2)
     # the factor 1 - q^(-2)*q^2 is an exact zero
@@ -513,7 +513,7 @@ def test_poch_of_laurent_polynomial_is_exact():
     # a base with no terms trusted below q^-2 makes factors 1 + O(q^-2) and
     # 1 + O(q^-1), whose 1 is not trusted: their product is O(q^-3)
     empty = QSeries.zero(-2)
-    want = (QSeries.one() - empty) * (QSeries.one() - empty.shift_q(1))
+    want = (QSeries.one() - empty) * (QSeries.one() - empty.shift(1))
     assert want == QSeries.zero(-3)
     assert poch_finite(empty, 1, 2) == want
 
