@@ -8,43 +8,39 @@ membership, the weight law, and the round trip element by element.
 Every map and validator is a function of the value of its element alone:
 equal elements get equal results.  The sweep relies on it.  It walks the
 domain and the codomain in lockstep, and a domain element whose image maps
-back to it, and which lies in the domain, proves the codomain checks of
-that image; only the codomain elements that no such image matched are
-mapped back and forth.  Its memory is what is pending at once, not the
-families.  So each codomain streams in its domain's image order, or
-close to it: the codomain's i-th element is the image of the domain's
-i-th one for psi and rho, and phi, durfee_split and nu3 hold at most a
-few hundred pending in the sweeps the benchmark runs.  tau's codomain,
-lexicographic within a size, is the exception.
+back to it proves the codomain checks of that image; only the codomain
+elements that no such image matched are mapped back and forth.  Its
+memory is what is pending at once, not the families.  So each codomain
+streams in its domain's image order, or close to it: the codomain's i-th
+element is the image of the domain's i-th one for psi and rho, and phi,
+durfee_split and nu3 hold at most a few hundred pending in the sweeps the
+benchmark runs.  tau's codomain, lexicographic within a size, is the
+exception.
 
-Which check runs where, for each domain element x of a sweep:
-
-- the map forward checks x against the domain's validator (its input
-  check); durfee_split and nu3 also check their image against the
-  codomain's validator (the output self-check);
-- the sweep tests the image for membership in the codomain, compares the
-  two weights, and maps the image back: the inverse checks the image
-  against the codomain's validator, and durfee_join and nu3_inverse check
-  their preimage against the domain's;
-- only when the preimage equals x does the sweep test x for membership in
-  the domain; the image then waits, with its codomain weight, for its twin.
+Which check runs where, for each domain element x of a sweep: the map
+forward checks x against the domain's validator, and the inverse checks
+the image against the codomain's.  These input checks are the sweep's
+only membership tests; a ``DomainViolation`` from either map counts as
+a membership failure.  The sweep then compares the two weights and the
+preimage with x; when the preimage is x, the image waits, with its
+codomain weight, for its twin.  No map checks its own output: the other
+map's input check follows each of them, in a sweep and in a ``--demo``
+alike.  tau's inverse in the table refuses a set of more than n elements
+and then calls ``tau_complement``, which takes any element of P.
 
 A codomain element equal to a waiting image costs one dictionary lookup:
 its checks are its twin's, and so is its weight.  Any other codomain
-element gets its weight and, at the end, the full path: inverse, domain
-membership, forward.  So a family's validator is asked about the same
-value two or three times in a row.  The validators of the weight-capped
-families keep their last verdict (``capped._keeps_last``), so a repeat
-costs a comparison; the others cost about that much anyway.  A sweep
-looks its two validators up once, when it starts; the maps look theirs
-up on every call.
+element gets its weight and, at the end, inverse and forward, whose
+input checks test it and its preimage.  So each family's validator is
+asked once per domain element, and once more per codomain element left
+over at the end.  The maps look their validators up on every call.
 
 The six bijections are the rows of one table, ``_BIJECTIONS``: the
 parameters a sweep needs, the domain and codomain families, the forward and
 inverse maps, the two weight functions and the shift of the weight law.
-The rows look the maps, ``enumerate_domain`` and ``domain_validator`` up as
-module globals when a sweep runs, so a wrapped map is the one swept.  A
-map's checks format their ``DomainViolation`` message only when they fail.
+The rows look the maps and ``enumerate_domain`` up as module globals when
+a sweep runs, so a wrapped map is the one swept.  A map's checks format
+their ``DomainViolation`` message only when they fail.
 """
 
 from __future__ import annotations
@@ -163,6 +159,14 @@ def tau_complement(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
     return SignedDistinctSet(_unnegated(lam.elements, range(-n, n + 1)), n)
 
 
+def tau_inv(n: int, lam: SignedDistinctSet) -> SignedDistinctSet:
+    """The involution on tau's codomain: a set of more than n elements is
+    refused first."""
+    _require(len(lam.elements) <= n,
+             "tau inverse needs a P({}) element of size at most {}: {!r}", n, n, lam)
+    return tau_complement(n, lam)
+
+
 # ---------------------------------------------------------------------------
 # rho : P_>(n) -> B3(n)
 # ---------------------------------------------------------------------------
@@ -201,13 +205,10 @@ def rho_inv(n: int, elt: tuple) -> SignedDistinctSet:
 def durfee_split(lam: Partition) -> PartitionPair:
     """Detach the largest part; the remainder keeps the odd/even-multiplicity
     structure, giving an OE element for the same k."""
-    k = _ds_k(lam)
-    mu = Partition((lam.parts[0],))
-    nu = Partition(lam.parts[1:])
-    out = PartitionPair(mu, nu)
-    _require(domain_validator("OE")(out, k),
-             "split of {!r} left the OE({}) family: {!r}", lam, k, out)
-    return out
+    _require(lam.parts and lam.parts[0] % 2 == 1, "largest part must be odd: {!r}", lam)
+    k = (lam.parts[0] - 1) // 2
+    _require(domain_validator("DS")(lam, k), "not a DS({}) element: {!r}", k, lam)
+    return PartitionPair(Partition(lam.parts[:1]), Partition(lam.parts[1:]))
 
 
 def durfee_join(pair: PartitionPair) -> Partition:
@@ -217,17 +218,7 @@ def durfee_join(pair: PartitionPair) -> Partition:
              "first component must be a single odd part: {!r}", mu)
     k = (mu.parts[0] - 1) // 2
     _require(domain_validator("OE")(pair, k), "not an OE({}) element: {!r}", k, pair)
-    lam = Partition(mu.parts + nu.parts)
-    _require(domain_validator("DS")(lam, k),
-             "joined partition left the DS({}) family: {!r}", k, lam)
-    return lam
-
-
-def _ds_k(lam: Partition) -> int:
-    _require(lam.parts and lam.parts[0] % 2 == 1, "largest part must be odd: {!r}", lam)
-    k = (lam.parts[0] - 1) // 2
-    _require(domain_validator("DS")(lam, k), "not a DS({}) element: {!r}", k, lam)
-    return k
+    return Partition(mu.parts + nu.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +265,7 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     _require(not nu_prime.parts or nu_prime.parts[0] <= n + k,
              "residue largest part exceeds n+k: {!r}", nu_prime)
     # selfconj_to_distinct_odd less its checks, which have just passed
-    out = PartitionPair(mu, _principal_hooks(nu_prime.parts, n))
-    _require(domain_validator("DO")(out, n, k),
-             "image left the DO({},{}) family: {!r}", n, k, out)
-    return out
+    return PartitionPair(mu, _principal_hooks(nu_prime.parts, n))
 
 
 def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
@@ -302,10 +290,7 @@ def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
         "appended rows {} disagree with column excesses {}", below, svals,
     )
     pi = Partition(tuple([2 * s + 1 for s in svals]))
-    out = PartitionPair(rectangle(n), pi)
-    _require(domain_validator("O")(out, n, k),
-             "preimage left the O({},{}) family: {!r}", n, k, out)
-    return out
+    return PartitionPair(rectangle(n), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -351,30 +336,30 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
            weight_cap: Optional[int]) -> BijectionReport:
     """Walk the domain and the codomain in lockstep and count the failures.
 
-    A domain element x gets forward, membership of its image y in the
-    codomain, the weight law and the round trip ``inverse(y) == x``.  A
-    codomain element gets inverse, membership of its preimage in the domain
-    and forward back to itself.  Every map and validator depends only on
-    the value of the element, so an x that passed forward, membership and
-    the round trip and lies in the domain has already proved the codomain
-    checks of every element equal to y.  Such an image waits in ``proved``
-    until its twin turns up in the codomain, and an unmatched codomain
-    element waits in ``pending`` until a proved image arrives; a match
-    drops both.  Only the codomain elements still pending at the end take
-    the full path, in codomain order; an element met more than once is
-    checked once and counted as often as it was met.  The weight multisets
-    are compared through one tally of counts per weight; a proved image
-    keeps its codomain weight, which its twin then shares, so a matched
-    codomain element costs one lookup in ``proved``.  The module docstring
-    lists which check runs where, map or sweep.  Memory is what
-    is pending, not the families: near zero when the codomain streams in
-    the domain's image order, as the module docstring says.  The report
-    does not depend on the order; it is that of a domain pass
-    followed by a codomain pass: counts, and the first domain witness
-    before the first codomain witness.
+    A domain element x gets forward, inverse of its image y, the weight law
+    and the round trip ``inverse(y) == x``.  A codomain element gets
+    inverse and forward back to itself.  The maps' input checks are the
+    membership tests: a ``DomainViolation`` counts as a membership failure.
+    Every map and validator depends only on the value of the element, so
+    an x that passed forward, inverse and the round trip has already
+    proved the codomain checks of every element equal to y.  Such an image
+    waits in ``proved`` until its twin turns up in the codomain, and an
+    unmatched codomain element waits in ``pending`` until a proved image
+    arrives; a match drops both.  Only the codomain elements still pending
+    at the end take the full path, in codomain order; an element met more
+    than once is checked once and counted as often as it was met.  The
+    weight multisets are compared through one tally of counts per weight;
+    a proved image keeps its codomain weight, which its twin then shares,
+    so a matched codomain element costs one lookup in ``proved``.  The
+    module docstring lists which check runs where.  Memory is what is
+    pending, not the families: near zero when the codomain streams in the
+    domain's image order, as the module docstring says.  The report does
+    not depend on the order; it is that of a domain pass followed by a
+    codomain pass: counts, and the first domain witness before the first
+    codomain witness.
     """
-    domain, in_domain = spec.domain(n, k, weight_cap)
-    codomain, in_codomain = spec.codomain(n, k, weight_cap)
+    domain = spec.domain(n, k, weight_cap)
+    codomain = spec.codomain(n, k, weight_cap)
     forward, inverse = spec.forward, spec.inverse
     w_domain, w_codomain = spec.w_domain, spec.w_codomain
     delta = spec.shift(n)
@@ -389,27 +374,21 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
             wx = w_domain(n, x) + delta
             dom_size += 1
             balance[wx] = balance.get(wx, 0) + 1
-            back = False
             try:
                 fx = forward(n, k, x)
-                if in_codomain(fx):
-                    wfx = w_codomain(n, fx)
-                    if wfx != wx:
-                        weight += 1
-                        dom_witness = dom_witness or repr(x)
-                    if inverse(n, k, fx) != x:
-                        roundtrip += 1
-                        dom_witness = dom_witness or repr(x)
-                    else:
-                        back = True
-                else:
-                    membership += 1
+                back = inverse(n, k, fx)
+                wfx = w_codomain(n, fx)
+                if wfx != wx:
+                    weight += 1
                     dom_witness = dom_witness or repr(x)
+                if back != x:
+                    roundtrip += 1
+                    dom_witness = dom_witness or repr(x)
+                elif not pending.pop(fx, 0):
+                    proved[fx] = wfx
             except DomainViolation:
                 membership += 1
                 dom_witness = dom_witness or repr(x)
-            if back and in_domain(x) and not pending.pop(fx, 0):
-                proved[fx] = wfx
         if y is not _END:
             cod_size += 1
             wy = proved.pop(y, _END)  # one hash; a twin's weight is its image's
@@ -419,11 +398,7 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
             balance[wy] = balance.get(wy, 0) - 1
     for y, times in pending.items():
         try:
-            x = inverse(n, k, y)
-            if not in_domain(x):
-                membership += times
-                cod_witness = cod_witness or repr(y)
-            elif forward(n, k, x) != y:
+            if forward(n, k, inverse(n, k, y)) != y:
                 roundtrip += times
                 cod_witness = cod_witness or repr(y)
         except DomainViolation:
@@ -443,13 +418,14 @@ class _Bijection(NamedTuple):
     """One row of the bijection table.
 
     ``domain`` and ``codomain`` are families: functions of (n, k, weight_cap)
-    returning the elements and a membership test.  ``forward`` and
-    ``inverse`` take (n, k, element); the weights take (n, element) and the
-    shift, added to every domain weight, takes n.  ``size_bits``, for the
+    returning the elements only, since the maps' input checks test
+    membership.  ``forward`` and ``inverse`` take (n, k, element); the
+    weights take (n, element) and the shift, added to every domain weight,
+    takes n.  ``size_bits``, for the
     families of closed-form size, takes n and gives the base-2 logarithm
-    of the domain's size.  Every entry reaches the maps, enumerators and
-    validators through this module's globals when it runs, so a wrapped map
-    is the one the sweep calls.
+    of the domain's size.  Every entry reaches the maps and enumerators
+    through this module's globals when it runs, so a wrapped map is the one
+    the sweep calls.
     """
 
     params: tuple
@@ -463,26 +439,16 @@ class _Bijection(NamedTuple):
     size_bits: Optional[Callable] = None
 
 
-def _domain(name: str, *takes: str) -> Callable:
-    """The partitions domain ``name`` as a family; its validator takes the
-    parameters ``takes`` (of "n", "k") after the element."""
-    def family(n, k, cap):
-        elements = enumerate_domain(name, n=n, k=k, weight_cap=cap)
-        valid = domain_validator(name)  # looked up once, when the sweep starts
-        # no call through *args, which costs three plain ones
-        if takes == ("n", "k"):
-            return elements, lambda x: valid(x, n, k)
-        param = n if takes == ("n",) else k
-        return elements, lambda x: valid(x, param)
-    return family
+def _domain(name: str) -> Callable:
+    """The partitions domain ``name`` as a family."""
+    return lambda n, k, cap: enumerate_domain(name, n=n, k=k, weight_cap=cap)
 
 
 def _negative_sets(n, k, cap):
     """Subsets of {-n, ..., -1}, the domain of psi: for each subset of
     {1..n} in ``_subsets`` order, its negation."""
-    sets = (SignedDistinctSet(combo[::-1], n)
+    return (SignedDistinctSet(combo[::-1], n)
             for combo in _subsets(range(-1, -n - 1, -1)))
-    return sets, lambda x: _within(x.elements, -n, -1)
 
 
 def _bounded_distinct(n, k, cap):
@@ -490,19 +456,18 @@ def _bounded_distinct(n, k, cap):
     the order of psi's images: for each subset of {1..n} in ``_subsets``
     order, the parts of its complement."""
     top = range(n, 0, -1)
-    parts = (DistinctPartition(_unnegated(combo, top))
-             for combo in _subsets(range(-1, -n - 1, -1)))
-    return parts, lambda y: _within(y.parts, 1, n)
+    return (DistinctPartition(_unnegated(combo, top))
+            for combo in _subsets(range(-1, -n - 1, -1)))
 
 
 def _short_sets(n, k, cap):
     """Elements of P(n) with at most n elements, the codomain of tau."""
-    return signed_sets(n, range(n, -1, -1)), lambda y: len(y.elements) <= n
+    return signed_sets(n, range(n, -1, -1))
 
 
 _BIJECTIONS = {
     "phi": _Bijection(
-        ("n",), _domain("B1", "n"), _domain("B2", "n"),
+        ("n",), _domain("B1"), _domain("B2"),
         lambda n, k, x: phi(n, x), lambda n, k, y: phi_inv(n, y),
         w_codomain=lambda n, y: b2_weight(y), size_bits=lambda n: 2 * n,
     ),
@@ -512,21 +477,21 @@ _BIJECTIONS = {
         shift=lambda n: n * (n + 1) // 2, size_bits=lambda n: n,
     ),
     "tau": _Bijection(
-        ("n",), _domain("P_gt", "n"), _short_sets,
-        lambda n, k, x: tau(n, x), lambda n, k, y: tau_complement(n, y),
+        ("n",), _domain("P_gt"), _short_sets,
+        lambda n, k, x: tau(n, x), lambda n, k, y: tau_inv(n, y),
         size_bits=lambda n: 2 * n,
     ),
     "rho": _Bijection(
-        ("n",), _domain("P_gt", "n"), _domain("B3", "n"),
+        ("n",), _domain("P_gt"), _domain("B3"),
         lambda n, k, x: rho(n, x), lambda n, k, y: rho_inv(n, y),
         w_codomain=lambda n, y: b3_weight(n, y), size_bits=lambda n: 2 * n,
     ),
     "durfee_split": _Bijection(
-        ("k", "weight_cap"), _domain("DS", "k"), _domain("OE", "k"),
+        ("k", "weight_cap"), _domain("DS"), _domain("OE"),
         lambda n, k, x: durfee_split(x), lambda n, k, y: durfee_join(y),
     ),
     "nu3": _Bijection(
-        ("n", "k", "weight_cap"), _domain("O", "n", "k"), _domain("DO", "n", "k"),
+        ("n", "k", "weight_cap"), _domain("O"), _domain("DO"),
         lambda n, k, x: nu3_forward(n, k, x), lambda n, k, y: nu3_inverse(n, k, y),
     ),
 }

@@ -7,18 +7,16 @@ and a validator.  ``partitions.enumerate_domain`` and
 these families is named, so the maps and sweeps that never name one
 (phi, psi, tau, rho) do not load it.
 
-A sweep asks these validators about the same value up to three times in
-a row: the map's input check, the other map's output check and the
-sweep's membership test.  Each validator keeps its last verdict, keyed by
-the element's value and the parameters (``_keeps_last``), so the repeats
-cost a comparison.
+The validators are plain predicates that keep no state.  A sweep asks
+each one once per element it maps, through the maps' input checks, which
+are its only membership tests (see ``bijections``).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import attrgetter, mod
-from typing import Callable, Iterator, Optional
+from operator import mod
+from typing import Iterator, Optional
 
 from .partitions import (
     DistinctPartition,
@@ -27,29 +25,6 @@ from .partitions import (
     conjugate_parts,
     rectangle,
 )
-
-
-def _keeps_last(valid: Callable, kind: type, value: Callable) -> Callable:
-    """``valid``, answering from its last verdict when asked again about
-    an equal value with the same parameters.
-
-    The key is ``value(elt)`` (tuples of parts) and the parameters, so one
-    verdict is kept whatever the family's size, and a changed element is a
-    new question.  An element that is not a ``kind`` is refused at once, as
-    ``valid`` refuses it.
-    """
-    last = [(None, False)]  # replaced whole: a key is read with its own verdict
-
-    def check(elt, *args, **kwargs) -> bool:
-        if not isinstance(elt, kind):
-            return False
-        key = (value(elt), args, kwargs)
-        seen, verdict = last[0]
-        if key != seen:
-            verdict = valid(elt, *args, **kwargs)
-            last[0] = (key, verdict)
-        return verdict
-    return check
 
 
 def _odd_exact(k: int, max_part: int, budget: Optional[int] = None,
@@ -194,10 +169,9 @@ def _val_do(elt, n: int, k: int) -> bool:
 
 # name -> (required params, takes weight_cap, enumerator, validator), the
 # rows that partitions._DOMAINS takes in on first use
-_PAIR_PARTS = attrgetter("first.parts", "second.parts")
 DOMAINS = {
-    "DS": (("k",), True, _enum_ds, _keeps_last(_val_ds, Partition, attrgetter("parts"))),
-    "OE": (("k",), True, _enum_oe, _keeps_last(_val_oe, PartitionPair, _PAIR_PARTS)),
-    "O": (("n", "k"), True, _enum_o, _keeps_last(_val_o, PartitionPair, _PAIR_PARTS)),
-    "DO": (("n", "k"), True, _enum_do, _keeps_last(_val_do, PartitionPair, _PAIR_PARTS)),
+    "DS": (("k",), True, _enum_ds, _val_ds),
+    "OE": (("k",), True, _enum_oe, _val_oe),
+    "O": (("n", "k"), True, _enum_o, _val_o),
+    "DO": (("n", "k"), True, _enum_do, _val_do),
 }

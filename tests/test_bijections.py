@@ -23,6 +23,7 @@ from qident.bijections import (
     rho_inv,
     tau,
     tau_complement,
+    tau_inv,
 )
 from qident.errors import BadParams, DomainViolation, MissingParam, UnknownBijection
 from qident.partitions import (
@@ -99,8 +100,8 @@ def test_psi_families_stream_subsets_of_one_to_n_by_size():
     for n in range(7):
         subsets = [c for r in range(n + 1)
                    for c in combinations(range(1, n + 1), r)]
-        sets, _ = bijections._negative_sets(n, None, None)
-        parts, _ = bijections._bounded_distinct(n, None, None)
+        sets = bijections._negative_sets(n, None, None)
+        parts = bijections._bounded_distinct(n, None, None)
         assert not isinstance(sets, list) and not isinstance(parts, list)
         assert list(sets) == [
             SignedDistinctSet(tuple(sorted(-v for v in c)), n) for c in subsets]
@@ -115,8 +116,8 @@ def test_codomain_streams_in_the_image_order(name):
     # the lockstep sweep then meets each image and its twin together
     row = bijections._BIJECTIONS[name]
     for n in range(7):
-        domain, _ = row.domain(n, None, None)
-        codomain, _ = row.codomain(n, None, None)
+        domain = row.domain(n, None, None)
+        codomain = row.codomain(n, None, None)
         assert list(codomain) == [row.forward(n, None, x) for x in domain]
 
 
@@ -161,13 +162,15 @@ def test_tau_frozen_n1():
 
 def test_tau_codomain_is_the_ordered_filter_of_p():
     for n in range(6):
-        short, in_codomain = bijections._short_sets(n, None, None)
+        short = bijections._short_sets(n, None, None)
         # sizes n down to 0, the order of the sizes of P_gt's images;
         # lexicographic within a size
         want = [s for r in range(n, -1, -1)
                 for s in enumerate_domain("P", n=n) if len(s) == r]
         assert list(short) == want
-        assert all(map(in_codomain, want))
+        # the row's inverse takes every element and complements it
+        inverse = bijections._BIJECTIONS["tau"].inverse
+        assert [inverse(n, None, s) for s in want] == [tau_complement(n, s) for s in want]
 
 
 def test_tau_weight_multiset_preserved():
@@ -431,13 +434,16 @@ def _drop_last(y):
     return (t, _drop_last(nu))
 
 
+# bijection -> the partitions family of its domain; psi's has none
+_DOMAIN_FAMILY = {"phi": "B1", "tau": "P_gt", "rho": "P_gt",
+                  "durfee_split": "DS", "nu3": "O"}
+
+
 def _first_domain_element(name, kwargs):
     """The first element of the bijection's domain in sweep order."""
     if name == "psi":
         return SignedDistinctSet((), kwargs["n"])
-    family = {"phi": "B1", "tau": "P_gt", "rho": "P_gt",
-              "durfee_split": "DS", "nu3": "O"}[name]
-    return next(iter(enumerate_domain(family, **kwargs)))
+    return next(iter(enumerate_domain(_DOMAIN_FAMILY[name], **kwargs)))
 
 
 @pytest.mark.parametrize("name,fault", sorted(_FAULT_REPORTS))
@@ -493,9 +499,10 @@ def test_sweep_counts_weight_only_faults(monkeypatch):
 
 def _reference_sweep(name, spec, n, k, weight_cap):
     """The two-pass sweep: every domain element forward and back, then every
-    codomain element back and forward, then the weight multisets."""
-    domain, in_domain = spec.domain(n, k, weight_cap)
-    codomain, in_codomain = spec.codomain(n, k, weight_cap)
+    codomain element back and forward, then the weight multisets.  As in
+    the walk, the maps' input checks are the membership tests."""
+    domain = spec.domain(n, k, weight_cap)
+    codomain = spec.codomain(n, k, weight_cap)
     forward, inverse = spec.forward, spec.inverse
     w_domain, w_codomain = spec.w_domain, spec.w_codomain
     delta = spec.shift(n)
@@ -507,14 +514,11 @@ def _reference_sweep(name, spec, n, k, weight_cap):
         dom_weights.append(wx)
         try:
             y = forward(n, k, x)
-            if not in_codomain(y):
-                membership += 1
-                witness = witness or repr(x)
-                continue
+            back = inverse(n, k, y)
             if w_codomain(n, y) != wx:
                 weight += 1
                 witness = witness or repr(x)
-            if inverse(n, k, y) != x:
+            if back != x:
                 roundtrip += 1
                 witness = witness or repr(x)
         except DomainViolation:
@@ -524,12 +528,7 @@ def _reference_sweep(name, spec, n, k, weight_cap):
     for y in codomain:
         cod_weights.append(w_codomain(n, y))
         try:
-            x = inverse(n, k, y)
-            if not in_domain(x):
-                membership += 1
-                witness = witness or repr(y)
-                continue
-            if forward(n, k, x) != y:
+            if forward(n, k, inverse(n, k, y)) != y:
                 roundtrip += 1
                 witness = witness or repr(y)
         except DomainViolation:
@@ -625,8 +624,7 @@ def test_walk_report_equals_two_pass_sweep_on_edited_codomain(monkeypatch, name,
     row = bijections._BIJECTIONS[name]
 
     def codomain(n, k, cap):
-        items, member = row.codomain(n, k, cap)
-        return iter(edit(name, list(items))), member
+        return iter(edit(name, list(row.codomain(n, k, cap))))
 
     monkeypatch.setitem(bijections._BIJECTIONS, name, row._replace(codomain=codomain))
     kwargs = _FAULT_CASES[name][0]
@@ -639,20 +637,82 @@ def test_walk_report_equals_two_pass_sweep_on_edited_codomain(monkeypatch, name,
 
 @pytest.mark.parametrize("name", sorted(_FAULT_CASES))
 def test_walk_report_equals_two_pass_sweep_when_domain_refuses_one(monkeypatch, name):
-    # a domain membership test that refuses its third element, which both
-    # maps still accept: only the codomain check of its image sees it
-    row = bijections._BIJECTIONS[name]
+    # a domain validator that refuses the third domain element: the forward
+    # map refuses it, and so does the forward map of the full path its image
+    # then takes from the codomain, so it counts once on each side.  psi
+    # checks its input without a family validator, by _within on the set's
+    # elements
     kwargs = _FAULT_CASES[name][0]
-
-    def domain(n, k, cap):
-        items, member = row.domain(n, k, cap)
-        items = list(items)
-        return iter(items), lambda x: x != items[2] and member(x)
-
-    monkeypatch.setitem(bijections._BIJECTIONS, name, row._replace(domain=domain))
+    third = list(bijections._BIJECTIONS[name].domain(
+        kwargs.get("n"), kwargs.get("k"), kwargs.get("weight_cap")))[2]
+    if name == "psi":
+        within = bijections._within
+        monkeypatch.setattr(bijections, "_within", lambda values, lo, hi: (
+            values != third.elements and within(values, lo, hi)))
+    else:
+        real = bijections.domain_validator
+        family = _DOMAIN_FAMILY[name]
+        monkeypatch.setattr(bijections, "domain_validator", lambda fam: (
+            (lambda x, *args: x != third and real(fam)(x, *args)) if fam == family
+            else real(fam)))
     new, old = _both_sweeps(monkeypatch, name, kwargs)
     assert new == old
-    assert (new.roundtrip_failures, new.membership_failures) == (0, 1)
+    assert (new.roundtrip_failures, new.membership_failures) == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the maps' input checks are the sweep's only membership tests
+# ---------------------------------------------------------------------------
+
+_COUNTED_SWEEPS = (
+    [(name, dict(n=n)) for name in ("phi", "rho", "tau") for n in range(4)]
+    + [("durfee_split", dict(weight_cap=15)), ("nu3", dict(max_nk=3, weight_cap=20))]
+)
+
+# bijection -> the families whose validators its maps ask: tau's inverse
+# checks the set's size, and tau_complement its n
+_VALIDATED = {"phi": ("B1", "B2"), "rho": ("P_gt", "B3"), "tau": ("P_gt",),
+              "durfee_split": ("DS", "OE"), "nu3": ("O", "DO")}
+
+
+def _count_validator_calls(monkeypatch):
+    """Count the calls of each family's validator, by family name."""
+    calls = {}
+    real = bijections.domain_validator
+
+    def domain_validator(name):
+        valid = real(name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return valid(*args)
+        return counted
+
+    monkeypatch.setattr(bijections, "domain_validator", domain_validator)
+    return calls
+
+
+@pytest.mark.parametrize("name,kwargs", _COUNTED_SWEEPS)
+def test_each_validator_is_asked_once_per_element(monkeypatch, name, kwargs):
+    calls = _count_validator_calls(monkeypatch)
+    rep = check_bijection(name, **kwargs)
+    assert rep.passed() and rep.domain_size > 0
+    # every image meets its twin, so no codomain element is left pending
+    assert calls == dict.fromkeys(_VALIDATED[name], rep.domain_size)
+    # a codomain element met again after its twin is pending at the end: its
+    # inverse and the forward map back ask each validator once more
+    row = bijections._BIJECTIONS[name]
+
+    def codomain(n, k, cap):
+        items = list(row.codomain(n, k, cap))
+        return items + items[-1:]
+
+    monkeypatch.setitem(bijections._BIJECTIONS, name, row._replace(codomain=codomain))
+    calls.clear()
+    rep = check_bijection(name, **kwargs)
+    assert rep.codomain_size > rep.domain_size
+    assert rep.membership_failures == rep.roundtrip_failures == 0
+    assert calls == dict.fromkeys(_VALIDATED[name], rep.codomain_size)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +752,9 @@ _VIOLATIONS = [
      "not an O(1,1) element: PartitionPair(Partition(1, 1), Partition(2,))"),
     (lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((4,)))),
      "not a DO(1,1) element: PartitionPair(Partition(2,), DistinctPartition(4,))"),
+    # tau_complement takes this set; tau's codomain holds at most n elements
+    (lambda: tau_inv(1, SignedDistinctSet((-1, 0), 1)),
+     "tau inverse needs a P(1) element of size at most 1: SignedDistinctSet((-1, 0), n=1)"),
 ]
 
 
@@ -720,22 +783,24 @@ def _validators(verdicts):
 
 _EVERY = dict.fromkeys(("B1", "B2", "B3", "P", "P_gt", "DS", "OE", "O", "DO"), True)
 
-# checks after the input check, reached through validators that accept or
-# refuse everything; each text names the offending values in order
+# checks after a map's input check, reached through validators that accept
+# or refuse everything; each text names the offending values in order.  No
+# map checks its own output: the other map's input check refuses the same
+# value, as the four round trips below show
 _INNER_VIOLATIONS = [
-    (dict(OE=False), lambda: durfee_split(Partition((3,))),
-     "split of Partition(3,) left the OE(1) family:"
-     " PartitionPair(Partition(3,), Partition())"),
+    (dict(OE=False), lambda: durfee_join(durfee_split(Partition((3,)))),
+     "not an OE(1) element: PartitionPair(Partition(3,), Partition())"),
     (dict(OE=False), lambda: durfee_join(PartitionPair(Partition((3,)), Partition(()))),
      "not an OE(1) element: PartitionPair(Partition(3,), Partition())"),
-    (dict(DS=False), lambda: durfee_join(PartitionPair(Partition((3,)), Partition(()))),
-     "joined partition left the DS(1) family: Partition(3,)"),
-    (dict(DO=False), lambda: nu3_forward(1, 1, PartitionPair(Partition((1, 1)), Partition((3,)))),
-     "image left the DO(1,1) family:"
-     " PartitionPair(Partition(2,), DistinctPartition(3,))"),
-    (dict(O=False), lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((3,)))),
-     "preimage left the O(1,1) family:"
-     " PartitionPair(Partition(1, 1), Partition(3,))"),
+    (dict(DS=False), lambda: durfee_split(durfee_join(
+        PartitionPair(Partition((3,)), Partition(())))),
+     "not a DS(1) element: Partition(3,)"),
+    (dict(DO=False), lambda: nu3_inverse(1, 1, nu3_forward(
+        1, 1, PartitionPair(Partition((1, 1)), Partition((3,))))),
+     "not a DO(1,1) element: PartitionPair(Partition(2,), DistinctPartition(3,))"),
+    (dict(O=False), lambda: nu3_forward(1, 1, nu3_inverse(
+        1, 1, PartitionPair(Partition((2,)), DistinctPartition((3,))))),
+     "not an O(1,1) element: PartitionPair(Partition(1, 1), Partition(3,))"),
     (_EVERY, lambda: nu3_forward(1, 1, PartitionPair(Partition((1, 1)), Partition(()))),
      "largest folded part is not n+k: (1, 1)"),
     (_EVERY, lambda: nu3_inverse(1, 1, PartitionPair(Partition((2,)), DistinctPartition((5,)))),
@@ -765,7 +830,7 @@ def _pinned_domain(name, params):
     element."""
     n, k = params.get("n"), params.get("k")
     if name == "psi":
-        return bijections._negative_sets(n, None, None)[0], lambda x: psi(n, x)
+        return bijections._negative_sets(n, None, None), lambda x: psi(n, x)
     if name == "durfee_split":
         return enumerate_domain("DS", **params), durfee_split
     if name == "nu3":
@@ -848,7 +913,7 @@ def test_size_bits_are_the_domain_sizes():
                          ("rho", lambda n: 4 ** n), ("psi", lambda n: 2 ** n)):
         row = bijections._BIJECTIONS[name]
         for n in range(5):
-            domain, _ = row.domain(n, None, None)
+            domain = row.domain(n, None, None)
             assert sum(1 for _ in domain) == expect(n) == 2 ** row.size_bits(n)
     for name in ("durfee_split", "nu3"):
         assert bijections._BIJECTIONS[name].size_bits is None
