@@ -5,11 +5,12 @@ it), with the refusals that enforce them.
 Refused with DslError are an integer power or a ``binom`` whose result
 could pass MAX_POWER_BITS bits, a power of a series whose largest
 coefficient could pass it, a sum over more than MAX_SUM_TERMS indices, and
-a ``qbinom``, a power or an exact product whose degree would pass
-MAX_EXACT_DEGREE (in q, z, x or y for an exact polynomial, in z, x or y
-for a truncated series), and an exact ``poch`` whose count alone could.
-The factor kernel checks here each factor's power, and each exact
-division by a q-polynomial of lowest coefficient +-1.
+a ``qbinom`` or a power whose degree would pass MAX_EXACT_DEGREE (in q, z,
+x or y for an exact polynomial, in z, x or y for a truncated series), and
+an exact ``poch`` whose count alone could; ``qident.exact`` refuses an
+exact product of too high a degree by the same limit.  The factor kernel
+checks here each factor's power, and ``qident.exact`` each exact division
+by a q-polynomial of lowest coefficient +-1.
 """
 
 from __future__ import annotations
@@ -223,14 +224,3 @@ def _sum_args(e: Call, bindings: dict) -> tuple:
         raise DslError(f"sum over {int_str(hi - lo + 1)} indices exceeds the"
                        f" {MAX_SUM_TERMS}-term limit")
     return var.ident, lo, hi
-
-
-def _product_check(terms: list, powers: dict) -> None:
-    """Refuse an exact product of the terms (m, e, c) and the chain factors
-    {((m, j, c),): net power} whose degree would pass MAX_EXACT_DEGREE."""
-    exps = [e for _, e, _ in terms] or [0]
-    degree = max(exps) - min(exps) + sum(
-        abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in powers.items() if cj)
-    if degree > MAX_EXACT_DEGREE:
-        raise DslError(f"exact product of degree {degree} exceeds the"
-                       f" {MAX_EXACT_DEGREE}-degree limit")

@@ -51,11 +51,10 @@ from .errors import DslError, UnboundVariable
 # tree is compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
 from .series import MultiSeries, _poch, qbinom
-from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _exact_quotient, _mono_mul,
-                     _qbinom_chains, _Rows, _Total)
+from .kernel import _ONE, TRIVIAL_MONO, _chain_factors, _mono_mul, _qbinom_chains, _Rows, _Total
 # the integer context and the size limits, eval_int and the limits re-exported
 from .budget import (MAX_EXACT_DEGREE, MAX_SUM_TERMS, RESERVED, _int_power, _poch_args,
-                     _power_check, _product_check, _qbinom_args, _sum_args, eval_int)
+                     _power_check, _qbinom_args, _sum_args, eval_int)
 # the syntax this module evaluates, and re-exports
 from .syntax import (MAX_POWER_BITS, BinOp, Call, Expr, Int, Name, Neg, Pow, Token, parse,
                      unparse)
@@ -236,7 +235,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     the accumulator ``carry`` keeps for a sum.  In an exact context
     (``trunc`` None) the accumulator holds c times the whole product of the
     positive powers, and divides it by the others and by each X^(-k) with
-    X free of z, x and y (``_exact_quotient``).  With ``carry``, a product
+    X free of z, x and y (``exact._exact_quotient``).  With ``carry``, a product
     that ends on the kernel is added to the carry's total, returning None.
     """
     rest: list = []
@@ -281,6 +280,8 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         x = base if k == 1 else base.power(k)
         value = value.mul(x if inner is None else x.truncate(inner))
     if inner is None and (chains or divisors):
+        from .exact import _exact_quotient, _product_check
+
         # the kernel's window and steps, refused before they are made
         powers = _chain_factors(chains, None)
         _product_check(value.terms(), powers)

@@ -1,5 +1,6 @@
 """The factor kernel: one dense accumulator for Pochhammer products, their
-inverses, series inversion, the Gaussian binomial and exact division.
+inverses, series inversion and the Gaussian binomial, and under the exact
+products and divisions of ``qident.exact``.
 
 It works on plain rows, the storage of every series: a map {aux monomial:
 {q-exponent: nonzero coefficient}}, with a truncation order beside it
@@ -25,19 +26,17 @@ binomial series below the window (``_factor_power``), so it costs
 O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
 inversion, Gaussian binomials, the factors of a Pochhammer product after
 those that reach q^0 (``series._poch``) and the expression language's
-Pochhammer and q-binomial powers are each one such chain, and exact
-division divides by factors lead - a (``_exact_quotient``), a lead of -1
-folded into lead 1 and a sign.  A power k < 0 or k > 1, or a division by
-+-1 - c*q^j, whose coefficients in the window could pass MAX_POWER_BITS
-bits is refused before its step, and a longer +-1 - a at a quotient
-coefficient that far past the dividend's (checks in ``qident.budget``,
-loaded on first use).  ``_Total`` sums rows and accumulators as they are
-made, accumulators trusted below a truncation order into one dense
-window, so a sum of many of them costs the memory of its result.
+Pochhammer and q-binomial powers are each one such chain.  A power k < 0
+or k > 1 whose coefficients in the window could pass MAX_POWER_BITS bits
+is refused before its step (``budget._check_power``, loaded on first
+use).  ``_Total`` sums rows and accumulators as they are made,
+accumulators trusted below a truncation order into one dense window, so a
+sum of many of them costs the memory of its result.
 
-The accumulator is the only mutable value, and it never leaves this module
-and the evaluator (``qident.dsl``): what leaves them are plain rows, which
-``series`` and the evaluator wrap in immutable values.
+The accumulator is the only mutable value, and it never leaves this
+module, ``qident.exact`` and the evaluator (``qident.dsl``): what leaves
+them are plain rows, which ``series`` and the evaluator wrap in immutable
+values.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 from operator import add, itemgetter
 from typing import Optional
-
-from .errors import DivisionInexact
 
 TRIVIAL_MONO = (0, 0, 0)
 
@@ -120,29 +117,11 @@ def _gather(terms, rows: Optional[dict] = None,
 # ---------------------------------------------------------------------------
 
 
-def _solve_row(row: list, low: int, own: list, lead=1, power=0, top=0) -> None:
-    """Divide one dense row, zero below index ``low``, in place by lead - a,
-    a = sum(c * q^e) over own's (e, c), every e >= 1, in increasing q-order;
-    a remainder raises DivisionInexact.  For power != 0, a step of that
-    power, a coefficient past top + MAX_POWER_BITS bits is refused; else a
-    lead -1 is a lead 1 and a sign, -1 - a = -(1 - (-a))."""
-    if lead == -1 and not power:
-        row[low:] = [-x for x in row[low:]]
-        own, lead = [(e, -c) for e, c in own], 1
-    if lead != 1 or power:
-        if power:
-            from .budget import MAX_POWER_BITS, _refuse_bits
-        for i in range(low, len(row)):
-            x = row[i] + sum(c * row[i - e] for e, c in own if e <= i)
-            row[i], r = divmod(x, lead)
-            if r:
-                from .syntax import int_str
-
-                raise DivisionInexact(f"coefficient {int_str(x)} not divisible"
-                                      f" by {int_str(lead)}")
-            if power and (bits := x.bit_length() - top) > MAX_POWER_BITS:
-                _refuse_bits(power, bits)
-    elif len(own) == 1:
+def _solve_row(row: list, low: int, own: list) -> None:
+    """Divide one dense row, zero below index ``low``, in place by 1 - a,
+    a = sum(c * q^e) over own's (e, c), every e >= 1, in increasing
+    q-order."""
+    if len(own) == 1:
         ((e, c),) = own
         step = add if c == 1 else (lambda acc, x: x + c * acc)
         # the recurrence row[i] += c * row[i - e] runs apart on each residue
@@ -224,12 +203,11 @@ class _Rows:
                 dst[s:] = [d - c * x for d, x in zip(dst[s:], src[s - e:])]
                 low[t] = min(low[t], s)
 
-    def div(self, a: list, lead: int = 1, power: int = 0, top: int = 0) -> None:
-        """Divide by lead - a, where every term of a has q-exponent >= 1
-        and no negative aux exponent; lead != 1, power and top
-        (``_solve_row``) only in exact division.
+    def div(self, a: list) -> None:
+        """Divide by 1 - a, where every term of a has q-exponent >= 1 and
+        no negative aux exponent.
 
-        The quotient y solves lead*y = x + a*y.  Rows are finished in
+        The quotient y solves y = x + a*y.  Rows are finished in
         increasing total aux degree: a row takes the terms of a with the
         trivial monomial by the recurrence in increasing q-order, which
         reads only coefficients already final, and then adds its share to
@@ -238,12 +216,12 @@ class _Rows:
         size, rows, low = self.size, self.rows, self.low
         own = [(e, c) for m, e, c in a if m == TRIVIAL_MONO and c]
         cross = [(m, e, c) for m, e, c in a if m != TRIVIAL_MONO and c]
-        # with lead 1, a row zero below size - e_min is left as it is; a
-        # term below q^1 would hand rows on to each other without end
+        # a row zero below size - e_min is left as it is; a term below
+        # q^1 would hand rows on to each other without end
         e_min = min((e for _, e, c in a if c), default=max(size, 1))
         if e_min < 1:
             raise ValueError(f"cannot divide by a factor with a term at q^{e_min}")
-        last = size if lead != 1 else size - e_min
+        last = size - e_min
         pending: dict = {}  # total aux degree -> rows to finish
         for m in rows:
             if low[m] < last:
@@ -251,7 +229,7 @@ class _Rows:
         while pending:
             for m in pending.pop(min(pending)):
                 row = rows[m]
-                _solve_row(row, low[m], own, lead, power, top)
+                _solve_row(row, low[m], own)
                 for ma, e, c in cross:
                     s = low[m] + e
                     if s >= size:
@@ -410,48 +388,3 @@ class _Total:
             dense = {} if self.dense is None else self.dense.gather({}, t)
             rows = _gather(_terms(rows), dense, t)
         return rows, t
-
-
-def _span(a) -> int:
-    """The q-degree of 1 - a, for a whose terms have q-exponent >= 1."""
-    return max((e for _, e, c in a if c), default=0)
-
-
-def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
-    """(acc, shift): the exact plain rows times each factor 1 - a to its
-    net power in powers ({a: power}), divided by each d^k in divisors
-    ([(d, k)], d a plain row {q-exponent: coefficient} free of z, x and y),
-    as acc read at q^shift.  The window holds the undivided product and the
-    divisions come last, so a quotient vanishing above its degree is exact;
-    any other, or a zero d, is DivisionInexact.  A d = +-1 - a is checked
-    by ``budget._check_power`` for one term a, else on each coefficient."""
-    steps, shift = [], 0
-    for d, k in divisors:
-        if not d:
-            raise DivisionInexact("division by zero")
-        (v, lead), *rest = sorted(d.items())  # q^v (lead - a)
-        steps.append((tuple((TRIVIAL_MONO, e - v, -c) for e, c in rest), lead, k))
-        shift -= k * v
-    if not rows:
-        return _Rows(0, 0), 0
-    spans = [k * _span(a) for a, k in powers.items()] + [-k * _span(a) for a, _, k in steps]
-    lo, span = min(map(min, rows.values())), -sum(s for s in spans if s < 0)
-    size = max(map(max, rows.values())) - lo + 1 + sum(s for s in spans if s > 0)
-    if span >= size:
-        raise DivisionInexact("dividend degree span below divisor's")
-    acc = _Rows.load(rows, lo, size)
-    acc.apply({a: k for a, k in powers.items() if k > 0})
-    acc.apply({a: k for a, k in powers.items() if k < 0})
-    for a, lead, k in steps:
-        power = top = 0  # a lead past +-1 checks its remainder at each step
-        if lead in (1, -1) and len(a) == 1:
-            from .budget import _check_power
-
-            _check_power(a, -k, size)
-        elif lead in (1, -1):  # the dividend's largest coefficient, in bits
-            power, top = -k, max(max(map(int.bit_length, r)) for r in acc.rows.values())
-        for _ in range(k):
-            acc.div(a, lead, power, top)
-    if any(any(row[size - span:]) for row in acc.rows.values()):
-        raise DivisionInexact("nonzero remainder")
-    return acc, shift

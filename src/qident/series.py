@@ -26,8 +26,9 @@ and equal values hash alike across QSeries, MultiSeries and int.
 Pochhammer products (``poch_finite``, ``poch_infinite``,
 ``qq_factorial``), series inversion, the Gaussian binomial (``qbinom``) and
 exact division run on the dense factor kernel of ``qident.kernel``, which
-this module imports: it hands the kernel its plain rows and wraps the
-plain rows the kernel returns in its own values.  Every Pochhammer
+this module imports (exact products and division through
+``qident.exact``, imported on first use): it hands the kernel its plain
+rows and wraps the plain rows the kernel returns in its own values.  Every Pochhammer
 product, whatever its base, is ``_poch``: the factors whose terms can
 reach q^0 or below are multiplied one by one and cut at the truncation
 order, and the rest, each of constant term 1, are one chain on the
@@ -49,7 +50,6 @@ from .kernel import (
     Mono,
     _chain_factors,
     _clean,
-    _exact_quotient,
     _gather,
     _min_trunc,
     _mono_mul,
@@ -216,6 +216,8 @@ class MultiSeries:
         divisor = _lift(divisor).qseries()
         if self.trunc is not None or divisor.trunc is not None:
             raise TruncationRequired("exact division needs exact polynomials")
+        from .exact import _exact_quotient
+
         acc, shift = _exact_quotient(self._rows, {}, [(divisor.coeffs, 1)])
         return self._new(acc.gather({}, None, shift=shift), None)
 
@@ -429,7 +431,7 @@ def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
     factor by factor and cut at trunc.  Every later factor has constant
     term 1, so the tail is one chain on the kernel: applied to the head
     inside the window the product is trusted in, or exactly, with no
-    truncation anywhere, through ``_exact_quotient``.
+    truncation anywhere, through ``exact._exact_quotient``.
     """
     ms = _lift(a)
     terms, d = ms.terms(), ms.min_exp
@@ -448,6 +450,8 @@ def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
     end = stop if t is None else _min_trunc(stop, t - lo - d)
     tail = {tuple((m, e + i, c) for m, e, c in terms): 1 for i in range(j, end, step)}
     if t is None:
+        from .exact import _exact_quotient
+
         acc, _ = _exact_quotient(head._rows, tail, [])
     else:
         acc = _Rows.load(head._rows, lo, t - lo)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qident.bijections import BIJECTION_NAMES
-from qident.cli import _dump_series, main, parse_partition, parse_pair, parse_signed_set
+from qident.cli import main
+from qident.cli_bijection import parse_pair, parse_partition, parse_signed_set
+from qident.cli_eval import _dump_series
 from qident.dsl import MAX_EXACT_DEGREE, MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
 from qident.series import MultiSeries, mono_str
@@ -656,8 +658,20 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
     assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
+# stdout, stderr and exit code of the help, usage and error runs, recorded
+# when every subparser was built on each launch: a launch that builds only
+# the subparser of its command prints the same bytes
+_SURFACE = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", _SURFACE, ids=lambda c: " ".join(c["argv"]) or "no-command")
+def test_cli_surface_is_unchanged(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_table_max_n_cap_exit_2(capsys):
-    from qident.cli import MAX_TABLE_N
+    from qident.cli_table import MAX_TABLE_N
 
     # one step past the cap; refused before either series is built
     code, out, err = run(capsys, "table", "--max-n", str(MAX_TABLE_N + 1))

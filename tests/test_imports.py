@@ -77,7 +77,8 @@ _EVALUATOR = {"qident", "qident.cli", "qident.errors", "qident.dsl", "qident.bud
 
 def test_eval_loads_only_dsl_and_series():
     loaded = _after_main("eval", "q", "--trunc", "3")
-    assert {m for m in loaded if m.startswith("qident")} == _EVALUATOR
+    assert {m for m in loaded if m.startswith("qident")} == _EVALUATOR | {
+        "qident.cli_eval"}
     assert not loaded & {"qident.partitions", "qident.bijections",
                          "qident.identities", "dataclasses"}
 
@@ -85,8 +86,36 @@ def test_eval_loads_only_dsl_and_series():
 def test_verify_of_series_sides_loads_the_evaluator_and_identities():
     loaded = _after_main("verify", "ay1", "--no-comb", "--trunc", "10")
     assert {m for m in loaded if m.startswith("qident")} == _EVALUATOR | {
-        "qident.identities"}
+        "qident.cli_verify", "qident.identities"}
     assert "dataclasses" not in loaded
+
+
+def _nodes(modules) -> int:
+    """The AST nodes of the qident modules among ``modules``."""
+    return sum(sum(1 for _ in ast.walk(ast.parse(
+        Path(import_module(m).__file__).read_text(encoding="utf-8"))))
+        for m in modules if m.split(".")[0] == "qident")
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("eval", "q", "--trunc", "3"), 15000),
+    # less than each command compiled when every handler was in cli.py
+    (("verify", "ay1", "--no-comb", "--trunc", "10"), 20001),
+    (("bijection", "phi", "--n", "1"), 10062),
+], ids=["eval", "verify", "bijection"])
+def test_command_compiles_within_its_budget(argv, bound):
+    # a cold launch compiles every module it loads, about 1.75 ms per
+    # 1 000 AST nodes, so a command loads only its own handler, and
+    # exact division only when it divides exactly
+    loaded = _after_main(*argv)
+    assert _nodes(loaded) <= bound
+    assert "qident.exact" not in loaded
+
+
+def test_exact_division_loads_on_first_use():
+    loaded = _modules_after("from qident.dsl import evaluate\n"
+                            "evaluate('(1-q^3)*(1-q)^(-1)', {}, None)")
+    assert "qident.exact" in loaded
 
 
 def test_bijection_loads_no_dsl_or_identities():

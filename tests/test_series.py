@@ -7,6 +7,7 @@ from qident.errors import (
     NonUnitConstantTerm,
     TruncationRequired,
 )
+from qident.exact import _divide
 from qident.kernel import TRIVIAL_MONO, _Rows, _Total
 from qident.series import (
     MultiSeries,
@@ -166,9 +167,9 @@ def test_exact_div_non_unit_lead():
     with pytest.raises(DivisionInexact) as info:
         QSeries({0: huge, 1: huge}).exact_div(QSeries({0: 2, 1: 1}))
     assert str(info.value) == f"coefficient {int_str(huge)} not divisible by 2"
-    # the kernel step itself: 6 + 3q divided by 2 + q in place
+    # the division step itself: 6 + 3q divided by 2 + q in place
     acc = _Rows.load({TRIVIAL_MONO: {0: 6, 1: 3}}, 0, 2)
-    acc.div(((TRIVIAL_MONO, 1, -1),), lead=2)
+    _divide(acc, ((TRIVIAL_MONO, 1, -1),), 2, 0, 0)
     assert acc.rows == {TRIVIAL_MONO: [3, 0]}
 
 
