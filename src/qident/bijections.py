@@ -345,18 +345,14 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
     proved the codomain checks of every element equal to y.  Such an image
     waits in ``proved`` until its twin turns up in the codomain, and an
     unmatched codomain element waits in ``pending`` until a proved image
-    arrives; a match drops both.  Only the codomain elements still pending
-    at the end take the full path, in codomain order; an element met more
-    than once is checked once and counted as often as it was met.  The
-    weight multisets are compared through one tally of counts per weight;
-    a proved image keeps its codomain weight, which its twin then shares,
-    so a matched codomain element costs one lookup in ``proved``.  The
-    module docstring lists which check runs where.  Memory is what is
-    pending, not the families: near zero when the codomain streams in the
-    domain's image order, as the module docstring says.  The report does
-    not depend on the order; it is that of a domain pass followed by a
-    codomain pass: counts, and the first domain witness before the first
-    codomain witness.
+    arrives; a match takes one of each.  Only the codomain elements still
+    pending at the end take the full path, in codomain order, each checked
+    once and counted as often as it was met.  An image still waiting at
+    the end is one the codomain lacks: a membership failure per proof.
+    The weight multisets are compared through one tally per weight; a
+    matched codomain element takes its twin's weight from ``proved``.  The
+    report is that of a domain pass then a codomain pass: counts, and the
+    first domain witness before the first codomain witness.
     """
     domain = spec.domain(n, k, weight_cap)
     codomain = spec.codomain(n, k, weight_cap)
@@ -368,6 +364,7 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
     dom_size = cod_size = 0
     balance = {}  # weight -> its count in the domain minus in the codomain
     proved = {}  # image of a proved domain element, twin not met yet -> its weight
+    surplus = {}  # image in proved -> further proofs of it, twins not met yet
     pending = {}  # unmatched codomain element -> times met
     for x, y in zip_longest(domain, codomain, fillvalue=_END):
         if x is not _END:
@@ -384,8 +381,13 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
                 if back != x:
                     roundtrip += 1
                     dom_witness = dom_witness or repr(x)
-                elif not pending.pop(fx, 0):
+                elif (met := pending.pop(fx, 0)) > 1:
+                    pending[fx] = met - 1
+                elif not met:
+                    size = len(proved)
                     proved[fx] = wfx
+                    if len(proved) == size:  # fx was proved before, twin not met
+                        surplus[fx] = surplus.get(fx, 0) + 1
             except DomainViolation:
                 membership += 1
                 dom_witness = dom_witness or repr(x)
@@ -395,6 +397,10 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
             if wy is _END:
                 wy = w_codomain(n, y)
                 pending[y] = pending.get(y, 0) + 1
+            elif surplus and y in surplus:  # another proof of y still waits
+                proved[y] = wy
+                if (more := surplus.pop(y)) > 1:
+                    surplus[y] = more - 1
             balance[wy] = balance.get(wy, 0) - 1
     for y, times in pending.items():
         try:
@@ -405,6 +411,11 @@ def _sweep(name: str, spec: "_Bijection", n: Optional[int], k: Optional[int],
             membership += times
             cod_witness = cod_witness or repr(y)
     witness = dom_witness or cod_witness
+    # an image still waiting was never met in the codomain: one codomain
+    # element too few stands in for it, repeated or outside the family
+    if proved:
+        membership += len(proved) + sum(surplus.values())
+        witness = witness or f"image {next(iter(proved))!r} missing from the codomain"
     # independent of the element-wise law: the shifted weight multisets of
     # the two enumerations must coincide
     if any(balance.values()):

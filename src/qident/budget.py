@@ -10,7 +10,9 @@ x or y for an exact polynomial, in z, x or y for a truncated series), and
 an exact ``poch`` whose count alone could; ``qident.exact`` refuses an
 exact product of too high a degree by the same limit.  The factor kernel
 checks here each factor's power, and ``qident.exact`` each exact division
-by a q-polynomial of lowest coefficient +-1.
+by a q-polynomial of lowest coefficient +-1.  The check on a power of a
+series that is no such factor, ``_power_check``, runs only before the
+products it guards, so it is in ``qident.series_ops`` with them.
 """
 
 from __future__ import annotations
@@ -92,60 +94,13 @@ def _refuse_bits(k: int, bits: float) -> None:
                        f" {bits:.0f} bits exceeds the {MAX_POWER_BITS}-bit limit")
 
 
-def _power_check(base, k: int, with_q: bool, layers: int | None) -> None:
-    """Refuse the power base^k of a series when its exponent range in z, x
-    or y, or in q when ``with_q``, |k| times that of base, would pass
-    MAX_EXACT_DEGREE; then, for k > 0 or below q^layers (None: all of it),
-    when its largest coefficient could pass MAX_POWER_BITS bits.
-
-    Each coefficient of base^k, k > 0, is at most S^k, S the sum of |c|
-    over base's terms.  When the power is wanted only below q^layers, base
-    being a power series, each wanted coefficient takes at most
-    min(k, layers - 1) of its k factors from above base's lowest q-layer:
-    it is at most S_low^k (k * S_high)^min(k, layers - 1), S_low and
-    S_high the sums of |c| in that layer and in the layers above it below
-    q^layers.  For k < 0 the q^0 layer is 1 (else the inverse is refused
-    later), the exponent range in z, x and y is that of the wanted layers,
-    and base^k = (1 - a)^k, a of |c| summing to S_high, is at most
-    sum_{r <= i} C(-k + r - 1, r) S_high^r <= C(i - k, i) S_high^i at q^i:
-    the bound of one term to the power k - 1 (``_inverse_bits``).
-    """
-    terms = base.terms()
-    if not terms:
-        return
-    if k < 0 and layers is not None:
-        s_high = sum(abs(c) for _, e, c in terms if 0 < e < layers)
-        bits = _inverse_bits(layers - 1, s_high, 1 - k)
-    else:
-        ranges = [max(col) - min(col) for col in zip(*(m for m, _, _ in terms))]
-        if with_q:
-            exps = [e for _, e, _ in terms]
-            ranges.append(max(exps) - min(exps))
-        degree = max(ranges)
-        if degree * abs(k) > MAX_EXACT_DEGREE:
-            what, of = (("polynomial", " of exact powers") if base.trunc is None
-                        else ("truncated series", ""))
-            raise DslError(
-                f"power {int_str(k)} of a {what} of degree {degree} exceeds the"
-                f" {MAX_EXACT_DEGREE}-degree limit{of}")
-        if k < 0:
-            return
-        if layers is None:
-            bits = _bits(k, sum(abs(c) for _, _, c in terms))
-        else:
-            low = min(e for _, e, _ in terms)
-            s_low = sum(abs(c) for _, e, c in terms if e == low)
-            s_high = sum(abs(c) for _, e, c in terms if low < e < layers)
-            bits = _bits(k, s_low) + min(k, layers - 1) * log2(max(k * s_high, 1))
-    _refuse_bits(k, bits)
-
-
 def _check_power(a: tuple, k: int, size: int) -> None:
     """Refuse (1 - a)^k below q^size, as a power of a series whose
     coefficients could pass MAX_POWER_BITS bits: for |k| > 1 and a one
-    term c*m*q^j by the bound of ``_power_check`` for 1 - a, min(|k|, size
-    - 1) * log2(|k*c|), and for k < 0 also by ``_inverse_bits``, with j the
-    least q-exponent of a's terms and s the sum of their |c|."""
+    term c*m*q^j by the bound of ``series_ops._power_check`` for 1 - a,
+    min(|k|, size - 1) * log2(|k*c|), and for k < 0 also by
+    ``_inverse_bits``, with j the least q-exponent of a's terms and s the
+    sum of their |c|."""
     n, bits = abs(k), 0.0
     if n > 1 and len(a) == 1:
         ((_, _, c),) = a

@@ -12,16 +12,24 @@ launch compiles and executes only these modules, besides this one and
 ``errors``:
 
 - ``eval``: ``cli_eval``, ``dsl``, ``budget``, ``syntax``, ``series`` and
-  ``kernel``;
+  ``kernel``; then ``series_ops`` for a factor that is no Pochhammer or
+  q-binomial power (a sum, or a power or inverse of one) or a Pochhammer
+  product of such a base;
 - ``bijection``: ``cli_bijection``, ``bijections`` and ``partitions``,
-  and ``capped`` for ``durfee_split`` and ``nu3``;
+  ``capped`` for ``durfee_split`` and ``nu3``, and ``demos`` for
+  ``--demo``;
 - ``verify`` and ``table``: ``cli_verify`` or ``cli_table``,
   ``identities`` and those of ``eval`` but ``cli_eval``; then, for
-  ``verify``, ``exact`` when a side is computed with no truncation order,
-  ``partitions`` when an enumeration side runs, and ``bijections`` for
-  the ``p_gt`` recount of ``middle``;
+  ``verify``, ``exact`` when a side is computed with no truncation order
+  and ``series_ops`` when such a side has a ``qbinom``, ``recount`` for
+  ``q1limit``, and ``recount`` and ``partitions`` when an enumeration side
+  runs, with ``bijections`` for the ``p_gt`` recount of ``middle``; for
+  ``table``, ``recount`` and ``series_ops``;
 - ``list``: ``cli_list``, ``identities``, ``bijections`` and
   ``partitions``.
+
+No command's output needs ``printing``, which holds the reprs and
+``unparse``.
 
 The argparse namespace is the only configuration: each subcommand accepts
 only the flags its command reads, and ``main`` runs the handler of the

@@ -6,8 +6,8 @@ from __future__ import annotations
 import argparse
 import json
 
-from . import identities
 from .cli import _usage_error
+from .recount import counts, p_nu_series, p_omega_series
 
 # a table's cost is its two series sides at T = max_n + 1, since the counts
 # are O(max_n^2) additions: --max-n 400 takes about 0.8 s and 35 MB of max
@@ -21,9 +21,9 @@ def run(args: argparse.Namespace) -> int:
         return _usage_error("table requires --max-n >= 1")
     if max_n > MAX_TABLE_N:
         return _usage_error(f"table --max-n may not exceed {MAX_TABLE_N}")
-    series_omega = identities.p_omega_series(max_n + 1)
-    series_nu = identities.p_nu_series(max_n + 1)
-    count_omega, count_nu = identities.counts(max_n), identities.counts(max_n, True)
+    series_omega = p_omega_series(max_n + 1)
+    series_nu = p_nu_series(max_n + 1)
+    count_omega, count_nu = counts(max_n), counts(max_n, True)
     rows = []
     ok = True
     for N in range(1, max_n + 1):

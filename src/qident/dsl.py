@@ -40,6 +40,10 @@ window over an exact sum's exponents could cost far more than its terms
 (``sum(n, 0, 3, q^(1000000*n))``).  The presence of a truncation order is
 the only thing that picks the dense total.  The integer context
 (``eval_int``) and every size limit and refusal are in ``qident.budget``.
+A factor that is neither a monomial nor such a power (a sum, or a power
+or inverse of one) is multiplied in by ``series_ops._times_power``, which
+checks its power and loads on first use, as ``qident.exact`` does for an
+exact product.
 """
 
 from __future__ import annotations
@@ -47,32 +51,17 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import DslError, UnboundVariable
-# series first: it loads the kernel, which is smaller, so the larger parse
-# tree is compiled while less is in memory (see MAX_AST_NODES in
+# the kernel first: its parse tree is larger than the series', so it is
+# compiled while less is in memory (see MAX_AST_NODES in
 # tests/test_imports.py)
-from .series import MultiSeries, _poch, qbinom
 from .kernel import _ONE, TRIVIAL_MONO, _chain_factors, _mono_mul, _qbinom_chains, _Rows, _Total
+from .series import MultiSeries
 # the integer context and the size limits, eval_int and the limits re-exported
 from .budget import (MAX_EXACT_DEGREE, MAX_SUM_TERMS, RESERVED, _int_power, _poch_args,
-                     _power_check, _qbinom_args, _sum_args, eval_int)
+                     _qbinom_args, _sum_args, eval_int)
 # the syntax this module evaluates, and re-exports
 from .syntax import (MAX_POWER_BITS, BinOp, Call, Expr, Int, Name, Neg, Pow, Token, parse,
                      unparse)
-
-
-def _reciprocal(ms: MultiSeries, trunc: Optional[int]) -> MultiSeries:
-    # a single monomial c*m*q^e with c = +-1 has a Laurent reciprocal; when
-    # ms is trusted only below t, ms = c*m*q^e * (1 + O(q^(t - e))), so the
-    # reciprocal is trusted only below t - 2e.  Anything else needs a unit
-    # constant term.
-    terms = ms.terms()
-    if len(terms) == 1:
-        (mono, e, c), = terms
-        if c in (1, -1):
-            return MultiSeries.from_terms(
-                [(tuple(-v for v in mono), -e, c)],
-                None if ms.trunc is None else ms.trunc - 2 * e)
-    return ms.invert_unit(trunc)
 
 
 _GENERATORS = {"z": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
@@ -235,8 +224,9 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     the accumulator ``carry`` keeps for a sum.  In an exact context
     (``trunc`` None) the accumulator holds c times the whole product of the
     positive powers, and divides it by the others and by each X^(-k) with
-    X free of z, x and y (``exact._exact_quotient``).  With ``carry``, a product
-    that ends on the kernel is added to the carry's total, returning None.
+    X free of z, x and y (``exact._exact_product``).  With ``carry``, a
+    product that ends on the kernel is added to the carry's total,
+    returning None.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -263,29 +253,13 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
         else:
             ev = _eval_call if isinstance(f, Call) else eval_series
             base, k = ev(f, bindings, inner), 1
-        series = inner is not None and base.min_exp >= 0
-        if abs(k) > 1 and (inner is None or k > 0 or series):
-            # a power series' power below inner needs only its terms below
-            # inner; otherwise the power is expanded exactly.  Either way
-            # the q-truncation does not bound the degree in z, x and y.
-            _power_check(base, k, with_q=base.trunc is None and not series,
-                         layers=inner if series else None)
-            if series and k > 0:
-                base = base.truncate(inner)
-        if k < 0 and inner is None and set(base.monomials()) <= {TRIVIAL_MONO}:
-            divisors.append((base.qseries().coeffs, -k))
-            continue
-        if k < 0:
-            base, k = _reciprocal(base, inner), -k
-        x = base if k == 1 else base.power(k)
-        value = value.mul(x if inner is None else x.truncate(inner))
-    if inner is None and (chains or divisors):
-        from .exact import _exact_quotient, _product_check
+        from .series_ops import _times_power
 
-        # the kernel's window and steps, refused before they are made
-        powers = _chain_factors(chains, None)
-        _product_check(value.terms(), powers)
-        acc, shift = _exact_quotient(value.scale(c)._rows, powers, divisors)
+        value = _times_power(value, base, k, inner, divisors)
+    if inner is None and (chains or divisors):
+        from .exact import _exact_product
+
+        acc, shift = _exact_product(value, c, chains, divisors)
         t, c, v = None, 1, v + shift
     else:
         if others == len(rest) or not c or (value.is_zero() and value.trunc is None):
@@ -326,9 +300,13 @@ def eval_series(e: Expr, bindings: dict, trunc: Optional[int],
 
 def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
     if e.func == "poch":
+        from .series_ops import _poch
+
         step, count = _poch_args(e, bindings, trunc is None)
         return _poch(eval_series(e.args[0], bindings, trunc), step, count, trunc)
     if e.func == "qbinom":
+        from .series import qbinom
+
         return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
     if e.func == "sum":
         var, lo, hi = _sum_args(e, bindings)

@@ -8,28 +8,34 @@ its degree is exact.  A divisor lead - a of lead +-1 and one term a runs
 on the kernel's own division, after the chain bound of
 ``budget._check_power``; any other runs ``_divide``, which checks each
 coefficient for a remainder and, for a lead of +-1, for bits.  The
-evaluator's exact products (``qident.dsl``), ``series._poch`` with no
-truncation order and ``MultiSeries.exact_div`` import this module on
-first use, so a truncated evaluation never loads it.
+evaluator's exact products (``qident.dsl``), ``series_ops._poch`` with
+no truncation order and ``MultiSeries.exact_div``, whose body
+``exact_div`` is, import this module on first use, so a truncated
+evaluation never loads it.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionInexact, DslError
-from .kernel import TRIVIAL_MONO, _Rows
+from .errors import DivisionInexact, DslError, TruncationRequired
+from .kernel import TRIVIAL_MONO, _chain_factors, _Rows
 
 
-def _product_check(terms: list, powers: dict) -> None:
-    """Refuse an exact product of the terms (m, e, c) and the chain factors
-    {((m, j, c),): net power} whose degree would pass MAX_EXACT_DEGREE."""
+def _exact_product(value, c: int, chains: list, divisors: list) -> tuple:
+    """(acc, shift), as ``_exact_quotient`` gives them, of the evaluator's
+    exact product: c times the series value times the chains (see
+    ``kernel._chain_factors``), divided by the divisors.  Refused first,
+    before the window is made, when its degree would pass
+    MAX_EXACT_DEGREE."""
     from .budget import MAX_EXACT_DEGREE
 
-    exps = [e for _, e, _ in terms] or [0]
+    powers = _chain_factors(chains, None)
+    exps = [e for _, e, _ in value.terms()] or [0]
     degree = max(exps) - min(exps) + sum(
         abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in powers.items() if cj)
     if degree > MAX_EXACT_DEGREE:
         raise DslError(f"exact product of degree {degree} exceeds the"
                        f" {MAX_EXACT_DEGREE}-degree limit")
+    return _exact_quotient(value.scale(c)._rows, powers, divisors)
 
 
 def _span(a) -> int:
@@ -109,3 +115,14 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
     if any(any(row[size - span:]) for row in acc.rows.values()):
         raise DivisionInexact("nonzero remainder")
     return acc, shift
+
+
+def exact_div(s, divisor):
+    """``MultiSeries.exact_div``: each row of s divided exactly by divisor."""
+    from .series import _lift
+
+    divisor = _lift(divisor).qseries()
+    if s.trunc is not None or divisor.trunc is not None:
+        raise TruncationRequired("exact division needs exact polynomials")
+    acc, shift = _exact_quotient(s._rows, {}, [(divisor.coeffs, 1)])
+    return s._new(acc.gather({}, None, shift=shift), None)

@@ -7,145 +7,34 @@ summing q^weight * aux^statistic over an exhaustively enumerated family.
 ``verify`` expands every side and reports the first differing coefficient,
 if any.
 
+The enumeration sides' builders, the counting functions p_omega and p_nu
+with their series, ``q1_limit_check`` and ``s_sum`` are in
+``qident.recount``, which loads on first use; this module serves their
+public names.
+
 Registry ids (stable strings): ay1, ay2, ay3, thm21, lemma22, middle,
 q1limit, omega, omega1, nu1, nu2, nu3, qbinom_thm.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
-from itertools import combinations
-from math import comb
-from operator import add
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import BadParams, TruncationRequired, UnknownIdentity
 
-if TYPE_CHECKING:
-    from .series import MultiSeries, QSeries
-
-# the largest n whose right side q1_limit_check recounts, in 4^n subsets
-PIVOT_MAX_N = 7
-
-# ---------------------------------------------------------------------------
-# Elementary closed forms
-# ---------------------------------------------------------------------------
+# the public names of qident.recount, which this module serves
+_RECOUNTS = ("counts", "p_nu", "p_nu_series", "p_omega", "p_omega_series",
+             "q1_limit_check", "s_sum")
 
 
-def s_sum(n: int, i: int, trunc: Optional[int] = None) -> QSeries:
-    """The polynomial sum over s of q^(i*s) * (q;q)_{n+s} / (q^2;q^2)_s.
+def __getattr__(name: str):
+    if name in _RECOUNTS:
+        from . import recount
 
-    This is the ay3 left side with q^s generalised to q^(i*s), evaluated
-    exactly as expression-language text: each summand's Pochhammer factors
-    run on one kernel window, divisions last, and a remainder, which would
-    signal a bug since every summand is a polynomial, raises DivisionInexact.
-    """
-    from .dsl import evaluate
-
-    if n < 0 or i < 0:
-        raise ValueError("n and i must be nonnegative")
-    total = evaluate(
-        "sum(s, 0, n, q^(i*s) * poch(q, 1, n+s) * poch(q^2, 2, s)^(-1))",
-        {"n": n, "i": i}).qseries()
-    return total if trunc is None else total.truncate(trunc)
-
-
-def q1_limit_check(n: int) -> dict:
-    """Integer identity sum_s 2^(n-s)*C(n+s,s) = sum_t C(2n+1,n+1+t) = 4^n.
-
-    For small n the right side is also recounted by enumerating subsets of
-    {1..2n+1} with at least n+1 elements, grouped by their (n+1)-th smallest
-    element; each group must match the corresponding left-side term.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lhs = sum(2 ** (n - s) * comb(n + s, s) for s in range(n + 1))
-    rhs = sum(comb(2 * n + 1, n + 1 + t) for t in range(n + 1))
-    power = 4**n
-    pivot_ok = None
-    if n <= PIVOT_MAX_N:
-        counts: Counter = Counter()
-        for r in range(n + 1, 2 * n + 2):
-            for combo in combinations(range(1, 2 * n + 2), r):
-                counts[combo[n]] += 1
-        pivot_ok = sum(counts.values()) == rhs and all(
-            counts.get(n + 1 + s, 0) == 2 ** (n - s) * comb(n + s, s)
-            for s in range(n + 1)
-        )
-    return {"lhs": lhs, "rhs": rhs, "power": power, "pivot_ok": pivot_ok}
-
-
-# ---------------------------------------------------------------------------
-# Counting oracles
-# ---------------------------------------------------------------------------
-
-
-def _toggle(f, p, sign, up):
-    """Add (sign 1) or remove (sign -1) the part p, p >= 0, in place, where
-    f[w] counts the partitions of w into the allowed parts: f times
-    (1 - q^p)^(-sign) when parts repeat, (1 + q^p)^sign when they are
-    distinct.  Both are the step f[w] += sign * f[w - p] for w >= p: in
-    increasing w (``up``) it reads the new f[w - p], which divides, else
-    the old one, which multiplies.  Part 0 changes nothing."""
-    ws = range(p, len(f)) if p else ()
-    for w in ws if up else reversed(ws):
-        f[w] += sign * f[w - p]
-
-
-def counts(N: int, distinct: bool = False) -> list:
-    """p_omega(n) for n = 0..N, or p_nu(n) when ``distinct``, in one pass
-    over the smallest part s with O(N^2) integer additions; entry 0 is no
-    value of either function.
-
-    Besides one s, a partition counted at s has parts from A_s = {s, ...,
-    2s - 1} and the even parts >= 2s, or, for p_nu, distinct parts from B_s,
-    A_s without s.  So with f[w] counting the partitions of w into those
-    parts, f shifted by s counts the partitions with smallest part s.  A_s
-    is A_(s-1) without s - 1 and with 2s - 1, and B_s is B_(s-1) without s
-    and with 2s - 1.  Taking A_0 and B_0 as the even parts, f starts as the
-    partitions into even parts, and each s adds one part and removes one
-    (``_toggle``); at s = 1, A_0 loses part 0 and B_0 gains part 1 and
-    loses it again, which changes nothing.  For p_nu, s = 0 counts too: the
-    partitions into distinct even parts, each with its zero part, which is
-    where f starts.  Only lists of integers are used: nothing here reads
-    the series side.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    f = [1] + [0] * N
-    for p in range(2, N + 1, 2):
-        _toggle(f, p, 1, not distinct)
-    total = [distinct * x for x in f]
-    for s in range(1, N + 1):
-        _toggle(f, 2 * s - 1, 1, not distinct)
-        _toggle(f, s - 1 + distinct, -1, distinct)
-        total[s:] = map(add, total[s:], f)
-    return total
-
-
-def p_omega(N: int) -> int:
-    """Partitions of N in which every odd part is less than twice the
-    smallest part: entry N of ``counts(N)``."""
-    return counts(N)[N]
-
-
-def p_nu(N: int) -> int:
-    """Partitions of N with distinct nonnegative parts in which every odd
-    part is less than twice the smallest part: entry N of ``counts(N,
-    True)``.
-
-    A single part 0 is admissible; a partition carrying it has smallest part
-    0, so it may not contain any odd part.  Dropping the zero-part convention
-    would undercount by exactly the partitions into distinct even parts.
-    """
-    return counts(N, True)[N]
-
-
-# ---------------------------------------------------------------------------
-# Enumeration-based side builders
-# ---------------------------------------------------------------------------
+        return getattr(recount, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_trunc(trunc, what: str) -> int:
@@ -154,69 +43,11 @@ def _require_trunc(trunc, what: str) -> int:
     return trunc
 
 
-def _weights_gf(weights) -> MultiSeries:
-    """Sum q^weight over an iterable of weights, as a MultiSeries."""
-    from .partitions import weight_gf
-    from .series import MultiSeries
+def _comb(name: str, *args):
+    """The enumeration side ``qident.recount._comb_<name>(*args)``."""
+    from . import recount
 
-    return MultiSeries.from_qseries(weight_gf(weights))
-
-
-def _comb_b1(p, trunc):
-    from .partitions import enumerate_domain
-
-    return _weights_gf(e.weight for e in enumerate_domain("B1", n=p["n"]))
-
-
-def _comb_b2(p, trunc):
-    from .partitions import enumerate_domain
-
-    return _weights_gf(t * (t + 1) // 2 + nu.weight
-                       for t, nu in enumerate_domain("B2", n=p["n"]))
-
-
-def _comb_p_gt(p, trunc):
-    # recount the staircase side by pushing P_> elements through rho and
-    # shifting the run weight back to zero
-    from .bijections import rho
-    from .partitions import b3_weight, enumerate_domain
-
-    n = p["n"]
-    off = n * (n + 1) // 2
-    return _weights_gf(b3_weight(n, rho(n, lam)) + off
-                       for lam in enumerate_domain("P_gt", n=n))
-
-
-def _comb_omega1(domain, p, trunc):
-    """z^(2k+1) q^weight over the DS or OE elements of every k."""
-    from .partitions import enumerate_domain
-    from .series import MultiSeries
-
-    T = _require_trunc(trunc, f"{domain} enumeration")
-    cap = T - 1
-    return MultiSeries.from_terms(
-        (((2 * k + 1, 0, 0), elt.weight, 1)
-         for k in range((cap + 1) // 2)
-         for elt in enumerate_domain(domain, k=k, weight_cap=cap)),
-        T,
-    )
-
-
-def _comb_nu3(domain, p, trunc):
-    """x^n y^k q^weight over the O or DO elements of every (n, k)."""
-    from .partitions import enumerate_domain
-    from .series import MultiSeries
-
-    T = _require_trunc(trunc, f"{domain} enumeration")
-    cap = T - 1
-    terms = []
-    n = 0
-    while n * n + n <= cap:
-        for k in range(cap - n * n - n + 1):
-            for pair in enumerate_domain(domain, n=n, k=k, weight_cap=cap):
-                terms.append(((0, n, k), pair.weight, 1))
-        n += 1
-    return MultiSeries.from_terms(terms, T)
+    return getattr(recount, f"_comb_{name}")(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +128,17 @@ _register(IdentityCase(
 ))
 _register(IdentityCase(
     "thm21", ("n",), "polynomial-exact",
-    comb_builders={"b1": _comb_b1},
+    comb_builders={"b1": partial(_comb, "b1")},
     texts={"lhs": _THM21_LHS_TEXT, "rhs": _NEGPOCH_SQ_TEXT},
 ))
 _register(IdentityCase(
     "lemma22", ("n",), "polynomial-exact",
-    comb_builders={"b2": _comb_b2},
+    comb_builders={"b2": partial(_comb, "b2")},
     texts={"lhs": _THM21_LHS_TEXT, "rhs": _STAIR_TEXT},
 ))
 _register(IdentityCase(
     "middle", ("n",), "polynomial-exact",
-    comb_builders={"p_gt": _comb_p_gt},
+    comb_builders={"p_gt": partial(_comb, "p_gt")},
     texts={"lhs": _STAIR_TEXT, "rhs": _NEGPOCH_SQ_TEXT},
 ))
 _register(IdentityCase(
@@ -327,8 +158,8 @@ _register(IdentityCase(
 ))
 _register(IdentityCase(
     "omega1", (), "truncated-series",
-    comb_builders={"ds": partial(_comb_omega1, "DS"),
-                   "oe": partial(_comb_omega1, "OE")},
+    comb_builders={"ds": partial(_comb, "omega1", "DS"),
+                   "oe": partial(_comb, "omega1", "OE")},
     texts={
         "lhs": "sum(n, 0, N, z^(2*n+1) * q^((2*n+1)^2) * poch(q^2, 4, n+1)^(-1)"
                " * poch(z^2*q^2, 4, n+1)^(-1))",
@@ -351,7 +182,8 @@ _register(IdentityCase(
 ))
 _register(IdentityCase(
     "nu3", (), "truncated-series",
-    comb_builders={"o": partial(_comb_nu3, "O"), "do": partial(_comb_nu3, "DO")},
+    comb_builders={"o": partial(_comb, "nu3", "O"),
+                   "do": partial(_comb, "nu3", "DO")},
     texts={
         "lhs": "sum(n, 0, N, q^(n^2+n) * x^n * poch(y*q, 2, n+1)^(-1))",
         "rhs": "sum(n, 0, N, poch(-x*q*y^(-1), 2, n) * (y*q)^n)",
@@ -500,6 +332,8 @@ def verify(identity_id: str, params: Optional[dict] = None,
     sides = [(name, build_side(identity_id, name, p, trunc, comb_cap))
              for name in names]
     if case.kind == "integer":
+        from .recount import q1_limit_check
+
         (_, lhs), (_, rhs) = sides
         res = q1_limit_check(p["n"])
         equal = lhs == rhs == res["power"] and res["pivot_ok"] in (None, True)
@@ -518,18 +352,3 @@ def verify(identity_id: str, params: Optional[dict] = None,
             mm = Mismatch(mono, e, lc, rc, (base_name, name))
             return VerifyReport(identity_id, p, trunc, False, complete, mm)
     return VerifyReport(identity_id, p, trunc, True, complete, None)
-
-
-# ---------------------------------------------------------------------------
-# Counting series
-# ---------------------------------------------------------------------------
-
-
-def p_omega_series(trunc: int) -> QSeries:
-    """Single-variable counting series from the ay1 left side at z = 1."""
-    return build_side("ay1", "lhs", None, trunc).subst_aux(z=1).qseries()
-
-
-def p_nu_series(trunc: int) -> QSeries:
-    """Single-variable counting series from the ay2 left side at z = 1."""
-    return build_side("ay2", "lhs", None, trunc).subst_aux(z=1).qseries()

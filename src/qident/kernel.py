@@ -25,7 +25,7 @@ c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
 O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
 inversion, Gaussian binomials, the factors of a Pochhammer product after
-those that reach q^0 (``series._poch``) and the expression language's
+those that reach q^0 (``series_ops._poch``) and the expression language's
 Pochhammer and q-binomial powers are each one such chain.  A power k < 0
 or k > 1 whose coefficients in the window could pass MAX_POWER_BITS bits
 is refused before its step (``budget._check_power``, loaded on first
@@ -61,13 +61,6 @@ def _min_trunc(*truncs: Optional[int]) -> Optional[int]:
 
 def _shift_trunc(t: Optional[int], k: int) -> Optional[int]:
     return None if t is None else t + k
-
-
-def _product_trunc(t1: Optional[int], v1: int, t2: Optional[int],
-                   v2: int) -> Optional[int]:
-    """The truncation order of a product of two factors trusted below t1
-    and t2 whose q-valuations are at least v1 and v2."""
-    return _min_trunc(_shift_trunc(t1, v2), _shift_trunc(t2, v1))
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:

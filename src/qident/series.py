@@ -6,14 +6,24 @@ from exponent to nonzero integer coefficient, and has one truncation order
 for all its rows.  This is the only storage.  ``MultiSeries`` holds any
 number of rows; ``QSeries`` is its subclass for the case whose only
 monomial is the trivial one, and is also the view ``qseries()`` gives of a
-series free of z, x and y.  Every operation and row primitive is written
-once, on ``MultiSeries``; the classes differ only in the class of a result
-(a QSeries when every operand is one, a MultiSeries otherwise) and in
-their accessors (``QSeries.coeffs``; ``MultiSeries.entries``, a read-only
-{monomial: QSeries} view) and reprs.  Other modules read a value only as
-its (monomial, q-exponent, coefficient) ``terms()`` and build one only by
-``MultiSeries.from_terms``, which sums duplicate terms.  Each operation
-has one name: ``shift`` by q^k, ``invert_unit``, the property ``min_exp``.
+series free of z, x and y.  Every operation and row primitive is a method
+of ``MultiSeries`` and has one body; the classes differ only in the class
+of a result (a QSeries when every operand is one, a MultiSeries
+otherwise) and in their accessors (``QSeries.coeffs``;
+``MultiSeries.entries``, a read-only {monomial: QSeries} view).  Other
+modules read a value only as its (monomial, q-exponent, coefficient)
+``terms()`` and build one only by ``MultiSeries.from_terms``, which sums
+duplicate terms.  Each operation has one name: ``shift`` by q^k,
+``invert_unit``, the property ``min_exp``.
+
+This module holds the bodies the evaluator runs: the storage, the
+constructors, the queries, the row primitives, ``add`` and the
+comparison.  The others are one-line delegations to modules loaded on
+first use, so that a launch compiles only what it runs: ``mul``,
+``power``, ``invert_unit``, ``subst_aux`` and the functions
+``poch_finite``, ``poch_infinite``, ``qbinom`` and ``qq_factorial`` to
+``qident.series_ops``, ``exact_div`` to ``qident.exact``, and the reprs to
+``qident.printing``.
 
 Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
 whose coefficients the value guarantees exact.  ``trunc is None`` means every
@@ -23,41 +33,21 @@ high-order coefficients are never silently trusted.  An int stands for an
 exact constant: ``QSeries({0: 1}) == 1``, but ``QSeries({0: 1}, 5) != 1``,
 and equal values hash alike across QSeries, MultiSeries and int.
 
-Pochhammer products (``poch_finite``, ``poch_infinite``,
-``qq_factorial``), series inversion, the Gaussian binomial (``qbinom``) and
-exact division run on the dense factor kernel of ``qident.kernel``, which
-this module imports (exact products and division through
-``qident.exact``, imported on first use): it hands the kernel its plain
-rows and wraps the plain rows the kernel returns in its own values.  Every Pochhammer
-product, whatever its base, is ``_poch``: the factors whose terms can
-reach q^0 or below are multiplied one by one and cut at the truncation
-order, and the rest, each of constant term 1, are one chain on the
-kernel, so its truncation order is the one a factor-by-factor product
-derives.  The kernel also holds the row
-helpers this module builds on (``_clean``, ``_gather``, ``_mono_mul``, the
-truncation-order arithmetic).  All values are immutable after construction
-and all operations are pure.
+Pochhammer products, series inversion, the Gaussian binomial and exact
+division run on the dense factor kernel of ``qident.kernel``: this module
+and those it delegates to hand the kernel plain rows and wrap the plain
+rows it returns in values.  The kernel also holds the row helpers this
+module builds on (``_clean``, ``_gather``, the truncation-order
+arithmetic).  All values are immutable after construction and all
+operations are pure.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .errors import NonConvergent, NonUnitConstantTerm, TruncationRequired
-from .kernel import (
-    _ONE,
-    TRIVIAL_MONO,
-    Mono,
-    _chain_factors,
-    _clean,
-    _gather,
-    _min_trunc,
-    _mono_mul,
-    _product_trunc,
-    _qbinom_chains,
-    _Rows,
-    _shift_trunc,
-)
+from .errors import TruncationRequired
+from .kernel import TRIVIAL_MONO, Mono, _clean, _gather, _min_trunc, _shift_trunc
 
 AUX_VARS = ("z", "x", "y")
 
@@ -213,13 +203,9 @@ class MultiSeries:
     def exact_div(self, divisor) -> "MultiSeries":
         """Each monomial's row divided exactly by a divisor free of z, x
         and y; raises DivisionInexact on any remainder."""
-        divisor = _lift(divisor).qseries()
-        if self.trunc is not None or divisor.trunc is not None:
-            raise TruncationRequired("exact division needs exact polynomials")
-        from .exact import _exact_quotient
+        from .exact import exact_div
 
-        acc, shift = _exact_quotient(self._rows, {}, [(divisor.coeffs, 1)])
-        return self._new(acc.gather({}, None, shift=shift), None)
+        return exact_div(self, divisor)
 
     def invert_unit(self, trunc: Optional[int] = None) -> "MultiSeries":
         """Inverse of a series whose q^0 layer is exactly the constant 1.
@@ -228,25 +214,9 @@ class MultiSeries:
         the whole coefficient of q^0 equal to the trivial monomial with
         coefficient 1 (so the inverse is again a power series in q).
         """
-        t = _min_trunc(self.trunc, trunc)
-        terms = self.terms()
-        if terms and self.min_exp < 0:
-            raise NonUnitConstantTerm("series has terms below q^0")
-        for m in self._rows:
-            if any(e < 0 for e in m):
-                raise NonUnitConstantTerm(
-                    f"negative aux exponent in {mono_str(m)} is not invertible"
-                )
-        if {m: c for m, e, c in terms if e == 0} != {TRIVIAL_MONO: 1}:
-            raise NonUnitConstantTerm("q^0 layer is not the constant 1")
-        if t is None:
-            if len(terms) == 1:
-                return self.one()
-            raise TruncationRequired("inverse of a non-trivial series is infinite")
-        # self = 1 - a, where a holds every term of self above q^0, negated
-        acc = _Rows.load(_ONE, 0, t)
-        acc.apply({tuple((m, e, -c) for m, e, c in terms if e): -1})
-        return self._new(acc.gather({}, t), t)
+        from .series_ops import invert_unit
+
+        return invert_unit(self, trunc)
 
     def subst_aux(self, **subs) -> "MultiSeries":
         """Substitute aux variables by +-1 or +-(another variable).
@@ -255,23 +225,9 @@ class MultiSeries:
         (sign, variable name).  E.g. ``subst_aux(x=1, y=(-1, "z"))`` performs
         x -> 1, y -> -z.
         """
-        norm = {}  # aux index -> (sign, exponent vector) of its image
-        for var, val in subs.items():
-            sign, target = ((val, None) if val in (1, -1) else
-                            (1, val) if isinstance(val, str) else val)
-            norm[AUX_VARS.index(var)] = sign, [int(v == target) for v in AUX_VARS]
-        image = {}  # monomial -> (its image, sign)
-        for mono in self._rows:
-            new, sign_total = list(mono), 1
-            for i, (sign, vec) in norm.items():
-                e, new[i] = mono[i], new[i] - mono[i]
-                new = [n + e * v for n, v in zip(new, vec)]
-                sign_total *= sign ** (e % 2)
-            image[mono] = tuple(new), sign_total
-        return MultiSeries.from_terms(
-            [(image[m][0], e, image[m][1] * c) for m, e, c in self.terms()],
-            self.trunc,
-        )
+        from .series_ops import subst_aux
+
+        return subst_aux(self, **subs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -282,37 +238,14 @@ class MultiSeries:
                                         _min_trunc(self.trunc, b.trunc))
 
     def mul(self, other) -> "MultiSeries":
-        b = _lift(other)
-        cls = _cls(self, b)
-        # an exact zero annihilates regardless of the other operand's trunc
-        if (not self._rows and self.trunc is None) or (not b._rows and b.trunc is None):
-            return cls.zero()
-        t = _product_trunc(self.trunc, self.min_exp, b.trunc, b.min_exp)
-        rows: dict = {}
-        b_rows = [(m, sorted(r.items())) for m, r in b._rows.items()]
-        for m1, r1 in self._rows.items():
-            for m2, items2 in b_rows:
-                acc = rows.setdefault(_mono_mul(m1, m2), {})
-                for e1, c1 in r1.items():
-                    for e2, c2 in items2:
-                        e = e1 + e2
-                        if t is not None and e >= t:
-                            break
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        return cls._from_rows(rows, t)
+        from .series_ops import mul
+
+        return mul(self, other)
 
     def power(self, n: int) -> "MultiSeries":
-        if n < 0:
-            raise ValueError("negative power; use invert_unit")
-        result = self.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+        from .series_ops import power
+
+        return power(self, n)
 
     def first_mismatch(self, other, bound: Optional[int] = None):
         """First differing coefficient below the common truncation.
@@ -361,14 +294,9 @@ class MultiSeries:
     __pow__, __neg__ = power, neg
 
     def __repr__(self):
-        # imported here: at the top it would load syntax before dsl does and
-        # change the order, and so the memory peak, of every launch
-        from .syntax import _row_repr
+        from .printing import series_repr
 
-        body = " + ".join(f"{mono_str(m)}*{_row_repr(self._rows[m], self.trunc)}"
-                          for m in sorted(self._rows)) or "0"
-        tail = "" if self.trunc is None else f" [trunc {self.trunc}]"
-        return f"MultiSeries({body}{tail})"
+        return series_repr(self)
 
 
 class QSeries(MultiSeries):
@@ -409,54 +337,11 @@ class QSeries(MultiSeries):
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.coeffs.items()))
 
-    def __repr__(self):
-        from .syntax import _row_repr
-
-        return _row_repr(self.coeffs, self.trunc)
-
 
 # ---------------------------------------------------------------------------
-# Pochhammer products and the Gaussian binomial, each one chain of factors
-# on the kernel's accumulator
+# Pochhammer products and the Gaussian binomial, computed in
+# ``qident.series_ops``
 # ---------------------------------------------------------------------------
-
-
-def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
-    """prod_{k=0}^{count-1} (1 - a*q^(step*k)), or over every k >= 0 for
-    count None, truncated at trunc (required for count None) once there is
-    a factor.  The truncation order is the one a factor-by-factor product
-    derives.
-
-    The head, the factors whose terms can reach q^0 or below, is multiplied
-    factor by factor and cut at trunc.  Every later factor has constant
-    term 1, so the tail is one chain on the kernel: applied to the head
-    inside the window the product is trusted in, or exactly, with no
-    truncation anywhere, through ``exact._exact_quotient``.
-    """
-    ms = _lift(a)
-    terms, d = ms.terms(), ms.min_exp
-    if count is None and terms and d <= 0:
-        raise NonConvergent(f"factor base has q-degree {d} <= 0")
-    stop = None if count is None else step * count
-    head, j = ms.one(), 0
-    while d + j < 1 and (stop is None or j < stop):
-        head = head.mul(ms.one() - ms.shift(j)).truncate(trunc)
-        j += step
-    t, lo = head.trunc, head.min_exp
-    if stop is None or j < stop:
-        # the tail, of valuation 0, is trusted below a's order times its
-        # first factor's q^j; the head has valuation lo
-        t =_min_trunc(t, _shift_trunc(ms.trunc, j + lo), trunc)
-    end = stop if t is None else _min_trunc(stop, t - lo - d)
-    tail = {tuple((m, e + i, c) for m, e, c in terms): 1 for i in range(j, end, step)}
-    if t is None:
-        from .exact import _exact_quotient
-
-        acc, _ = _exact_quotient(head._rows, tail, [])
-    else:
-        acc = _Rows.load(head._rows, lo, t - lo)
-        acc.apply(tail)
-    return _cls(a)._new(acc.gather({}, t), t)
 
 
 def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
@@ -465,24 +350,22 @@ def poch_finite(a, step: int, count: int, trunc: Optional[int] = None):
     Exact (a polynomial) when ``a`` is exact and ``trunc`` is None.  With a
     truncation order, or a truncated ``a``, the product is trusted below
     the order a factor-by-factor product derives, which a factor of
-    negative valuation lowers below ``trunc`` (see ``_poch``).
+    negative valuation lowers below ``trunc`` (see ``series_ops._poch``).
     """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _poch(a, step, count, trunc)
+    from .series_ops import poch_finite
+
+    return poch_finite(a, step, count, trunc)
 
 
 def poch_infinite(a, step: int, trunc: int):
     """The infinite product prod_{k>=0} (1 - a*q^(step*k)), truncated.
 
     Requires ``a`` to carry strictly positive q-degree so that all but
-    finitely many factors are 1 modulo q^trunc (see ``_poch``).
+    finitely many factors are 1 modulo q^trunc (see ``series_ops._poch``).
     """
-    if step <= 0:
-        raise ValueError("step must be a positive integer")
-    return _poch(a, step, None, trunc)
+    from .series_ops import poch_infinite
+
+    return poch_infinite(a, step, trunc)
 
 
 def qbinom(m: int, k: int) -> QSeries:
@@ -491,18 +374,13 @@ def qbinom(m: int, k: int) -> QSeries:
     Zero when k < 0 or k > m; otherwise a polynomial with nonnegative
     coefficients and degree k*(m-k).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k < 0 or k > m:
-        return QSeries.zero()
-    # a polynomial of degree k(m-k), exact on a window of that many + 1 exponents
-    acc = _Rows.load(_ONE, 0, k * (m - k) + 1)
-    acc.apply(_chain_factors(_qbinom_chains(m, k), None))
-    return QSeries._new(acc.gather({}, None), None)
+    from .series_ops import qbinom
+
+    return qbinom(m, k)
 
 
 def qq_factorial(m: int) -> QSeries:
     """The product (1-q)(1-q^2)...(1-q^m) as an exact polynomial."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _poch(QSeries.q(), 1, m, None)
+    from .series_ops import qq_factorial
+
+    return qq_factorial(m)

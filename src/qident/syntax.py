@@ -1,5 +1,5 @@
-"""The syntax of the expression language: its AST, tokenizer, parser and
-printer.  ``qident.dsl`` evaluates what ``parse`` returns.
+"""The syntax of the expression language: its AST, tokenizer and parser.
+``qident.dsl`` evaluates what ``parse`` returns.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
 
@@ -12,17 +12,17 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
 
 "+", "-" and "*" are left-associative, "^" is right-associative.  An INT
 literal has at most MAX_LITERAL_DIGITS digits; a longer one is refused
-with ParseError.  ``unparse`` renders an AST as text that parses back to it.
-``int_str`` writes an integer of any length, and ``_row_repr`` a series
-row as the reprs of ``qident.series`` show it.
+with ParseError.  ``unparse`` renders an AST as text that parses back to
+it; it is written in ``qident.printing``, which loads on first use.
+``int_str`` writes an integer of any length.
 """
 
 from __future__ import annotations
 
 from math import log10
-from typing import Optional, Union
+from typing import Union
 
-from .errors import DslError, ParseError
+from .errors import ParseError
 
 # the largest integer power the language computes, and the largest
 # coefficient a power of a series may reach, in bits: far above any
@@ -74,20 +74,6 @@ def int_str(n: int) -> str:
     return "-" * (n < 0) + str(head) + "".join(reversed(blocks))
 
 
-def _row_repr(row: dict, trunc: Optional[int]) -> str:
-    """A series row {q-exponent: coefficient}, trusted below trunc, as the
-    reprs of ``qident.series`` show it, e.g. <1 - 3*q^2 + O(q^5)>."""
-    parts = []
-    for e, c in sorted(row.items()):
-        mag = "" if abs(c) == 1 and e != 0 else int_str(abs(c))
-        pow_ = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-        star = "*" if mag and pow_ else ""
-        parts.append(("- " if c < 0 else "+ ") + mag + star + pow_)
-    body = " ".join(parts).lstrip("+ ") or "0"
-    tail = "" if trunc is None else f" + O(q^{trunc})"
-    return f"<{body}{tail}>"
-
-
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -112,8 +98,9 @@ class _Node:
         return hash(self._values())
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+        from .printing import node_repr
+
+        return node_repr(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -315,42 +302,8 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-# ---------------------------------------------------------------------------
-# Pretty-printing
-# ---------------------------------------------------------------------------
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, (Int, Name, Call)):
-        return _LEVEL_ATOM
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_MUL if e.op == "*" else _LEVEL_ADD
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    s = unparse(e)
-    return f"({s})" if _level(e) < minimum else s
-
-
 def unparse(e: Expr) -> str:
     """Render an AST as source text that reparses to an identical AST."""
-    if isinstance(e, Int):
-        return int_str(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.operand, _LEVEL_UNARY)
-    if isinstance(e, BinOp):
-        if e.op == "*":
-            return f"{_wrap(e.left, _LEVEL_MUL)} * {_wrap(e.right, _LEVEL_UNARY)}"
-        return f"{_wrap(e.left, _LEVEL_ADD)} {e.op} {_wrap(e.right, _LEVEL_MUL)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _LEVEL_ATOM)}^{_wrap(e.exponent, _LEVEL_POW)}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(unparse(a) for a in e.args)})"
-    raise DslError(f"cannot unparse {e!r}")
+    from .printing import unparse
+
+    return unparse(e)

@@ -499,8 +499,10 @@ def test_sweep_counts_weight_only_faults(monkeypatch):
 
 def _reference_sweep(name, spec, n, k, weight_cap):
     """The two-pass sweep: every domain element forward and back, then every
-    codomain element back and forward, then the weight multisets.  As in
-    the walk, the maps' input checks are the membership tests."""
+    codomain element back and forward, then the images of the domain
+    elements that came back against the codomain, then the weight
+    multisets.  As in the walk, the maps' input checks are the membership
+    tests, and an image the codomain lacks is a membership failure."""
     domain = spec.domain(n, k, weight_cap)
     codomain = spec.codomain(n, k, weight_cap)
     forward, inverse = spec.forward, spec.inverse
@@ -509,6 +511,7 @@ def _reference_sweep(name, spec, n, k, weight_cap):
     roundtrip = weight = membership = 0
     witness = None
     dom_weights = []
+    images = {}  # image of a domain element that came back -> times
     for x in domain:
         wx = w_domain(n, x) + delta
         dom_weights.append(wx)
@@ -521,12 +524,16 @@ def _reference_sweep(name, spec, n, k, weight_cap):
             if back != x:
                 roundtrip += 1
                 witness = witness or repr(x)
+            else:
+                images[y] = images.get(y, 0) + 1
         except DomainViolation:
             membership += 1
             witness = witness or repr(x)
     cod_weights = []
     for y in codomain:
         cod_weights.append(w_codomain(n, y))
+        if images.get(y):
+            images[y] -= 1
         try:
             if forward(n, k, inverse(n, k, y)) != y:
                 roundtrip += 1
@@ -534,6 +541,10 @@ def _reference_sweep(name, spec, n, k, weight_cap):
         except DomainViolation:
             membership += 1
             witness = witness or repr(y)
+    missing = [y for y, times in images.items() if times]
+    if missing:
+        membership += sum(images.values())
+        witness = witness or f"image {missing[0]!r} missing from the codomain"
     if sorted(dom_weights) != sorted(cod_weights):
         weight += 1
         witness = witness or "domain/codomain weight multisets differ"
@@ -633,6 +644,64 @@ def test_walk_report_equals_two_pass_sweep_on_edited_codomain(monkeypatch, name,
     if edit is _twice_and_outside:
         assert new.membership_failures == 2
         assert new.witness == repr(_OUTSIDE[name])
+
+
+# phi at n = 2: two elements of weight 2 in each family
+_EARLY = PartitionPair(DistinctPartition(), Partition((2,)))
+_LATE = PartitionPair(DistinctPartition(), Partition((1, 1)))
+
+
+def _phi_with(monkeypatch, family, edit):
+    """phi's row with one family's stream at n = 2 replaced by edit(items)."""
+    row = bijections._BIJECTIONS["phi"]
+    stream = getattr(row, family)
+
+    def edited(n, k, cap):
+        return iter(edit(list(stream(n, k, cap))))
+
+    monkeypatch.setitem(bijections._BIJECTIONS, "phi", row._replace(**{family: edited}))
+
+
+@pytest.mark.parametrize("family, old, new, missing", [
+    ("codomain", (0, Partition((1, 1))), (0, Partition((2,))), "(0, Partition(1, 1))"),
+    ("domain", _LATE, _EARLY, "(0, Partition(2,))"),
+])
+def test_sweep_fails_a_family_that_repeats_one_element_for_another(
+        monkeypatch, family, old, new, missing):
+    # the family keeps its size and its weights; the image the codomain
+    # lacks, one of a proof that found no twin, gives it away
+    _phi_with(monkeypatch, family, lambda items: [new if e == old else e for e in items])
+    rep, ref = _both_sweeps(monkeypatch, "phi", dict(n=2))
+    assert rep == ref and not rep.passed()
+    assert (rep.domain_size, rep.codomain_size) == (16, 16)
+    assert (rep.roundtrip_failures, rep.weight_violations,
+            rep.membership_failures) == (0, 0, 1)
+    assert rep.witness == f"image {missing} missing from the codomain"
+
+
+def test_sweep_counts_a_repeat_proved_before_its_twin(monkeypatch):
+    # both copies of the repeated element come before their twin, so its
+    # image is proved twice while it waits
+    _phi_with(monkeypatch, "domain", lambda items: [_EARLY, _EARLY] + [
+        e for e in items if e not in (_EARLY, _LATE)])
+    rep, ref = _both_sweeps(monkeypatch, "phi", dict(n=2))
+    assert rep == ref and not rep.passed()
+    assert (rep.roundtrip_failures, rep.weight_violations,
+            rep.membership_failures) == (0, 0, 1)
+    assert rep.witness == "image (0, Partition(2,)) missing from the codomain"
+
+
+def test_sweep_matches_repeats_one_by_one(monkeypatch):
+    # the codomain meets the repeated image twice before either proof, and
+    # each proof takes one; the element both families skip is in neither,
+    # so no check can see it
+    _phi_with(monkeypatch, "domain", lambda items: [
+        e for e in items if e not in (_EARLY, _LATE)] + [_EARLY, _EARLY])
+    _phi_with(monkeypatch, "codomain", lambda items: [(0, Partition((2,)))] * 2 + [
+        e for e in items if e not in ((0, Partition((2,))), (0, Partition((1, 1))))])
+    rep, ref = _both_sweeps(monkeypatch, "phi", dict(n=2))
+    assert rep == ref
+    assert (rep.roundtrip_failures, rep.membership_failures) == (0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(_FAULT_CASES))

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from qident.bijections import BIJECTION_NAMES
 from qident.cli import main
-from qident.cli_bijection import parse_pair, parse_partition, parse_signed_set
+from qident.demos import parse_pair, parse_partition, parse_signed_set
 from qident.cli_eval import _dump_series
 from qident.dsl import MAX_EXACT_DEGREE, MAX_SUM_TERMS
 from qident.identities import IDENTITY_IDS
@@ -151,6 +151,15 @@ def test_bijection_demo_requires_params(capsys):
     code, _, err = run(capsys, "bijection", "phi", "--demo", "(1)|()")
     assert code == 2
     assert "--n" in err
+
+
+def test_every_bijection_has_a_demo(capsys):
+    # the command hands --demo to qident.demos for any known bijection
+    from qident.demos import _DEMOS
+
+    assert set(_DEMOS) == set(BIJECTION_NAMES)
+    code, _, err = run(capsys, "bijection", "nope", "--demo", "(1)|()")
+    assert code == 2 and "unknown bijection 'nope'" in err
 
 
 def test_bijection_ferrers_demo(capsys):

@@ -97,25 +97,72 @@ def _nodes(modules) -> int:
         for m in modules if m.split(".")[0] == "qident")
 
 
+# the modules off every command's main route, each loaded on first use
+_ON_FIRST_USE = {"qident.exact", "qident.series_ops", "qident.printing",
+                 "qident.recount", "qident.demos"}
+
+
 @pytest.mark.parametrize("argv, bound", [
-    (("eval", "q", "--trunc", "3"), 15000),
-    # less than each command compiled when every handler was in cli.py
-    (("verify", "ay1", "--no-comb", "--trunc", "10"), 20001),
-    (("bijection", "phi", "--n", "1"), 10062),
+    (("eval", "q", "--trunc", "3"), 11650),
+    (("verify", "ay1", "--no-comb", "--trunc", "10"), 13000),
+    (("bijection", "phi", "--n", "1"), 7600),
 ], ids=["eval", "verify", "bijection"])
 def test_command_compiles_within_its_budget(argv, bound):
     # a cold launch compiles every module it loads, about 1.75 ms per
-    # 1 000 AST nodes, so a command loads only its own handler, and
-    # exact division only when it divides exactly
+    # 1 000 AST nodes, so a command loads only its own handler, and what
+    # is off its main route only when it runs it
     loaded = _after_main(*argv)
     assert _nodes(loaded) <= bound
     assert "qident.exact" not in loaded
+    assert not loaded & _ON_FIRST_USE
 
 
 def test_exact_division_loads_on_first_use():
     loaded = _modules_after("from qident.dsl import evaluate\n"
                             "evaluate('(1-q^3)*(1-q)^(-1)', {}, None)")
     assert "qident.exact" in loaded
+
+
+def test_series_operations_load_on_first_use():
+    # an exact qbinom is expanded whole, and a reciprocal of a series that
+    # is no Pochhammer power is an inverse
+    loaded = _modules_after("from qident.dsl import evaluate\n"
+                            "evaluate('qbinom(5, 2)', {}, None)")
+    assert "qident.series_ops" in loaded
+    loaded = _after_main("eval", "(1+q+q^2)^(-1)", "--trunc", "10")
+    assert "qident.series_ops" in loaded and "qident.exact" not in loaded
+
+
+def test_printing_loads_on_first_use():
+    loaded = _modules_after("from qident.dsl import evaluate, parse, unparse\n"
+                            "assert unparse(parse('q^2')) == 'q^2'")
+    assert "qident.printing" in loaded and "qident.series_ops" not in loaded
+    loaded = _modules_after("from qident.dsl import evaluate\n"
+                            "assert repr(evaluate('q', {}, 3)) == 'MultiSeries(1*<q>)'")
+    assert "qident.printing" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-n", "3"),
+    ("verify", "q1limit", "--n", "1"),
+    ("verify", "thm21", "--n", "1"),
+], ids=["table", "q1limit", "enumeration-side"])
+def test_recounts_load_on_first_use(argv):
+    assert "qident.recount" in _after_main(*argv)
+
+
+def test_recounts_are_served_by_identities():
+    from qident import identities, recount
+
+    for name in identities._RECOUNTS:
+        assert getattr(identities, name) is getattr(recount, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        identities.nope
+
+
+def test_demos_load_on_first_use():
+    loaded = _after_main("bijection", "phi", "--n", "1", "--demo", "(1)|()")
+    assert "qident.demos" in loaded
 
 
 def test_bijection_loads_no_dsl_or_identities():
