@@ -532,6 +532,21 @@ def _check_single(name: str, n: Optional[int], k: Optional[int],
     return _sweep(name, spec, n, k, weight_cap)
 
 
+def _check_params(name: str, n, k, weight_cap, max_nk) -> None:
+    """BadParams for a parameter the map does not take, or a negative one."""
+    given = {"n": n, "k": k, "weight_cap": weight_cap, "max_nk": max_nk}
+    takes = _BIJECTIONS[name].params
+    if name == "nu3" and max_nk is not None:
+        takes = ("max_nk", "weight_cap")
+    extra = [p for p, v in given.items() if v is not None and p not in takes]
+    if extra:
+        raise BadParams(f"bijection {name} does not take parameter(s) {extra}")
+    negative = [f"{p}={v}" for p, v in given.items() if v is not None and v < 0]
+    if negative:
+        raise BadParams(f"bijection {name} takes no negative parameter: "
+                        + ", ".join(negative))
+
+
 def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
                     weight_cap: Optional[int] = None,
                     max_nk: Optional[int] = None) -> BijectionReport:
@@ -548,17 +563,7 @@ def check_bijection(name: str, n: Optional[int] = None, k: Optional[int] = None,
         raise UnknownBijection(
             f"unknown bijection {name!r}; choose from {BIJECTION_NAMES}"
         )
-    given = {"n": n, "k": k, "weight_cap": weight_cap, "max_nk": max_nk}
-    takes = _BIJECTIONS[name].params
-    if name == "nu3" and max_nk is not None:
-        takes = ("max_nk", "weight_cap")
-    extra = [p for p, v in given.items() if v is not None and p not in takes]
-    if extra:
-        raise BadParams(f"bijection {name} does not take parameter(s) {extra}")
-    negative = [f"{p}={v}" for p, v in given.items() if v is not None and v < 0]
-    if negative:
-        raise BadParams(f"bijection {name} takes no negative parameter: "
-                        + ", ".join(negative))
+    _check_params(name, n, k, weight_cap, max_nk)
     if name == "durfee_split" and k is None:
         if weight_cap is None:
             raise MissingParam("durfee_split requires weight_cap")

@@ -21,10 +21,10 @@ launch compiles and executes only these modules, besides this one and
 - ``verify`` and ``table``: ``cli_verify`` or ``cli_table``,
   ``identities`` and those of ``eval`` but ``cli_eval``; then, for
   ``verify``, ``exact`` when a side is computed with no truncation order
-  and ``series_ops`` when such a side has a ``qbinom``, ``recount`` for
-  ``q1limit``, and ``recount`` and ``partitions`` when an enumeration side
-  runs, with ``bijections`` for the ``p_gt`` recount of ``middle``; for
-  ``table``, ``recount`` and ``series_ops``;
+  (its Gaussian binomials among it), ``recount`` for ``q1limit``, and
+  ``recount`` and ``partitions`` when an enumeration side runs, with
+  ``bijections`` for the ``p_gt`` recount of ``middle``; for ``table``,
+  ``recount`` and ``series_ops``;
 - ``list``: ``cli_list``, ``identities``, ``bijections`` and
   ``partitions``.
 

@@ -29,22 +29,21 @@ def ferrers(p: Partition, indent: str = "  ") -> str:
     return "\n".join(indent + "* " * v for v in p.parts)
 
 
-def parse_partition(text: str) -> Partition:
+def _ints(text: str, ends: str, shape: str) -> tuple:
+    """The integers listed between the brackets ``ends`` of text."""
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"partition must look like (5,3): {text!r}")
+    if not (text.startswith(ends[0]) and text.endswith(ends[1])):
+        raise ValueError(f"{shape}: {text!r}")
     inner = text[1:-1].strip()
-    parts = tuple(int(v) for v in inner.split(",")) if inner else ()
-    return Partition(parts)
+    return tuple(int(v) for v in inner.split(",")) if inner else ()
+
+
+def parse_partition(text: str) -> Partition:
+    return Partition(_ints(text, "()", "partition must look like (5,3)"))
 
 
 def parse_signed_set(text: str, n: int) -> SignedDistinctSet:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"signed set must look like {{-2,0,1}}: {text!r}")
-    inner = text[1:-1].strip()
-    elements = tuple(int(v) for v in inner.split(",")) if inner else ()
-    return SignedDistinctSet(elements, n)
+    return SignedDistinctSet(_ints(text, "{}", "signed set must look like {-2,0,1}"), n)
 
 
 def parse_pair(text: str) -> PartitionPair:
@@ -105,7 +104,7 @@ def _demo_tau(args: argparse.Namespace) -> int:
     print(f"input: lambda={set_str(lam)} (weight {lam.weight})")
     out = bijections.tau(n, lam)
     print(f"tau(lambda) = {set_str(out)} (weight {out.weight})")
-    back = bijections.tau_complement(n, out)
+    back = bijections.tau_inv(n, out)
     print(f"inverse check: {set_str(back)}")
     return 0
 
@@ -158,12 +157,13 @@ _DEMOS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """The demo of the bijection args.name, which must be one of the six."""
+    """The demo of the bijection args.name, one of the six, checked as its sweep is."""
     demo, needed = _DEMOS[args.name]
     for param in needed:
         if getattr(args, param) is None:
             return _usage_error(f"demo of {args.name} requires --{param}")
     try:
+        bijections._check_params(args.name, args.n, args.k, args.weight_cap, args.max_nk)
         return demo(args)
     except (ValueError, QidentError) as exc:
         return _usage_error(str(exc))

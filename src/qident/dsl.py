@@ -16,18 +16,18 @@ lazy power series do.  Everything but a sum is a product, and a call alone
 is a product of one factor.  A product first folds its monomial factors
 into c * z^a * x^b * y^d * q^v; the other factors are evaluated only to
 q-order ``trunc - v``, and not at all once the product's valuation is known
-to reach ``trunc``.  Powers of Pochhammer products of a monomial, and at a
-truncation order those of qbinom(m, k) = (q^(m-k+1); q)_k / (q; q)_k, are
-not expanded on their own: the factor kernel (``qident.kernel``)
-multiplies or divides one dense accumulator by each factor 1 - c*m*q^j to
-its power, in one step, inside its window.  At a truncation order,
-summands of a ``sum`` that are a monomial times such powers share one
-accumulator: consecutive summands differ in a few factors, so each applies
-only the change from the one before, and a sum of N summands costs O(N)
-kernel steps rather than O(N^2).  With no truncation order the accumulator
-holds the whole product, and divides it exactly by the negative powers of
-Pochhammer products and of q-polynomials free of z, x and y; an exact
-qbinom is expanded whole.
+to reach ``trunc``.  Powers of Pochhammer products of a monomial, and those
+of qbinom(m, k) = (q^(m-k+1); q)_k / (q; q)_k, are not expanded on their
+own: the factor kernel (``qident.kernel``) multiplies or divides one dense
+accumulator by each factor 1 - c*m*q^j to its power, in one step, inside
+its window.  At a truncation order, summands of a ``sum`` that are a
+monomial times such powers share one accumulator: consecutive summands
+differ in a few factors, so each applies only the change from the one
+before, and a sum of N summands costs O(N) kernel steps rather than
+O(N^2).  With no truncation order the accumulator holds the product's
+known polynomials, and divides it exactly by the negative powers of
+Pochhammer products, of qbinoms and of q-polynomials free of z, x and y
+(``qident.exact``).
 
 A ``sum`` adds each summand into one running total as soon as it is
 evaluated, so its memory is the size of its result, not that times its
@@ -143,18 +143,17 @@ def _factors_low(rest: list, low: int, bindings: dict, walked: list) -> Optional
 
 def _chains(f: Expr, bindings: dict, exact: bool) -> Optional[list]:
     """The chains of f (see ``_chain_factors``) when the kernel applies f =
-    P^k factor by factor, else None; a malformed call raises.  P is a poch
-    of a monomial of q-valuation v >= 1, or for k = 1 of v = 0 in z, x or y
-    with a finite count; for k < 0 the monomial has no negative z, x or y
-    exponent (none when ``exact``).  At a truncation order P may also be
-    qbinom(m, j), 0 <= j <= m, to any power."""
+    P^k factor by factor, else None; a malformed call raises.  P is qbinom(m,
+    j), 0 <= j <= m, or a poch of a monomial of q-valuation v >= 1, or for k
+    = 1 of v = 0 in z, x or y with a finite count; for k < 0 the monomial
+    has no negative z, x or y exponent (none when ``exact``)."""
     base = f.base if isinstance(f, Pow) else f
     if not (isinstance(base, Call) and base.func in ("poch", "qbinom")):
         return None
     k = eval_int(f.exponent, bindings) if base is not f else 1
     if base.func == "qbinom":
         m, j = _qbinom_args(base, bindings)
-        if exact or not 0 <= j <= m:
+        if not 0 <= j <= m:
             return None
         return [(a, k * s) for a, s in _qbinom_chains(m, j)]
     step, count = _poch_args(base, bindings, exact, k)
@@ -222,11 +221,11 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     factor by factor to one dense accumulator over the window they are
     trusted in, or, when they are the only factors besides the monomial, to
     the accumulator ``carry`` keeps for a sum.  In an exact context
-    (``trunc`` None) the accumulator holds c times the whole product of the
-    positive powers, and divides it by the others and by each X^(-k) with
-    X free of z, x and y (``exact._exact_product``).  With ``carry``, a
-    product that ends on the kernel is added to the carry's total,
-    returning None.
+    (``trunc`` None) the accumulator holds c times the product of the
+    powers that are known polynomials, and divides it by the others and by
+    each X^(-k) with X free of z, x and y (``exact._exact_product``).
+    With ``carry``, a product that ends on the kernel is added to the
+    carry's total, returning None.
     """
     rest: list = []
     c, mono, v = _split(e, bindings, rest)
@@ -245,7 +244,7 @@ def _eval_product(e: Expr, bindings: dict, trunc: Optional[int],
     for i, f in enumerate(rest):
         chain = walked[i] if i < len(walked) else _chains(f, bindings, inner is None)
         if chain is not None:
-            chains += chain
+            chains.append(chain)
             continue
         others += 1
         if isinstance(f, Pow):
@@ -304,10 +303,9 @@ def _eval_call(e: Call, bindings: dict, trunc: Optional[int]) -> MultiSeries:
 
         step, count = _poch_args(e, bindings, trunc is None)
         return _poch(eval_series(e.args[0], bindings, trunc), step, count, trunc)
-    if e.func == "qbinom":
-        from .series import qbinom
-
-        return MultiSeries.from_qseries(qbinom(*_qbinom_args(e, bindings)))
+    if e.func == "qbinom":  # j outside [0, m]: every other qbinom is a chain
+        _qbinom_args(e, bindings)
+        return MultiSeries.zero()
     if e.func == "sum":
         var, lo, hi = _sum_args(e, bindings)
         # each summand is added into one total as soon as it is evaluated

@@ -1,41 +1,47 @@
 """Exact products and exact division on the factor kernel, with no
 truncation order anywhere.
 
-``_exact_quotient`` sizes one ``kernel._Rows`` window to hold a whole
-product, applies the chain factors to it, and divides it by q-polynomials
-free of z, x and y, the divisions last, so a quotient that vanishes above
-its degree is exact.  A divisor lead - a of lead +-1 and one term a runs
-on the kernel's own division, after the chain bound of
-``budget._check_power``; any other runs ``_divide``, which checks each
-coefficient for a remainder and, for a lead of +-1, for bits.  The
-evaluator's exact products (``qident.dsl``), ``series_ops._poch`` with
-no truncation order and ``MultiSeries.exact_div``, whose body
-``exact_div`` is, import this module on first use, so a truncated
-evaluation never loads it.
+The window rule: ``_exact_quotient`` sizes one ``kernel._Rows`` window to
+the span of the known-polynomial numerator M: the series value, the
+Pochhammer factors of positive power and each qbinom(m, j)^k with k > 0,
+counted by its degree k*j(m - j).  Its top, the remainder region, is the
+degree of the genuine divisions D: the other Pochhammer factors and qbinom
+powers and the q-polynomial divisors.  Each kernel step is exact below the
+window, so in any order it ends holding M/D there, the exact quotient when
+it is zero in the region.  Both are counted before the chains merge:
+merged, qbinom(2,1)*qbinom(4,2) cancels a factor 1 - q^2 its window needs.
+A divisor lead - a of lead +-1 and one term a runs on the kernel's own
+division, after ``budget._check_power``; any other runs ``_divide``, which
+checks each coefficient for a remainder and, for a lead of +-1, for bits.
+Exact products, ``series.qbinom``, ``series_ops._poch`` with no truncation
+order and ``MultiSeries.exact_div`` load this module on first use.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionInexact, DslError, TruncationRequired
-from .kernel import TRIVIAL_MONO, _chain_factors, _Rows
+from .kernel import TRIVIAL_MONO, _chain_factors, _qbinom_chains, _Rows
 
 
 def _exact_product(value, c: int, chains: list, divisors: list) -> tuple:
-    """(acc, shift), as ``_exact_quotient`` gives them, of the evaluator's
-    exact product: c times the series value times the chains (see
-    ``kernel._chain_factors``), divided by the divisors.  Refused first,
-    before the window is made, when its degree would pass
-    MAX_EXACT_DEGREE."""
+    """(acc, shift) of c * value * chains (a list per factor) / divisors,
+    as ``_exact_quotient`` gives them.  Pochhammer powers merge; a qbinom
+    power, whose chains multiply and divide, counts by its own degree.
+    Refused first when the value's span, |k| * max(j, |aux|) over the net
+    Pochhammer factors and the qbinom degrees above 0 pass MAX_EXACT_DEGREE."""
     from .budget import MAX_EXACT_DEGREE
 
-    powers = _chain_factors(chains, None)
+    qbinoms = [chain for chain in chains if len({k > 0 for _, k in chain}) > 1]
+    nets = [sum(k * _span(a) for a, k in _chain_factors([q], None).items()) for q in qbinoms]
+    own = _chain_factors([chain for chain in chains if chain not in qbinoms], None)
     exps = [e for _, e, _ in value.terms()] or [0]
-    degree = max(exps) - min(exps) + sum(
-        abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in powers.items() if cj)
+    degree = max(exps) - min(exps) + sum(n for n in nets if n > 0) + sum(
+        abs(k) * max(j, *map(abs, m)) for ((m, j, cj),), k in own.items() if cj)
     if degree > MAX_EXACT_DEGREE:
         raise DslError(f"exact product of degree {degree} exceeds the"
                        f" {MAX_EXACT_DEGREE}-degree limit")
-    return _exact_quotient(value.scale(c)._rows, powers, divisors)
+    nets += [k * _span(a) for a, k in own.items()]
+    return _exact_quotient(value.scale(c)._rows, _chain_factors(chains, None), divisors, nets)
 
 
 def _span(a) -> int:
@@ -66,13 +72,13 @@ def _divide(acc: _Rows, a: tuple, lead: int, power: int, top: int) -> None:
                 _refuse_bits(power, bits)
 
 
-def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
+def _exact_quotient(rows: dict, powers: dict, divisors: list, nets: list) -> tuple:
     """(acc, shift): the exact plain rows times each factor 1 - a to its
     net power in powers ({a: power}), divided by each d^k in divisors
     ([(d, k)], d a plain row {q-exponent: coefficient} free of z, x and y),
-    as acc read at q^shift.  The window holds the undivided product and the
-    divisions come last, so a quotient vanishing above its degree is exact;
-    any other, or a zero d, is DivisionInexact.  A d = +-1 - a is checked
+    as acc read at q^shift.  ``nets`` are the q-degrees of the factors
+    whose product is powers: those above 0 widen the window, the others
+    and the divisors make the remainder region.  A d = +-1 - a is checked
     by ``budget._check_power`` for one term a, a lead of -1 divided as lead
     1 and a sign, -1 - a = -(1 - (-a)); else on each coefficient."""
     steps, shift = [], 0
@@ -84,7 +90,7 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list) -> tuple:
         shift -= k * v
     if not rows:
         return _Rows(0, 0), 0
-    spans = [k * _span(a) for a, k in powers.items()] + [-k * _span(a) for a, _, k in steps]
+    spans = nets + [-k * _span(a) for a, _, k in steps]
     lo, span = min(map(min, rows.values())), -sum(s for s in spans if s < 0)
     size = max(map(max, rows.values())) - lo + 1 + sum(s for s in spans if s > 0)
     if span >= size:
@@ -124,5 +130,15 @@ def exact_div(s, divisor):
     divisor = _lift(divisor).qseries()
     if s.trunc is not None or divisor.trunc is not None:
         raise TruncationRequired("exact division needs exact polynomials")
-    acc, shift = _exact_quotient(s._rows, {}, [(divisor.coeffs, 1)])
+    acc, shift = _exact_quotient(s._rows, {}, [(divisor.coeffs, 1)], [])
     return s._new(acc.gather({}, None, shift=shift), None)
+
+
+def qbinom(m: int, k: int):
+    """``series.qbinom``: c * [m, k] from its chains, c = 0 unless 0 <= k <= m."""
+    from .series import QSeries
+
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    acc, _ = _exact_product(QSeries.one(), int(0 <= k <= m), [_qbinom_chains(m, k)], [])
+    return QSeries._new(acc.gather({}, None), None)

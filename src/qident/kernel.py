@@ -41,7 +41,7 @@ values.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from operator import add, itemgetter
 from typing import Optional
 
@@ -304,11 +304,11 @@ def _factor_power(a: tuple, k: int, size: int) -> list:
 
 
 def _chain_factors(chains: list, size: Optional[int]) -> dict:
-    """{((m, j, c),): net power}, the factors 1 - c*m*q^j, j < size, of chains
-    ((c, m, v, step, count), k), each poch(c*m*q^v, step, count)^k: j = v +
-    step*i, i < count (any i for count None); a larger j is 1 below q^size."""
+    """{((m, j, c),): net power}, the factors 1 - c*m*q^j, j < size, of chains,
+    a list per factor of ((c, m, v, step, count), k) = poch(c*m*q^v, step,
+    count)^k: j = v + step*i, i < count (any i for count None)."""
     powers: dict = {}
-    for (c, mono, v, step, count), k in chains:
+    for (c, mono, v, step, count), k in chain.from_iterable(chains):
         stop = size if count is None else v + step * count
         for j in range(v, stop if size is None else min(stop, size), step):
             a = ((mono, j, c),)
@@ -318,7 +318,8 @@ def _chain_factors(chains: list, size: Optional[int]) -> dict:
 
 def _qbinom_chains(m: int, k: int) -> list:
     """[m, k], 0 <= k <= m, as its factors (1 - q^(m-j+i)) / (1 - q^i), i = 1..j,
-    j = min(k, m - k), one chain each: the partial products [m-j+i, i] stay small."""
+    j = min(k, m - k), one chain each: applied in turn at a truncation order,
+    the partial products [m-j+i, i] stay small; exactly, divisions run last."""
     j = min(k, m - k)
     return [((1, TRIVIAL_MONO, e, 1, 1), p) for i in range(1, j + 1)
             for e, p in ((m - j + i, 1), (i, -1))]

@@ -21,9 +21,9 @@ constructors, the queries, the row primitives, ``add`` and the
 comparison.  The others are one-line delegations to modules loaded on
 first use, so that a launch compiles only what it runs: ``mul``,
 ``power``, ``invert_unit``, ``subst_aux`` and the functions
-``poch_finite``, ``poch_infinite``, ``qbinom`` and ``qq_factorial`` to
-``qident.series_ops``, ``exact_div`` to ``qident.exact``, and the reprs to
-``qident.printing``.
+``poch_finite``, ``poch_infinite`` and ``qq_factorial`` to
+``qident.series_ops``, ``exact_div`` and ``qbinom`` to ``qident.exact``,
+and the reprs to ``qident.printing``.
 
 Truncation semantics: ``trunc`` is an exclusive upper bound on the q-exponents
 whose coefficients the value guarantees exact.  ``trunc is None`` means every
@@ -339,8 +339,7 @@ class QSeries(MultiSeries):
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer products and the Gaussian binomial, computed in
-# ``qident.series_ops``
+# Pochhammer products (``qident.series_ops``) and the Gaussian binomial
 # ---------------------------------------------------------------------------
 
 
@@ -369,12 +368,9 @@ def poch_infinite(a, step: int, trunc: int):
 
 
 def qbinom(m: int, k: int) -> QSeries:
-    """The Gaussian binomial coefficient as an exact polynomial in q.
-
-    Zero when k < 0 or k > m; otherwise a polynomial with nonnegative
-    coefficients and degree k*(m-k).
-    """
-    from .series_ops import qbinom
+    """The Gaussian binomial coefficient as an exact polynomial in q: zero
+    when k < 0 or k > m, else of nonnegative coefficients and degree k*(m-k)."""
+    from .exact import qbinom
 
     return qbinom(m, k)
 

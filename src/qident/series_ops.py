@@ -3,20 +3,17 @@ first use.
 
 ``qident.series`` keeps every name: its methods ``mul``, ``power``,
 ``invert_unit`` and ``subst_aux`` and its functions ``poch_finite``,
-``poch_infinite``, ``qbinom`` and ``qq_factorial`` each import this
-module and call the function of the same name here.  The evaluator
-(``qident.dsl``) multiplies Pochhammer and q-binomial powers on the
-kernel's rows, so a registry text at a truncation order reaches none of
-this; it imports ``_poch`` from here for a Pochhammer product of any
-other base, and ``_times_power`` for any other factor.
+``poch_infinite`` and ``qq_factorial`` call the function of the same name
+here.  The evaluator (``qident.dsl``) multiplies Pochhammer and q-binomial
+powers on the kernel's rows, so it imports from here only ``_poch``, for a
+Pochhammer product of any other base, and ``_times_power``, for any other
+factor.
 
 Every Pochhammer product, whatever its base, is ``_poch``: the factors
 whose terms can reach q^0 or below are multiplied one by one and cut at
 the truncation order, and the rest, each of constant term 1, are one
 chain on the kernel, so its truncation order is the one a
-factor-by-factor product derives.  Series inversion and the Gaussian
-binomial are one chain each.
-"""
+factor-by-factor product derives.  Series inversion is one chain."""
 
 from __future__ import annotations
 
@@ -24,8 +21,7 @@ from math import log2
 from typing import Optional
 
 from .errors import DslError, NonConvergent, NonUnitConstantTerm, TruncationRequired
-from .kernel import (_ONE, TRIVIAL_MONO, _chain_factors, _min_trunc, _mono_mul,
-                     _qbinom_chains, _Rows, _shift_trunc)
+from .kernel import _ONE, TRIVIAL_MONO, _min_trunc, _mono_mul, _Rows, _shift_trunc
 from .series import AUX_VARS, MultiSeries, QSeries, _cls, _lift, mono_str
 
 
@@ -202,8 +198,7 @@ def _power_check(base: MultiSeries, k: int, with_q: bool, layers: int | None) ->
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer products and the Gaussian binomial, each one chain of factors
-# on the kernel's accumulator
+# Pochhammer products, each one chain of factors on the kernel's accumulator
 # ---------------------------------------------------------------------------
 
 
@@ -236,9 +231,9 @@ def _poch(a, step: int, count: Optional[int], trunc: Optional[int]):
     end = stop if t is None else _min_trunc(stop, t - lo - d)
     tail = {tuple((m, e + i, c) for m, e, c in terms): 1 for i in range(j, end, step)}
     if t is None:
-        from .exact import _exact_quotient
+        from .exact import _exact_quotient, _span
 
-        acc, _ = _exact_quotient(head._rows, tail, [])
+        acc, _ = _exact_quotient(head._rows, tail, [], list(map(_span, tail)))
     else:
         acc = _Rows.load(head._rows, lo, t - lo)
         acc.apply(tail)
@@ -257,17 +252,6 @@ def poch_infinite(a, step: int, trunc: int):
     if step <= 0:
         raise ValueError("step must be a positive integer")
     return _poch(a, step, None, trunc)
-
-
-def qbinom(m: int, k: int) -> QSeries:
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if k < 0 or k > m:
-        return QSeries.zero()
-    # a polynomial of degree k(m-k), exact on a window of that many + 1 exponents
-    acc = _Rows.load(_ONE, 0, k * (m - k) + 1)
-    acc.apply(_chain_factors(_qbinom_chains(m, k), None))
-    return QSeries._new(acc.gather({}, None), None)
 
 
 def qq_factorial(m: int) -> QSeries:

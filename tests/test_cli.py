@@ -630,6 +630,19 @@ def test_bijection_refuses_negative_or_oversized_sweeps(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: bijection {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("phi", "--n", "2", "--k", "5", "--demo", "(1)|()"),
+     "phi does not take parameter(s) ['k']"),
+    (("psi", "--n", "-1", "--demo", "{}"), "psi takes no negative parameter: n=-1"),
+], ids=["phi-k", "psi-negative-n"])
+def test_bijection_demo_refuses_parameters_as_its_sweep_does(capsys, argv, message):
+    # the demo and the sweep of the same command line are refused alike,
+    # before the demo prints anything
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (2, "", f"error: bijection {message}\n")
+    assert run(capsys, "bijection", *argv[:-2]) == (code, out, err)
+
+
 def test_bijection_default_cap_only_for_maps_that_take_one(capsys):
     # --cap was not given: phi takes none, durfee_split sweeps at 30
     code, out, _ = run(capsys, "bijection", "phi", "--n", "2")

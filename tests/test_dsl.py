@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qident import budget
 from qident.dsl import (
     MAX_EXACT_DEGREE,
     MAX_POWER_BITS,
@@ -291,6 +292,26 @@ def test_exact_product_window_guard():
     # Pochhammer powers that cancel take no step at all
     text = f"poch(q, 1, 1)^{over} * poch(q, 1, 1)^(-{over}) * (1 + q)"
     assert evaluate(text, {}, None) == 1 + MultiSeries.q()
+
+
+def test_exact_qbinom_counts_by_its_own_degree(monkeypatch):
+    # each exact Gaussian binomial is its chains in the product's window,
+    # counted by its degree before the chains merge: merged, the pair
+    # cancels a factor 1 - q^2 that its window needs
+    import reference as ref
+
+    def terms(text):
+        return {(m[:2], e): c for m, e, c in evaluate(text, {}, None).terms()}
+
+    assert terms("qbinom(2,1)*qbinom(4,2)") == ref.terms(
+        ref.mul(ref.qbinom(2, 1), ref.qbinom(4, 2)))
+    # at a degree limit of 16, qbinom(8, 4) (degree 16) is accepted; its
+    # chains' spans, 5 + 6 + 7 + 8 and 1 + 2 + 3 + 4, would read 36
+    monkeypatch.setattr(budget, "MAX_EXACT_DEGREE", 16)
+    assert terms("qbinom(8,4)") == ref.terms(ref.qbinom(8, 4))
+    with pytest.raises(DslError) as refused:
+        evaluate("qbinom(8,4)*poch(q,1,1)", {}, None)
+    assert str(refused.value) == "exact product of degree 17 exceeds the 16-degree limit"
 
 
 def test_exact_poch_guard():

@@ -102,19 +102,22 @@ _ON_FIRST_USE = {"qident.exact", "qident.series_ops", "qident.printing",
                  "qident.recount", "qident.demos"}
 
 
-@pytest.mark.parametrize("argv, bound", [
-    (("eval", "q", "--trunc", "3"), 11650),
-    (("verify", "ay1", "--no-comb", "--trunc", "10"), 13000),
-    (("bijection", "phi", "--n", "1"), 7600),
-], ids=["eval", "verify", "bijection"])
-def test_command_compiles_within_its_budget(argv, bound):
+@pytest.mark.parametrize("argv, bound, first_use", [
+    (("eval", "q", "--trunc", "3"), 11650, set()),
+    (("verify", "ay1", "--no-comb", "--trunc", "10"), 13000, set()),
+    (("bijection", "phi", "--n", "1"), 7600, set()),
+    # every Gaussian binomial of an exact side is a chain in the exact
+    # product's window, so the side loads exact but not series_ops
+    *((("verify", name, "--n", "7", "--no-comb"), 14400, {"qident.exact"})
+      for name in ("thm21", "middle", "qbinom_thm")),
+], ids=["eval", "verify", "bijection", "thm21", "middle", "qbinom_thm"])
+def test_command_compiles_within_its_budget(argv, bound, first_use):
     # a cold launch compiles every module it loads, about 1.75 ms per
     # 1 000 AST nodes, so a command loads only its own handler, and what
     # is off its main route only when it runs it
     loaded = _after_main(*argv)
     assert _nodes(loaded) <= bound
-    assert "qident.exact" not in loaded
-    assert not loaded & _ON_FIRST_USE
+    assert loaded & _ON_FIRST_USE == first_use
 
 
 def test_exact_division_loads_on_first_use():
@@ -124,10 +127,10 @@ def test_exact_division_loads_on_first_use():
 
 
 def test_series_operations_load_on_first_use():
-    # an exact qbinom is expanded whole, and a reciprocal of a series that
-    # is no Pochhammer power is an inverse
+    # an exact power of a factor that is no chain is expanded, and a
+    # reciprocal of a series that is no Pochhammer power is an inverse
     loaded = _modules_after("from qident.dsl import evaluate\n"
-                            "evaluate('qbinom(5, 2)', {}, None)")
+                            "evaluate('(1+q)^2', {}, None)")
     assert "qident.series_ops" in loaded
     loaded = _after_main("eval", "(1+q+q^2)^(-1)", "--trunc", "10")
     assert "qident.series_ops" in loaded and "qident.exact" not in loaded
