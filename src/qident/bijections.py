@@ -12,10 +12,10 @@ back to it proves the codomain checks of that image; only the codomain
 elements that no such image matched are mapped back and forth.  Its
 memory is what is pending at once, not the families.  So each codomain
 streams in its domain's image order, or close to it: the codomain's i-th
-element is the image of the domain's i-th one for psi and rho, and phi,
-durfee_split and nu3 hold at most a few hundred pending in the sweeps the
-benchmark runs.  tau's codomain, lexicographic within a size, is the
-exception.
+element is the image of the domain's i-th one for psi, tau and rho, and
+phi, durfee_split and nu3 hold at most a few hundred pending in the
+sweeps the benchmark runs; what durfee_split and nu3 hold grows with the
+weight cap.
 
 Which check runs where, for each domain element x of a sweep: the map
 forward checks x against the domain's validator, and the inverse checks
@@ -64,7 +64,6 @@ from .partitions import (
     domain_validator,
     enumerate_domain,
     rectangle,
-    signed_sets,
 )
 
 
@@ -249,6 +248,16 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     below it, processed in decreasing order.  Removing the resulting largest
     part n+k leaves a self-conjugate partition with Durfee side n, which the
     hook map turns into a distinct odd partition with exactly n parts.
+
+    After the input check, only the largest folded part is checked: the
+    O(n, k) check makes the residue's three properties hold.  Its k odd
+    parts 2s+1 have 0 <= s <= n, so for n >= 1 the folded rows are
+    n + c_i for i = 0..n, c_i the number of parts with s >= i, and then b,
+    the values s >= 1, decreasing; for n = 0 the residue is empty.  c_0 = k,
+    and c_1..c_n is the conjugate of b, whose parts are at most n.  So the
+    residue is an n-square with the conjugate of b to its right and b
+    below it: self-conjugate, of Durfee side n (row n+1, if any, is
+    b_1 <= n long), and of largest part n + c_1 <= n + k.
     """
     _require(domain_validator("O")(pair, n, k),
              "not an O({},{}) element: {!r}", n, k, pair)
@@ -258,19 +267,25 @@ def nu3_forward(n: int, k: int, pair: PartitionPair) -> PartitionPair:
         "largest folded part is not n+k: {}", nu_star,
     )
     mu = Partition((n + k,) if n + k else ())
-    nu_prime = Partition(nu_star[1:])
-    _require(nu_prime.is_self_conjugate(), "residue not self-conjugate: {!r}", nu_prime)
-    d = nu_prime.durfee_size()
-    _require(d == n, "residue Durfee side {} != {}", d, n)
-    _require(not nu_prime.parts or nu_prime.parts[0] <= n + k,
-             "residue largest part exceeds n+k: {!r}", nu_prime)
-    # selfconj_to_distinct_odd less its checks, which have just passed
-    return PartitionPair(mu, _principal_hooks(nu_prime.parts, n))
+    # selfconj_to_distinct_odd less its checks, which the input check makes hold
+    return PartitionPair(mu, _principal_hooks(nu_star[1:], n))
 
 
 def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     """Close the hooks, put the single part back on top, unfold the columns
-    and rows into odd parts."""
+    and rows into odd parts.
+
+    After the input check and the two checks of the hook closure nu' (a
+    self-conjugate partition), the unfolding needs none of its own.
+    Durfee side n gives nu' at least n rows, each at least n long, and
+    n + k >= n, so no row of the head falls short of the rectangle.  Below
+    row n, nu' holds a partition b of parts at most n, and self-conjugacy
+    makes its first n rows n + b'_i, b' the conjugate of b; the largest
+    part n + b'_1 <= n + k leaves b at most k parts.  The excesses
+    (k, b'_1, ..., b'_n) then conjugate to 1 + b_j for j = 1..k (b padded
+    with zeros), so the odd parts 2b_j + 1 give back exactly the rows of b
+    appended below the head.
+    """
     _require(domain_validator("DO")(pair, n, k),
              "not a DO({},{}) element: {!r}", n, k, pair)
     nu_prime = distinct_odd_to_selfconj(pair.second)
@@ -278,19 +293,10 @@ def nu3_inverse(n: int, k: int, pair: PartitionPair) -> PartitionPair:
     _require(d == n, "hook closure has Durfee side {} != {}", d, n)
     _require(not nu_prime.parts or nu_prime.parts[0] <= n + k,
              "hook closure largest part exceeds n+k: {!r}", nu_prime)
-    nu_star = ((n + k,) if n + k else ()) + nu_prime.parts
-    head = nu_star[: n + 1]
-    below = nu_star[n + 1 :]
-    excess = [h - n for h in head]
-    _require(min(excess, default=0) >= 0, "row short of the rectangle: {}", nu_star)
-    splits = conjugate_parts(excess)  # multiset of s+1 values, decreasing
-    svals = tuple([v - 1 for v in splits])
-    _require(
-        tuple([s for s in svals if s >= 1]) == below,
-        "appended rows {} disagree with column excesses {}", below, svals,
-    )
-    pi = Partition(tuple([2 * s + 1 for s in svals]))
-    return PartitionPair(rectangle(n), pi)
+    head = ((n + k,) if n + k else ()) + nu_prime.parts[:n]
+    # the multiset of s+1 values, decreasing
+    splits = conjugate_parts([h - n for h in head])
+    return PartitionPair(rectangle(n), Partition([2 * v - 1 for v in splits]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +478,30 @@ def _bounded_distinct(n, k, cap):
 
 
 def _short_sets(n, k, cap):
-    """Elements of P(n) with at most n elements, the codomain of tau."""
-    return signed_sets(n, range(n, -1, -1))
+    """Elements of P(n) with at most n elements, the codomain of tau: the
+    subsets of [-n, n] of sizes n down to 0, each size in colexicographic
+    order (by the elements read largest first), by D. E. Knuth's Algorithm
+    L (TAOCP 7.2.1.3).
+
+    That is the order of tau's images of P_gt's stream, whose sizes
+    n+1 .. 2n+1 complement to n .. 0.  Of two sets of one size, lex order
+    puts first the one that holds the least element x of their symmetric
+    difference, and colex order puts last the one that holds the largest.
+    If A precedes B in lex order, x is in A, so in B's complement; -x is
+    then the largest element of the difference of the two images and lies
+    in B's image, which comes after A's in colex order."""
+    for r in range(n, -1, -1):
+        c = [*range(-n, r - n), n + 1]  # the first r-subset, and a sentinel
+        while True:
+            yield SignedDistinctSet(c[:r], n)
+            # the least j whose entry can step up; those below it reset
+            j = 0
+            while j < r and c[j] + 1 == c[j + 1]:
+                c[j] = j - n
+                j += 1
+            if j == r:
+                break
+            c[j] += 1
 
 
 _BIJECTIONS = {

@@ -166,9 +166,10 @@ def test_criterion_08_nu_identities_and_bijection(nu3_specialized):
             direct = build_side(iid, side, None, 40)
             if substituted.first_mismatch(direct, 40) is not None:
                 failures.append((iid, side, "specialization"))
-    # the forward map raises on any violated intermediate observation
-    # (self-conjugacy, Durfee side, largest-part bound), so a clean report
-    # certifies them on every element
+    # the input checks make the intermediate observations hold
+    # (self-conjugacy, Durfee side, largest-part bound; proved in the maps'
+    # docstrings, asserted element by element in test_bijections), so a
+    # clean report certifies them on every element
     bij = check_bijection("nu3", max_nk=5, weight_cap=30)
     if not bij.passed():
         failures.append(("nu3 bijection", bij))

@@ -10,6 +10,7 @@ import pytest
 from qident import bijections
 from qident.bijections import (
     BijectionReport,
+    _fold,
     check_bijection,
     durfee_join,
     durfee_split,
@@ -31,6 +32,8 @@ from qident.partitions import (
     Partition,
     PartitionPair,
     SignedDistinctSet,
+    conjugate_parts,
+    distinct_odd_to_selfconj,
     enumerate_domain,
 )
 
@@ -111,7 +114,7 @@ def test_psi_families_stream_subsets_of_one_to_n_by_size():
             for c in subsets]
 
 
-@pytest.mark.parametrize("name", ["psi", "rho"])
+@pytest.mark.parametrize("name", ["psi", "rho", "tau"])
 def test_codomain_streams_in_the_image_order(name):
     # the lockstep sweep then meets each image and its twin together
     row = bijections._BIJECTIONS[name]
@@ -134,12 +137,13 @@ print(json.dumps(tracemalloc.get_traced_memory()))
 
 # tuples built from iterators with no length hint fill CPython's free
 # lists (nu3 then leaves 588 kB traced at these sizes), and a codomain out
-# of image order holds images pending (peaks of 310 kB for psi and 486 kB
-# for rho); with neither, each reads 2-16 kB
+# of image order holds images pending (peaks of 310 kB for psi, 486 kB
+# for rho and 186 kB for tau); with neither, each reads 2-16 kB
 @pytest.mark.parametrize("name,kwargs,which", [
     ("nu3", dict(max_nk=9, weight_cap=50), 0),
     ("psi", dict(n=11), 1),
     ("rho", dict(n=6), 1),
+    ("tau", dict(n=6), 1),
 ])
 def test_sweep_memory_stays_small(name, kwargs, which):
     env = dict(os.environ)
@@ -162,12 +166,14 @@ def test_tau_frozen_n1():
 
 def test_tau_codomain_is_the_ordered_filter_of_p():
     for n in range(6):
-        short = bijections._short_sets(n, None, None)
+        short = list(bijections._short_sets(n, None, None))
+        # each element of P with at most n elements, once
+        want = [s for s in enumerate_domain("P", n=n) if len(s) <= n]
+        assert len(short) == len(want) and set(short) == set(want)
         # sizes n down to 0, the order of the sizes of P_gt's images;
-        # lexicographic within a size
-        want = [s for r in range(n, -1, -1)
-                for s in enumerate_domain("P", n=n) if len(s) == r]
-        assert list(short) == want
+        # colexicographic within a size, by the elements read largest first
+        want.sort(key=lambda s: (-len(s), s.elements[::-1]))
+        assert short == want
         # the row's inverse takes every element and complements it
         inverse = bijections._BIJECTIONS["tau"].inverse
         assert [inverse(n, None, s) for s in want] == [tau_complement(n, s) for s in want]
@@ -303,6 +309,31 @@ def test_nu3_exhaustive_sweep():
     rep = check_bijection("nu3", max_nk=5, weight_cap=30)
     assert rep.passed(), rep
     assert rep.domain_size == rep.codomain_size > 0
+
+
+def test_nu3_unchecked_conditions_hold_on_the_benchmark_sweep():
+    # nu3_forward and nu3_inverse no longer check these five conditions:
+    # their docstrings prove that the checks before them make each hold.
+    # Here each is asserted on every element of the sweep nu3 --max-nk 11
+    # --cap 80, 3 246 on each side
+    forward = inverse = 0
+    for n in range(12):
+        for k in range(12 - n):
+            for pair in enumerate_domain("O", n=n, k=k, weight_cap=80):
+                residue = _fold(n, pair.second.parts)[1:]
+                assert conjugate_parts(residue) == residue  # self-conjugate
+                assert Partition(residue).durfee_size() == n
+                assert not residue or residue[0] <= n + k
+                forward += 1
+            for pair in enumerate_domain("DO", n=n, k=k, weight_cap=80):
+                closure = distinct_odd_to_selfconj(pair.second).parts
+                head = ((n + k,) if n + k else ()) + closure[:n]
+                assert all(h >= n for h in head)  # no row short of the rectangle
+                svals = [v - 1 for v in conjugate_parts([h - n for h in head])]
+                # the appended rows agree with the column excesses
+                assert [s for s in svals if s >= 1] == list(closure[n:])
+                inverse += 1
+    assert forward == inverse == 3246
 
 
 def test_nu3_k_zero_gives_hook_staircase():

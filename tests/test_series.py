@@ -7,6 +7,7 @@ from qident.errors import (
     NonUnitConstantTerm,
     TruncationRequired,
 )
+from qident.dsl import evaluate
 from qident.exact import _divide
 from qident.kernel import TRIVIAL_MONO, _Rows, _Total
 from qident.series import (
@@ -180,6 +181,18 @@ def test_kernel_division_refuses_a_term_below_q1():
     with pytest.raises(ValueError, match=r"a term at q\^0"):
         acc.div((((1, 0, 0), 0, 1),))
     assert acc.rows == {TRIVIAL_MONO: [1, 0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("k,j,c", [(-2, 1, 1), (-5, 2, -3), (-7, 3, 1), (-4, 1, 2)])
+def test_exact_fall_divides_one_term_at_a_time(monkeypatch, k, j, c):
+    # an exact net fall (1 - c q^j)^k, k <= -2, is |k| divisions by
+    # 1 - c q^j, each one accumulate pass, not one by the |k|-term power
+    calls = []
+    div = _Rows.div
+    monkeypatch.setattr(_Rows, "div", lambda acc, b: calls.append(b) or div(acc, b))
+    text = f"(1-5*q)*(1-({c})*q^{j})^{-k}*poch(({c})*q^{j},1,1)^({k})"
+    assert evaluate(text, {}, None) == QSeries({0: 1, 1: -5})
+    assert calls == [(((0, 0, 0), j, c),)] * -k
 
 
 def test_exact_div_divides_each_row():
