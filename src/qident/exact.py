@@ -13,11 +13,6 @@ merged, qbinom(2,1)*qbinom(4,2) cancels a factor 1 - q^2 its window needs.
 A divisor lead - a of lead +-1 and one term a runs on the kernel's own
 division, after ``budget._check_power``; any other runs ``_divide``, which
 checks each coefficient for a remainder and, for a lead of +-1, for bits.
-A net fall (1 - c*q^j)^k, k <= -2, whose |k| terms all lie in the
-window takes the kernel's division |k| times too: each is one C-level
-``accumulate`` pass, where one division by the |k|-term power runs a
-Python sum per coefficient.  Exact qbinom(4,2)^1000 takes about 2 s so,
-and 17.6 s the other way (Python 3.11.7).
 Exact products, ``series.qbinom``, ``series_ops._poch`` with no truncation
 order and ``MultiSeries.exact_div`` load this module on first use.
 """
@@ -102,16 +97,7 @@ def _exact_quotient(rows: dict, powers: dict, divisors: list, nets: list) -> tup
         raise DivisionInexact("dividend degree span below divisor's")
     acc = _Rows.load(rows, lo, size)
     acc.apply({a: k for a, k in powers.items() if k > 0})
-    for a, k in powers.items():
-        # |k| one-term passes cost less than one |k|-term division
-        if k < -1 and a[0][0] == TRIVIAL_MONO and -k * a[0][1] < size:
-            from .budget import _check_power
-
-            _check_power(a, k, size)
-            for _ in range(-k):
-                acc.div(a)
-        elif k < 0:
-            acc.apply({a: k})
+    acc.apply({a: k for a, k in powers.items() if k < 0})
     for a, lead, k in steps:
         if lead in (1, -1) and len(a) == 1:
             from .budget import _check_power

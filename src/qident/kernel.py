@@ -23,7 +23,9 @@ O(T^2) per pair of rows.  ``_Rows.apply`` takes a chain as a map
 of a monomial, and takes each factor to its power k in one step: for a =
 c*m*q^j, (1 - a)^k is one factor 1 - b whose min(|k|, T/j) terms are the
 binomial series below the window (``_factor_power``), so it costs
-O(rows * T * min(|k|, T/j)), not |k| times a factor's cost.  Series
+O(rows * T * min(|k|, T/j)), not |k| times a factor's cost; a fall of
+a factor free of z, x and y whose |k| terms all lie in the window is
+|k| one-term divisions instead, each one C-level pass.  Series
 inversion, Gaussian binomials, the factors of a Pochhammer product after
 those that reach q^0 (``series_ops._poch``) and the expression language's
 Pochhammer and q-binomial powers are each one such chain.  A power k < 0
@@ -237,19 +239,17 @@ class _Rows:
 
     def apply(self, powers: dict) -> None:
         """Multiply by each factor 1 - a to its net power k in powers, a map
-        {the terms of a: k}, in one step each: ``mul`` for k > 0 and ``div``
-        for k < 0 by 1 - a, or for |k| > 1, a then one term, by (1 - a)^|k|
-        (``_factor_power``).  A power k < 0 or k > 1 is checked
-        (``budget._check_power``) before its step."""
+        {the terms of a: k}: ``mul`` for k > 0 and ``div`` for k < 0 by
+        1 - a, or for |k| > 1, a then one term, by the factors of
+        (1 - a)^|k| (``_factor_power``).  A power k < 0 or k > 1 is checked
+        (``budget._check_power``) before its steps."""
         for a, k in powers.items():
             if k < 0 or k > 1:
                 from .budget import _check_power
 
                 _check_power(a, k, self.size)
-            if abs(k) > 1:
-                a = _factor_power(a, k, self.size)
-            if k:
-                (self.mul if k > 0 else self.div)(a)
+            for b in _factor_power(a, k, self.size) if abs(k) > 1 else [a] * abs(k):
+                (self.mul if k > 0 else self.div)(b)
 
     def add(self, other: "_Rows", scale: int, mono: Mono, shift: int) -> None:
         """Add other times scale * mono * q^shift in place.  The window
@@ -292,15 +292,20 @@ class _Rows:
 
 
 def _factor_power(a: tuple, k: int, size: int) -> list:
-    """The terms of b, 1 - b = (1 - a)^|k| below q^size, for a one term
-    c*m*q^j: b = -sum_{i >= 1} C(|k|, i) (-a)^i, of min(|k|, (size - 1) // j)
-    terms (|k| for j = 0)."""
+    """Factors 1 - b, each as the terms of b, whose product is (1 - a)^|k|
+    below q^size, for a one term c*m*q^j.  A fall k < 0 free of z, x and y
+    whose |k| terms lie below q^size is |k| factors 1 - a: dividing by one
+    is an ``accumulate`` pass, where dividing by the |k|-term power takes a
+    Python sum per coefficient.  Any other is one factor, b = -sum_{i >= 1}
+    C(|k|, i) (-a)^i, of min(|k|, (size - 1) // j) terms (|k| for j = 0)."""
     ((m, j, c),), n = a, abs(k)
+    if k < 0 and m == TRIVIAL_MONO and n * j < size:
+        return [a] * n
     b, coef = [], -1
     for i in range(1, min(n, (size - 1) // j if j else n) + 1):
         coef = coef * (n - i + 1) * -c // i
         b.append((tuple(i * e for e in m), i * j, coef))
-    return b
+    return [b]
 
 
 def _chain_factors(chains: list, size: Optional[int]) -> dict:

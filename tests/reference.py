@@ -125,20 +125,12 @@ def inverse(v, order):
 
 
 def power(v, k, order):
-    """v^k by squaring; a negative k inverts v first (``inverse``).
-
-    Any grouping of the k factors gives the same value: a product of
-    v^a and v^b is trusted below hi + (a + b - 1) lo, for v = (lo, hi, _),
-    which is what multiplying by v one at a time gives."""
+    """v^k; a negative k inverts v first (``inverse``)."""
     if k < 0:
         v, k = inverse(v, order), -k
     out = ONE
-    while k:
-        if k & 1:
-            out = mul(out, v)
-        k >>= 1
-        if k:
-            v = mul(v, v)
+    for _ in range(k):
+        out = mul(out, v)
     return out
 
 

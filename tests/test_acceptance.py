@@ -166,15 +166,15 @@ def test_criterion_08_nu_identities_and_bijection(nu3_specialized):
             direct = build_side(iid, side, None, 40)
             if substituted.first_mismatch(direct, 40) is not None:
                 failures.append((iid, side, "specialization"))
-    # the input checks make the intermediate observations hold
-    # (self-conjugacy, Durfee side, largest-part bound; proved in the maps'
-    # docstrings, asserted element by element in test_bijections), so a
-    # clean report certifies them on every element
+    # the intermediate observations (self-conjugacy, Durfee side,
+    # largest-part bound) follow from the maps' input checks: they are
+    # proved in the maps' docstrings and asserted element by element in
+    # test_bijections, not checked by this sweep
     bij = check_bijection("nu3", max_nk=5, weight_cap=30)
     if not bij.passed():
         failures.append(("nu3 bijection", bij))
     _report(8, "nu3 trivariate to trunc 40; nu1/nu2 agree with substituted"
-               " nu3; nu3 roundtrip n+k<=5 w<=30 incl. residue assertions",
+               " nu3; nu3 roundtrip n+k<=5 w<=30",
             failures)
 
 

@@ -183,16 +183,32 @@ def test_kernel_division_refuses_a_term_below_q1():
     assert acc.rows == {TRIVIAL_MONO: [1, 0, 0, 0, 0]}
 
 
-@pytest.mark.parametrize("k,j,c", [(-2, 1, 1), (-5, 2, -3), (-7, 3, 1), (-4, 1, 2)])
-def test_exact_fall_divides_one_term_at_a_time(monkeypatch, k, j, c):
-    # an exact net fall (1 - c q^j)^k, k <= -2, is |k| divisions by
-    # 1 - c q^j, each one accumulate pass, not one by the |k|-term power
+def _count_divisions(monkeypatch) -> list:
     calls = []
     div = _Rows.div
     monkeypatch.setattr(_Rows, "div", lambda acc, b: calls.append(b) or div(acc, b))
+    return calls
+
+
+@pytest.mark.parametrize("trunc", [None, 30])
+@pytest.mark.parametrize("k,j,c", [(-2, 1, 1), (-5, 2, -3), (-7, 3, 1), (-4, 1, 2)])
+def test_fall_in_the_window_divides_one_term_at_a_time(monkeypatch, trunc, k, j, c):
+    # a net fall (1 - c q^j)^k, k <= -2, whose |k| terms lie in the window
+    # is |k| divisions by 1 - c q^j, each one accumulate pass, not one by
+    # the |k|-term power; exact and truncated alike
+    calls = _count_divisions(monkeypatch)
     text = f"(1-5*q)*(1-({c})*q^{j})^{-k}*poch(({c})*q^{j},1,1)^({k})"
-    assert evaluate(text, {}, None) == QSeries({0: 1, 1: -5})
+    out = evaluate(text, {}, trunc)
+    assert out.trunc == trunc and same_below_common_trunc(out, 1 - 5 * Q)
     assert calls == [(((0, 0, 0), j, c),)] * -k
+
+
+@pytest.mark.parametrize("text", ["poch(q^3,1,1)^(-7)", "poch(z*q,1,1)^(-3)"])
+def test_other_falls_divide_once_by_the_power(monkeypatch, text):
+    # past the window, or with z, the fall is one division by its power
+    calls = _count_divisions(monkeypatch)
+    evaluate(text, {}, 20)
+    assert len(calls) == 1 and len(calls[0]) > 1
 
 
 def test_exact_div_divides_each_row():
